@@ -28,15 +28,14 @@ from .cvspace import (
     FockDim,
     Operator,
     ProbeSpec,
-    as_dim,
     build_quadrature,
     prepare_probe,
     propagator,
+    richardson,
 )
 from .errors import (
     ContractViolationError,
     DomainError,
-    EnvelopeError,
     NonConvergenceError,
     UnidentifiableParameterError,
 )
@@ -44,7 +43,6 @@ from .strategies import QState
 
 MIRROR_GUARD = 16
 MIRROR_BOUNDARY_TOL = 1e-10
-FD_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -134,15 +132,14 @@ def cavity_mean(p: OptomechParams) -> float:
     return cavity_moment(optomech_state(p), p, 1)
 
 
-def homodyne_g_variance(p: OptomechParams, fd_step: float | None = None) -> float:
+def homodyne_g_variance(p: OptomechParams) -> float:
     """Error-transfer variance of g from the cavity quadrature readout.
 
     delta^2 g = (<X^2> - <X>^2) / |d<X>/dg|^2 with the derivative taken by
-    central differences and verified by one Richardson halving (relative
-    agreement 1e-4, else non-convergence).  A vanishing derivative means g
-    is unidentifiable at this operating point.
+    central differences under the `richardson` step-halving check; a failed
+    check raises NonConvergenceError.  A vanishing derivative means g is
+    unidentifiable at this operating point.
     """
-    h = fd_step if fd_step is not None else 1e-4 * max(1.0, abs(p.g))
     state = optomech_state(p)
     mean = cavity_moment(state, p, 1)
     second = cavity_moment(state, p, 2)
@@ -152,16 +149,10 @@ def homodyne_g_variance(p: OptomechParams, fd_step: float | None = None) -> floa
         dn = cavity_mean(replace(p, g=p.g - step))
         return (up - dn) / (2 * step)
 
-    d_h = slope(h)
-    d_h2 = slope(h / 2)
-    scale = max(abs(d_h), abs(d_h2))
-    if scale == 0.0:
-        raise UnidentifiableParameterError(
-            "d<X_cav>/dg vanished; g cannot be estimated at this point")
-    if abs(d_h - d_h2) > FD_REL_TOL * scale:
+    derivative, converged, history = richardson(slope, 1e-4 * max(1.0, abs(p.g)))
+    if not converged:
         raise NonConvergenceError(
-            f"derivative Richardson check failed: {d_h!r} vs {d_h2!r}")
-    derivative = (4 * d_h2 - d_h) / 3
+            f"derivative Richardson check failed; (h, f_h, f_h2, residual) = {history}")
     if derivative == 0.0:
         raise UnidentifiableParameterError(
             "d<X_cav>/dg vanished; g cannot be estimated at this point")
@@ -200,11 +191,11 @@ class ScalingFit:
     points: tuple  # ((log N, log y), ...)
 
 
-def fit_scaling(points, expect_power_law: bool = True) -> ScalingFit:
+def fit_scaling(points) -> ScalingFit:
     """OLS power-law fit; at least 4 strictly positive (N, y) pairs.
 
-    No robustification: a bad r^2 under `expect_power_law` warns instead of
-    being silently absorbed.
+    No robustification: a bad r^2 (below 0.9) warns instead of being
+    silently absorbed.
     """
     pts = [(float(n), float(y)) for n, y in points]
     if len(pts) < 4:
@@ -220,16 +211,8 @@ def fit_scaling(points, expect_power_law: bool = True) -> ScalingFit:
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     r2 = min(max(r2, 0.0), 1.0)
-    if expect_power_law and r2 < 0.9:
+    if r2 < 0.9:
         warnings.warn(f"scaling fit r^2 = {r2:.3f}: data is far from a power law")
     return ScalingFit(float(slope), float(intercept), r2,
                       tuple(zip(x.tolist(), y.tolist())))
 
-
-def optomech_sweep(p: OptomechParams, n_values=DEFAULT_OPTOMECH_SWEEP):
-    """delta^2 g over an N sweep plus its power-law fit."""
-    rows = []
-    for n in n_values:
-        rows.append((int(n), homodyne_g_variance(replace(p, n_steps=int(n)))))
-    fit = fit_scaling(rows)
-    return rows, fit

@@ -51,10 +51,6 @@ class ExactComplex:
         o = ExactComplex.of(other)
         return ExactComplex(self.re + o.re, self.im + o.im)
 
-    def __sub__(self, other) -> "ExactComplex":
-        o = ExactComplex.of(other)
-        return ExactComplex(self.re - o.re, self.im - o.im)
-
     def __mul__(self, other) -> "ExactComplex":
         o = ExactComplex.of(other)
         return ExactComplex(self.re * o.re - self.im * o.im,
@@ -119,9 +115,6 @@ class PPoly:
     def __add__(self, other: "PPoly") -> "PPoly":
         return PPoly.from_terms(list(self.coeffs) + list(other.coeffs))
 
-    def __sub__(self, other: "PPoly") -> "PPoly":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "PPoly") -> "PPoly":
         terms = [(p1 + p2, c1 * c2) for p1, c1 in self.coeffs for p2, c2 in other.coeffs]
         return PPoly.from_terms(terms)
@@ -133,8 +126,8 @@ class PPoly:
     def as_complex_dict(self) -> Mapping[int, complex]:
         return {p: c.to_complex() for p, c in self.coeffs}
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return all(abs(float(c.im)) <= tol for _, c in self.coeffs)
+    def is_real(self) -> bool:
+        return all(c.im == 0 for _, c in self.coeffs)
 
     def to_matrix(self, quad_matrix: np.ndarray) -> np.ndarray:
         """Substitute a quadrature matrix for the symbol (Horner on matrices)."""
@@ -251,7 +244,6 @@ class FactorizationCheck:
 
     residual: float
     columns_checked: int
-    max_boundary_mass: float
 
 
 def exp_antihermitian(mat: np.ndarray, dim: FockDim) -> np.ndarray:
@@ -265,10 +257,7 @@ def exp_antihermitian(mat: np.ndarray, dim: FockDim) -> np.ndarray:
 
 
 def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
-                         variant: str = "AB",
-                         guard: int = FACTORIZATION_GUARD,
-                         mass_tol: float = FACTORIZATION_MASS_TOL,
-                         detail: bool = False):
+                         variant: str = "AB", detail: bool = False):
     """Max-element residual of the factorization at lambda = i*lambda_im.
 
     Both sides are built as d x d matrices.  Purely imaginary lambda keeps
@@ -278,12 +267,13 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
 
     The truncated basis cannot represent columns whose image reaches the
     boundary, so the residual is taken over the columns for which every
-    partial product keeps its top-`guard` occupation below `mass_tol`;
-    if no column qualifies the envelope is violated and EnvelopeError
-    carries the smallest offending mass.
+    partial product keeps its occupation of the top FACTORIZATION_GUARD
+    levels below FACTORIZATION_MASS_TOL; if no column qualifies the envelope
+    is violated and EnvelopeError carries the smallest offending mass.
     """
     dim = as_dim(dim)
     d = dim.d
+    top = d - FACTORIZATION_GUARD  # first level of the guarded boundary band
     lam = 1j * float(lambda_im)
     x_op = build_quadrature(dim, "X")
     pm_op = operator_power(build_quadrature(dim, "P"), m)
@@ -310,23 +300,18 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     part = np.eye(d, dtype=complex)
     for f in reversed(factors):
         part = f @ part
-        masses = (np.abs(part[d - guard:, :]) ** 2).sum(axis=0)
-        ok &= masses < mass_tol
+        masses = (np.abs(part[top:, :]) ** 2).sum(axis=0)
+        ok &= masses < FACTORIZATION_MASS_TOL
         worst = max(worst, float(masses.min()))
-    lhs_mass = (np.abs(lhs[d - guard:, :]) ** 2).sum(axis=0)
-    ok &= lhs_mass < mass_tol
+    lhs_mass = (np.abs(lhs[top:, :]) ** 2).sum(axis=0)
+    ok &= lhs_mass < FACTORIZATION_MASS_TOL
     worst = max(worst, float(lhs_mass.min()))
 
     n_ok = int(ok.sum())
     if n_ok == 0:
         raise EnvelopeError(
             f"no column of d={d} stays inside the truncation envelope "
-            f"(best boundary mass {worst:.3e} >= {mass_tol:g}); "
+            f"(best boundary mass {worst:.3e} >= {FACTORIZATION_MASS_TOL:g}); "
             "reduce |lambda| or enlarge d", offending_mass=worst)
     residual = float(np.abs(lhs[:, ok] - part[:, ok]).max())
-    if detail:
-        checked_masses = np.concatenate([
-            (np.abs(lhs[d - guard:, ok]) ** 2).sum(axis=0),
-            (np.abs(part[d - guard:, ok]) ** 2).sum(axis=0)])
-        return FactorizationCheck(residual, n_ok, float(checked_masses.max()))
-    return residual
+    return FactorizationCheck(residual, n_ok) if detail else residual

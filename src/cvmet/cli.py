@@ -9,13 +9,13 @@ Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence,
 
 Every floating-point value is rendered with 17 significant digits; two runs
 of the same config produce byte-identical CSV bodies (the leading version
-line is excluded from that comparison).  All computation is deterministic;
-the config's `seed` field is reserved.
+line is excluded from that comparison).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -36,19 +36,21 @@ from .errors import (
     ContractViolationError,
     CvmetError,
     EnvelopeError,
+    InvalidDimensionError,
     LargeNGateError,
     NonConvergenceError,
     ValidationError,
 )
 from .qfi import (
+    THETA1,
+    THETA2,
     asymptotic_qfi,
     crb_precision,
-    large_n_gate,
     precision_ratio,
     qfi_converged,
     ratio_formula,
 )
-from .strategies import STRATEGIES, StrategyConfig
+from .strategies import StrategyConfig
 
 COMMANDS = ("qfi", "sweep", "ratio", "bch-table", "factorization-check",
             "optomech", "claims")
@@ -121,7 +123,6 @@ DEFAULT_CONFIG = {
     "estimate": "theta2",
     "probe": {"kind": "vacuum"},
     "nu": 1,
-    "seed": 0,  # reserved: all computations are deterministic
     "sweep": {"param": "n_queries", "values": [2, 4, 6, 8]},
     "ratio": {"m_values": [1, 2, 3], "theta1": 0.75,
               "n_values": list(range(4, 25, 2))},
@@ -136,13 +137,37 @@ DEFAULT_CONFIG = {
 }
 
 
+@contextlib.contextmanager
+def _config_values():
+    """Scope in which config values become typed objects; a bad one exits 1.
+
+    The errors caught are what a malformed value raises on conversion: wrong
+    JSON shape, failed number conversion, missing key, or a constructor's own
+    check.  Computation stays outside the scope, so a ContractViolationError
+    it raises still exits 3.
+    """
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ContractViolationError, InvalidDimensionError) as exc:
+        raise ValidationError(f"invalid config value: {exc}") from exc
+
+
+def _integer(value, low: int = 1) -> int:
+    """An integral config number >= low; 2.5 is rejected, never truncated."""
+    number = float(value)
+    if not number.is_integer() or number < low:
+        raise ValueError(f"expected an integer >= {low}, got {value!r}")
+    return int(number)
+
+
 def _probe_from(config: dict) -> ProbeSpec:
     spec = config.get("probe", {"kind": "vacuum"})
     kind = spec.get("kind", "vacuum")
     if kind == "vacuum":
         return ProbeSpec.vacuum()
     if kind == "fock":
-        return ProbeSpec.fock(int(spec["n"]))
+        return ProbeSpec.fock(_integer(spec["n"], low=0))
     if kind == "coherent":
         return ProbeSpec.coherent(complex(spec.get("alpha_re", 0.0),
                                           spec.get("alpha_im", 0.0)))
@@ -151,19 +176,18 @@ def _probe_from(config: dict) -> ProbeSpec:
     raise ValidationError(f"unknown probe kind {kind!r}")
 
 
-def _strategy_config(config: dict) -> StrategyConfig:
-    strategy = config["strategy"]
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    try:
-        return StrategyConfig(theta1=float(config["theta1"]),
-                              theta2=float(config["theta2"]),
-                              n_queries=int(config["n_queries"]),
-                              m=int(config["m"]),
-                              strategy=strategy,
-                              probe=_probe_from(config))
-    except ContractViolationError as exc:
-        raise ValidationError(str(exc)) from exc
+def _estimate_settings(config: dict):
+    """(StrategyConfig, estimated parameter, nu) of the qfi and sweep commands."""
+    which = config.get("estimate", THETA2)
+    if which not in (THETA1, THETA2):
+        raise ValidationError(f"estimate must be {THETA1!r} or {THETA2!r}, got {which!r}")
+    cfg = StrategyConfig(theta1=float(config["theta1"]),
+                         theta2=float(config["theta2"]),
+                         n_queries=_integer(config["n_queries"]),
+                         m=_integer(config["m"]),
+                         strategy=config["strategy"],
+                         probe=_probe_from(config))
+    return cfg, which, _integer(config.get("nu", 1))
 
 
 def _estimate_row(cfg: StrategyConfig, which: str, nu: int):
@@ -183,9 +207,8 @@ def _estimate_row(cfg: StrategyConfig, which: str, nu: int):
 
 
 def cmd_qfi(config: dict) -> CommandOutput:
-    cfg = _strategy_config(config)
-    which = config.get("estimate", "theta2")
-    nu = int(config.get("nu", 1))
+    with _config_values():
+        cfg, which, nu = _estimate_settings(config)
     fd, f_gen, f_asym, delta, dim_used = _estimate_row(cfg, which, nu)
     columns = ("strategy", "m", "N", "theta1", "theta2", "parameter", "method",
                "F", "F_gen", "F_asym", "step_used", "delta_theta", "converged",
@@ -198,22 +221,21 @@ def cmd_qfi(config: dict) -> CommandOutput:
 
 
 def cmd_sweep(config: dict) -> CommandOutput:
-    sweep = config.get("sweep", {})
-    param = sweep.get("param")
-    values = sweep.get("values", [])
-    if not values:
-        raise ValidationError("sweep needs a non-empty strictly increasing values list")
-    if list(values) != sorted(set(values)):
-        raise ValidationError("sweep values must be strictly increasing")
-    if param not in ("n_queries", "theta1", "theta2", "m"):
-        raise ValidationError(f"sweep param must be a scalar strategy field, got {param!r}")
-    base = _strategy_config(config)
-    which = config.get("estimate", "theta2")
-    nu = int(config.get("nu", 1))
+    with _config_values():
+        sweep = config.get("sweep", {})
+        param = sweep.get("param")
+        values = sweep.get("values", [])
+        if not values:
+            raise ValidationError("sweep needs a non-empty strictly increasing values list")
+        if list(values) != sorted(set(values)):
+            raise ValidationError("sweep values must be strictly increasing")
+        if param not in ("n_queries", "theta1", "theta2", "m"):
+            raise ValidationError(f"sweep param must be a scalar strategy field, got {param!r}")
+        base, which, nu = _estimate_settings(config)
+        cast = _integer if param in ("n_queries", "m") else float
+        cfgs = [replace(base, **{param: cast(value)}) for value in values]
     rows = []
-    for value in values:
-        cast = int(value) if param in ("n_queries", "m") else float(value)
-        cfg = replace(base, **{param: cast})
+    for cfg in cfgs:
         fd, f_gen, f_asym, delta, dim_used = _estimate_row(cfg, which, nu)
         rows.append((cfg.n_queries, cfg.m, cfg.theta1, cfg.theta2, cfg.strategy,
                      fd.value, f_gen, f_asym, delta, fd.converged, dim_used))
@@ -223,67 +245,73 @@ def cmd_sweep(config: dict) -> CommandOutput:
 
 
 def cmd_ratio(config: dict) -> CommandOutput:
-    section = config.get("ratio", DEFAULT_CONFIG["ratio"])
-    theta1 = float(section.get("theta1", 0.75))
+    with _config_values():
+        section = config.get("ratio", DEFAULT_CONFIG["ratio"])
+        theta1 = float(section.get("theta1", 0.75))
+        m_values = [_integer(m) for m in section.get("m_values", [1, 2, 3])]
+        n_values = [_integer(n) for n in section.get("n_values", range(4, 25, 2))]
+        probe = _probe_from(config)
     rows = []
     skipped = []
-    for m in section.get("m_values", [1, 2, 3]):
-        for n in section.get("n_values", range(4, 25, 2)):
+    for m in m_values:
+        for n in n_values:
             try:
-                measured = precision_ratio(int(m), theta1, int(n),
-                                           probe=_probe_from(config))
+                measured = precision_ratio(m, theta1, n, probe=probe)
             except LargeNGateError:
-                skipped.append((int(m), int(n)))
-                rows.append((int(m), int(n), "", ratio_formula(int(m))))
+                skipped.append((m, n))
+                rows.append((m, n, "", ratio_formula(m)))
                 continue
-            rows.append((int(m), int(n), measured, ratio_formula(int(m))))
+            rows.append((m, n, measured, ratio_formula(m)))
     extras = {"theta1": theta1, "skipped_below_gate": skipped}
     return CommandOutput(("m", "N", "ratio_measured", "ratio_formula"), rows, extras)
 
 
 def cmd_bch_table(config: dict) -> CommandOutput:
-    section = config.get("bch", DEFAULT_CONFIG["bch"])
+    with _config_values():
+        section = config.get("bch", DEFAULT_CONFIG["bch"])
+        m_values = [_integer(m) for m in section.get("m_values", [1, 2, 3, 4])]
     rows = []
-    for m in section.get("m_values", [1, 2, 3, 4]):
+    for m in m_values:
         for variant in section.get("variants", ["AB", "BA"]):
-            for n in range(2, int(m) + 2):
-                poly = zassenhaus_term(int(m), n, variant)
+            for n in range(2, m + 2):
+                poly = zassenhaus_term(m, n, variant)
                 for power, coeff in poly.coeffs:
-                    rows.append((int(m), n, variant, power,
+                    rows.append((m, n, variant, power,
                                  render_fraction(coeff.re), render_fraction(coeff.im)))
     return CommandOutput(("m", "n", "variant", "power", "coeff_re", "coeff_im"), rows)
 
 
 def cmd_factorization_check(config: dict) -> CommandOutput:
-    section = config.get("factorization", DEFAULT_CONFIG["factorization"])
+    with _config_values():
+        section = config.get("factorization", DEFAULT_CONFIG["factorization"])
+        cases = [(_integer(m), float(lam_im), FockDim(_integer(dim)), str(variant))
+                 for m, lam_im, dim, variant in section.get("cases", [])]
     rows = []
-    for case in section.get("cases", []):
-        m, lam_im, dim, variant = case
-        check = verify_factorization(int(m), float(lam_im), FockDim(int(dim)),
-                                     str(variant), detail=True)
-        rows.append((int(m), str(variant), float(lam_im), int(dim),
-                     check.residual, check.columns_checked))
+    for m, lam_im, dim, variant in cases:
+        check = verify_factorization(m, lam_im, dim, variant, detail=True)
+        rows.append((m, variant, lam_im, dim.d, check.residual, check.columns_checked))
     return CommandOutput(
         ("m", "variant", "lambda_im", "dim", "residual", "columns_checked"), rows)
 
 
 def cmd_optomech(config: dict) -> CommandOutput:
-    section = config.get("optomech", DEFAULT_CONFIG["optomech"])
-    params = OptomechParams(
-        g=float(section.get("g", DEFAULT_OPTOMECH.g)),
-        mass=float(section.get("mass", DEFAULT_OPTOMECH.mass)),
-        omega_c=float(section.get("omega_c", DEFAULT_OPTOMECH.omega_c)),
-        tau=float(section.get("tau", DEFAULT_OPTOMECH.tau)),
-        n_steps=1,
-        mirror_probe=_probe_from(section),
-        mirror_dim=FockDim(int(section.get("mirror_dim", 256))),
-        cavity_dim=FockDim(int(section.get("cavity_dim", 3))))
-    n_values = section.get("n_values", list(range(8, 25, 2)))
+    with _config_values():
+        section = config.get("optomech", DEFAULT_CONFIG["optomech"])
+        params = OptomechParams(
+            g=float(section.get("g", DEFAULT_OPTOMECH.g)),
+            mass=float(section.get("mass", DEFAULT_OPTOMECH.mass)),
+            omega_c=float(section.get("omega_c", DEFAULT_OPTOMECH.omega_c)),
+            tau=float(section.get("tau", DEFAULT_OPTOMECH.tau)),
+            n_steps=1,
+            mirror_probe=_probe_from(section),
+            mirror_dim=FockDim(_integer(section.get("mirror_dim", 256), low=2)),
+            cavity_dim=FockDim(_integer(section.get("cavity_dim", 3))))
+        n_values = [_integer(n) for n in section.get("n_values", list(range(8, 25, 2)))]
     if not n_values:
         raise ValidationError("optomech needs a non-empty n_values list")
     rows = []
     for n in n_values:
-        rows.append((int(n), homodyne_g_variance(replace(params, n_steps=int(n)))))
+        rows.append((n, homodyne_g_variance(replace(params, n_steps=n))))
     fit = fit_scaling(rows)
     extras = {"scaling_fit": {"slope": format_value(fit.slope),
                               "intercept": format_value(fit.intercept),

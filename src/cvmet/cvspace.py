@@ -8,7 +8,8 @@ concurrent use needs no coordination.
 Truncation caveats: on the truncated basis [X, P] = i(I - d |d-1><d-1|), and
 the top ~m rows/columns of P^m are corrupted, so callers must keep the
 occupied subspace away from the boundary.  `converge_dimension` doubles d
-until the requested scalar settles and reports non-convergence explicitly.
+until the requested scalar settles and reports non-convergence explicitly;
+`richardson` does the same for the step of a finite difference.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     InvalidDimensionError,
-    NonConvergenceError,
     TruncationLeakageError,
 )
 
@@ -70,6 +70,7 @@ class Operator:
     unitary: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_dim(self.dim))
         mat = np.asarray(self.mat, dtype=complex)
         d = self.dim.d
         if mat.shape != (d, d):
@@ -102,24 +103,6 @@ class CvState:
         if abs(nrm - 1.0) > NORM_TOL:
             raise ContractViolationError(f"state norm {nrm!r} deviates from 1 beyond 1e-10")
         object.__setattr__(self, "vec", _frozen(vec))
-
-    @property
-    def d(self) -> int:
-        return self.dim.d
-
-    def overlap(self, other: "CvState") -> complex:
-        return complex(np.vdot(self.vec, other.vec))
-
-    def fidelity(self, other: "CvState") -> float:
-        """|<self|other>|, global phase quotiented out."""
-        return abs(self.overlap(other))
-
-    def occupation(self) -> np.ndarray:
-        return np.abs(self.vec) ** 2
-
-    def boundary_mass(self, guard: int) -> float:
-        """Occupation in the top `guard` levels next to the truncation edge."""
-        return float(self.occupation()[self.d - guard:].sum())
 
 
 @dataclass(frozen=True)
@@ -267,10 +250,11 @@ def apply_unitary(u: Operator, state):
     """Apply a verified unitary to a CvState, or blockwise to a QState."""
     if not u.unitary:
         raise ContractViolationError("apply_unitary needs a verified unitary flag")
-    if hasattr(state, "control_dim"):  # strategies.QState, control-major blocks
-        blocks = state.amplitudes.reshape(state.control_dim, -1)
-        return replace(state, amplitudes=(blocks @ u.mat.T).reshape(-1))
-    return replace(state, vec=u.mat @ state.vec)
+    if isinstance(state, CvState):
+        return replace(state, vec=u.mat @ state.vec)
+    # strategies.QState (not importable here): control-major blocks
+    blocks = state.amplitudes.reshape(state.control_dim, -1)
+    return replace(state, amplitudes=(blocks @ u.mat.T).reshape(-1))
 
 
 def evolve(state, generator: Operator, tau: float):
@@ -279,7 +263,7 @@ def evolve(state, generator: Operator, tau: float):
     return out
 
 
-def moment(state, op: Operator, k: int = 1):
+def moment(state: CvState, op: Operator, k: int = 1):
     """<state| op^k |state> by repeated matvec.
 
     For a hermitian operator the imaginary part must sit below 1e-10 and is
@@ -288,7 +272,7 @@ def moment(state, op: Operator, k: int = 1):
     """
     if k < 1:
         raise ContractViolationError("moment order k must be >= 1")
-    vec = state.vec if hasattr(state, "vec") else np.asarray(state, dtype=complex)
+    vec = state.vec
     if vec.shape[0] != op.d:
         raise ContractViolationError("state and operator dimensions differ")
     work = vec
@@ -328,13 +312,11 @@ class DimensionScan:
 
 def converge_dimension(evaluate: Callable[[int], float],
                        start: int = DIM_START,
-                       cap: int = DIM_CAP,
-                       rel_tol: float = DIM_REL_TOL,
-                       raise_on_failure: bool = False) -> DimensionScan:
-    """Double d from `start` until `evaluate(d)` moves by < rel_tol, cap at `cap`.
+                       cap: int = DIM_CAP) -> DimensionScan:
+    """Double d from `start` until `evaluate(d)` moves by < 1e-6 relative, cap at `cap`.
 
-    Non-convergence is a first-class status (or NonConvergenceError when
-    `raise_on_failure`), never a silently returned last value.
+    Non-convergence is a first-class status, never a silently returned last
+    value.
     """
     d = start
     prev = evaluate(d)
@@ -343,10 +325,33 @@ def converge_dimension(evaluate: Callable[[int], float],
         d *= 2
         cur = evaluate(d)
         history.append((d, cur))
-        if abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev), 1e-300):
+        if abs(cur - prev) <= DIM_REL_TOL * max(abs(cur), abs(prev), 1e-300):
             return DimensionScan(cur, d, True, tuple(history))
         prev = cur
-    if raise_on_failure:
-        raise NonConvergenceError(
-            f"dimension loop did not settle by d={cap}; history={history}")
     return DimensionScan(prev, d, False, tuple(history))
+
+
+FD_REL_TOL = 1e-4
+FD_MAX_REDUCTIONS = 3
+
+
+def richardson(estimate: Callable[[float], float], h: float):
+    """Richardson extrapolation of a step-h estimate, halving h until it settles.
+
+    Returns `(value, converged, history)`.  Each step compares f(h) with
+    f(h/2) and extrapolates (4 f(h/2) - f(h))/3; converged means the pair
+    agrees to relative 1e-4, otherwise h is halved up to FD_MAX_REDUCTIONS
+    times and the last extrapolation is returned unconverged.  `history`
+    holds one (h, f_h, f_h2, residual) row per step.
+    """
+    history = []
+    f_h = estimate(h)
+    for _ in range(FD_MAX_REDUCTIONS + 1):
+        f_h2 = estimate(h / 2)
+        resid = abs(f_h - f_h2) / max(abs(f_h), abs(f_h2), 1e-300)
+        history.append((h, f_h, f_h2, resid))
+        if resid <= FD_REL_TOL:
+            break
+        h, f_h = h / 2, f_h2
+    h, f_h, f_h2, resid = history[-1]
+    return (4.0 * f_h2 - f_h) / 3.0, resid <= FD_REL_TOL, tuple(history)

@@ -25,14 +25,14 @@ import numpy as np
 
 from . import bch
 from .cvspace import (
-    DIM_CAP,
-    DIM_START,
+    CvState,
     FockDim,
     ProbeSpec,
     as_dim,
     build_quadrature,
     converge_dimension,
     prepare_probe,
+    richardson,
     variance,
 )
 from .errors import (
@@ -43,15 +43,12 @@ from .errors import (
 )
 from .strategies import (
     COHERENT_SUPERPOSITION,
-    COMPOSITE,
     SWITCH,
     QState,
     StrategyConfig,
     build_output,
+    encoding,
 )
-
-FD_REL_TOL = 1e-4
-FD_MAX_REDUCTIONS = 3
 
 THETA1 = "theta1"
 THETA2 = "theta2"
@@ -85,7 +82,7 @@ class PrecisionResult:
 def _state_vector(state) -> np.ndarray:
     if isinstance(state, QState):
         return state.amplitudes
-    if hasattr(state, "vec"):
+    if isinstance(state, CvState):
         return state.vec
     return np.asarray(state, dtype=complex)
 
@@ -101,38 +98,22 @@ def _fd_value(builder: Callable[[float], object], theta0: float, h: float) -> fl
     return qfi_from_derivative(psi0, dpsi)
 
 
-def qfi_fd(builder: Callable[[float], object], theta0: float,
-           step: float | None = None) -> QfiEstimate:
-    """Central-difference QFI with one mandatory Richardson (h, h/2) check.
+def qfi_fd(builder: Callable[[float], object], theta0: float) -> QfiEstimate:
+    """Central-difference QFI with the mandatory Richardson check of `richardson`.
 
     The builder must be a deterministic map from the scalar to a state; the
     eigendecomposition propagators downstream are smooth in the parameter, so
-    no gauge jumps enter the difference.  Converged means the (h, h/2) pair
-    agrees to relative 1e-4; otherwise the step is reduced up to three times
-    and the failure is reported with both values in the diagnostics.
+    no gauge jumps enter the difference.  The step starts at
+    1e-4 max(1, |theta0|); a failed check is reported as unconverged with
+    every step in the diagnostics.
     """
-    h = step if step is not None else 1e-4 * max(1.0, abs(theta0))
-    history = []
-    f_h = _fd_value(builder, theta0, h)
-    for _ in range(FD_MAX_REDUCTIONS + 1):
-        f_h2 = _fd_value(builder, theta0, h / 2)
-        scale = max(abs(f_h), abs(f_h2), 1e-300)
-        resid = abs(f_h - f_h2) / scale
-        history.append((h, f_h, f_h2, resid))
-        extrapolated = (4.0 * f_h2 - f_h) / 3.0
-        if resid <= FD_REL_TOL:
-            return QfiEstimate(extrapolated, "finite_difference", step_used=h,
-                               converged=True,
-                               diagnostics={"richardson_residual": resid,
-                                            "f_h": f_h, "f_h2": f_h2,
-                                            "step_history": tuple(history)})
-        h, f_h = h / 2, f_h2
-    last = history[-1]
-    return QfiEstimate((4.0 * last[2] - last[1]) / 3.0, "finite_difference",
-                       step_used=last[0], converged=False,
-                       diagnostics={"richardson_residual": last[3],
-                                    "f_h": last[1], "f_h2": last[2],
-                                    "step_history": tuple(history)})
+    value, converged, history = richardson(
+        lambda h: _fd_value(builder, theta0, h), 1e-4 * max(1.0, abs(theta0)))
+    h, f_h, f_h2, resid = history[-1]
+    return QfiEstimate(value, "finite_difference", step_used=h, converged=converged,
+                       diagnostics={"richardson_residual": resid,
+                                    "f_h": f_h, "f_h2": f_h2,
+                                    "step_history": history})
 
 
 # --- exact generator route ---------------------------------------------------
@@ -146,7 +127,7 @@ def _branch_generators(cfg: StrategyConfig, which_param: str):
     the conjugate variable and drops out).
     """
     n = cfg.n_queries
-    strategy = COHERENT_SUPERPOSITION if cfg.strategy == COMPOSITE else cfg.strategy
+    strategy = encoding(cfg.strategy)
     if which_param == THETA2:
         if strategy == COHERENT_SUPERPOSITION:
             g = bch.phase_derivative_generator(cfg.m, cfg.theta1, n, "cs_branch")
@@ -201,7 +182,7 @@ def qfi_generator(cfg: StrategyConfig, which_param: str,
     diagnostics = {"branch_means": tuple(m for _, m in means),
                    "branch_square_means": tuple(sq_means),
                    "dim_used": dim.d}
-    if cfg.strategy != SWITCH and which_param == THETA2:
+    if encoding(cfg.strategy) == COHERENT_SUPERPOSITION and which_param == THETA2:
         # leading-order squared-expectation form, reported for regression only
         diagnostics["expectation_squared_form"] = 4.0 * means[0][1] ** 2
     return QfiEstimate(value, "generator_exact", converged=True, diagnostics=diagnostics)
@@ -212,7 +193,7 @@ def qfi_generator(cfg: StrategyConfig, which_param: str,
 def _probe_variance(probe: ProbeSpec, which: str) -> float:
     def at_dim(d: int) -> float:
         return variance(prepare_probe(probe, FockDim(d)), build_quadrature(d, which))
-    scan = converge_dimension(at_dim, start=16, cap=DIM_CAP)
+    scan = converge_dimension(at_dim, start=16)
     if not scan.converged:
         raise NonConvergenceError(f"probe variance of {which} did not converge")
     return scan.value
@@ -227,7 +208,7 @@ def asymptotic_qfi(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     dependence on the *other* coupling, matching the exact generator route.
     """
     n, m = cfg.n_queries, cfg.m
-    strategy = COHERENT_SUPERPOSITION if cfg.strategy == COMPOSITE else cfg.strategy
+    strategy = encoding(cfg.strategy)
     if m == 1:
         var_x = _probe_variance(cfg.probe, "X")
         var_p = _probe_variance(cfg.probe, "P")
@@ -266,22 +247,19 @@ def builder_for(cfg: StrategyConfig, which_param: str,
     return build
 
 
-def qfi_converged(cfg: StrategyConfig, which_param: str, method: str = "fd",
-                  d_start: int = DIM_START, d_cap: int = DIM_CAP,
-                  step: float | None = None) -> QfiEstimate:
+def qfi_converged(cfg: StrategyConfig, which_param: str,
+                  method: str = "fd") -> QfiEstimate:
     """QFI with the dimension-doubling loop wrapped around the chosen method.
 
     Converged means both the inner estimator settled (Richardson for the
     finite-difference route) and the value stopped moving under doubling.
     """
-    if method == "asymptotic":
-        return asymptotic_qfi(cfg, which_param)
     inner: dict[int, QfiEstimate] = {}
 
     def at_dim(d: int) -> float:
         if method == "fd":
             theta0 = getattr(cfg, which_param)
-            est = qfi_fd(builder_for(cfg, which_param, d), theta0, step=step)
+            est = qfi_fd(builder_for(cfg, which_param, d), theta0)
         elif method == "generator":
             est = qfi_generator(cfg, which_param, d)
         else:
@@ -289,7 +267,7 @@ def qfi_converged(cfg: StrategyConfig, which_param: str, method: str = "fd",
         inner[d] = est
         return est.value
 
-    scan = converge_dimension(at_dim, start=d_start, cap=d_cap)
+    scan = converge_dimension(at_dim)
     last = inner[scan.dim_used]
     diagnostics = dict(last.diagnostics)
     diagnostics.update({"dim_used": scan.dim_used, "dim_history": scan.history,
@@ -312,9 +290,9 @@ def crb_precision(f: QfiEstimate, nu: int = 1) -> PrecisionResult:
 LARGE_N_FACTOR = 10.0
 
 
-def large_n_gate(cfg: StrategyConfig, dim: FockDim | int = 64) -> bool:
+def large_n_gate(cfg: StrategyConfig) -> bool:
     """Declared large-N regime: N |theta1| >= 10 (|<P>_probe| + 1)."""
-    dim = as_dim(dim)
+    dim = FockDim(64)
     probe = prepare_probe(cfg.probe, dim)
     p_mean = abs(float(np.vdot(probe.vec, build_quadrature(dim, "P").mat @ probe.vec).real))
     return cfg.n_queries * abs(cfg.theta1) >= LARGE_N_FACTOR * (p_mean + 1.0)
@@ -326,24 +304,23 @@ def ratio_formula(m: int) -> float:
 
 
 def precision_ratio(m: int, theta1: float, n_queries: int,
-                    probe: ProbeSpec = ProbeSpec.vacuum(),
-                    method: str = "generator", theta2: float = 0.05,
-                    enforce_gate: bool = True) -> float:
-    """delta theta2 (coherent superposition) / delta theta2 (switch), same method.
+                    probe: ProbeSpec = ProbeSpec.vacuum()) -> float:
+    """delta theta2 (coherent superposition) / delta theta2 (switch), exact route.
 
-    Both estimates are evaluated at equal N with the same probe; outside the
-    declared large-N regime the comparison is refused (LargeNGateError) so
-    sweep drivers can flag-and-skip rather than report an off-regime number.
+    Both generator-route estimates are evaluated at theta2 = 0.05 and equal N
+    with the same probe; outside the declared large-N regime the comparison
+    is refused (LargeNGateError) so sweep drivers can flag-and-skip rather
+    than report an off-regime number.
     """
-    cs_cfg = StrategyConfig(theta1=theta1, theta2=theta2, n_queries=n_queries,
+    cs_cfg = StrategyConfig(theta1=theta1, theta2=0.05, n_queries=n_queries,
                             m=m, strategy=COHERENT_SUPERPOSITION, probe=probe)
     qs_cfg = replace(cs_cfg, strategy=SWITCH)
-    if enforce_gate and not large_n_gate(cs_cfg):
+    if not large_n_gate(cs_cfg):
         raise LargeNGateError(
             f"N|theta1| = {n_queries * abs(theta1):g} is below the declared "
             f"large-N gate for this probe")
-    f_cs = qfi_converged(cs_cfg, THETA2, method=method)
-    f_qs = qfi_converged(qs_cfg, THETA2, method=method)
+    f_cs = qfi_converged(cs_cfg, THETA2, method="generator")
+    f_qs = qfi_converged(qs_cfg, THETA2, method="generator")
     for est, name in ((f_cs, "coherent superposition"), (f_qs, "switch")):
         if not est.converged:
             raise NonConvergenceError(f"{name} QFI did not converge for the ratio")

@@ -16,13 +16,13 @@ quotient the global phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bch
 from .cvspace import (
-    CvState,
+    NORM_TOL,
     FockDim,
     Operator,
     ProbeSpec,
@@ -34,12 +34,15 @@ from .cvspace import (
 )
 from .errors import ContractViolationError, UnsupportedConfigurationError
 
-NORM_TOL = 1e-10
-
 SWITCH = "switch"
 COHERENT_SUPERPOSITION = "coherent_superposition"
 COMPOSITE = "composite"
 STRATEGIES = (SWITCH, COHERENT_SUPERPOSITION, COMPOSITE)
+
+
+def encoding(strategy: str) -> str:
+    """The coding a strategy runs: composite is the coherent superposition."""
+    return COHERENT_SUPERPOSITION if strategy == COMPOSITE else strategy
 
 
 @dataclass(frozen=True)
@@ -91,17 +94,6 @@ class QState:
     def control_purity(self) -> float:
         rho = self.control_reduced()
         return float(np.real(np.trace(rho @ rho)))
-
-    def mode_moment(self, op: Operator, k: int = 1):
-        """<op^k> acting on the mode register only."""
-        blocks = self.amplitudes.reshape(self.control_dim, self.fock.d)
-        work = blocks
-        for _ in range(k):
-            work = work @ op.mat.T
-        val = complex(np.vdot(blocks, work))
-        if op.hermitian:
-            return val.real
-        return val
 
 
 @dataclass(frozen=True)
@@ -269,8 +261,8 @@ def composite_output(params: CompositeParams, m: int, probe: ProbeSpec,
 
 
 def build_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
-    """Dispatch on cfg.strategy (composite is the cs builder by construction)."""
-    if cfg.strategy == SWITCH:
+    """Dispatch on the coding cfg.strategy runs (see `encoding`)."""
+    if encoding(cfg.strategy) == SWITCH:
         return switch_output(cfg, dim)
     return cs_output(cfg, dim)
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cvmet import applications
 from cvmet.applications import (
     DEFAULT_OPTOMECH,
     OptomechParams,
@@ -13,7 +14,7 @@ from cvmet.applications import (
     homodyne_g_variance,
     optomech_state,
 )
-from cvmet.cvspace import FockDim, ProbeSpec
+from cvmet.cvspace import FD_MAX_REDUCTIONS, FockDim, ProbeSpec
 from cvmet.errors import (
     ContractViolationError,
     DomainError,
@@ -84,6 +85,20 @@ class TestHomodyneVariance:
         p = replace(PAPER_STYLE, g=0.0, omega_c=0.0, n_steps=6)
         with pytest.raises((UnidentifiableParameterError, NonConvergenceError)):
             homodyne_g_variance(p)
+
+    def test_unsettled_slope_is_nonconvergence(self, monkeypatch):
+        # a square-root kink at the operating point: the central difference
+        # grows as h^-1/2 and never settles, so every halving is spent
+        calls = []
+
+        def kinked_mean(p):
+            calls.append(p.g)
+            return math.sqrt(max(p.g - PAPER_STYLE.g, 0.0))
+
+        monkeypatch.setattr(applications, "cavity_mean", kinked_mean)
+        with pytest.raises(NonConvergenceError):
+            homodyne_g_variance(PAPER_STYLE)
+        assert len(calls) == 2 * (FD_MAX_REDUCTIONS + 2)
 
     @pytest.mark.parametrize("n", [8, 16, 24])
     def test_homodyne_respects_quantum_bound(self, n):

@@ -156,6 +156,23 @@ class TestExitCodes:
         assert code == 2
         assert "non-convergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["qfi", "--set", "nu=0"],
+        ["sweep", "--set", 'sweep={"param": "m", "values": [0, 1]}'],
+        ["optomech", "--set", "optomech.mass=-1"],
+        ["optomech", "--set", "optomech.mirror_dim=0"],
+        ["optomech", "--set", "optomech.mirror_dim=1"],
+        ["ratio", "--set", "ratio.m_values=[0]"],
+        ["qfi", "--set", "theta1=abc"],
+        ["qfi", "--set", 'probe={"kind": "fock"}'],
+        ["qfi", "--set", "n_queries=2.5"],
+        ["qfi", "--set", "estimate=theta3"],
+        ["qfi", "--set", "probe=3"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_config_value_exits_1(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "validation" in capsys.readouterr().err
+
     def test_internal_contract_violation_exits_3(self, capsys):
         code = cli.main(["factorization-check", "--set",
                          'factorization={"cases": [[2, 0.1, 64, "XY"]]}'])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvmet.cvspace import (
+    FD_MAX_REDUCTIONS,
     CvState,
     FockDim,
     Operator,
@@ -15,6 +16,7 @@ from cvmet.cvspace import (
     operator_power,
     prepare_probe,
     propagator,
+    richardson,
     variance,
 )
 from cvmet.errors import (
@@ -184,6 +186,10 @@ class TestContracts:
         with pytest.raises(ContractViolationError):
             Operator(FockDim(3), 2 * np.eye(3), unitary=True)
 
+    def test_operator_takes_an_int_dimension(self):
+        op = Operator(4, np.eye(4), hermitian=True)
+        assert op.dim == FockDim(4)
+
     def test_state_norm_enforced(self):
         with pytest.raises(ContractViolationError):
             CvState(FockDim(4), np.array([1.0, 1.0, 0, 0]))
@@ -207,3 +213,19 @@ class TestDimensionLoop:
         scan = converge_dimension(lambda d: float(d), start=64, cap=256)
         assert not scan.converged
         assert scan.dim_used == 256
+
+
+class TestRichardson:
+    def test_smooth_estimate_converges_after_one_step(self):
+        f = lambda h: 2.0 + h ** 2
+        value, converged, history = richardson(f, 1e-3)
+        assert converged
+        assert len(history) == 1
+        assert value == (4 * f(1e-3 / 2) - f(1e-3)) / 3
+
+    def test_unsettled_estimate_stops_unconverged(self):
+        # sqrt(h) halves by 1/sqrt(2) per step and never settles
+        _, converged, history = richardson(math.sqrt, 1e-3)
+        assert not converged
+        assert len(history) == FD_MAX_REDUCTIONS + 1
+        assert [row[0] for row in history] == [1e-3 / 2 ** k for k in range(len(history))]
