@@ -43,6 +43,10 @@ from .strategies import QState
 
 MIRROR_GUARD = 16
 MIRROR_BOUNDARY_TOL = 1e-10
+# Photon amplitude stays in {|0>, |1>}, so three cavity levels already give
+# exact X_cav and X_cav^2 elements there; more levels only cost time.
+CAVITY_DIM = FockDim(3)
+MIN_FIT_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ class OptomechParams:
     n_steps: int
     mirror_probe: ProbeSpec = ProbeSpec.vacuum()
     mirror_dim: FockDim = FockDim(256)
-    cavity_dim: FockDim = FockDim(3)
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -69,10 +72,6 @@ class OptomechParams:
             raise ContractViolationError("step time tau must be positive")
         if self.n_steps < 1:
             raise ContractViolationError("n_steps must be a positive integer")
-        if self.cavity_dim.d < 3:
-            raise ContractViolationError(
-                "cavity_dim must be >= 3 so the quadrature-squared elements within "
-                "the {|0>,|1>} photon subspace come from the operator algebra")
 
 
 DEFAULT_OPTOMECH = OptomechParams(g=0.07, mass=1.1, omega_c=2 * math.pi / 0.2,
@@ -95,7 +94,7 @@ def _mirror_branches(p: OptomechParams):
 
 def optomech_state(p: OptomechParams) -> QState:
     """Two-branch output (|0> e^{-iH0 Nt}|phi> + |1> e^{-iH1 Nt}|phi>)/sqrt(2)
-    on (cavity_dim Fock levels) x (mirror), photon amplitude confined to {0,1}.
+    on (CAVITY_DIM Fock levels) x (mirror), photon amplitude confined to {0,1}.
 
     The Hamiltonian commutes with the photon number, so levels >= 2 stay
     exactly empty; the mirror branches are checked against the truncation
@@ -109,15 +108,15 @@ def optomech_state(p: OptomechParams) -> QState:
             raise NonConvergenceError(
                 f"mirror occupation {boundary:.3e} reached the truncation boundary "
                 f"at d={dm}; enlarge mirror_dim")
-    amps = np.zeros(p.cavity_dim.d * dm, dtype=complex)
+    amps = np.zeros(CAVITY_DIM.d * dm, dtype=complex)
     amps[:dm] = b0 / math.sqrt(2)
     amps[dm:2 * dm] = b1 / math.sqrt(2)
-    return QState(p.cavity_dim.d, p.mirror_dim, amps)
+    return QState(CAVITY_DIM.d, p.mirror_dim, amps)
 
 
 def cavity_moment(state: QState, p: OptomechParams, k: int = 1) -> float:
     """<X_cav^k> on the cavity register of an optomech output state."""
-    x_cav = build_quadrature(p.cavity_dim, "X")
+    x_cav = build_quadrature(CAVITY_DIM, "X")
     blocks = state.amplitudes.reshape(state.control_dim, -1)
     work = blocks
     for _ in range(k):
@@ -192,14 +191,14 @@ class ScalingFit:
 
 
 def fit_scaling(points) -> ScalingFit:
-    """OLS power-law fit; at least 4 strictly positive (N, y) pairs.
+    """OLS power-law fit; at least MIN_FIT_POINTS strictly positive (N, y) pairs.
 
     No robustification: a bad r^2 (below 0.9) warns instead of being
     silently absorbed.
     """
     pts = [(float(n), float(y)) for n, y in points]
-    if len(pts) < 4:
-        raise DomainError(f"scaling fit needs >= 4 points, got {len(pts)}")
+    if len(pts) < MIN_FIT_POINTS:
+        raise DomainError(f"scaling fit needs >= {MIN_FIT_POINTS} points, got {len(pts)}")
     if any(n <= 0 or y <= 0 for n, y in pts):
         raise DomainError("scaling fit needs strictly positive N and y")
     x = np.log([n for n, _ in pts])

@@ -31,6 +31,8 @@ import numpy as np
 from .cvspace import FockDim, Operator, as_dim, build_quadrature, operator_power, propagator
 from .errors import ContractViolationError, EnvelopeError
 
+VARIANTS = ("AB", "BA")  # which factor is pulled to the left: X first, or P^m
+
 
 @dataclass(frozen=True)
 class ExactComplex:
@@ -173,8 +175,8 @@ def zassenhaus_term(m: int, n: int, variant: str = "AB") -> PPoly:
     """
     if m < 1 or n < 2:
         raise ContractViolationError("expansion terms are defined for m >= 1, n >= 2")
-    if variant not in ("AB", "BA"):
-        raise ContractViolationError(f"variant must be 'AB' or 'BA', got {variant!r}")
+    if variant not in VARIANTS:
+        raise ContractViolationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if n > m + 1:
         return PPoly.zero()
     coeff = (MINUS_I ** (n - 1)) * ExactComplex(
@@ -269,8 +271,9 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     boundary, so the residual is taken over the columns for which every
     partial product keeps its occupation of the top FACTORIZATION_GUARD
     levels below FACTORIZATION_MASS_TOL; if no column qualifies the envelope
-    is violated and EnvelopeError carries the smallest offending mass.
+    is violated and the EnvelopeError message carries the smallest offending mass.
     """
+    table = ExpansionTable.build(m, variant)  # checks the variant before any eigh
     dim = as_dim(dim)
     d = dim.d
     top = d - FACTORIZATION_GUARD  # first level of the guarded boundary band
@@ -282,16 +285,10 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     summed = Operator(dim, x_op.mat + pm_op.mat, hermitian=True)
     lhs = propagator(summed, -float(lambda_im)).mat  # e^{lam (X + P^m)}
 
-    if variant == "AB":
-        factors = [propagator(x_op, -float(lambda_im)).mat,
-                   propagator(pm_op, -float(lambda_im)).mat]
-    elif variant == "BA":
-        factors = [propagator(pm_op, -float(lambda_im)).mat,
-                   propagator(x_op, -float(lambda_im)).mat]
-    else:
-        raise ContractViolationError(f"variant must be 'AB' or 'BA', got {variant!r}")
-    for n in range(2, m + 2):
-        term = zassenhaus_term(m, n, variant)
+    x_u = propagator(x_op, -float(lambda_im)).mat
+    pm_u = propagator(pm_op, -float(lambda_im)).mat
+    factors = [x_u, pm_u] if variant == "AB" else [pm_u, x_u]
+    for n, term in table.terms:
         scaled = (lam ** n) * term.to_matrix(p_mat)
         factors.append(exp_antihermitian(scaled, dim))
 
@@ -312,6 +309,6 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
         raise EnvelopeError(
             f"no column of d={d} stays inside the truncation envelope "
             f"(best boundary mass {worst:.3e} >= {FACTORIZATION_MASS_TOL:g}); "
-            "reduce |lambda| or enlarge d", offending_mass=worst)
+            "reduce |lambda| or enlarge d")
     residual = float(np.abs(lhs[:, ok] - part[:, ok]).max())
     return FactorizationCheck(residual, n_ok) if detail else residual

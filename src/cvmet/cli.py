@@ -26,11 +26,13 @@ from fractions import Fraction
 from . import __version__
 from .applications import (
     DEFAULT_OPTOMECH,
+    DEFAULT_OPTOMECH_SWEEP,
+    MIN_FIT_POINTS,
     OptomechParams,
     fit_scaling,
     homodyne_g_variance,
 )
-from .bch import verify_factorization, zassenhaus_term
+from .bch import VARIANTS, verify_factorization, zassenhaus_term
 from .cvspace import FockDim, ProbeSpec
 from .errors import (
     ContractViolationError,
@@ -51,9 +53,6 @@ from .qfi import (
     ratio_formula,
 )
 from .strategies import StrategyConfig
-
-COMMANDS = ("qfi", "sweep", "ratio", "bch-table", "factorization-check",
-            "optomech", "claims")
 
 SWEEP_COLUMNS = ("N", "m", "theta1", "theta2", "strategy", "F_fd", "F_gen",
                  "F_asym", "delta_theta", "converged", "dim_used")
@@ -126,15 +125,16 @@ DEFAULT_CONFIG = {
     "sweep": {"param": "n_queries", "values": [2, 4, 6, 8]},
     "ratio": {"m_values": [1, 2, 3], "theta1": 0.75,
               "n_values": list(range(4, 25, 2))},
-    "bch": {"m_values": [1, 2, 3, 4], "variants": ["AB", "BA"]},
+    "bch": {"m_values": [1, 2, 3, 4], "variants": list(VARIANTS)},
     "factorization": {"cases": [[1, 0.3, 128, "AB"], [2, 0.3, 128, "AB"],
                                 [3, 0.1, 128, "AB"]]},
     "optomech": {"g": DEFAULT_OPTOMECH.g, "mass": DEFAULT_OPTOMECH.mass,
                  "omega_c": DEFAULT_OPTOMECH.omega_c, "tau": DEFAULT_OPTOMECH.tau,
                  "mirror_dim": DEFAULT_OPTOMECH.mirror_dim.d,
-                 "cavity_dim": DEFAULT_OPTOMECH.cavity_dim.d,
-                 "n_values": list(range(8, 25, 2))},
+                 "probe": {"kind": "vacuum"},
+                 "n_values": list(DEFAULT_OPTOMECH_SWEEP)},
 }
+PROBE_KEYS = ("kind", "n", "alpha_re", "alpha_im", "r")  # only "kind" has a default
 
 
 @contextlib.contextmanager
@@ -161,9 +161,29 @@ def _integer(value, low: int = 1) -> int:
     return int(number)
 
 
-def _probe_from(config: dict) -> ProbeSpec:
-    spec = config.get("probe", {"kind": "vacuum"})
-    kind = spec.get("kind", "vacuum")
+def _one_of(value, choices: tuple):
+    if value not in choices:
+        raise ValueError(f"expected one of {choices}, got {value!r}")
+    return value
+
+
+def _list(values) -> list:
+    """A config list; a string or a scalar is rejected, never iterated."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a JSON list, got {values!r}")
+    return values
+
+
+def _increasing(values, cast, least: int = 1) -> list:
+    """A typed config list of at least `least` strictly increasing values."""
+    typed = [cast(value) for value in _list(values)]
+    if len(typed) < least or any(a >= b for a, b in zip(typed, typed[1:])):
+        raise ValueError(f"expected >= {least} strictly increasing values, got {values!r}")
+    return typed
+
+
+def _probe_from(spec: dict) -> ProbeSpec:
+    kind = spec["kind"]
     if kind == "vacuum":
         return ProbeSpec.vacuum()
     if kind == "fock":
@@ -178,16 +198,14 @@ def _probe_from(config: dict) -> ProbeSpec:
 
 def _estimate_settings(config: dict):
     """(StrategyConfig, estimated parameter, nu) of the qfi and sweep commands."""
-    which = config.get("estimate", THETA2)
-    if which not in (THETA1, THETA2):
-        raise ValidationError(f"estimate must be {THETA1!r} or {THETA2!r}, got {which!r}")
+    which = _one_of(config["estimate"], (THETA1, THETA2))
     cfg = StrategyConfig(theta1=float(config["theta1"]),
                          theta2=float(config["theta2"]),
                          n_queries=_integer(config["n_queries"]),
                          m=_integer(config["m"]),
                          strategy=config["strategy"],
-                         probe=_probe_from(config))
-    return cfg, which, _integer(config.get("nu", 1))
+                         probe=_probe_from(config["probe"]))
+    return cfg, which, _integer(config["nu"])
 
 
 def _estimate_row(cfg: StrategyConfig, which: str, nu: int):
@@ -222,18 +240,11 @@ def cmd_qfi(config: dict) -> CommandOutput:
 
 def cmd_sweep(config: dict) -> CommandOutput:
     with _config_values():
-        sweep = config.get("sweep", {})
-        param = sweep.get("param")
-        values = sweep.get("values", [])
-        if not values:
-            raise ValidationError("sweep needs a non-empty strictly increasing values list")
-        if list(values) != sorted(set(values)):
-            raise ValidationError("sweep values must be strictly increasing")
-        if param not in ("n_queries", "theta1", "theta2", "m"):
-            raise ValidationError(f"sweep param must be a scalar strategy field, got {param!r}")
+        param = _one_of(config["sweep"]["param"], ("n_queries", "theta1", "theta2", "m"))
         base, which, nu = _estimate_settings(config)
         cast = _integer if param in ("n_queries", "m") else float
-        cfgs = [replace(base, **{param: cast(value)}) for value in values]
+        cfgs = [replace(base, **{param: value})
+                for value in _increasing(config["sweep"]["values"], cast)]
     rows = []
     for cfg in cfgs:
         fd, f_gen, f_asym, delta, dim_used = _estimate_row(cfg, which, nu)
@@ -246,11 +257,11 @@ def cmd_sweep(config: dict) -> CommandOutput:
 
 def cmd_ratio(config: dict) -> CommandOutput:
     with _config_values():
-        section = config.get("ratio", DEFAULT_CONFIG["ratio"])
-        theta1 = float(section.get("theta1", 0.75))
-        m_values = [_integer(m) for m in section.get("m_values", [1, 2, 3])]
-        n_values = [_integer(n) for n in section.get("n_values", range(4, 25, 2))]
-        probe = _probe_from(config)
+        section = config["ratio"]
+        theta1 = float(section["theta1"])
+        m_values = [_integer(m) for m in _list(section["m_values"])]
+        n_values = [_integer(n) for n in _list(section["n_values"])]
+        probe = _probe_from(config["probe"])
     rows = []
     skipped = []
     for m in m_values:
@@ -259,8 +270,7 @@ def cmd_ratio(config: dict) -> CommandOutput:
                 measured = precision_ratio(m, theta1, n, probe=probe)
             except LargeNGateError:
                 skipped.append((m, n))
-                rows.append((m, n, "", ratio_formula(m)))
-                continue
+                measured = ""  # below the large-N gate: flagged, not faked
             rows.append((m, n, measured, ratio_formula(m)))
     extras = {"theta1": theta1, "skipped_below_gate": skipped}
     return CommandOutput(("m", "N", "ratio_measured", "ratio_formula"), rows, extras)
@@ -268,11 +278,11 @@ def cmd_ratio(config: dict) -> CommandOutput:
 
 def cmd_bch_table(config: dict) -> CommandOutput:
     with _config_values():
-        section = config.get("bch", DEFAULT_CONFIG["bch"])
-        m_values = [_integer(m) for m in section.get("m_values", [1, 2, 3, 4])]
+        m_values = [_integer(m) for m in _list(config["bch"]["m_values"])]
+        variants = [_one_of(v, VARIANTS) for v in _list(config["bch"]["variants"])]
     rows = []
     for m in m_values:
-        for variant in section.get("variants", ["AB", "BA"]):
+        for variant in variants:
             for n in range(2, m + 2):
                 poly = zassenhaus_term(m, n, variant)
                 for power, coeff in poly.coeffs:
@@ -283,9 +293,8 @@ def cmd_bch_table(config: dict) -> CommandOutput:
 
 def cmd_factorization_check(config: dict) -> CommandOutput:
     with _config_values():
-        section = config.get("factorization", DEFAULT_CONFIG["factorization"])
-        cases = [(_integer(m), float(lam_im), FockDim(_integer(dim)), str(variant))
-                 for m, lam_im, dim, variant in section.get("cases", [])]
+        cases = [(_integer(m), float(lam), FockDim(_integer(dim)), _one_of(variant, VARIANTS))
+                 for m, lam, dim, variant in _list(config["factorization"]["cases"])]
     rows = []
     for m, lam_im, dim, variant in cases:
         check = verify_factorization(m, lam_im, dim, variant, detail=True)
@@ -296,22 +305,17 @@ def cmd_factorization_check(config: dict) -> CommandOutput:
 
 def cmd_optomech(config: dict) -> CommandOutput:
     with _config_values():
-        section = config.get("optomech", DEFAULT_CONFIG["optomech"])
+        section = config["optomech"]
         params = OptomechParams(
-            g=float(section.get("g", DEFAULT_OPTOMECH.g)),
-            mass=float(section.get("mass", DEFAULT_OPTOMECH.mass)),
-            omega_c=float(section.get("omega_c", DEFAULT_OPTOMECH.omega_c)),
-            tau=float(section.get("tau", DEFAULT_OPTOMECH.tau)),
+            g=float(section["g"]),
+            mass=float(section["mass"]),
+            omega_c=float(section["omega_c"]),
+            tau=float(section["tau"]),
             n_steps=1,
-            mirror_probe=_probe_from(section),
-            mirror_dim=FockDim(_integer(section.get("mirror_dim", 256), low=2)),
-            cavity_dim=FockDim(_integer(section.get("cavity_dim", 3))))
-        n_values = [_integer(n) for n in section.get("n_values", list(range(8, 25, 2)))]
-    if not n_values:
-        raise ValidationError("optomech needs a non-empty n_values list")
-    rows = []
-    for n in n_values:
-        rows.append((n, homodyne_g_variance(replace(params, n_steps=n))))
+            mirror_probe=_probe_from(section["probe"]),
+            mirror_dim=FockDim(_integer(section["mirror_dim"], low=2)))
+        n_values = _increasing(section["n_values"], _integer, least=MIN_FIT_POINTS)
+    rows = [(n, homodyne_g_variance(replace(params, n_steps=n))) for n in n_values]
     fit = fit_scaling(rows)
     extras = {"scaling_fit": {"slope": format_value(fit.slope),
                               "intercept": format_value(fit.intercept),
@@ -340,17 +344,21 @@ COMMAND_TABLE = {
 }
 
 
-def _apply_override(config: dict, key: str, raw: str):
-    path = key.split(".")
-    node = config
-    for part in path[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            node[part] = {}
-        node = node[part]
-    try:
-        node[path[-1]] = json.loads(raw)
-    except json.JSONDecodeError:
-        node[path[-1]] = raw
+def _merge(config: dict, update: dict, path: tuple = ()) -> None:
+    """The one merge rule of `--config` and `--set`: an object merges into a
+    section key by key at every depth, any other value replaces.  A key that
+    DEFAULT_CONFIG (or PROBE_KEYS, in a probe section) lacks exits 1."""
+    known = PROBE_KEYS if path[-1:] == ("probe",) else config
+    for key, value in update.items():
+        where = ".".join(path + (key,))
+        if key not in known:
+            raise ValidationError(f"unknown config key {where!r}")
+        if not isinstance(config.get(key), dict):
+            config[key] = value
+        elif isinstance(value, dict):
+            _merge(config[key], value, path + (key,))
+        else:
+            raise ValidationError(f"config section {where!r} takes a JSON object")
 
 
 def load_config(command: str, config_path: str | None, overrides) -> dict:
@@ -363,16 +371,18 @@ def load_config(command: str, config_path: str | None, overrides) -> dict:
             raise ValidationError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ValidationError("config must be a JSON object")
-        for key, value in user.items():
-            if isinstance(value, dict) and isinstance(config.get(key), dict):
-                config[key].update(value)
-            else:
-                config[key] = value
+        _merge(config, user)
     for key, raw in overrides or []:
-        _apply_override(config, key, raw)
-    if config.get("command") not in (None, command):
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        _merge(config, value)
+    if config["command"] not in (None, command):
         raise ValidationError(
-            f"config command {config.get('command')!r} conflicts with CLI command {command!r}")
+            f"config command {config['command']!r} conflicts with CLI command {command!r}")
     config["command"] = command
     return config
 
@@ -406,7 +416,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cvmet",
         description="continuous-variable metrology strategy simulator")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(COMMAND_TABLE))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",

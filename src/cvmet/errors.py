@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all cvmet modules.
 
 Exit-code mapping used by the CLI: ValidationError -> 1, numerical
-non-convergence (NonConvergenceError, LargeNGateError) -> 2, internal
-contract violations -> 3.
+non-convergence (NonConvergenceError, EnvelopeError with its subclass
+TruncationLeakageError, LargeNGateError) -> 2, any other CvmetError -> 3.
 """
 
 
@@ -22,19 +22,12 @@ class ContractViolationError(CvmetError):
     """An internal invariant failed (norm drift, hermiticity loss, ...)."""
 
 
-class TruncationLeakageError(CvmetError):
-    """Probe preparation leaks more mass past the truncation than allowed."""
-
-
 class EnvelopeError(CvmetError):
-    """Occupation reached the truncation boundary; results not trustworthy.
+    """Occupation reached the truncation boundary; results not trustworthy."""
 
-    `offending_mass` carries the largest boundary occupation seen.
-    """
 
-    def __init__(self, message: str, offending_mass: float = float("nan")):
-        super().__init__(message)
-        self.offending_mass = offending_mass
+class TruncationLeakageError(EnvelopeError):
+    """Probe preparation leaks more mass past the truncation than allowed."""
 
 
 class NonConvergenceError(CvmetError):

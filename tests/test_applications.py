@@ -68,9 +68,6 @@ class TestOptomechState:
     def test_parameter_validation(self):
         with pytest.raises(ContractViolationError):
             OptomechParams(g=0.1, mass=-1.0, omega_c=1.0, tau=0.2, n_steps=4)
-        with pytest.raises(ContractViolationError):
-            OptomechParams(g=0.1, mass=1.0, omega_c=1.0, tau=0.2, n_steps=4,
-                           cavity_dim=FockDim(2))
 
 
 class TestHomodyneVariance:

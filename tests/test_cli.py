@@ -42,6 +42,22 @@ class TestConfigHandling:
     def test_malformed_set_is_validation_failure(self):
         assert cli.main(["qfi", "--set", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("section, partial", [
+        ("sweep", {"values": [2, 3]}),
+        ("ratio", {"theta1": 0.5, "n_values": [24]}),
+        ("optomech", {"g": 0.05, "probe": {"kind": "fock", "n": 1}}),
+    ])
+    def test_set_section_dot_paths_and_config_file_agree(self, section, partial,
+                                                         tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: partial}))
+        whole = cli.load_config(section, None, [(section, json.dumps(partial))])
+        dotted = cli.load_config(section, None, [(f"{section}.{key}", json.dumps(value))
+                                                 for key, value in partial.items()])
+        from_file = cli.load_config(section, str(path), [])
+        assert whole == dotted == from_file
+        assert whole[section] == {**cli.DEFAULT_CONFIG[section], **partial}
+
 
 class TestRendering:
     def test_float_17_significant_digits(self):
@@ -168,13 +184,35 @@ class TestExitCodes:
         ["qfi", "--set", "n_queries=2.5"],
         ["qfi", "--set", "estimate=theta3"],
         ["qfi", "--set", "probe=3"],
+        ["qfi", "--set", "n_querys=3"],
+        ["qfi", "--set", 'probe={"kind": "coherent", "alpha": 1}'],
+        ["optomech", "--set", "optomech.cavity_dim=3"],
+        ["bch-table", "--set", 'bch.variants=["XY"]'],
+        ["bch-table", "--set", 'bch.variants="AB"'],
+        ["factorization-check", "--set", 'factorization={"cases": [[2, 0.1, 64, "XY"]]}'],
+        ["optomech", "--set", "optomech.n_values=[8, 10]"],
+        ["optomech", "--set", "optomech.n_values=[10, 8, 8, 12]"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_config_value_exits_1(self, argv, capsys):
         assert cli.main(argv) == 1
         assert "validation" in capsys.readouterr().err
 
-    def test_internal_contract_violation_exits_3(self, capsys):
-        code = cli.main(["factorization-check", "--set",
-                         'factorization={"cases": [[2, 0.1, 64, "XY"]]}'])
-        assert code == 3
+    @pytest.mark.parametrize("probe", ['{"kind": "coherent", "alpha_re": 8}',
+                                       '{"kind": "fock", "n": 100}'])
+    def test_truncation_leakage_exits_2(self, probe, capsys):
+        assert cli.main(["qfi", "--set", f"probe={probe}"]) == 2
+        assert "non-convergence" in capsys.readouterr().err
+
+    def test_set_section_runs_like_dot_path(self, capsys):
+        assert cli.main(["sweep", "--set", 'sweep={"values": [2, 3]}']) == 0
+        whole = capsys.readouterr().out
+        assert cli.main(["sweep", "--set", "sweep.values=[2, 3]"]) == 0
+        assert capsys.readouterr().out == whole
+
+    def test_internal_contract_violation_exits_3(self, monkeypatch, capsys):
+        def broken(config):
+            raise cli.ContractViolationError("norm drift")
+
+        monkeypatch.setitem(cli.COMMAND_TABLE, "qfi", broken)
+        assert cli.main(["qfi"]) == 3
         assert "contract" in capsys.readouterr().err

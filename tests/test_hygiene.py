@@ -29,3 +29,17 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_config_key_is_read_by_the_cli():
+    """A DEFAULT_CONFIG key that cli.py never names outside the literal is a
+    dead knob: settable, defaulted, and ignored."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    literal = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "DEFAULT_CONFIG" for t in node.targets))
+    inside = {id(node) for node in ast.walk(literal)}
+    named = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str) and id(node) not in inside}
+    keys = {key.value for node in ast.walk(literal) if isinstance(node, ast.Dict)
+            for key in node.keys}
+    assert keys - named == set()
