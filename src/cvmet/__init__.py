@@ -7,6 +7,7 @@ from .cvspace import (
     FockDim,
     Operator,
     ProbeSpec,
+    Spectrum,
     build_quadrature,
     converge_dimension,
     evolve,
@@ -14,6 +15,7 @@ from .cvspace import (
     operator_power,
     prepare_probe,
     propagator,
+    spectrum,
     variance,
 )
 from .bch import (

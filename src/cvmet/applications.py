@@ -18,6 +18,7 @@ N^3 and delta^2 g tracks its N^-6 window.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -28,10 +29,12 @@ from .cvspace import (
     FockDim,
     Operator,
     ProbeSpec,
+    Spectrum,
     build_quadrature,
     prepare_probe,
     propagator,
     richardson,
+    spectrum,
 )
 from .errors import (
     ContractViolationError,
@@ -79,16 +82,33 @@ DEFAULT_OPTOMECH = OptomechParams(g=0.07, mass=1.1, omega_c=2 * math.pi / 0.2,
 DEFAULT_OPTOMECH_SWEEP = tuple(range(8, 25, 2))
 
 
+def _kinetic(d: FockDim, mass: float) -> Operator:
+    p_quad = build_quadrature(d, "P")
+    return Operator(d, p_quad.mat @ p_quad.mat / (2 * mass), hermitian=True)
+
+
+@functools.lru_cache(maxsize=8)
+def _kinetic_spectrum(d: FockDim, mass: float) -> Spectrum:
+    """Spectrum of P^2/2m: free of g and N, so one per sweep."""
+    return spectrum(_kinetic(d, mass))
+
+
+@functools.lru_cache(maxsize=8)
+def _displaced_spectrum(d: FockDim, mass: float, g: float, omega_c: float) -> Spectrum:
+    """Spectrum of omega_c + P^2/2m + g X: free of N, so one per g a sweep
+    visits (the Richardson steps of the slope and of the fd QFI share them)."""
+    x = build_quadrature(d, "X")
+    h1 = Operator(d, omega_c * np.eye(d.d) + _kinetic(d, mass).mat + g * x.mat,
+                  hermitian=True)
+    return spectrum(h1)
+
+
 def _mirror_branches(p: OptomechParams):
     d = p.mirror_dim
-    x = build_quadrature(d, "X")
-    p_quad = build_quadrature(d, "P")
-    kinetic = Operator(d, p_quad.mat @ p_quad.mat / (2 * p.mass), hermitian=True)
-    h1 = Operator(d, p.omega_c * np.eye(d.d) + kinetic.mat + p.g * x.mat, hermitian=True)
     t_total = p.n_steps * p.tau
     phi = prepare_probe(p.mirror_probe, d).vec
-    b0 = propagator(kinetic, t_total).mat @ phi
-    b1 = propagator(h1, t_total).mat @ phi
+    b0 = propagator(_kinetic_spectrum(d, p.mass), t_total).mat @ phi
+    b1 = propagator(_displaced_spectrum(d, p.mass, p.g, p.omega_c), t_total).mat @ phi
     return b0, b1
 
 

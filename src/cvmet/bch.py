@@ -279,8 +279,9 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     top = d - FACTORIZATION_GUARD  # first level of the guarded boundary band
     lam = 1j * float(lambda_im)
     x_op = build_quadrature(dim, "X")
-    pm_op = operator_power(build_quadrature(dim, "P"), m)
-    p_mat = build_quadrature(dim, "P").mat
+    p_op = build_quadrature(dim, "P")
+    pm_op = operator_power(p_op, m)
+    p_mat = p_op.mat
 
     summed = Operator(dim, x_op.mat + pm_op.mat, hermitian=True)
     lhs = propagator(summed, -float(lambda_im)).mat  # e^{lam (X + P^m)}

@@ -44,6 +44,8 @@ from .errors import (
     ValidationError,
 )
 from .qfi import (
+    RATIO_N_SWEEP,
+    RATIO_THETA1,
     THETA1,
     THETA2,
     asymptotic_qfi,
@@ -123,8 +125,8 @@ DEFAULT_CONFIG = {
     "probe": {"kind": "vacuum"},
     "nu": 1,
     "sweep": {"param": "n_queries", "values": [2, 4, 6, 8]},
-    "ratio": {"m_values": [1, 2, 3], "theta1": 0.75,
-              "n_values": list(range(4, 25, 2))},
+    "ratio": {"m_values": [1, 2, 3], "theta1": RATIO_THETA1,
+              "n_values": list(RATIO_N_SWEEP)},
     "bch": {"m_values": [1, 2, 3, 4], "variants": list(VARIANTS)},
     "factorization": {"cases": [[1, 0.3, 128, "AB"], [2, 0.3, 128, "AB"],
                                 [3, 0.1, 128, "AB"]]},

@@ -230,20 +230,53 @@ def prepare_probe(spec: ProbeSpec, dim: FockDim | int) -> CvState:
     raise ContractViolationError(f"unhandled probe kind {spec.kind!r}")
 
 
-def propagator(generator: Operator, tau: float) -> Operator:
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigendecomposition H = v diag(w) v^dag of a verified Hermitian generator.
+
+    `w` and `v` are read-only, so one Spectrum can be cached and handed to
+    every caller; `v` is real when H is real symmetric.
+    """
+
+    dim: FockDim
+    w: np.ndarray
+    v: np.ndarray
+
+
+def spectrum(generator: Operator) -> Spectrum:
+    """The one eigendecomposition in the package; the real solver for real H.
+
+    A generator whose matrix has an all-zero imaginary part (X, even powers
+    of P, sums of those) is real symmetric, and the real solver decomposes
+    it in a fraction of the time.
+    """
+    if not generator.hermitian:
+        raise ContractViolationError("evolution generator must carry a verified hermitian flag")
+    mat = generator.mat
+    if not mat.imag.any():
+        mat = mat.real
+    w, v = np.linalg.eigh(mat)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return Spectrum(generator.dim, w, v)
+
+
+def propagator(generator: Operator | Spectrum, tau: float) -> Operator:
     """Unitary e^{-i tau H} through the eigendecomposition of Hermitian H.
 
     Eigendecomposition rather than a series: every generator in scope is
     Hermitian, and V f(w) V^dag is unitary by construction and independent of
     eigenvector phase conventions, keeping builder outputs smooth in tau.
+    Pass a `Spectrum` to reuse one decomposition across many tau; the result
+    is bitwise the same as passing its generator.
     """
-    if not generator.hermitian:
+    if isinstance(generator, Operator) and not generator.hermitian:
         raise ContractViolationError("evolution generator must carry a verified hermitian flag")
     if tau == 0:
-        return Operator(generator.dim, np.eye(generator.d), hermitian=True, unitary=True)
-    w, v = np.linalg.eigh(generator.mat)
-    mat = (v * np.exp(-1j * tau * w)) @ v.conj().T
-    return Operator(generator.dim, mat, unitary=True)
+        return Operator(generator.dim, np.eye(generator.dim.d), hermitian=True, unitary=True)
+    spec = generator if isinstance(generator, Spectrum) else spectrum(generator)
+    mat = (spec.v * np.exp(-1j * tau * spec.w)) @ spec.v.conj().T
+    return Operator(spec.dim, mat, unitary=True)
 
 
 def apply_unitary(u: Operator, state):

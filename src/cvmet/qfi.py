@@ -303,6 +303,12 @@ def ratio_formula(m: int) -> float:
     return (m + 1) / 2.0 ** (m + 2)
 
 
+# Shipped ratio regime (recorded, not tunable at run time): N|theta1| reaches
+# 18 at the top point.  Claim 3 and the `ratio` command default both read it.
+RATIO_THETA1 = 0.75
+RATIO_N_SWEEP = tuple(range(4, 25, 2))
+
+
 def precision_ratio(m: int, theta1: float, n_queries: int,
                     probe: ProbeSpec = ProbeSpec.vacuum()) -> float:
     """delta theta2 (coherent superposition) / delta theta2 (switch), exact route.

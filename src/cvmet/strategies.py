@@ -15,6 +15,7 @@ quotient the global phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,11 +27,13 @@ from .cvspace import (
     FockDim,
     Operator,
     ProbeSpec,
+    Spectrum,
     as_dim,
     build_quadrature,
     operator_power,
     prepare_probe,
     propagator,
+    spectrum,
 )
 from .errors import ContractViolationError, UnsupportedConfigurationError
 
@@ -150,6 +153,14 @@ def _mode_operators(cfg_m: int, dim: FockDim):
     return x, pm
 
 
+@functools.lru_cache(maxsize=8)
+def _mode_spectra(m: int, dim: FockDim) -> tuple[Spectrum, Spectrum]:
+    """Spectra of X and P^m, shared by every builder that evolves under them
+    separately; (m, dim) is all that enters the two matrices."""
+    x, pm = _mode_operators(m, dim)
+    return spectrum(x), spectrum(pm)
+
+
 def switch_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     """Generic switch state by N literal applications of each single-query gate.
 
@@ -157,7 +168,7 @@ def switch_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     and U2 = e^{-i theta2 P^m}.
     """
     dim = as_dim(dim)
-    x, pm = _mode_operators(cfg.m, dim)
+    x, pm = _mode_spectra(cfg.m, dim)
     u1 = propagator(x, cfg.theta1)
     u2 = propagator(pm, cfg.theta2)
     phi = prepare_probe(cfg.probe, dim).vec
@@ -181,7 +192,7 @@ def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     e^{sum_n (-Ni)^n theta1^{n-1} theta2 * n C_n} built from the bch table."""
     dim = as_dim(dim)
     n = cfg.n_queries
-    x, pm = _mode_operators(cfg.m, dim)
+    x, pm = _mode_spectra(cfg.m, dim)
     p_mat = build_quadrature(dim, "P").mat
     phi = prepare_probe(cfg.probe, dim).vec
 
@@ -224,7 +235,7 @@ def cs_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     """
     dim = as_dim(dim)
     n = cfg.n_queries
-    x, pm = _mode_operators(cfg.m, dim)
+    x, pm = _mode_spectra(cfg.m, dim)
     p_mat = build_quadrature(dim, "P").mat
     phi = prepare_probe(cfg.probe, dim).vec
 
@@ -274,7 +285,7 @@ def switch_relative_phase(cfg: StrategyConfig, dim: FockDim | int) -> float:
     than assumed so a sign-convention drift is self-detecting.
     """
     dim = as_dim(dim)
-    x, pm = _mode_operators(cfg.m, dim)
+    x, pm = _mode_spectra(cfg.m, dim)
     phi = prepare_probe(cfg.probe, dim).vec
     n = cfg.n_queries
     b0 = propagator(x, n * cfg.theta1).mat @ (propagator(pm, n * cfg.theta2).mat @ phi)

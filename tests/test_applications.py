@@ -111,6 +111,42 @@ class TestHomodyneVariance:
         assert diag["simulated"] > 0
 
 
+def _clear_spectrum_caches():
+    applications._kinetic_spectrum.cache_clear()
+    applications._displaced_spectrum.cache_clear()
+
+
+class TestMirrorSpectra:
+    @pytest.mark.parametrize("change", [{"mass": 1.7}, {"omega_c": 2.5}, {"g": 0.13},
+                                        {"mirror_dim": FockDim(160)}],
+                             ids=["mass", "omega_c", "g", "mirror_dim"])
+    def test_every_matrix_parameter_keys_the_cache(self, change):
+        p = replace(PAPER_STYLE, n_steps=10)
+        optomech_state(p)  # leaves the spectra of p cached
+        cached = optomech_state(replace(p, **change)).amplitudes
+        _clear_spectrum_caches()
+        fresh = optomech_state(replace(p, **change)).amplitudes
+        assert np.array_equal(cached, fresh)
+
+    def test_claim_8_steps_share_six_eigendecompositions(self, monkeypatch):
+        # the kinetic branch is free of g and N, the displaced branch free of
+        # N; the homodyne slope and the fd QFI visit the same five g values
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape[-1])
+            return eigh(a, *args, **kwargs)
+
+        _clear_spectrum_caches()
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for n in (8, 10):
+            p = replace(DEFAULT_OPTOMECH, n_steps=n)
+            homodyne_g_variance(p)
+            qfi_fd(lambda g, pp=p: optomech_state(replace(pp, g=g)), p.g)
+        assert len(calls) <= 6
+
+
 class TestScalingFit:
     def test_exact_power_law(self):
         points = [(n, 7.0 * n ** -3) for n in (2, 4, 8, 16)]

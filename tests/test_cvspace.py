@@ -9,6 +9,7 @@ from cvmet.cvspace import (
     FockDim,
     Operator,
     ProbeSpec,
+    Spectrum,
     build_quadrature,
     converge_dimension,
     evolve,
@@ -17,6 +18,7 @@ from cvmet.cvspace import (
     prepare_probe,
     propagator,
     richardson,
+    spectrum,
     variance,
 )
 from cvmet.errors import (
@@ -159,6 +161,51 @@ class TestEvolve:
         bad = Operator(FockDim(4), np.triu(np.ones((4, 4))), hermitian=False)
         with pytest.raises(ContractViolationError):
             propagator(bad, 0.5)
+
+
+def _generator(d, *terms):
+    """sum of coeff * P^k or X, as a hermitian Operator; terms = (coeff, "X" | k)."""
+    mat = np.zeros((d, d), dtype=complex)
+    for coeff, which in terms:
+        op = (build_quadrature(d, "X") if which == "X"
+              else operator_power(build_quadrature(d, "P"), which))
+        mat += coeff * op.mat
+    return Operator(d, mat, hermitian=True)
+
+
+class TestSpectrum:
+    def test_spectrum_propagator_is_bitwise_the_generator_propagator(self):
+        h = _generator(128, (0.3, "X"), (0.05, 2))
+        spec = spectrum(h)
+        assert isinstance(spec, Spectrum)
+        for tau in (0.0, 0.4, -2.5):
+            assert np.array_equal(propagator(spec, tau).mat, propagator(h, tau).mat)
+
+    @pytest.mark.parametrize("terms", [((1.0, "X"),), ((1.0, 2),),
+                                       ((0.3, "X"), (0.05, 2))],
+                             ids=["X", "P2", "0.3X+0.05P2"])
+    def test_real_solver_matches_complex_reference(self, terms):
+        d, tau = 64, 1.3
+        h = _generator(d, *terms)
+        spec = spectrum(h)
+        assert spec.v.dtype == np.float64
+        w, v = np.linalg.eigh(h.mat)  # complex Hermitian reference
+        reference = (v * np.exp(-1j * tau * w)) @ v.conj().T
+        assert np.abs(propagator(spec, tau).mat - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_odd_momentum_powers_keep_complex_eigenvectors(self, k):
+        spec = spectrum(_generator(32, (1.0, k)))
+        assert np.iscomplexobj(spec.v)
+
+    def test_spectrum_is_read_only(self):
+        spec = spectrum(build_quadrature(8, "X"))
+        assert not spec.w.flags.writeable and not spec.v.flags.writeable
+
+    def test_unflagged_generator_rejected(self):
+        bad = Operator(FockDim(4), np.eye(4), hermitian=False)
+        with pytest.raises(ContractViolationError):
+            spectrum(bad)
 
 
 class TestMoments:

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses, and
+one function owns the eigendecomposition."""
 
 import ast
 import pathlib
@@ -43,3 +44,36 @@ def test_every_config_key_is_read_by_the_cli():
     keys = {key.value for node in ast.walk(literal) if isinstance(node, ast.Dict)
             for key in node.keys}
     assert keys - named == set()
+
+
+def eigh_sites(source: str) -> list:
+    """Enclosing function of every reference to `eigh`: a call through
+    `np.linalg.eigh`, a bare name, or an import of the name."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            if ((isinstance(child, ast.Attribute) and child.attr == "eigh")
+                    or (isinstance(child, ast.Name) and child.id == "eigh")
+                    or (isinstance(child, ast.alias) and child.name == "eigh")):
+                sites.append(function)
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_checker_finds_every_eigh_site():
+    source = ("import numpy as np\nfrom numpy.linalg import eigh\n"
+              "def f(h):\n    return np.linalg.eigh(h)\n"
+              "def g(h):\n    return eigh(h)\n")
+    assert eigh_sites(source) == [None, "f", "g"]
+
+
+def test_spectrum_owns_the_only_eigh():
+    """One propagator path: every eigendecomposition goes through
+    `cvspace.spectrum`, where the real solver and the caches' callers meet."""
+    sites = [(path.name, site) for path in sorted(PACKAGE.glob("*.py"))
+             for site in eigh_sites(path.read_text(encoding="utf-8"))]
+    assert sites == [("cvspace.py", "spectrum")]
