@@ -7,6 +7,7 @@ from .cvspace import (
     FockDim,
     Operator,
     ProbeSpec,
+    SpectralUnitary,
     Spectrum,
     build_quadrature,
     converge_dimension,

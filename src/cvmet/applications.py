@@ -107,8 +107,8 @@ def _mirror_branches(p: OptomechParams):
     d = p.mirror_dim
     t_total = p.n_steps * p.tau
     phi = prepare_probe(p.mirror_probe, d).vec
-    b0 = propagator(_kinetic_spectrum(d, p.mass), t_total).mat @ phi
-    b1 = propagator(_displaced_spectrum(d, p.mass, p.g, p.omega_c), t_total).mat @ phi
+    b0 = propagator(_kinetic_spectrum(d, p.mass), t_total) @ phi
+    b1 = propagator(_displaced_spectrum(d, p.mass, p.g, p.omega_c), t_total) @ phi
     return b0, b1
 
 
@@ -134,7 +134,7 @@ def optomech_state(p: OptomechParams) -> QState:
     return QState(CAVITY_DIM.d, p.mirror_dim, amps)
 
 
-def cavity_moment(state: QState, p: OptomechParams, k: int = 1) -> float:
+def cavity_moment(state: QState, k: int = 1) -> float:
     """<X_cav^k> on the cavity register of an optomech output state."""
     x_cav = build_quadrature(CAVITY_DIM, "X")
     blocks = state.amplitudes.reshape(state.control_dim, -1)
@@ -148,7 +148,7 @@ def cavity_moment(state: QState, p: OptomechParams, k: int = 1) -> float:
 
 
 def cavity_mean(p: OptomechParams) -> float:
-    return cavity_moment(optomech_state(p), p, 1)
+    return cavity_moment(optomech_state(p), 1)
 
 
 def homodyne_g_variance(p: OptomechParams) -> float:
@@ -160,8 +160,8 @@ def homodyne_g_variance(p: OptomechParams) -> float:
     unidentifiable at this operating point.
     """
     state = optomech_state(p)
-    mean = cavity_moment(state, p, 1)
-    second = cavity_moment(state, p, 2)
+    mean = cavity_moment(state, 1)
+    second = cavity_moment(state, 2)
 
     def slope(step: float) -> float:
         up = cavity_mean(replace(p, g=p.g + step))

@@ -28,7 +28,15 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .cvspace import FockDim, Operator, as_dim, build_quadrature, operator_power, propagator
+from .cvspace import (
+    FockDim,
+    Operator,
+    SpectralUnitary,
+    as_dim,
+    build_quadrature,
+    operator_power,
+    propagator,
+)
 from .errors import ContractViolationError, EnvelopeError
 
 VARIANTS = ("AB", "BA")  # which factor is pulled to the left: X first, or P^m
@@ -248,14 +256,14 @@ class FactorizationCheck:
     columns_checked: int
 
 
-def exp_antihermitian(mat: np.ndarray, dim: FockDim) -> np.ndarray:
+def exp_antihermitian(mat: np.ndarray, dim: FockDim) -> SpectralUnitary:
     """e^{M} for verified anti-Hermitian M, via the Hermitian generator iM."""
     if np.abs(mat + mat.conj().T).max() > 1e-10:
         raise ContractViolationError("factorization exponent is not anti-Hermitian")
     if not mat.any():
-        return np.eye(dim.d, dtype=complex)
+        return SpectralUnitary.identity(dim)
     herm = Operator(dim, 1j * mat, hermitian=True)
-    return propagator(herm, 1.0).mat
+    return propagator(herm, 1.0)
 
 
 def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
@@ -286,8 +294,8 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     summed = Operator(dim, x_op.mat + pm_op.mat, hermitian=True)
     lhs = propagator(summed, -float(lambda_im)).mat  # e^{lam (X + P^m)}
 
-    x_u = propagator(x_op, -float(lambda_im)).mat
-    pm_u = propagator(pm_op, -float(lambda_im)).mat
+    x_u = propagator(x_op, -float(lambda_im))
+    pm_u = propagator(pm_op, -float(lambda_im))
     factors = [x_u, pm_u] if variant == "AB" else [pm_u, x_u]
     for n, term in table.terms:
         scaled = (lam ** n) * term.to_matrix(p_mat)

@@ -234,13 +234,39 @@ def prepare_probe(spec: ProbeSpec, dim: FockDim | int) -> CvState:
 class Spectrum:
     """Eigendecomposition H = v diag(w) v^dag of a verified Hermitian generator.
 
-    `w` and `v` are read-only, so one Spectrum can be cached and handed to
-    every caller; `v` is real when H is real symmetric.
+    Construction checks that `w` is real and finite and that
+    ||v^dag v - I||_F <= UNITARITY_TOL / 3, which bounds max|U^dag U - I| by
+    UNITARITY_TOL for U = v D v^dag, D = diag(e^{-i tau w}), at every tau:
+    with E = v^dag v - I, U^dag U - I = (v v^dag - I) + v D* E D v^dag, so
+    ||U^dag U - I||_2 <= ||E||_2 (2 + ||E||_2) <= UNITARITY_TOL, as
+    ||E||_2 <= ||E||_F.  That one d^3 product is the unitarity check of every
+    propagator built from this spectrum.  `w` and `v` are made read-only, so
+    one Spectrum can be cached and handed to every caller; `v` is real when
+    H is real symmetric.
     """
 
     dim: FockDim
     w: np.ndarray
     v: np.ndarray
+
+    def __post_init__(self):
+        d = self.dim.d
+        w, v = np.asarray(self.w), np.asarray(self.v)
+        if w.shape != (d,) or v.shape != (d, d):
+            raise ContractViolationError(
+                f"spectrum shapes {w.shape}, {v.shape} do not match dim {d}")
+        if np.iscomplexobj(w) or not np.isfinite(w).all():
+            raise ContractViolationError("spectrum eigenvalues must be real and finite")
+        gram = v.conj().T @ v
+        gram.flat[::d + 1] -= 1.0
+        defect = np.linalg.norm(gram)
+        if not defect <= UNITARITY_TOL / 3:
+            raise ContractViolationError(
+                f"eigenvectors are not orthonormal: ||V^dag V - I||_F = {defect:.3e}")
+        w.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "v", v)
 
 
 def spectrum(generator: Operator) -> Spectrum:
@@ -256,12 +282,57 @@ def spectrum(generator: Operator) -> Spectrum:
     if not mat.imag.any():
         mat = mat.real
     w, v = np.linalg.eigh(mat)
-    w.setflags(write=False)
-    v.setflags(write=False)
     return Spectrum(generator.dim, w, v)
 
 
-def propagator(generator: Operator | Spectrum, tau: float) -> Operator:
+def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for complex x, with a real `a` kept real: the real and imaginary
+    parts of x go through one real product instead of a complex copy of a."""
+    if np.iscomplexobj(a):
+        return a @ x
+    x = np.ascontiguousarray(x)
+    out = a @ x.reshape(x.shape[0], -1).view(np.float64)
+    return out.view(complex).reshape(x.shape)
+
+
+@dataclass(frozen=True)
+class SpectralUnitary:
+    """e^{-i tau H}, kept factored as the verified spectrum of H and the
+    phases e^{-i tau w}.
+
+    `u @ x` applies v (phases * (v^dag x)) to a vector or to a block of
+    columns, O(d^2) per column, with the unitarity `Spectrum` verified.
+    `.mat` forms the dense matrix through that same product applied to the
+    identity and checks it again as an `Operator`.
+    """
+
+    spectrum: Spectrum
+    tau: float
+    phases: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        phases = np.exp(-1j * self.tau * self.spectrum.w)
+        phases.setflags(write=False)
+        object.__setattr__(self, "phases", phases)
+
+    @classmethod
+    def identity(cls, dim: FockDim) -> "SpectralUnitary":
+        """The identity, exact to the last bit, without an eigendecomposition."""
+        return cls(Spectrum(dim, np.zeros(dim.d), np.eye(dim.d)), 0.0)
+
+    def __matmul__(self, x) -> np.ndarray:
+        v = self.spectrum.v
+        x = np.asarray(x, dtype=complex)
+        phases = self.phases if x.ndim == 1 else self.phases[:, None]
+        return _product(v, phases * _product(v.conj().T, x))
+
+    @property
+    def mat(self) -> np.ndarray:
+        dim = self.spectrum.dim
+        return Operator(dim, self @ np.eye(dim.d), unitary=True).mat
+
+
+def propagator(generator: Operator | Spectrum, tau: float) -> SpectralUnitary:
     """Unitary e^{-i tau H} through the eigendecomposition of Hermitian H.
 
     Eigendecomposition rather than a series: every generator in scope is
@@ -273,27 +344,25 @@ def propagator(generator: Operator | Spectrum, tau: float) -> Operator:
     if isinstance(generator, Operator) and not generator.hermitian:
         raise ContractViolationError("evolution generator must carry a verified hermitian flag")
     if tau == 0:
-        return Operator(generator.dim, np.eye(generator.dim.d), hermitian=True, unitary=True)
+        return SpectralUnitary.identity(generator.dim)
     spec = generator if isinstance(generator, Spectrum) else spectrum(generator)
-    mat = (spec.v * np.exp(-1j * tau * spec.w)) @ spec.v.conj().T
-    return Operator(spec.dim, mat, unitary=True)
+    return SpectralUnitary(spec, tau)
 
 
-def apply_unitary(u: Operator, state):
-    """Apply a verified unitary to a CvState, or blockwise to a QState."""
-    if not u.unitary:
-        raise ContractViolationError("apply_unitary needs a verified unitary flag")
+def apply_unitary(u: SpectralUnitary, state):
+    """Apply a propagator to a CvState, or blockwise to a QState."""
+    if not isinstance(u, SpectralUnitary):
+        raise ContractViolationError("apply_unitary needs a propagator")
     if isinstance(state, CvState):
-        return replace(state, vec=u.mat @ state.vec)
+        return replace(state, vec=u @ state.vec)
     # strategies.QState (not importable here): control-major blocks
     blocks = state.amplitudes.reshape(state.control_dim, -1)
-    return replace(state, amplitudes=(blocks @ u.mat.T).reshape(-1))
+    return replace(state, amplitudes=(u @ blocks.T).T.reshape(-1))
 
 
 def evolve(state, generator: Operator, tau: float):
     """e^{-i tau generator} applied to a CvState or QState (mode side)."""
-    out = apply_unitary(propagator(generator, tau), state)
-    return out
+    return apply_unitary(propagator(generator, tau), state)
 
 
 def moment(state: CvState, op: Operator, k: int = 1):

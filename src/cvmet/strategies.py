@@ -175,14 +175,14 @@ def switch_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
 
     b0 = phi
     for _ in range(cfg.n_queries):
-        b0 = u2.mat @ b0
+        b0 = u2 @ b0
     for _ in range(cfg.n_queries):
-        b0 = u1.mat @ b0
+        b0 = u1 @ b0
     b1 = phi
     for _ in range(cfg.n_queries):
-        b1 = u1.mat @ b1
+        b1 = u1 @ b1
     for _ in range(cfg.n_queries):
-        b1 = u2.mat @ b1
+        b1 = u2 @ b1
     return QState.from_branches([b0, b1], dim)
 
 
@@ -196,7 +196,8 @@ def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     p_mat = build_quadrature(dim, "P").mat
     phi = prepare_probe(cfg.probe, dim).vec
 
-    common = propagator(x, n * cfg.theta1).mat @ propagator(pm, n * cfg.theta2).mat
+    x_factor = propagator(x, n * cfg.theta1)
+    pm_factor = propagator(pm, n * cfg.theta2)
     lam = -1j * n
     exponent = np.zeros((dim.d, dim.d), dtype=complex)
     for order, term in bch.ExpansionTable.build(cfg.m, "AB").terms:
@@ -204,8 +205,7 @@ def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
         exponent += weight * term.to_matrix(p_mat)
     phase_op = bch.exp_antihermitian(exponent, dim)
 
-    b0 = common @ phi
-    b1 = common @ (phase_op @ phi)
+    b0, b1 = (x_factor @ (pm_factor @ np.column_stack([phi, phase_op @ phi]))).T
     return QState.from_branches([b0, b1], dim)
 
 
@@ -223,7 +223,7 @@ def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     branches = []
     for sign in (+1.0, -1.0):
         gen = Operator(dim, cfg.theta1 * x.mat + sign * cfg.theta2 * pm.mat, hermitian=True)
-        branches.append(propagator(gen, tau).mat @ phi)
+        branches.append(propagator(gen, tau) @ phi)
     return QState.from_branches(branches, dim)
 
 
@@ -239,7 +239,7 @@ def cs_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     p_mat = build_quadrature(dim, "P").mat
     phi = prepare_probe(cfg.probe, dim).vec
 
-    x_factor = propagator(x, 2 * n * cfg.theta1).mat
+    x_factor = propagator(x, 2 * n * cfg.theta1)
     lam = -2j * n
     exponent = np.zeros((dim.d, dim.d), dtype=complex)
     for order, term in bch.ExpansionTable.build(cfg.m, "AB").terms:
@@ -248,7 +248,7 @@ def cs_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
 
     branches = []
     for sign in (+1.0, -1.0):
-        pm_factor = propagator(pm, sign * 2 * n * cfg.theta2).mat
+        pm_factor = propagator(pm, sign * 2 * n * cfg.theta2)
         phase_op = bch.exp_antihermitian(sign * exponent, dim)
         branches.append(x_factor @ (pm_factor @ (phase_op @ phi)))
     return QState.from_branches(branches, dim)
@@ -288,6 +288,8 @@ def switch_relative_phase(cfg: StrategyConfig, dim: FockDim | int) -> float:
     x, pm = _mode_spectra(cfg.m, dim)
     phi = prepare_probe(cfg.probe, dim).vec
     n = cfg.n_queries
-    b0 = propagator(x, n * cfg.theta1).mat @ (propagator(pm, n * cfg.theta2).mat @ phi)
-    common = propagator(pm, n * cfg.theta2).mat @ (propagator(x, n * cfg.theta1).mat @ phi)
+    u1 = propagator(x, n * cfg.theta1)
+    u2 = propagator(pm, n * cfg.theta2)
+    b0 = u1 @ (u2 @ phi)
+    common = u2 @ (u1 @ phi)
     return float(np.angle(np.vdot(common, b0)))

@@ -14,7 +14,7 @@ from cvmet.applications import (
     homodyne_g_variance,
     optomech_state,
 )
-from cvmet.cvspace import FD_MAX_REDUCTIONS, FockDim, ProbeSpec
+from cvmet.cvspace import FD_MAX_REDUCTIONS, FockDim, Operator, ProbeSpec
 from cvmet.errors import (
     ContractViolationError,
     DomainError,
@@ -22,7 +22,14 @@ from cvmet.errors import (
     UnidentifiableParameterError,
 )
 from cvmet.qfi import QfiEstimate, asymptotic_qfi, crb_precision, qfi_fd
-from cvmet.strategies import COHERENT_SUPERPOSITION, StrategyConfig
+from cvmet.strategies import (
+    COHERENT_SUPERPOSITION,
+    StrategyConfig,
+    cs_output,
+    cs_output_factorized,
+    switch_output,
+    switch_output_factorized,
+)
 
 PAPER_STYLE = OptomechParams(g=0.1, mass=1.0, omega_c=1.0, tau=0.2, n_steps=8,
                              mirror_dim=FockDim(192))
@@ -51,14 +58,14 @@ class TestOptomechState:
     def test_cavity_mean_equals_branch_overlap_formula(self):
         p = replace(PAPER_STYLE, n_steps=10)
         state = optomech_state(p)
-        direct = cavity_moment(state, p, 1)
+        direct = cavity_moment(state, 1)
         b0 = state.branch(0) * math.sqrt(2)
         b1 = state.branch(1) * math.sqrt(2)
         assert direct == pytest.approx(np.vdot(b0, b1).real / math.sqrt(2), abs=1e-10)
 
     def test_cavity_second_moment_is_unity(self):
         p = replace(PAPER_STYLE, n_steps=10)
-        assert cavity_moment(optomech_state(p), p, 2) == pytest.approx(1.0, abs=1e-12)
+        assert cavity_moment(optomech_state(p), 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_envelope_violation_is_nonconvergence(self):
         cramped = replace(PAPER_STYLE, mirror_dim=FockDim(24), n_steps=24, g=0.4)
@@ -145,6 +152,27 @@ class TestMirrorSpectra:
             homodyne_g_variance(p)
             qfi_fd(lambda g, pp=p: optomech_state(replace(pp, g=g)), p.g)
         assert len(calls) <= 6
+
+
+class TestStateBuildersStayFactored:
+    def test_no_dense_propagator_is_built(self, monkeypatch):
+        # a propagator is applied through its spectrum; only `.mat` forms
+        # (and checks) a dense unitary Operator
+        built = []
+        post_init = Operator.__post_init__
+
+        def counted(self):
+            if self.unitary:
+                built.append(self.d)
+            post_init(self)
+
+        monkeypatch.setattr(Operator, "__post_init__", counted)
+        homodyne_g_variance(DEFAULT_OPTOMECH)  # the claim-8 point, N = 8
+        cfg = StrategyConfig(theta1=0.1, theta2=0.05, n_queries=3, m=2)
+        for builder in (switch_output, cs_output, switch_output_factorized,
+                        cs_output_factorized):
+            builder(cfg, FockDim(64))
+        assert built == []
 
 
 class TestScalingFit:

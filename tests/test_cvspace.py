@@ -207,6 +207,37 @@ class TestSpectrum:
         with pytest.raises(ContractViolationError):
             spectrum(bad)
 
+    @pytest.mark.parametrize("scale", [1 + 1e-13, 1 + 1e-10])
+    def test_eigenvectors_must_be_orthonormal(self, scale):
+        # ||V^dag V - I||_F = 2 (scale - 1) sqrt(8): 5.7e-13 passes, 5.7e-10 does not
+        spec = spectrum(build_quadrature(8, "X"))
+        if scale < 1 + 1e-12:
+            Spectrum(spec.dim, spec.w, scale * spec.v)
+        else:
+            with pytest.raises(ContractViolationError):
+                Spectrum(spec.dim, spec.w, scale * spec.v)
+
+    def test_eigenvalues_must_be_real(self):
+        spec = spectrum(build_quadrature(8, "X"))
+        with pytest.raises(ContractViolationError):
+            Spectrum(spec.dim, spec.w - 0.01j, spec.v)
+
+    @pytest.mark.parametrize("terms", [((1.0, "X"),), ((1.0, 2),), ((0.3, "X"), (0.05, 2)),
+                                       ((1.0, 1),), ((1.0, 3),)],
+                             ids=["X", "P2", "0.3X+0.05P2", "P", "P3"])
+    def test_factored_apply_matches_the_dense_matrix(self, terms):
+        d = 48
+        spec = spectrum(_generator(d, *terms))
+        rng = np.random.default_rng(11)
+        vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+        vec /= np.linalg.norm(vec)
+        block = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+        for tau in (0.4, -2.5, 13):
+            u = propagator(spec, tau)
+            dense = u.mat
+            assert np.abs(u @ vec - dense @ vec).max() <= 1e-12
+            assert np.abs(u @ block - dense @ block).max() <= 1e-12
+
 
 class TestMoments:
     def test_vacuum_x_squared(self):

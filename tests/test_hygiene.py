@@ -1,5 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses, and
-one function owns the eigendecomposition."""
+"""Source hygiene: no module of the package imports a name it never uses, one
+function owns the eigendecomposition, and propagators stay factored."""
 
 import ast
 import pathlib
@@ -77,3 +77,53 @@ def test_spectrum_owns_the_only_eigh():
     sites = [(path.name, site) for path in sorted(PACKAGE.glob("*.py"))
              for site in eigh_sites(path.read_text(encoding="utf-8"))]
     assert sites == [("cvspace.py", "spectrum")]
+
+
+FACTORED = ("propagator", "exp_antihermitian")
+
+
+def _is_factored(node, bound) -> bool:
+    """A call of a FACTORED function, or a name bound to one in this function."""
+    if isinstance(node, ast.Name):
+        return node.id in bound
+    if isinstance(node, ast.Call):
+        func = node.func
+        return getattr(func, "id", getattr(func, "attr", None)) in FACTORED
+    return False
+
+
+def dense_propagator_sites(source: str) -> list:
+    """Enclosing function of every `.mat` read on a propagator or
+    exp_antihermitian result, called inline or bound to a local name."""
+    sites = []
+
+    def visit(node, function, bound):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name, set())
+                continue
+            if isinstance(child, ast.Assign) and _is_factored(child.value, ()):
+                bound.update(t.id for t in child.targets if isinstance(t, ast.Name))
+            if (isinstance(child, ast.Attribute) and child.attr == "mat"
+                    and _is_factored(child.value, bound)):
+                sites.append(function)
+            visit(child, function, bound)
+
+    visit(ast.parse(source), None, set())
+    return sites
+
+
+def test_checker_finds_every_dense_propagator_site():
+    source = ("def f(h, x):\n    return propagator(h, 1.0).mat @ x\n"
+              "def g(a, d, x):\n    u = bch.exp_antihermitian(a, d)\n    return u.mat @ x\n"
+              "def k(h, x):\n    u = propagator(h, 1.0)\n"
+              "    return u @ x + build_quadrature(4, 'X').mat @ x\n")
+    assert dense_propagator_sites(source) == ["f", "g"]
+
+
+def test_only_the_factorization_check_reads_a_dense_propagator():
+    """State builders apply propagators through their spectrum; the dense
+    matrix is for `bch.verify_factorization`, which compares matrices."""
+    sites = [(path.name, site) for path in sorted(PACKAGE.glob("*.py"))
+             for site in dense_propagator_sites(path.read_text(encoding="utf-8"))]
+    assert sites == [("bch.py", "verify_factorization")]
