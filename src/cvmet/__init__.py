@@ -12,12 +12,11 @@ from .cvspace import (
     build_quadrature,
     converge_dimension,
     evolve,
-    moment,
     operator_power,
     prepare_probe,
+    probe_on_nodes,
     propagator,
     spectrum,
-    variance,
 )
 from .bch import (
     ExactComplex,

@@ -1,8 +1,12 @@
 """Terminating operator-ordering expansion for the pair (X, P^m).
 
-Everything here is exact symbolic algebra over polynomials in the momentum
+The expansion is exact symbolic algebra over polynomials in the momentum
 quadrature P, with complex-rational coefficients: factorial ratios never see
-floating point until a matrix is substituted.  The key facts used throughout:
+floating point.  The exact algebra stops at the tables, which are built once
+per (m, variant) and cached; the couplings and the query count then enter in
+floating point, when a table is turned into a derivative generator
+(`phase_derivative_generator`) or substituted into a matrix.  The key facts
+used throughout:
 
   ad_X(P^k) = [X, P^k] = i k P^{k-1}        (canonical pair, [X, P] = i)
 
@@ -21,10 +25,11 @@ with the exact relation C'_n = -(n-1) C_n.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -133,9 +138,6 @@ class PPoly:
         f = ExactComplex.of(factor)
         return PPoly.from_terms([(p, c * f) for p, c in self.coeffs])
 
-    def as_complex_dict(self) -> Mapping[int, complex]:
-        return {p: c.to_complex() for p, c in self.coeffs}
-
     def is_real(self) -> bool:
         return all(c.im == 0 for _, c in self.coeffs)
 
@@ -203,13 +205,28 @@ class ExpansionTable:
     terms: tuple  # ((n, PPoly), ...) for n = 2 .. m+1
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def build(cls, m: int, variant: str = "AB") -> "ExpansionTable":
+        """The table of (m, variant), built once in exact arithmetic and cached."""
         return cls(m, variant,
                    tuple((n, zassenhaus_term(m, n, variant)) for n in range(2, m + 2)))
 
 
+@functools.lru_cache(maxsize=64)
+def _derivative_weights(m: int) -> tuple:
+    """((n, power, r), ...) with i (-i)^n C_n = r P^power, over the cached AB
+    table of m: checked real once, in exact arithmetic, then stored as floats."""
+    rows = []
+    for n, term in ExpansionTable.build(m, "AB").terms:
+        real = term.scale(I_UNIT * MINUS_I ** n)
+        if not real.is_real():
+            raise ContractViolationError("derivative generator acquired imaginary coefficients")
+        rows.extend((n, power, float(c.re)) for power, c in real.coeffs)
+    return tuple(rows)
+
+
 def phase_derivative_generator(m: int, theta1: float, n_queries: int,
-                               variant: str = "cs_branch") -> PPoly:
+                               variant: str = "cs_branch") -> tuple:
     """Hermitian generator g of the branch derivative in the second coupling.
 
     The branch state is (unitaries) e^{-i theta2 g} ... |phi> with every
@@ -218,30 +235,20 @@ def phase_derivative_generator(m: int, theta1: float, n_queries: int,
       cs_branch:     g = 2N P^m + i * sum_n (-2Ni)^n theta1^{n-1} C_n
       switch_branch: g = N  P^m + i * sum_n (-Ni)^n  theta1^{n-1} n C_n
 
-    The i-factors cancel exactly, leaving real coefficients; for the switch
-    the sum collapses to N (P - N theta1)^m.  theta1 is embedded exactly via
-    Fraction, so the result stays in exact arithmetic.
+    The i-factors cancel exactly, since i (-i)^n C_n is real (checked once
+    per m on the cached table); for the switch the sum collapses to
+    N (P - N theta1)^m.  theta1 and N enter in floating point.  Returns the
+    real coefficients (c_0, ..., c_m) of g by power of P.
     """
     if variant not in ("cs_branch", "switch_branch"):
         raise ContractViolationError(f"variant must be 'cs_branch' or 'switch_branch', got {variant!r}")
-    t1 = ExactComplex(Fraction(theta1))
-    n_q = int(n_queries)
-    if variant == "cs_branch":
-        lam = ExactComplex(Fraction(0), Fraction(-2 * n_q))  # -2Ni
-        query_weight = 2 * n_q
-        order_weight = lambda n: 1
-    else:
-        lam = ExactComplex(Fraction(0), Fraction(-n_q))      # -Ni
-        query_weight = n_q
-        order_weight = lambda n: n
-    g = PPoly.monomial(m, query_weight)
-    for n in range(2, m + 2):
-        c_n = zassenhaus_term(m, n, "AB")
-        w = (lam ** n) * (t1 ** (n - 1)) * ExactComplex(Fraction(order_weight(n)))
-        g = g + c_n.scale(w * I_UNIT)
-    if not g.is_real():
-        raise ContractViolationError("derivative generator acquired imaginary coefficients")
-    return g
+    switch = variant == "switch_branch"
+    span = int(n_queries) * (1 if switch else 2)
+    theta1 = float(theta1)
+    coeffs = [0.0] * m + [float(span)]
+    for n, power, r in _derivative_weights(m):
+        coeffs[power] += r * span ** n * theta1 ** (n - 1) * (n if switch else 1)
+    return tuple(coeffs)
 
 
 FACTORIZATION_GUARD = 16

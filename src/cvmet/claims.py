@@ -73,7 +73,7 @@ def claim_1_switch_linear_qfi() -> ClaimResult:
     rows = []
     for n in (2, 4, 6, 8):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=n, m=1, strategy=SWITCH)
-        est = qfi_converged(cfg, THETA1, method="fd")
+        est = qfi_converged(cfg, THETA1)
         expected = cfg.theta2 ** 2 * n ** 4 + 4 * n ** 2 * 0.5
         err = _rel_err(est.value, expected)
         worst = max(worst, err)
@@ -92,8 +92,8 @@ def claim_2_cs_linear_qfi() -> ClaimResult:
     for n in (2, 4, 6, 8):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=n, m=1,
                              strategy=COHERENT_SUPERPOSITION)
-        fd = qfi_converged(cfg, THETA2, method="fd")
-        gen = qfi_converged(cfg, THETA2, method="generator")
+        fd = qfi_converged(cfg, THETA2)
+        gen = qfi_generator(cfg, THETA2)
         expected = 16 * n ** 4 * cfg.theta1 ** 2 + 16 * n ** 2 * 0.5
         worst_pair = max(worst_pair, _rel_err(fd.value, gen.value))
         worst_formula = max(worst_formula, _rel_err(gen.value, expected),
@@ -108,7 +108,7 @@ def claim_2_cs_linear_qfi() -> ClaimResult:
     for theta2 in (0.02, 0.05, 0.1):
         cfg = StrategyConfig(theta1=0.1, theta2=theta2, n_queries=4, m=1,
                              strategy=COHERENT_SUPERPOSITION)
-        gen = qfi_generator(cfg, THETA2, FockDim(128)).value
+        gen = qfi_generator(cfg, THETA2).value
         fd_vals.append(qfi_fd(
             lambda t, c=cfg: cs_output(replace(c, theta2=t), FockDim(128)),
             theta2).value)
@@ -155,7 +155,7 @@ def claim_4_scaling_exponents() -> ClaimResult:
             for n in SCALING_N_SWEEP:
                 cfg = StrategyConfig(theta1=SCALING_THETA1, theta2=0.05, n_queries=n,
                                      m=m, strategy=strategy)
-                est = qfi_converged(cfg, THETA2, method="generator")
+                est = qfi_generator(cfg, THETA2)
                 points.append((n, crb_precision(est).delta_theta))
             fit = fit_scaling(points)
             err = abs(fit.slope + (m + 1))

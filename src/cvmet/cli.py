@@ -52,6 +52,7 @@ from .qfi import (
     crb_precision,
     precision_ratio,
     qfi_converged,
+    qfi_generator,
     ratio_formula,
 )
 from .strategies import StrategyConfig
@@ -211,10 +212,9 @@ def _estimate_settings(config: dict):
 
 
 def _estimate_row(cfg: StrategyConfig, which: str, nu: int):
-    fd = qfi_converged(cfg, which, method="fd")
+    fd = qfi_converged(cfg, which)
     try:
-        gen = qfi_converged(cfg, which, method="generator")
-        f_gen = gen.value
+        f_gen = qfi_generator(cfg, which).value
     except CvmetError:
         f_gen = float("nan")
     try:

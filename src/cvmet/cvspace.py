@@ -1,9 +1,10 @@
 """Truncated Fock-basis representation of one continuous-variable mode.
 
-Quadrature operators, probe preparation, Hermitian-generator evolution and
-moment evaluation, all on a finite number basis of dimension d.  Every value
-is immutable after construction and every operation is a pure function, so
-concurrent use needs no coordination.
+Quadrature operators, probe preparation and Hermitian-generator evolution on
+a finite number basis of dimension d, plus one basis-free layer:
+`probe_on_nodes` gives the probe's quadrature moments exactly on
+Gauss-Hermite nodes.  Every value is immutable after construction and every
+operation is a pure function, so concurrent use needs no coordination.
 
 Truncation caveats: on the truncated basis [X, P] = i(I - d |d-1><d-1|), and
 the top ~m rows/columns of P^m are corrupted, so callers must keep the
@@ -15,6 +16,7 @@ until the requested scalar settles and reports non-convergence explicitly;
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -24,6 +26,7 @@ import numpy as np
 
 from .errors import (
     ContractViolationError,
+    EnvelopeError,
     InvalidDimensionError,
     TruncationLeakageError,
 )
@@ -31,7 +34,6 @@ from .errors import (
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-10
-IMAG_MOMENT_TOL = 1e-10
 LEAKAGE_TOL = 1e-10
 
 
@@ -75,11 +77,12 @@ class Operator:
         d = self.dim.d
         if mat.shape != (d, d):
             raise ContractViolationError(f"operator shape {mat.shape} does not match dim {d}")
-        if self.hermitian and np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
+        # `not defect <= TOL` rather than `defect > TOL`: a NaN defect fails
+        if self.hermitian and not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:
             raise ContractViolationError("hermitian flag claimed but max |A - A^dag| exceeds 1e-12")
         if self.unitary:
             defect = np.abs(mat.conj().T @ mat - np.eye(d)).max()
-            if defect > UNITARITY_TOL:
+            if not defect <= UNITARITY_TOL:
                 raise ContractViolationError(f"unitary flag claimed but |A^dag A - I| = {defect:.3e}")
         object.__setattr__(self, "mat", _frozen(mat))
 
@@ -100,7 +103,7 @@ class CvState:
         if vec.shape != (self.dim.d,):
             raise ContractViolationError(f"state length {vec.shape} does not match dim {self.dim.d}")
         nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise ContractViolationError(f"state norm {nrm!r} deviates from 1 beyond 1e-10")
         object.__setattr__(self, "vec", _frozen(vec))
 
@@ -228,6 +231,87 @@ def prepare_probe(spec: ProbeSpec, dim: FockDim | int) -> CvState:
                 f"squeezed r={spec.r} leaks {leakage:.3e} past d={d} (limit 1e-10)")
         return CvState(dim, amps / np.linalg.norm(amps))
     raise ContractViolationError(f"unhandled probe kind {spec.kind!r}")
+
+
+NODE_CAP = 512  # largest Gauss-Hermite rule probe_on_nodes builds
+
+
+@functools.lru_cache(maxsize=64)
+def _hermite_nodes(g: int) -> np.ndarray:
+    """The G Gauss-Hermite nodes (the zeros of H_G), read-only, one table per G."""
+    from numpy.polynomial.hermite import hermgauss  # loaded on first use only
+
+    with np.errstate(all="ignore"):  # its weights overflow past G ~ 350; unused
+        t, _ = hermgauss(g)
+    t.setflags(write=False)
+    return t
+
+
+def _node_weights(t: np.ndarray, n: int) -> np.ndarray:
+    """w_j h_n(t_j)^2 on the G Gauss-Hermite nodes t, with w_j the rule's
+    weights for e^{-t^2} and h_n the normalized Hermite polynomial (integral
+    of e^{-t^2} h_n^2 = 1), formed as h_n^2 / (G h_{G-1}^2) since
+    w_j = 1 / (G h_{G-1}(t_j)^2) at the nodes (Christoffel).  n = 0 gives
+    w_j / sqrt(pi).
+
+    h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1} runs on values
+    rescaled per node up to h_n, and only the ratio enters, so neither
+    H_n / sqrt(2^n n!) nor e^{t^2} is formed and large n cannot overflow.
+    """
+    g = t.size
+    prev, cur = np.zeros_like(t), np.ones_like(t)  # h_{-1}, h_0, up to a factor per node
+
+    def step(k, prev, cur):
+        return cur, math.sqrt(2.0 / (k + 1)) * t * cur - math.sqrt(k / (k + 1)) * prev
+
+    for k in range(n):
+        prev, cur = step(k, prev, cur)
+        scale = np.maximum(np.abs(prev), np.abs(cur))
+        prev, cur = prev / scale, cur / scale
+    h_n = cur
+    for k in range(n, g - 1):  # a few steps on to h_{G-1}, at the scale of h_n
+        prev, cur = step(k, prev, cur)
+    return h_n ** 2 / (g * cur ** 2)
+
+
+def probe_on_nodes(spec: ProbeSpec, quadrature: str, degree: int) -> tuple:
+    """Nodes q_j and weights w_j with sum_j w_j f(q_j) = <probe| f(Q) |probe>
+    exactly for every polynomial f of degree <= `degree`, Q = X or P.
+
+    The density of Q on each probe is a Gaussian or, for Fock(n), e^{-t^2}
+    times h_n(t)^2 (degree 2n), so the Gauss-Hermite rule (t, w) of
+    G = degree // 2 + 1 (+ n) nodes integrates it exactly:
+
+      vacuum           q = t                                  w / sqrt(pi)
+      coherent(alpha)  q = t + sqrt(2) Re alpha (X), + sqrt(2) Im alpha (P)
+      squeezed(r)      q = e^{-r} t (X), e^{+r} t (P)          w / sqrt(pi)
+      fock(n)          q = t                                  w h_n(t)^2
+
+    These are the moments a large enough truncated Fock basis gives: the
+    eigenvalues of the d x d truncated X are the d-point Gauss-Hermite
+    nodes, so that basis is the Gauss-Hermite grid.  No basis dimension
+    enters; a rule of more than NODE_CAP nodes raises EnvelopeError.
+    """
+    if quadrature not in ("X", "P"):
+        raise ContractViolationError(f"quadrature must be 'X' or 'P', got {quadrature!r}")
+    if not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise ContractViolationError(f"polynomial degree must be an integer >= 0, got {degree!r}")
+    n = spec.n if spec.kind == "fock" else 0
+    if n < 0:
+        raise ContractViolationError(f"fock level must be >= 0, got {n}")
+    g = degree // 2 + 1 + n
+    if g > NODE_CAP:
+        raise EnvelopeError(
+            f"{spec.kind} probe moments of degree {degree} need {g} Gauss-Hermite "
+            f"nodes, beyond {NODE_CAP}")
+    t = _hermite_nodes(g)
+    w = _node_weights(t, n)
+    if spec.kind == "coherent":
+        shift = spec.alpha.real if quadrature == "X" else spec.alpha.imag
+        return t + math.sqrt(2.0) * shift, w
+    if spec.kind == "squeezed_vacuum":
+        return t * math.exp(-spec.r if quadrature == "X" else spec.r), w
+    return t, w
 
 
 @dataclass(frozen=True)
@@ -363,38 +447,6 @@ def apply_unitary(u: SpectralUnitary, state):
 def evolve(state, generator: Operator, tau: float):
     """e^{-i tau generator} applied to a CvState or QState (mode side)."""
     return apply_unitary(propagator(generator, tau), state)
-
-
-def moment(state: CvState, op: Operator, k: int = 1):
-    """<state| op^k |state> by repeated matvec.
-
-    For a hermitian operator the imaginary part must sit below 1e-10 and is
-    discarded; anything larger is surfaced as a contract failure instead of
-    silent numerical drift.
-    """
-    if k < 1:
-        raise ContractViolationError("moment order k must be >= 1")
-    vec = state.vec
-    if vec.shape[0] != op.d:
-        raise ContractViolationError("state and operator dimensions differ")
-    work = vec
-    for _ in range(k):
-        work = op.mat @ work
-    val = complex(np.vdot(vec, work))
-    if op.hermitian:
-        if abs(val.imag) > IMAG_MOMENT_TOL * max(1.0, abs(val.real)):
-            raise ContractViolationError(
-                f"imaginary part {val.imag:.3e} of a hermitian moment exceeds 1e-10")
-        return val.real
-    return val
-
-
-def variance(state, op: Operator) -> float:
-    m1 = moment(state, op, 1)
-    m2 = moment(state, op, 2)
-    if isinstance(m1, complex) or isinstance(m2, complex):
-        raise ContractViolationError("variance is defined here for hermitian operators only")
-    return m2 - m1 ** 2
 
 
 DIM_START = 64

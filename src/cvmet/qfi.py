@@ -5,8 +5,12 @@ F = 4(<d psi|d psi> - |<d psi|psi>|^2).  Three estimators are provided:
 
   finite_difference  central differences with a mandatory Richardson step
   generator_exact    per-branch derivative generators (polynomials in one
-                     quadrature) evaluated as exact probe moments
+                     quadrature) evaluated as exact probe moments on
+                     Gauss-Hermite nodes, with no basis and no dimension loop
   asymptotic         the closed leading-order laws, for cross-checks
+
+Only the finite-difference route runs in the truncated Fock basis, inside the
+dimension-doubling loop of `qfi_converged`.
 
 The exact route uses expectation-of-square <g^2>, not the squared
 expectation |<g>|^2 sometimes quoted at leading order: only <g^2> satisfies
@@ -29,15 +33,12 @@ from .cvspace import (
     FockDim,
     ProbeSpec,
     as_dim,
-    build_quadrature,
     converge_dimension,
-    prepare_probe,
+    probe_on_nodes,
     richardson,
-    variance,
 )
 from .errors import (
     LargeNGateError,
-    NonConvergenceError,
     UnidentifiableParameterError,
     UnsupportedConfigurationError,
 )
@@ -72,11 +73,6 @@ class PrecisionResult:
     delta_theta: float
     nu: int
     source: QfiEstimate
-
-    @property
-    def delta_sqrt_nu(self) -> float:
-        """nu-free form delta theta * sqrt(nu), for sweeps with symbolic nu."""
-        return self.delta_theta * math.sqrt(self.nu)
 
 
 def _state_vector(state) -> np.ndarray:
@@ -119,7 +115,7 @@ def qfi_fd(builder: Callable[[float], object], theta0: float) -> QfiEstimate:
 # --- exact generator route ---------------------------------------------------
 
 def _branch_generators(cfg: StrategyConfig, which_param: str):
-    """Per-branch derivative data: (polynomial, quadrature symbol, sigma).
+    """Per-branch derivative data: (coefficients by power, quadrature symbol, sigma).
 
     The branch derivative is -i sigma_b g_b acting inside the branch, with
     g_b a real polynomial in one quadrature whose moments are taken on the
@@ -132,7 +128,7 @@ def _branch_generators(cfg: StrategyConfig, which_param: str):
         if strategy == COHERENT_SUPERPOSITION:
             g = bch.phase_derivative_generator(cfg.m, cfg.theta1, n, "cs_branch")
             return [(g, "P", +1.0), (g, "P", -1.0)]
-        g0 = bch.PPoly.monomial(cfg.m, n)
+        g0 = (0.0,) * cfg.m + (float(n),)
         g1 = bch.phase_derivative_generator(cfg.m, cfg.theta1, n, "switch_branch")
         return [(g0, "P", +1.0), (g1, "P", +1.0)]
     if which_param == THETA1:
@@ -144,44 +140,38 @@ def _branch_generators(cfg: StrategyConfig, which_param: str):
             # probe-frame generators 2N X +- 2N^2 theta2: the 2N X query term
             # picks up the +-2N theta2 momentum-displacement shift of X plus
             # the -+2N^2 theta2 derivative of the reordering phase
-            g_plus = bch.PPoly.from_terms([(1, 2 * n), (0, 2 * n * n * cfg.theta2)])
-            g_minus = bch.PPoly.from_terms([(1, 2 * n), (0, -2 * n * n * cfg.theta2)])
+            g_plus = (2 * n * n * cfg.theta2, 2.0 * n)
+            g_minus = (-2 * n * n * cfg.theta2, 2.0 * n)
             return [(g_plus, "X", +1.0), (g_minus, "X", +1.0)]
         # switch: X-moments of branch 0 see X shifted by +N theta2 through U2^N
-        g0 = bch.PPoly.from_terms([(1, n), (0, n * n * cfg.theta2)])
-        g1 = bch.PPoly.monomial(1, n)
+        g0 = (n * n * cfg.theta2, float(n))
+        g1 = (0.0, float(n))
         return [(g0, "X", +1.0), (g1, "X", +1.0)]
     raise UnsupportedConfigurationError(f"unknown parameter {which_param!r}")
 
 
-def qfi_generator(cfg: StrategyConfig, which_param: str,
-                  dim: FockDim | int) -> QfiEstimate:
+def qfi_generator(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     """Exact QFI from symbolic branch generators and probe moments.
 
     F = 4( (1/2) sum_b <g_b^2> - | (1/2) sum_b sigma_b <g_b> |^2 ).
-    The polynomials act on P (or on X for the linear theta1 case), so the
-    probe only needs a dimension large enough for exact low-order moments.
+    The polynomials act on P (or on X for the linear theta1 case), so both
+    moments are weighted sums over the probe's quadrature nodes
+    (`probe_on_nodes` at degree 2 deg g_b): exact, with no basis dimension.
     """
-    dim = as_dim(dim)
-    probe = prepare_probe(cfg.probe, dim)
-    mats = {}
     means = []
     sq_means = []
     branches = _branch_generators(cfg, which_param)
-    for poly, symbol, sigma in branches:
-        if symbol not in mats:
-            mats[symbol] = build_quadrature(dim, symbol).mat
-        g_mat = poly.to_matrix(mats[symbol])
-        g_phi = g_mat @ probe.vec
-        mean = float(np.vdot(probe.vec, g_phi).real)
-        sq = float(np.vdot(g_phi, g_phi).real)  # <g^2> with g hermitian
-        means.append((sigma, mean))
-        sq_means.append(sq)
+    for coeffs, symbol, sigma in branches:
+        q, w = probe_on_nodes(cfg.probe, symbol, 2 * (len(coeffs) - 1))
+        g = np.zeros_like(q)
+        for c in reversed(coeffs):  # Horner
+            g = g * q + c
+        means.append((sigma, float(w @ g)))
+        sq_means.append(float(w @ (g * g)))
     mean_term = sum(s * m for s, m in means) / len(branches)
     value = 4.0 * (sum(sq_means) / len(sq_means) - mean_term ** 2)
     diagnostics = {"branch_means": tuple(m for _, m in means),
-                   "branch_square_means": tuple(sq_means),
-                   "dim_used": dim.d}
+                   "branch_square_means": tuple(sq_means)}
     if encoding(cfg.strategy) == COHERENT_SUPERPOSITION and which_param == THETA2:
         # leading-order squared-expectation form, reported for regression only
         diagnostics["expectation_squared_form"] = 4.0 * means[0][1] ** 2
@@ -191,12 +181,9 @@ def qfi_generator(cfg: StrategyConfig, which_param: str,
 # --- asymptotic closed forms --------------------------------------------------
 
 def _probe_variance(probe: ProbeSpec, which: str) -> float:
-    def at_dim(d: int) -> float:
-        return variance(prepare_probe(probe, FockDim(d)), build_quadrature(d, which))
-    scan = converge_dimension(at_dim, start=16)
-    if not scan.converged:
-        raise NonConvergenceError(f"probe variance of {which} did not converge")
-    return scan.value
+    """Var(X) or Var(P) of the probe, exact on its quadrature nodes."""
+    q, w = probe_on_nodes(probe, which, 2)
+    return float(w @ (q * q)) - float(w @ q) ** 2
 
 
 def asymptotic_qfi(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
@@ -247,23 +234,17 @@ def builder_for(cfg: StrategyConfig, which_param: str,
     return build
 
 
-def qfi_converged(cfg: StrategyConfig, which_param: str,
-                  method: str = "fd") -> QfiEstimate:
-    """QFI with the dimension-doubling loop wrapped around the chosen method.
+def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
+    """Finite-difference QFI with the dimension-doubling loop wrapped around it.
 
-    Converged means both the inner estimator settled (Richardson for the
-    finite-difference route) and the value stopped moving under doubling.
+    Converged means both Richardson settled and the value stopped moving
+    under doubling.  The generator route needs no loop: see `qfi_generator`.
     """
     inner: dict[int, QfiEstimate] = {}
 
     def at_dim(d: int) -> float:
-        if method == "fd":
-            theta0 = getattr(cfg, which_param)
-            est = qfi_fd(builder_for(cfg, which_param, d), theta0)
-        elif method == "generator":
-            est = qfi_generator(cfg, which_param, d)
-        else:
-            raise UnsupportedConfigurationError(f"unknown QFI method {method!r}")
+        theta0 = getattr(cfg, which_param)
+        est = qfi_fd(builder_for(cfg, which_param, d), theta0)
         inner[d] = est
         return est.value
 
@@ -292,9 +273,8 @@ LARGE_N_FACTOR = 10.0
 
 def large_n_gate(cfg: StrategyConfig) -> bool:
     """Declared large-N regime: N |theta1| >= 10 (|<P>_probe| + 1)."""
-    dim = FockDim(64)
-    probe = prepare_probe(cfg.probe, dim)
-    p_mean = abs(float(np.vdot(probe.vec, build_quadrature(dim, "P").mat @ probe.vec).real))
+    q, w = probe_on_nodes(cfg.probe, "P", 1)
+    p_mean = abs(float(w @ q))
     return cfg.n_queries * abs(cfg.theta1) >= LARGE_N_FACTOR * (p_mean + 1.0)
 
 
@@ -325,9 +305,6 @@ def precision_ratio(m: int, theta1: float, n_queries: int,
         raise LargeNGateError(
             f"N|theta1| = {n_queries * abs(theta1):g} is below the declared "
             f"large-N gate for this probe")
-    f_cs = qfi_converged(cs_cfg, THETA2, method="generator")
-    f_qs = qfi_converged(qs_cfg, THETA2, method="generator")
-    for est, name in ((f_cs, "coherent superposition"), (f_qs, "switch")):
-        if not est.converged:
-            raise NonConvergenceError(f"{name} QFI did not converge for the ratio")
+    f_cs = qfi_generator(cs_cfg, THETA2)
+    f_qs = qfi_generator(qs_cfg, THETA2)
     return crb_precision(f_cs).delta_theta / crb_precision(f_qs).delta_theta

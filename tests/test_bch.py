@@ -77,29 +77,59 @@ class TestOracle:
             assert zassenhaus_term(m, n, "BA") == zassenhaus_term(m, n, "AB").scale(-(n - 1))
 
 
+def exact_derivative_generator(m, theta1, n_queries, variant):
+    """The generator in exact arithmetic throughout, theta1 embedded as a
+    Fraction: g = span P^m + i sum_n (-i span)^n theta1^{n-1} w_n C_n."""
+    span = 2 * n_queries if variant == "cs_branch" else n_queries
+    lam = ExactComplex(Fraction(0), Fraction(-span))
+    g = PPoly.monomial(m, span)
+    for n in range(2, m + 2):
+        weight = lam ** n * ExactComplex(Fraction(theta1)) ** (n - 1)
+        if variant == "switch_branch":
+            weight = weight * n
+        g = g + zassenhaus_term(m, n, "AB").scale(weight * ExactComplex(Fraction(0), Fraction(1)))
+    return g
+
+
 class TestPhaseDerivativeGenerator:
     def test_linear_cs_branch(self):
         g = phase_derivative_generator(1, 0.1, 4, "cs_branch")
-        coeffs = g.as_complex_dict()
-        assert coeffs[1] == pytest.approx(8.0)
-        assert coeffs[0] == pytest.approx(-3.2)
+        assert g[1] == pytest.approx(8.0)
+        assert g[0] == pytest.approx(-3.2)
 
     def test_theta1_zero_leaves_query_term_only(self):
         g = phase_derivative_generator(3, 0.0, 5, "cs_branch")
-        assert g == PPoly.monomial(3, 10)
+        assert g == (0.0, 0.0, 0.0, 10.0)
 
     def test_switch_branch_collapses_to_shifted_power(self):
         # N (P - N theta1)^m for m=2, N=3, theta1=0.1: 3P^2 - 1.8P + 0.27
         g = phase_derivative_generator(2, 0.1, 3, "switch_branch")
-        coeffs = g.as_complex_dict()
-        assert coeffs[2] == pytest.approx(3.0, abs=1e-12)
-        assert coeffs[1] == pytest.approx(-1.8, abs=1e-12)
-        assert coeffs[0] == pytest.approx(0.27, abs=1e-12)
+        assert g[2] == pytest.approx(3.0, abs=1e-12)
+        assert g[1] == pytest.approx(-1.8, abs=1e-12)
+        assert g[0] == pytest.approx(0.27, abs=1e-12)
 
     @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 6), (4, 2)])
     def test_generators_are_real(self, m, n):
-        assert phase_derivative_generator(m, 0.37, n, "cs_branch").is_real()
-        assert phase_derivative_generator(m, 0.37, n, "switch_branch").is_real()
+        for variant in ("cs_branch", "switch_branch"):
+            g = phase_derivative_generator(m, 0.37, n, variant)
+            assert len(g) == m + 1 and all(type(c) is float for c in g)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("variant", ["cs_branch", "switch_branch"])
+    def test_float_coefficients_match_exact_arithmetic(self, m, variant):
+        for theta1, n in ((0.75, 4), (1.2, 24), (-0.3, 64)):
+            exact = exact_derivative_generator(m, theta1, n, variant)
+            assert exact.is_real()
+            table = dict(exact.coeffs)
+            g = phase_derivative_generator(m, theta1, n, variant)
+            scale = max(abs(c) for c in g)
+            for power, c in enumerate(g):
+                want = float(table[power].re) if power in table else 0.0
+                assert abs(c - want) <= 1e-15 * scale, (power, c, want)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ContractViolationError):
+            phase_derivative_generator(2, 0.1, 3, "both")
 
 
 class TestPolyAlgebra:
@@ -168,6 +198,9 @@ class TestFactorization:
 
 
 class TestExpansionTable:
+    def test_tables_are_built_once(self):
+        assert ExpansionTable.build(3, "BA") is ExpansionTable.build(3, "BA")
+
     def test_table_orders(self):
         table = ExpansionTable.build(3, "AB")
         assert [n for n, _ in table.terms] == [2, 3, 4]

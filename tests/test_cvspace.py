@@ -5,6 +5,7 @@ import pytest
 
 from cvmet.cvspace import (
     FD_MAX_REDUCTIONS,
+    NODE_CAP,
     CvState,
     FockDim,
     Operator,
@@ -13,21 +14,34 @@ from cvmet.cvspace import (
     build_quadrature,
     converge_dimension,
     evolve,
-    moment,
     operator_power,
     prepare_probe,
+    probe_on_nodes,
     propagator,
     richardson,
     spectrum,
-    variance,
 )
 from cvmet.errors import (
     ContractViolationError,
+    EnvelopeError,
     InvalidDimensionError,
     TruncationLeakageError,
 )
 
 SQ2 = math.sqrt(2)
+
+
+def moment(state, op, k=1):
+    """<state| op^k |state> by repeated matvec in the truncated basis: the
+    Fock-route oracle of the node layer (real for the hermitian ops used)."""
+    work = state.vec
+    for _ in range(k):
+        work = op.mat @ work
+    return float(np.vdot(state.vec, work).real)
+
+
+def variance(state, op):
+    return moment(state, op, 2) - moment(state, op, 1) ** 2
 
 
 class TestQuadratures:
@@ -240,18 +254,58 @@ class TestSpectrum:
 
 
 class TestMoments:
+    """Probe moments come from the node layer; `moment` above is its oracle."""
+
     def test_vacuum_x_squared(self):
-        state = prepare_probe(ProbeSpec.vacuum(), 16)
-        assert moment(state, build_quadrature(16, "X"), 2) == pytest.approx(0.5, abs=1e-12)
+        q, w = probe_on_nodes(ProbeSpec.vacuum(), "X", 2)
+        assert w @ q ** 2 == pytest.approx(0.5, abs=1e-12)
 
     def test_vacuum_p_mean_zero(self):
-        state = prepare_probe(ProbeSpec.vacuum(), 16)
-        assert moment(state, build_quadrature(16, "P"), 1) == pytest.approx(0.0, abs=1e-14)
+        q, w = probe_on_nodes(ProbeSpec.vacuum(), "P", 1)
+        assert w @ q == pytest.approx(0.0, abs=1e-14)
 
     def test_hermitian_moment_is_real_float(self):
-        state = prepare_probe(ProbeSpec.coherent(0.3), 16)
-        value = moment(state, build_quadrature(16, "X"), 2)
-        assert isinstance(value, float)
+        q, w = probe_on_nodes(ProbeSpec.coherent(0.3 + 0.2j), "X", 2)
+        assert q.dtype == w.dtype == np.float64
+        assert isinstance(float(w @ q ** 2), float)
+
+
+NODE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.coherent(0.3 + 0.4j),
+               ProbeSpec.coherent(-1.1 + 0.7j), ProbeSpec.squeezed_vacuum(0.3),
+               ProbeSpec.squeezed_vacuum(-0.5), ProbeSpec.fock(1), ProbeSpec.fock(3)]
+
+
+class TestProbeOnNodes:
+    @pytest.mark.parametrize("spec", NODE_PROBES, ids=lambda s: f"{s.kind}-{s.n}-{s.alpha}-{s.r}")
+    @pytest.mark.parametrize("which", ["X", "P"])
+    def test_moments_match_the_fock_route(self, spec, which):
+        # every moment up to the rule's degree, against the d = 128 truncated
+        # basis, relative to the size of the summands (odd moments vanish)
+        d = 128
+        state, op = prepare_probe(spec, d), build_quadrature(d, which)
+        for degree in range(1, 11):
+            q, w = probe_on_nodes(spec, which, degree)
+            assert len(q) == degree // 2 + 1 + (spec.n if spec.kind == "fock" else 0)
+            for k in range(degree + 1):
+                scale = max(1.0, float(np.abs(w * q ** k).sum()))
+                assert abs(w @ q ** k - moment(state, op, k)) <= 1e-13 * scale
+
+    def test_large_fock_level_gives_finite_variance(self):
+        # Fock(300): Var(P) = n + 1/2 on 302 nodes; H_300 / sqrt(2^300 300!) or
+        # the weights times e^{t^2} would overflow there
+        q, w = probe_on_nodes(ProbeSpec.fock(300), "P", 2)
+        assert np.isfinite(w).all() and (w >= 0).all()
+        assert w.sum() == pytest.approx(1.0, rel=1e-12)
+        assert w @ q ** 2 - (w @ q) ** 2 == pytest.approx(300.5, rel=1e-12)
+
+    def test_rule_beyond_the_node_cap_is_an_envelope_error(self):
+        with pytest.raises(EnvelopeError):
+            probe_on_nodes(ProbeSpec.fock(NODE_CAP), "P", 2)
+
+    @pytest.mark.parametrize("which,degree", [("Y", 2), ("P", -1), ("P", 2.0)])
+    def test_bad_request_rejected(self, which, degree):
+        with pytest.raises(ContractViolationError):
+            probe_on_nodes(ProbeSpec.vacuum(), which, degree)
 
 
 class TestContracts:
@@ -271,6 +325,15 @@ class TestContracts:
     def test_state_norm_enforced(self):
         with pytest.raises(ContractViolationError):
             CvState(FockDim(4), np.array([1.0, 1.0, 0, 0]))
+
+    @pytest.mark.parametrize("flag", ["hermitian", "unitary"])
+    def test_nan_operator_rejected_by_its_flag(self, flag):
+        with pytest.raises(ContractViolationError):
+            Operator(2, [[math.nan, 0], [0, 1]], **{flag: True})
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(ContractViolationError):
+            CvState(FockDim(2), [math.nan, 1.0])
 
 
 class TestDimensionLoop:

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses, one
-function owns the eigendecomposition, and propagators stay factored."""
+function owns the eigendecomposition, propagators stay factored, and the
+exact generator route stays off the truncated basis."""
 
 import ast
 import pathlib
@@ -127,3 +128,74 @@ def test_only_the_factorization_check_reads_a_dense_propagator():
     sites = [(path.name, site) for path in sorted(PACKAGE.glob("*.py"))
              for site in dense_propagator_sites(path.read_text(encoding="utf-8"))]
     assert sites == [("bch.py", "verify_factorization")]
+
+
+def call_sites(source: str, name: str) -> list:
+    """Enclosing function of every call of `name`, as a bare name or a method."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == name):
+                sites.append(function)
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+# The truncated-basis machinery of the generator algebra and of the dimension
+# loop, and the only functions allowed to call it: the factorization check and
+# the factorized builders (the Fock-basis oracles) substitute the tables into
+# P, and only the finite-difference route doubles d.
+BASIS_ONLY_IN = {
+    "to_matrix": {("bch.py", "verify_factorization"),
+                  ("strategies.py", "cs_output_factorized"),
+                  ("strategies.py", "switch_output_factorized")},
+    "converge_dimension": {("qfi.py", "qfi_converged")},
+}
+
+
+def basis_route_violations(sources: dict) -> list:
+    """(file, function, name) of every call of a BASIS_ONLY_IN name elsewhere."""
+    return sorted((filename, site, name)
+                  for filename, source in sources.items()
+                  for name, allowed in BASIS_ONLY_IN.items()
+                  for site in call_sites(source, name)
+                  if (filename, site) not in allowed)
+
+
+# the generator route as it ran in the truncated basis, before the node layer
+BASIS_GENERATOR_ROUTE = '''
+def qfi_generator(cfg, which_param, dim):
+    dim = as_dim(dim)
+    probe = prepare_probe(cfg.probe, dim)
+    mats = {}
+    for poly, symbol, sigma in _branch_generators(cfg, which_param):
+        if symbol not in mats:
+            mats[symbol] = build_quadrature(dim, symbol).mat
+        g_phi = poly.to_matrix(mats[symbol]) @ probe.vec
+
+def _probe_variance(probe, which):
+    def at_dim(d):
+        return variance(prepare_probe(probe, FockDim(d)), build_quadrature(d, which))
+    scan = converge_dimension(at_dim, start=16)
+    return scan.value
+'''
+
+
+def test_checker_flags_the_basis_generator_route():
+    assert basis_route_violations({"qfi.py": BASIS_GENERATOR_ROUTE}) == [
+        ("qfi.py", "_probe_variance", "converge_dimension"),
+        ("qfi.py", "qfi_generator", "to_matrix")]
+
+
+def test_generator_route_needs_no_basis():
+    """The exact generator route and the probe variances run on quadrature
+    nodes; Fock matrices of the tables and the doubling loop stay where the
+    Fock basis is the point."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert basis_route_violations(sources) == []

@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cvmet.bch import ExactComplex, PPoly, zassenhaus_term
 from cvmet.cvspace import FockDim, ProbeSpec, build_quadrature, evolve, prepare_probe
 from cvmet.errors import (
     LargeNGateError,
@@ -44,14 +46,14 @@ class TestFiniteDifference:
 
     def test_switch_linear_first_coupling(self):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1, strategy=SWITCH)
-        est = qfi_converged(cfg, THETA1, method="fd")
+        est = qfi_converged(cfg, THETA1)
         assert est.converged
         assert est.value == pytest.approx(34.56, rel=1e-4)
 
     def test_cs_linear_second_coupling(self):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1,
                              strategy=COHERENT_SUPERPOSITION)
-        est = qfi_converged(cfg, THETA2, method="fd")
+        est = qfi_converged(cfg, THETA2)
         assert est.value == pytest.approx(168.96, rel=1e-3)
         assert est.diagnostics["dim_used"] >= 128
 
@@ -72,13 +74,13 @@ class TestGeneratorRoute:
     def test_cs_linear_value(self):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1,
                              strategy=COHERENT_SUPERPOSITION)
-        est = qfi_generator(cfg, THETA2, FockDim(64))
+        est = qfi_generator(cfg, THETA2)
         assert est.value == pytest.approx(168.96, rel=1e-12)
         assert est.method == "generator_exact"
 
     def test_switch_linear_second_coupling_matches_closed_form(self):
         cfg = StrategyConfig(theta1=0.1, theta2=0.07, n_queries=4, m=1, strategy=SWITCH)
-        est = qfi_generator(cfg, THETA2, FockDim(64))
+        est = qfi_generator(cfg, THETA2)
         expected = cfg.theta1 ** 2 * 4 ** 4 + 4 * 4 ** 2 * 0.5
         assert est.value == pytest.approx(expected, rel=1e-12)
 
@@ -87,35 +89,110 @@ class TestGeneratorRoute:
     def test_oracle_triangle_fd_vs_generator(self, strategy, m):
         cfg = StrategyConfig(theta1=0.06, theta2=0.04, n_queries=3, m=m,
                              strategy=strategy)
-        fd = qfi_converged(cfg, THETA2, method="fd")
-        gen = qfi_converged(cfg, THETA2, method="generator")
+        fd = qfi_converged(cfg, THETA2)
+        gen = qfi_generator(cfg, THETA2)
         assert fd.converged and gen.converged
         assert fd.value == pytest.approx(gen.value, rel=1e-3)
 
     def test_theta1_linear_supported(self):
         cfg = StrategyConfig(theta1=0.08, theta2=0.06, n_queries=3, m=1,
                              strategy=COHERENT_SUPERPOSITION)
-        fd = qfi_converged(cfg, THETA1, method="fd")
-        gen = qfi_converged(cfg, THETA1, method="generator")
+        fd = qfi_converged(cfg, THETA1)
+        gen = qfi_generator(cfg, THETA1)
         assert fd.value == pytest.approx(gen.value, rel=1e-3)
 
     def test_theta1_nonlinear_unsupported(self):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=3, m=2, strategy=SWITCH)
         with pytest.raises(UnsupportedConfigurationError):
-            qfi_generator(cfg, THETA1, FockDim(64))
+            qfi_generator(cfg, THETA1)
 
     def test_composite_treated_as_cs(self):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1, strategy=COMPOSITE)
-        est = qfi_generator(cfg, THETA2, FockDim(64))
+        est = qfi_generator(cfg, THETA2)
         assert est.value == pytest.approx(168.96, rel=1e-12)
 
     def test_leading_order_diagnostic_reported(self):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1,
                              strategy=COHERENT_SUPERPOSITION)
-        est = qfi_generator(cfg, THETA2, FockDim(64))
+        est = qfi_generator(cfg, THETA2)
         # |<g>|^2 form: (2 N^2 theta1)^2 * 4 = leading term only
         assert est.diagnostics["expectation_squared_form"] == pytest.approx(
             16 * 4 ** 4 * 0.1 ** 2, rel=1e-12)
+
+
+def fock_route_qfi(cfg, which, d=128):
+    """The generator QFI the way the truncated basis gives it: branch
+    generators in exact arithmetic, substituted into the d x d quadrature
+    and applied to the prepared probe; independent of the node layer."""
+    n, m, t1, t2 = cfg.n_queries, cfg.m, cfg.theta1, cfg.theta2
+    cs = cfg.strategy == COHERENT_SUPERPOSITION
+
+    def derivative(span, switch):
+        g = PPoly.monomial(m, span)
+        lam = ExactComplex(Fraction(0), Fraction(-span))
+        for order in range(2, m + 2):
+            weight = lam ** order * ExactComplex(Fraction(t1)) ** (order - 1)
+            weight = weight * (order if switch else 1) * ExactComplex(Fraction(0), Fraction(1))
+            g = g + zassenhaus_term(m, order, "AB").scale(weight)
+        return g
+
+    if which == THETA2:
+        symbol = "P"
+        branches = ([(derivative(2 * n, False), 1), (derivative(2 * n, False), -1)] if cs
+                    else [(PPoly.monomial(m, n), 1), (derivative(n, True), 1)])
+    else:
+        symbol = "X"
+        shift = 2 * n * n * t2 if cs else n * n * t2
+        branches = ([(PPoly.from_terms([(1, 2 * n), (0, shift)]), 1),
+                     (PPoly.from_terms([(1, 2 * n), (0, -shift)]), 1)] if cs
+                    else [(PPoly.from_terms([(1, n), (0, shift)]), 1),
+                          (PPoly.monomial(1, n), 1)])
+    phi = prepare_probe(cfg.probe, d).vec
+    quad = build_quadrature(d, symbol).mat
+    means, squares = [], []
+    for poly, sigma in branches:
+        g_phi = poly.to_matrix(quad) @ phi
+        means.append(sigma * np.vdot(phi, g_phi).real)
+        squares.append(np.vdot(g_phi, g_phi).real)
+    return 4.0 * (np.mean(squares) - np.mean(means) ** 2)
+
+
+NODE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.coherent(0.3 + 0.4j),
+               ProbeSpec.coherent(-1.1 + 0.7j), ProbeSpec.squeezed_vacuum(0.3),
+               ProbeSpec.squeezed_vacuum(-0.5), ProbeSpec.fock(1), ProbeSpec.fock(3)]
+
+
+class TestGeneratorOnNodes:
+    @pytest.mark.parametrize("probe", NODE_PROBES, ids=lambda p: f"{p.kind}-{p.n}-{p.alpha}-{p.r}")
+    def test_matches_the_fock_route(self, probe):
+        cases = [(m, strategy, THETA2, 0.3, n) for m in (1, 2, 3, 5)
+                 for strategy in (SWITCH, COHERENT_SUPERPOSITION) for n in (3, 16)]
+        cases += [(1, strategy, THETA1, 0.3, n)
+                  for strategy in (SWITCH, COHERENT_SUPERPOSITION) for n in (3, 16)]
+        for m, strategy, which, theta1, n in cases:
+            cfg = StrategyConfig(theta1=theta1, theta2=0.07, n_queries=n, m=m,
+                                 strategy=strategy, probe=probe)
+            expected = fock_route_qfi(cfg, which)
+            got = qfi_generator(cfg, which).value
+            assert got == pytest.approx(expected, rel=1e-12), (m, strategy, which, n)
+
+    def test_large_n_gate_reads_the_exact_momentum_mean(self):
+        # <P> = sqrt(2) Im alpha = 8.49; a d = 64 basis cannot hold this probe
+        probe = ProbeSpec.coherent(1.0 + 6.0j)
+        phi = prepare_probe(probe, 256).vec
+        p_mean = np.vdot(phi, build_quadrature(256, "P").mat @ phi).real
+        assert p_mean == pytest.approx(6 * math.sqrt(2), rel=1e-12)
+        for n in range(80, 100):
+            cfg = StrategyConfig(theta1=1.0, theta2=0.05, n_queries=n, m=1,
+                                 strategy=COHERENT_SUPERPOSITION, probe=probe)
+            assert large_n_gate(cfg) == (n >= 10 * (abs(p_mean) + 1))
+
+    def test_asymptote_on_a_high_fock_probe(self):
+        # switch, m = 1: theta1^2 N^4 + 4 N^2 Var(P), Var(P) = 300.5 on Fock(300)
+        cfg = StrategyConfig(theta1=0.2, theta2=0.05, n_queries=6, m=1, strategy=SWITCH,
+                             probe=ProbeSpec.fock(300))
+        expected = 0.2 ** 2 * 6 ** 4 + 4 * 6 ** 2 * 300.5
+        assert asymptotic_qfi(cfg, THETA2).value == pytest.approx(expected, rel=1e-12)
 
 
 class TestAsymptotics:
@@ -135,7 +212,7 @@ class TestAsymptotics:
         cfg = StrategyConfig(theta1=0.75, theta2=0.05, n_queries=24, m=2,
                              strategy=strategy)
         assert large_n_gate(cfg)
-        exact = qfi_converged(cfg, THETA2, method="generator").value
+        exact = qfi_generator(cfg, THETA2).value
         asym = asymptotic_qfi(cfg, THETA2).value
         assert exact / asym == pytest.approx(1.0, abs=0.05)
 
@@ -161,10 +238,6 @@ class TestPrecision:
         n, theta1 = 5, 0.3
         res = crb_precision(QfiEstimate(16 * n ** 4 * theta1 ** 2, "asymptotic"))
         assert res.delta_theta == pytest.approx(1 / (4 * theta1 * n ** 2), rel=1e-12)
-
-    def test_nu_scaling_symbolic_form(self):
-        res = crb_precision(QfiEstimate(64.0, "generator_exact"), nu=16)
-        assert res.delta_sqrt_nu == pytest.approx(1 / 8, rel=1e-12)
 
     def test_nonpositive_information_rejected(self):
         with pytest.raises(UnidentifiableParameterError):
@@ -223,8 +296,8 @@ class TestProperties:
     def test_qfi_nonnegative_across_methods(self):
         cfg = StrategyConfig(theta1=0.05, theta2=0.08, n_queries=2, m=2,
                              strategy=SWITCH)
-        assert qfi_converged(cfg, THETA2, method="fd").value >= 0.0
-        assert qfi_generator(cfg, THETA2, FockDim(64)).value >= 0.0
+        assert qfi_converged(cfg, THETA2).value >= 0.0
+        assert qfi_generator(cfg, THETA2).value >= 0.0
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_monotone_scaling_slope(self, m):
@@ -234,6 +307,6 @@ class TestProperties:
         for n in (14, 18, 22, 26):
             cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=n, m=m,
                                  strategy=COHERENT_SUPERPOSITION)
-            points.append((n, qfi_converged(cfg, THETA2, method="generator").value))
+            points.append((n, qfi_generator(cfg, THETA2).value))
         fit = fit_scaling(points)
         assert fit.slope == pytest.approx(2 * (m + 1), abs=0.05)
