@@ -11,7 +11,6 @@ from .cvspace import (
     Spectrum,
     build_quadrature,
     converge_dimension,
-    evolve,
     operator_power,
     prepare_probe,
     probe_on_nodes,

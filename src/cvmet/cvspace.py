@@ -19,7 +19,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -433,22 +433,6 @@ def propagator(generator: Operator | Spectrum, tau: float) -> SpectralUnitary:
     return SpectralUnitary(spec, tau)
 
 
-def apply_unitary(u: SpectralUnitary, state):
-    """Apply a propagator to a CvState, or blockwise to a QState."""
-    if not isinstance(u, SpectralUnitary):
-        raise ContractViolationError("apply_unitary needs a propagator")
-    if isinstance(state, CvState):
-        return replace(state, vec=u @ state.vec)
-    # strategies.QState (not importable here): control-major blocks
-    blocks = state.amplitudes.reshape(state.control_dim, -1)
-    return replace(state, amplitudes=(u @ blocks.T).T.reshape(-1))
-
-
-def evolve(state, generator: Operator, tau: float):
-    """e^{-i tau generator} applied to a CvState or QState (mode side)."""
-    return apply_unitary(propagator(generator, tau), state)
-
-
 DIM_START = 64
 DIM_CAP = 1024
 DIM_REL_TOL = 1e-6
@@ -485,22 +469,43 @@ def converge_dimension(evaluate: Callable[[int], float],
     return DimensionScan(prev, d, False, tuple(history))
 
 
+def holding_dimension(spec: ProbeSpec) -> int:
+    """The smallest d = DIM_START * 2^k <= DIM_CAP at which `prepare_probe`
+    holds the probe; the TruncationLeakageError of DIM_CAP when none does."""
+    d = DIM_START
+    while True:
+        try:
+            prepare_probe(spec, d)
+            return d
+        except TruncationLeakageError:
+            if 2 * d > DIM_CAP:
+                raise
+        d *= 2
+
+
 FD_REL_TOL = 1e-4
 FD_MAX_REDUCTIONS = 3
 
 
-def richardson(estimate: Callable[[float], float], h: float):
-    """Richardson extrapolation of a step-h estimate, halving h until it settles.
+def richardson(estimate: Callable[[float], float], h: float, start: int = 0):
+    """Richardson extrapolation of a step-h estimate on the ladder h / 2^k.
 
-    Returns `(value, converged, history)`.  Each step compares f(h) with
-    f(h/2) and extrapolates (4 f(h/2) - f(h))/3; converged means the pair
-    agrees to relative 1e-4, otherwise h is halved up to FD_MAX_REDUCTIONS
-    times and the last extrapolation is returned unconverged.  `history`
-    holds one (h, f_h, f_h2, residual) row per step.
+    Returns `(value, converged, history)`.  Each step compares f(h') with
+    f(h'/2) at rung h' = h / 2^k and extrapolates (4 f(h'/2) - f(h'))/3;
+    converged means the pair agrees to relative 1e-4, otherwise h' is halved,
+    down to the rung h / 2^FD_MAX_REDUCTIONS, and the last extrapolation is
+    returned unconverged.  `start` = k begins at rung k instead of the top,
+    with the same floor, so no estimate takes a step below
+    h / 2^(FD_MAX_REDUCTIONS + 1).  `history` holds one (h', f_h', f_h'/2,
+    residual) row per rung tried.
     """
+    if not 0 <= start <= FD_MAX_REDUCTIONS:
+        raise ContractViolationError(
+            f"Richardson start rung must lie in 0..{FD_MAX_REDUCTIONS}, got {start!r}")
     history = []
+    h = h / 2 ** start
     f_h = estimate(h)
-    for _ in range(FD_MAX_REDUCTIONS + 1):
+    for _ in range(FD_MAX_REDUCTIONS + 1 - start):
         f_h2 = estimate(h / 2)
         resid = abs(f_h - f_h2) / max(abs(f_h), abs(f_h2), 1e-300)
         history.append((h, f_h, f_h2, resid))

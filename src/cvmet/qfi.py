@@ -34,6 +34,7 @@ from .cvspace import (
     ProbeSpec,
     as_dim,
     converge_dimension,
+    holding_dimension,
     probe_on_nodes,
     richardson,
 )
@@ -88,28 +89,31 @@ def qfi_from_derivative(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return float(4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(dpsi, psi)) ** 2))
 
 
-def _fd_value(builder: Callable[[float], object], theta0: float, h: float) -> float:
-    psi0 = _state_vector(builder(theta0))
-    dpsi = (_state_vector(builder(theta0 + h)) - _state_vector(builder(theta0 - h))) / (2 * h)
-    return qfi_from_derivative(psi0, dpsi)
-
-
-def qfi_fd(builder: Callable[[float], object], theta0: float) -> QfiEstimate:
+def qfi_fd(builder: Callable[[float], object], theta0: float, start: int = 0) -> QfiEstimate:
     """Central-difference QFI with the mandatory Richardson check of `richardson`.
 
     The builder must be a deterministic map from the scalar to a state; the
     eigendecomposition propagators downstream are smooth in the parameter, so
-    no gauge jumps enter the difference.  The step starts at
-    1e-4 max(1, |theta0|); a failed check is reported as unconverged with
-    every step in the diagnostics.
+    no gauge jumps enter the difference.  The centre state builder(theta0) is
+    built once and shared by every step; each step h then builds
+    theta0 +- h.  The step ladder is h0 / 2^k with h0 = 1e-4 max(1, |theta0|),
+    entered at rung `start` (0, the top, unless `qfi_converged` resumes it);
+    `diagnostics["rung"]` is the rung of the last step.  A failed check is
+    reported as unconverged with every step in the diagnostics.
     """
-    value, converged, history = richardson(
-        lambda h: _fd_value(builder, theta0, h), 1e-4 * max(1.0, abs(theta0)))
+    psi0 = _state_vector(builder(theta0))
+
+    def estimate(h: float) -> float:
+        dpsi = (_state_vector(builder(theta0 + h)) - _state_vector(builder(theta0 - h))) / (2 * h)
+        return qfi_from_derivative(psi0, dpsi)
+
+    value, converged, history = richardson(estimate, 1e-4 * max(1.0, abs(theta0)), start)
     h, f_h, f_h2, resid = history[-1]
     return QfiEstimate(value, "finite_difference", step_used=h, converged=converged,
                        diagnostics={"richardson_residual": resid,
                                     "f_h": f_h, "f_h2": f_h2,
-                                    "step_history": history})
+                                    "step_history": history,
+                                    "rung": start + len(history) - 1})
 
 
 # --- exact generator route ---------------------------------------------------
@@ -237,18 +241,25 @@ def builder_for(cfg: StrategyConfig, which_param: str,
 def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     """Finite-difference QFI with the dimension-doubling loop wrapped around it.
 
-    Converged means both Richardson settled and the value stopped moving
-    under doubling.  The generator route needs no loop: see `qfi_generator`.
+    The loop starts at the smallest doubling of DIM_START whose basis holds
+    the probe (`holding_dimension`).  Each dimension enters the Richardson
+    ladder at the rung where the previous dimension converged; after an
+    unconverged dimension the next one starts again at the top.  Converged
+    means both Richardson settled and the value stopped moving under
+    doubling.  The generator route needs no loop: see `qfi_generator`.
     """
+    theta0 = getattr(cfg, which_param)
     inner: dict[int, QfiEstimate] = {}
+    rung = 0
 
     def at_dim(d: int) -> float:
-        theta0 = getattr(cfg, which_param)
-        est = qfi_fd(builder_for(cfg, which_param, d), theta0)
+        nonlocal rung
+        est = qfi_fd(builder_for(cfg, which_param, d), theta0, rung)
         inner[d] = est
+        rung = est.diagnostics["rung"] if est.converged else 0
         return est.value
 
-    scan = converge_dimension(at_dim)
+    scan = converge_dimension(at_dim, start=holding_dimension(cfg.probe))
     last = inner[scan.dim_used]
     diagnostics = dict(last.diagnostics)
     diagnostics.update({"dim_used": scan.dim_used, "dim_history": scan.history,

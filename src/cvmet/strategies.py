@@ -186,6 +186,30 @@ def switch_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     return QState.from_branches([b0, b1], dim)
 
 
+@functools.lru_cache(maxsize=8)
+def _p_spectrum(dim: FockDim) -> Spectrum:
+    """Spectrum of P, in which every phase operator of the factorized builders
+    is diagonal."""
+    return spectrum(build_quadrature(dim, "P"))
+
+
+def _phase_spectrum(cfg: StrategyConfig, dim: FockDim, variant: str) -> Spectrum:
+    """Spectrum of the real polynomial h(P) with e^{-i theta2 h(P)} the
+    terminating phase-operator product of the bch table.
+
+    `bch.phase_derivative_generator` gives the branch generator
+    g = span P^m + h(P), whose h is that table's sum times i / theta2 (span
+    N for the switch branch, 2N for a coherent-superposition branch); the
+    span P^m term is the P^m gate itself, so h is g without its top power.
+    """
+    p = _p_spectrum(dim)
+    h = np.zeros_like(p.w)
+    for c in reversed(bch.phase_derivative_generator(
+            cfg.m, cfg.theta1, cfg.n_queries, variant)[:-1]):  # Horner
+        h = h * p.w + c
+    return Spectrum(dim, h, p.v)
+
+
 def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     """Closed-form switch state: both branches share e^{-iN theta1 X} e^{-iN theta2 P^m}
     and the reordered branch carries the terminating phase-operator product
@@ -193,17 +217,11 @@ def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     dim = as_dim(dim)
     n = cfg.n_queries
     x, pm = _mode_spectra(cfg.m, dim)
-    p_mat = build_quadrature(dim, "P").mat
     phi = prepare_probe(cfg.probe, dim).vec
 
     x_factor = propagator(x, n * cfg.theta1)
     pm_factor = propagator(pm, n * cfg.theta2)
-    lam = -1j * n
-    exponent = np.zeros((dim.d, dim.d), dtype=complex)
-    for order, term in bch.ExpansionTable.build(cfg.m, "AB").terms:
-        weight = (lam ** order) * (cfg.theta1 ** (order - 1)) * cfg.theta2 * order
-        exponent += weight * term.to_matrix(p_mat)
-    phase_op = bch.exp_antihermitian(exponent, dim)
+    phase_op = propagator(_phase_spectrum(cfg, dim, "switch_branch"), cfg.theta2)
 
     b0, b1 = (x_factor @ (pm_factor @ np.column_stack([phi, phase_op @ phi]))).T
     return QState.from_branches([b0, b1], dim)
@@ -214,7 +232,7 @@ def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
 
     (|0> U+^{2N} |phi> + |1> U-^{2N} |phi>)/sqrt(2) with
     U+- = e^{-i(theta1 X +- theta2 P^m)}, so the branch unitary is
-    e^{-i 2N (theta1 X +- theta2 P^m)} in a single evolve.
+    e^{-i 2N (theta1 X +- theta2 P^m)}, one propagator per branch.
     """
     dim = as_dim(dim)
     x, pm = _mode_operators(cfg.m, dim)
@@ -236,20 +254,14 @@ def cs_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     dim = as_dim(dim)
     n = cfg.n_queries
     x, pm = _mode_spectra(cfg.m, dim)
-    p_mat = build_quadrature(dim, "P").mat
     phi = prepare_probe(cfg.probe, dim).vec
 
     x_factor = propagator(x, 2 * n * cfg.theta1)
-    lam = -2j * n
-    exponent = np.zeros((dim.d, dim.d), dtype=complex)
-    for order, term in bch.ExpansionTable.build(cfg.m, "AB").terms:
-        weight = (lam ** order) * (cfg.theta1 ** (order - 1)) * cfg.theta2
-        exponent += weight * term.to_matrix(p_mat)
-
+    phase = _phase_spectrum(cfg, dim, "cs_branch")
     branches = []
     for sign in (+1.0, -1.0):
         pm_factor = propagator(pm, sign * 2 * n * cfg.theta2)
-        phase_op = bch.exp_antihermitian(sign * exponent, dim)
+        phase_op = propagator(phase, sign * cfg.theta2)
         branches.append(x_factor @ (pm_factor @ (phase_op @ phi)))
     return QState.from_branches(branches, dim)
 

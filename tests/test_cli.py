@@ -197,11 +197,23 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         assert "validation" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("probe", ['{"kind": "coherent", "alpha_re": 8}',
-                                       '{"kind": "fock", "n": 100}'])
+    @pytest.mark.parametrize("probe", ['{"kind": "coherent", "alpha_re": 40}',
+                                       '{"kind": "fock", "n": 1024}'])
     def test_truncation_leakage_exits_2(self, probe, capsys):
+        # no basis of the doubling loop, up to d = 1024, holds these probes
         assert cli.main(["qfi", "--set", f"probe={probe}"]) == 2
         assert "non-convergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probe", ['{"kind": "fock", "n": 70}',
+                                       '{"kind": "coherent", "alpha_re": 6}'])
+    def test_probe_leaking_at_d64_starts_the_loop_where_it_fits(self, probe, tmp_path):
+        out_path = tmp_path / "row.csv"
+        assert cli.main(["qfi", "--set", f"probe={probe}", "--out", str(out_path)]) == 0
+        header, row = rows_of(out_path.read_text())
+        record = dict(zip(header, row))
+        assert record["converged"] == "true"
+        assert record["dim_used"] == "256"
+        assert float(record["F"]) == pytest.approx(float(record["F_gen"]), rel=1e-9)
 
     def test_set_section_runs_like_dot_path(self, capsys):
         assert cli.main(["sweep", "--set", 'sweep={"values": [2, 3]}']) == 0

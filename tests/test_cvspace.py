@@ -13,7 +13,7 @@ from cvmet.cvspace import (
     Spectrum,
     build_quadrature,
     converge_dimension,
-    evolve,
+    holding_dimension,
     operator_power,
     prepare_probe,
     probe_on_nodes,
@@ -139,6 +139,11 @@ class TestProbes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractViolationError):
             ProbeSpec("thermal")
+
+
+def evolve(state, generator, tau):
+    """The probe state e^{-i tau generator}|state>, through `propagator`."""
+    return CvState(state.dim, propagator(generator, tau) @ state.vec)
 
 
 class TestEvolve:
@@ -356,6 +361,18 @@ class TestDimensionLoop:
         assert scan.dim_used == 256
 
 
+    @pytest.mark.parametrize("probe, d", [
+        (ProbeSpec.vacuum(), 64), (ProbeSpec.fock(63), 64), (ProbeSpec.fock(64), 128),
+        (ProbeSpec.fock(70), 128), (ProbeSpec.coherent(6.0), 128),
+        (ProbeSpec.fock(1023), 1024)])
+    def test_loop_starts_at_the_first_dimension_holding_the_probe(self, probe, d):
+        assert holding_dimension(probe) == d
+
+    def test_probe_no_dimension_holds_raises_leakage(self):
+        with pytest.raises(TruncationLeakageError, match="dimension 1024"):
+            holding_dimension(ProbeSpec.fock(1024))
+
+
 class TestRichardson:
     def test_smooth_estimate_converges_after_one_step(self):
         f = lambda h: 2.0 + h ** 2
@@ -370,3 +387,15 @@ class TestRichardson:
         assert not converged
         assert len(history) == FD_MAX_REDUCTIONS + 1
         assert [row[0] for row in history] == [1e-3 / 2 ** k for k in range(len(history))]
+
+    @pytest.mark.parametrize("start", range(FD_MAX_REDUCTIONS + 1))
+    def test_start_rung_keeps_the_floor(self, start):
+        _, converged, history = richardson(math.sqrt, 1e-3, start)
+        assert not converged
+        assert [row[0] for row in history] == [1e-3 / 2 ** k
+                                               for k in range(start, FD_MAX_REDUCTIONS + 1)]
+
+    @pytest.mark.parametrize("start", [-1, FD_MAX_REDUCTIONS + 1])
+    def test_start_rung_off_the_ladder_rejected(self, start):
+        with pytest.raises(ContractViolationError):
+            richardson(math.sqrt, 1e-3, start)

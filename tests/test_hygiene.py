@@ -147,13 +147,12 @@ def call_sites(source: str, name: str) -> list:
 
 
 # The truncated-basis machinery of the generator algebra and of the dimension
-# loop, and the only functions allowed to call it: the factorization check and
-# the factorized builders (the Fock-basis oracles) substitute the tables into
-# P, and only the finite-difference route doubles d.
+# loop, and the only functions allowed to call it: the factorization check,
+# which compares matrices, substitutes the tables into P (the factorized
+# builders take their phase operators on the spectrum of P instead), and only
+# the finite-difference route doubles d.
 BASIS_ONLY_IN = {
-    "to_matrix": {("bch.py", "verify_factorization"),
-                  ("strategies.py", "cs_output_factorized"),
-                  ("strategies.py", "switch_output_factorized")},
+    "to_matrix": {("bch.py", "verify_factorization")},
     "converge_dimension": {("qfi.py", "qfi_converged")},
 }
 

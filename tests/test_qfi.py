@@ -6,17 +6,26 @@ import numpy as np
 import pytest
 
 from cvmet.bch import ExactComplex, PPoly, zassenhaus_term
-from cvmet.cvspace import FockDim, ProbeSpec, build_quadrature, evolve, prepare_probe
+from cvmet.cvspace import (
+    FD_MAX_REDUCTIONS,
+    FockDim,
+    ProbeSpec,
+    build_quadrature,
+    prepare_probe,
+    propagator,
+)
 from cvmet.errors import (
     LargeNGateError,
     UnidentifiableParameterError,
     UnsupportedConfigurationError,
 )
+from cvmet import qfi as qfi_module
 from cvmet.qfi import (
     THETA1,
     THETA2,
     QfiEstimate,
     asymptotic_qfi,
+    builder_for,
     crb_precision,
     large_n_gate,
     precision_ratio,
@@ -40,7 +49,7 @@ class TestFiniteDifference:
         d = 64
         probe = prepare_probe(ProbeSpec.vacuum(), d)
         p = build_quadrature(d, "P")
-        est = qfi_fd(lambda t: evolve(probe, p, t), 0.3)
+        est = qfi_fd(lambda t: propagator(p, t) @ probe.vec, 0.3)
         assert est.converged
         assert est.value == pytest.approx(2.0, rel=1e-6)
 
@@ -63,11 +72,96 @@ class TestFiniteDifference:
         p = build_quadrature(d, "P")
 
         def kinked(theta):
-            return evolve(probe, p, theta + 0.5 * abs(theta - 0.100004))
+            return propagator(p, theta + 0.5 * abs(theta - 0.100004)) @ probe.vec
 
         est = qfi_fd(kinked, 0.1)
         assert not est.converged
         assert "step_history" in est.diagnostics
+
+
+def rotating_builder(w, calls):
+    """theta -> (cos w theta, sin w theta), recording every theta built.
+
+    Its step-h central-difference QFI is 4 w^2 sinc^2(w h), so Richardson
+    pairs at h and h/2 differ by about (w h)^2 / 4 relative: with
+    h0 = 1e-4 (theta0 = 0), w = 150 * 2^k first settles at rung k, and
+    w = 150 * 2^5 never settles."""
+    def build(theta):
+        calls.append(theta)
+        return np.array([math.cos(w * theta), math.sin(w * theta)])
+
+    return build
+
+
+def settling_at(k):
+    return 150.0 * 2 ** k
+
+
+NEVER_SETTLES = 150.0 * 2 ** 5
+H0 = 1e-4
+
+
+class TestStepLadder:
+    def test_centre_is_built_once_and_each_estimate_builds_two(self):
+        calls = []
+        est = qfi_fd(rotating_builder(settling_at(2), calls), 0.0)
+        assert est.converged and est.diagnostics["rung"] == 2
+        estimates = len(est.diagnostics["step_history"]) + 1
+        assert calls[0] == 0.0 and calls.count(0.0) == 1
+        assert len(calls) == 1 + 2 * estimates
+
+    @pytest.mark.parametrize("start", range(FD_MAX_REDUCTIONS + 1))
+    def test_start_rung_enters_the_same_ladder(self, start):
+        calls = []
+        est = qfi_fd(rotating_builder(NEVER_SETTLES, calls), 0.0, start)
+        assert not est.converged
+        assert est.diagnostics["rung"] == FD_MAX_REDUCTIONS
+        assert calls[1] == H0 / 2 ** start
+        assert min(abs(t) for t in calls[1:]) == H0 / 2 ** (FD_MAX_REDUCTIONS + 1)
+
+    def _doubling(self, monkeypatch, w_by_dim):
+        """qfi_converged on rotating builders, one w per dimension; returns the
+        estimate and the thetas built at each dimension."""
+        calls = {d: [] for d in w_by_dim}
+        monkeypatch.setattr(qfi_module, "builder_for",
+                            lambda cfg, which, d: rotating_builder(w_by_dim[d], calls[d]))
+        cfg = StrategyConfig(theta1=0.1, theta2=0.0, n_queries=2, m=1, strategy=SWITCH)
+        return qfi_converged(cfg, THETA2), calls
+
+    def test_each_dimension_resumes_where_the_last_converged(self, monkeypatch):
+        rungs = {64: 1, 128: 3, 256: 2, 512: 3, 1024: 3}
+        est, calls = self._doubling(monkeypatch, {d: settling_at(k) for d, k in rungs.items()})
+        # the first step of each dimension after the centre build
+        assert [calls[d][1] for d in rungs] == [H0, H0 / 2, H0 / 8, H0 / 8, H0 / 8]
+        assert est.diagnostics["rung"] == 3
+        # 256 would settle at rung 2 cold; resumed at 128's rung 3 it stops there
+        assert calls[256][-1] == -H0 / 16
+        for d, thetas in calls.items():
+            assert min(abs(t) for t in thetas[1:]) >= H0 / 2 ** (FD_MAX_REDUCTIONS + 1)
+
+    def test_unconverged_dimension_leaves_the_next_at_the_top(self, monkeypatch):
+        w_by_dim = {64: NEVER_SETTLES, 128: settling_at(2), 256: NEVER_SETTLES,
+                    512: settling_at(1), 1024: settling_at(1)}
+        est, calls = self._doubling(monkeypatch, w_by_dim)
+        assert [calls[d][1] for d in w_by_dim] == [H0, H0, H0 / 4, H0, H0 / 2]
+        assert est.converged and est.diagnostics["dim_used"] == 1024
+
+    def test_resumed_values_equal_cold_runs_bit_for_bit(self):
+        # cold runs settle at rung 1 at every dimension (the settled step
+        # does not grow as d doubles), so resuming skips rung 0 and changes
+        # no value
+        cfg = StrategyConfig(theta1=0.3, theta2=0.05, n_queries=10, m=2,
+                             strategy=COHERENT_SUPERPOSITION)
+        est = qfi_converged(cfg, THETA2)
+        dims = [d for d, _ in est.diagnostics["dim_history"]]
+        cold = {d: qfi_fd(builder_for(cfg, THETA2, d), cfg.theta2) for d in dims}
+        rungs = [cold[d].diagnostics["rung"] for d in dims]
+        assert rungs == sorted(rungs) and rungs[0] > 0
+        assert est.diagnostics["dim_history"] == tuple((d, cold[d].value) for d in dims)
+        assert est.value == cold[dims[-1]].value
+        assert est.step_used == cold[dims[-1]].step_used
+        assert len(est.diagnostics["step_history"]) < len(
+            cold[dims[-1]].diagnostics["step_history"])
 
 
 class TestGeneratorRoute:

@@ -86,6 +86,44 @@ class TestCsOutput:
                              strategy=COHERENT_SUPERPOSITION)
         assert cs_output(cfg, DIM).fidelity(cs_output_factorized(cfg, DIM)) >= 1 - 1e-8
 
+    def test_factorized_phase_operators_reuse_the_p_spectrum(self, monkeypatch):
+        # after one build at (m, d) has cached the X, P^m and P spectra, new
+        # couplings need no eigendecomposition: the phase operators are
+        # polynomials in P, diagonal in its spectrum
+        d = FockDim(40)
+        cfg = StrategyConfig(theta1=0.05, theta2=0.04, n_queries=3, m=3,
+                             strategy=COHERENT_SUPERPOSITION)
+        cs_output_factorized(cfg, d)
+        switch_output_factorized(cfg, d)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        moved = StrategyConfig(theta1=0.07, theta2=0.03, n_queries=4, m=3,
+                               strategy=COHERENT_SUPERPOSITION)
+        cs_output_factorized(moved, d)
+        switch_output_factorized(moved, d)
+        assert calls == []
+
+    @pytest.mark.parametrize("variant", ["switch_branch", "cs_branch"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_phase_operator_matches_the_table_exponential(self, m, variant):
+        # reference: the table's terms substituted into the P matrix and
+        # exponentiated, e^{sum_n (-span i)^n theta1^{n-1} theta2 [n] C_n(P)}
+        from cvmet.bch import ExpansionTable, exp_antihermitian
+        from cvmet.strategies import _phase_spectrum
+
+        cfg = StrategyConfig(theta1=0.08, theta2=0.06, n_queries=5, m=m)
+        switch = variant == "switch_branch"
+        lam = -1j * cfg.n_queries * (1 if switch else 2)
+        p_mat = build_quadrature(DIM, "P").mat
+        exponent = sum((lam ** n) * cfg.theta1 ** (n - 1) * cfg.theta2 * (n if switch else 1)
+                       * term.to_matrix(p_mat)
+                       for n, term in ExpansionTable.build(m, "AB").terms)
+        phi = prepare_probe(ProbeSpec.coherent(0.4 - 0.3j), DIM).vec
+        reference = exp_antihermitian(exponent, DIM) @ phi
+        spectral = propagator(_phase_spectrum(cfg, DIM, variant), cfg.theta2) @ phi
+        assert np.abs(spectral - reference).max() < 1e-12
+
     def test_semigroup_in_query_count(self):
         # theta2 = 0: one generator, so doubling N equals applying the branch
         # unitary of the half count twice
@@ -165,14 +203,14 @@ class TestQState:
             StrategyConfig(theta1=0.1, theta2=0.1, n_queries=2, strategy="teleport")
 
     def test_mode_evolution_acts_blockwise(self):
-        from cvmet.cvspace import evolve
-
+        # a propagator applied to the control-major blocks as one block of
+        # columns, as the factorized switch builder applies it
         cfg = StrategyConfig(theta1=0.1, theta2=0.05, n_queries=3,
                              strategy=COHERENT_SUPERPOSITION)
         state = cs_output(cfg, DIM)
         p = build_quadrature(DIM, "P")
-        moved = evolve(state, p, 0.4)
         u = propagator(p, 0.4)
+        moved = (u @ state.amplitudes.reshape(state.control_dim, -1).T).T.reshape(-1)
         for b in (0, 1):
-            assert np.abs(moved.branch(b) - u.mat @ state.branch(b)).max() < 1e-12
-        assert abs(np.linalg.norm(moved.amplitudes) - 1.0) < 1e-10
+            assert np.abs(moved[b * DIM.d:(b + 1) * DIM.d] - u.mat @ state.branch(b)).max() < 1e-12
+        assert abs(np.linalg.norm(moved) - 1.0) < 1e-10
