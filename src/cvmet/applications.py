@@ -5,8 +5,10 @@ The model is a single cavity photon dispersively pushing a low-frequency
 mirror (harmonic term dropped in the free-particle limit): over time N tau
 the two photon branches evolve under P^2/2m and omega_c + P^2/2m + g X, and
 the cavity quadrature X_cav = (a + a^dag)/sqrt(2) carries the interference
-signal Re<phi_0|phi_1>/sqrt(2).  The variance of g follows from the error
-transfer formula delta^2 g = Var(X_cav) / |d<X_cav>/dg|^2.
+signal Re<phi_0|phi_1>/sqrt(2).  The mirror has no Fock basis: its branches
+are closed forms on a fixed grid of Gauss-Hermite momentum nodes, where both
+propagators act exactly.  The variance of g follows from the error transfer
+formula delta^2 g = Var(X_cav) / |d<X_cav>/dg|^2.
 
 Shipped defaults: g = 0.07, mass = 1.1, omega_c = 2 pi / tau, tau = 0.2,
 vacuum mirror probe, N in {8, 10, ..., 24}.  The cavity detuning is locked
@@ -18,7 +20,6 @@ N^3 and delta^2 g tracks its N^-6 window.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -26,26 +27,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cvspace import (
+    NORM_TOL,
     FockDim,
-    Operator,
     ProbeSpec,
-    Spectrum,
     build_quadrature,
-    prepare_probe,
-    propagator,
+    probe_amplitudes,
     richardson,
-    spectrum,
 )
 from .errors import (
     ContractViolationError,
     DomainError,
+    EnvelopeError,
     NonConvergenceError,
     UnidentifiableParameterError,
 )
 from .strategies import QState
 
-MIRROR_GUARD = 16
-MIRROR_BOUNDARY_TOL = 1e-10
+MIRROR_NODES = 64  # Gauss-Hermite nodes of the mirror's momentum grid, + n for Fock(n)
 # Photon amplitude stays in {|0>, |1>}, so three cavity levels already give
 # exact X_cav and X_cav^2 elements there; more levels only cost time.
 CAVITY_DIM = FockDim(3)
@@ -66,7 +64,6 @@ class OptomechParams:
     tau: float
     n_steps: int
     mirror_probe: ProbeSpec = ProbeSpec.vacuum()
-    mirror_dim: FockDim = FockDim(256)
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -82,56 +79,35 @@ DEFAULT_OPTOMECH = OptomechParams(g=0.07, mass=1.1, omega_c=2 * math.pi / 0.2,
 DEFAULT_OPTOMECH_SWEEP = tuple(range(8, 25, 2))
 
 
-def _kinetic(d: FockDim, mass: float) -> Operator:
-    p_quad = build_quadrature(d, "P")
-    return Operator(d, p_quad.mat @ p_quad.mat / (2 * mass), hermitian=True)
-
-
-@functools.lru_cache(maxsize=8)
-def _kinetic_spectrum(d: FockDim, mass: float) -> Spectrum:
-    """Spectrum of P^2/2m: free of g and N, so one per sweep."""
-    return spectrum(_kinetic(d, mass))
-
-
-@functools.lru_cache(maxsize=8)
-def _displaced_spectrum(d: FockDim, mass: float, g: float, omega_c: float) -> Spectrum:
-    """Spectrum of omega_c + P^2/2m + g X: free of N, so one per g a sweep
-    visits (the Richardson steps of the slope and of the fd QFI share them)."""
-    x = build_quadrature(d, "X")
-    h1 = Operator(d, omega_c * np.eye(d.d) + _kinetic(d, mass).mat + g * x.mat,
-                  hermitian=True)
-    return spectrum(h1)
-
-
 def _mirror_branches(p: OptomechParams):
-    d = p.mirror_dim
+    """The mirror branches on the momentum grid of `probe_amplitudes`.
+
+    With X = i d/dp both propagators act exactly over T = N tau: e^{-iT P^2/2m}
+    is the phase T p^2/2m, and e^{-iT(omega_c + P^2/2m + g X)} moves psi(p)
+    to psi(p + gT) under omega_c T + T p^2/2m + g T^2 p/2m + g^2 T^3/6m."""
     t_total = p.n_steps * p.tau
-    phi = prepare_probe(p.mirror_probe, d).vec
-    b0 = propagator(_kinetic_spectrum(d, p.mass), t_total) @ phi
-    b1 = propagator(_displaced_spectrum(d, p.mass, p.g, p.omega_c), t_total) @ phi
-    return b0, b1
+    shift = p.g * t_total
+    q, phi = probe_amplitudes(p.mirror_probe, MIRROR_NODES, 0.0)
+    _, moved = probe_amplitudes(p.mirror_probe, MIRROR_NODES, shift)
+    kinetic = np.exp(-1j * t_total * q ** 2 / (2 * p.mass))
+    coupled = np.exp(-1j * (p.omega_c * t_total + shift * t_total * q / (2 * p.mass)
+                            + shift ** 2 * t_total / (6 * p.mass)))
+    return kinetic * phi, coupled * kinetic * moved
 
 
 def optomech_state(p: OptomechParams) -> QState:
     """Two-branch output (|0> e^{-iH0 Nt}|phi> + |1> e^{-iH1 Nt}|phi>)/sqrt(2)
-    on (CAVITY_DIM Fock levels) x (mirror), photon amplitude confined to {0,1}.
-
-    The Hamiltonian commutes with the photon number, so levels >= 2 stay
-    exactly empty; the mirror branches are checked against the truncation
-    boundary and a violation surfaces as a non-convergence status.
-    """
+    on (CAVITY_DIM Fock levels) x (mirror momentum grid); the photon number
+    is conserved, so levels >= 2 stay exactly empty.  A branch whose grid
+    norm <b|b> misses 1 by more than NORM_TOL has left the grid: EnvelopeError."""
     b0, b1 = _mirror_branches(p)
-    dm = p.mirror_dim.d
     for b in (b0, b1):
-        boundary = float((np.abs(b[dm - MIRROR_GUARD:]) ** 2).sum())
-        if boundary > MIRROR_BOUNDARY_TOL:
-            raise NonConvergenceError(
-                f"mirror occupation {boundary:.3e} reached the truncation boundary "
-                f"at d={dm}; enlarge mirror_dim")
-    amps = np.zeros(CAVITY_DIM.d * dm, dtype=complex)
-    amps[:dm] = b0 / math.sqrt(2)
-    amps[dm:2 * dm] = b1 / math.sqrt(2)
-    return QState(CAVITY_DIM.d, p.mirror_dim, amps)
+        miss = abs(np.vdot(b, b).real - 1.0)
+        if not miss <= NORM_TOL:
+            raise EnvelopeError(f"mirror branch grid norm misses 1 by {miss:.3e}: the shift "
+                                f"g N tau leaves the {b.size}-node momentum grid")
+    amps = np.concatenate([b0, b1, np.zeros_like(b0)]) / math.sqrt(2)
+    return QState(CAVITY_DIM.d, FockDim(b0.size), amps)
 
 
 def cavity_moment(state: QState, k: int = 1) -> float:
@@ -176,28 +152,6 @@ def homodyne_g_variance(p: OptomechParams) -> float:
         raise UnidentifiableParameterError(
             "d<X_cav>/dg vanished; g cannot be estimated at this point")
     return (second - mean ** 2) / derivative ** 2
-
-
-def overlap_constant_diagnostic(p: OptomechParams) -> dict:
-    """Informational comparison with the closed-form interference constant.
-
-    The composite-operator expectation <U> is evaluated from the simulated
-    branch overlap (identical by construction), and the closed form
-    72 m^2 (1 - <U+U^dag>^2/8) / (g^2 N^6 |<U-U^dag>|^2) is reported next to
-    the simulated delta^2 g.  Emitted as a diagnostic only: the constant's
-    derivation drops the overlap-modulus derivative, so quantitative
-    agreement is not a contract.
-    """
-    b0, b1 = _mirror_branches(p)
-    u_mean = complex(np.vdot(b0, b1))
-    plus = 2 * u_mean.real
-    minus_sq = 4 * u_mean.imag ** 2
-    n6 = float(p.n_steps) ** 6
-    closed = float("inf")
-    if minus_sq > 0:
-        closed = 72 * p.mass ** 2 * (1 - plus ** 2 / 8) / (p.g ** 2 * n6 * minus_sq)
-    return {"u_mean": u_mean, "closed_form": closed,
-            "simulated": homodyne_g_variance(p)}
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -133,7 +134,6 @@ DEFAULT_CONFIG = {
                                 [3, 0.1, 128, "AB"]]},
     "optomech": {"g": DEFAULT_OPTOMECH.g, "mass": DEFAULT_OPTOMECH.mass,
                  "omega_c": DEFAULT_OPTOMECH.omega_c, "tau": DEFAULT_OPTOMECH.tau,
-                 "mirror_dim": DEFAULT_OPTOMECH.mirror_dim.d,
                  "probe": {"kind": "vacuum"},
                  "n_values": list(DEFAULT_OPTOMECH_SWEEP)},
 }
@@ -154,6 +154,14 @@ def _config_values():
     except (AttributeError, KeyError, TypeError, ValueError,
             ContractViolationError, InvalidDimensionError) as exc:
         raise ValidationError(f"invalid config value: {exc}") from exc
+
+
+def _real(value) -> float:
+    """A finite real config number; JSON's NaN and Infinity are rejected."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, low: int = 1) -> int:
@@ -192,18 +200,18 @@ def _probe_from(spec: dict) -> ProbeSpec:
     if kind == "fock":
         return ProbeSpec.fock(_integer(spec["n"], low=0))
     if kind == "coherent":
-        return ProbeSpec.coherent(complex(spec.get("alpha_re", 0.0),
-                                          spec.get("alpha_im", 0.0)))
+        return ProbeSpec.coherent(complex(_real(spec.get("alpha_re", 0.0)),
+                                          _real(spec.get("alpha_im", 0.0))))
     if kind == "squeezed_vacuum":
-        return ProbeSpec.squeezed_vacuum(float(spec["r"]))
+        return ProbeSpec.squeezed_vacuum(_real(spec["r"]))
     raise ValidationError(f"unknown probe kind {kind!r}")
 
 
 def _estimate_settings(config: dict):
     """(StrategyConfig, estimated parameter, nu) of the qfi and sweep commands."""
     which = _one_of(config["estimate"], (THETA1, THETA2))
-    cfg = StrategyConfig(theta1=float(config["theta1"]),
-                         theta2=float(config["theta2"]),
+    cfg = StrategyConfig(theta1=_real(config["theta1"]),
+                         theta2=_real(config["theta2"]),
                          n_queries=_integer(config["n_queries"]),
                          m=_integer(config["m"]),
                          strategy=config["strategy"],
@@ -244,7 +252,7 @@ def cmd_sweep(config: dict) -> CommandOutput:
     with _config_values():
         param = _one_of(config["sweep"]["param"], ("n_queries", "theta1", "theta2", "m"))
         base, which, nu = _estimate_settings(config)
-        cast = _integer if param in ("n_queries", "m") else float
+        cast = _integer if param in ("n_queries", "m") else _real
         cfgs = [replace(base, **{param: value})
                 for value in _increasing(config["sweep"]["values"], cast)]
     rows = []
@@ -260,7 +268,7 @@ def cmd_sweep(config: dict) -> CommandOutput:
 def cmd_ratio(config: dict) -> CommandOutput:
     with _config_values():
         section = config["ratio"]
-        theta1 = float(section["theta1"])
+        theta1 = _real(section["theta1"])
         m_values = [_integer(m) for m in _list(section["m_values"])]
         n_values = [_integer(n) for n in _list(section["n_values"])]
         probe = _probe_from(config["probe"])
@@ -295,7 +303,7 @@ def cmd_bch_table(config: dict) -> CommandOutput:
 
 def cmd_factorization_check(config: dict) -> CommandOutput:
     with _config_values():
-        cases = [(_integer(m), float(lam), FockDim(_integer(dim)), _one_of(variant, VARIANTS))
+        cases = [(_integer(m), _real(lam), FockDim(_integer(dim)), _one_of(variant, VARIANTS))
                  for m, lam, dim, variant in _list(config["factorization"]["cases"])]
     rows = []
     for m, lam_im, dim, variant in cases:
@@ -309,13 +317,12 @@ def cmd_optomech(config: dict) -> CommandOutput:
     with _config_values():
         section = config["optomech"]
         params = OptomechParams(
-            g=float(section["g"]),
-            mass=float(section["mass"]),
-            omega_c=float(section["omega_c"]),
-            tau=float(section["tau"]),
+            g=_real(section["g"]),
+            mass=_real(section["mass"]),
+            omega_c=_real(section["omega_c"]),
+            tau=_real(section["tau"]),
             n_steps=1,
-            mirror_probe=_probe_from(section["probe"]),
-            mirror_dim=FockDim(_integer(section["mirror_dim"], low=2)))
+            mirror_probe=_probe_from(section["probe"]))
         n_values = _increasing(section["n_values"], _integer, least=MIN_FIT_POINTS)
     rows = [(n, homodyne_g_variance(replace(params, n_steps=n))) for n in n_values]
     fit = fit_scaling(rows)

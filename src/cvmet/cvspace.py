@@ -1,8 +1,8 @@
 """Truncated Fock-basis representation of one continuous-variable mode.
 
 Quadrature operators, probe preparation and Hermitian-generator evolution on
-a finite number basis of dimension d, plus one basis-free layer:
-`probe_on_nodes` gives the probe's quadrature moments exactly on
+a finite number basis of dimension d, plus a basis-free layer of probe
+moments (`probe_on_nodes`) and momentum amplitudes (`probe_amplitudes`) on
 Gauss-Hermite nodes.  Every value is immutable after construction and every
 operation is a pure function, so concurrent use needs no coordination.
 
@@ -247,31 +247,55 @@ def _hermite_nodes(g: int) -> np.ndarray:
     return t
 
 
-def _node_weights(t: np.ndarray, n: int) -> np.ndarray:
-    """w_j h_n(t_j)^2 on the G Gauss-Hermite nodes t, with w_j the rule's
-    weights for e^{-t^2} and h_n the normalized Hermite polynomial (integral
-    of e^{-t^2} h_n^2 = 1), formed as h_n^2 / (G h_{G-1}^2) since
-    w_j = 1 / (G h_{G-1}(t_j)^2) at the nodes (Christoffel).  n = 0 gives
-    w_j / sqrt(pi).
-
-    h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1} runs on values
-    rescaled per node up to h_n, and only the ratio enters, so neither
-    H_n / sqrt(2^n n!) nor e^{t^2} is formed and large n cannot overflow.
-    """
-    g = t.size
-    prev, cur = np.zeros_like(t), np.ones_like(t)  # h_{-1}, h_0, up to a factor per node
-
-    def step(k, prev, cur):
-        return cur, math.sqrt(2.0 / (k + 1)) * t * cur - math.sqrt(k / (k + 1)) * prev
-
+def _scaled_hermite(x: np.ndarray, n: int) -> tuple:
+    """(h_{n-1}, h_n) / c and log c at x, h_k normalized against e^{-x^2} up
+    to h_0 = 1, on values rescaled per point so large n cannot overflow."""
+    prev, cur, log_scale = np.zeros_like(x), np.ones_like(x), 0.0
     for k in range(n):
-        prev, cur = step(k, prev, cur)
+        prev, cur = _hermite_step(k, x, prev, cur)
         scale = np.maximum(np.abs(prev), np.abs(cur))
         prev, cur = prev / scale, cur / scale
-    h_n = cur
-    for k in range(n, g - 1):  # a few steps on to h_{G-1}, at the scale of h_n
-        prev, cur = step(k, prev, cur)
-    return h_n ** 2 / (g * cur ** 2)
+        log_scale = log_scale + np.log(scale)
+    return prev, cur, log_scale
+
+
+def _hermite_step(k: int, x: np.ndarray, prev: np.ndarray, cur: np.ndarray) -> tuple:
+    return cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+
+
+def _node_weights(t: np.ndarray, n: int) -> np.ndarray:
+    """w_j h_n(t_j)^2 on the G Gauss-Hermite nodes t (weights w_j for
+    e^{-t^2}), formed as h_n^2 / (G h_{G-1}^2) at one scale, since
+    w_j = 1 / (G h_{G-1}(t_j)^2) (Christoffel).  n = 0 gives w_j / sqrt(pi)."""
+    prev, h_n, _ = _scaled_hermite(t, n)
+    cur = h_n
+    for k in range(n, t.size - 1):  # a few steps on to h_{G-1}, at the scale of h_n
+        prev, cur = _hermite_step(k, t, prev, cur)
+    return h_n ** 2 / (t.size * cur ** 2)
+
+
+def _hermite_function(x: np.ndarray, n: int) -> np.ndarray:
+    """The unit-norm Hermite function h_n(x) e^{-x^2/2}, the Gaussian in the log scale."""
+    _, cur, log_scale = _scaled_hermite(x, n)
+    return cur * np.exp(log_scale - x ** 2 / 2 - math.log(math.pi) / 4)
+
+
+def _rule(spec: ProbeSpec, quadrature: str, base: int) -> tuple:
+    """(t, n, c, s): G = base + n nodes t (n for Fock(n); G > NODE_CAP is an
+    EnvelopeError) and the map Q = c + s t of the probe's quadrature, as the
+    table of `probe_on_nodes` gives it."""
+    n = spec.n if spec.kind == "fock" else 0
+    if n < 0:
+        raise ContractViolationError(f"fock level must be >= 0, got {n}")
+    if base + n > NODE_CAP:
+        raise EnvelopeError(f"{spec.kind} probe needs {base + n} Gauss-Hermite "
+                            f"nodes, beyond {NODE_CAP}")
+    t, centre, width = _hermite_nodes(base + n), 0.0, 1.0
+    if spec.kind == "coherent":
+        centre = math.sqrt(2.0) * (spec.alpha.real if quadrature == "X" else spec.alpha.imag)
+    if spec.kind == "squeezed_vacuum":
+        width = math.exp(-spec.r if quadrature == "X" else spec.r)
+    return t, n, centre, width
 
 
 def probe_on_nodes(spec: ProbeSpec, quadrature: str, degree: int) -> tuple:
@@ -296,22 +320,37 @@ def probe_on_nodes(spec: ProbeSpec, quadrature: str, degree: int) -> tuple:
         raise ContractViolationError(f"quadrature must be 'X' or 'P', got {quadrature!r}")
     if not isinstance(degree, (int, np.integer)) or degree < 0:
         raise ContractViolationError(f"polynomial degree must be an integer >= 0, got {degree!r}")
-    n = spec.n if spec.kind == "fock" else 0
-    if n < 0:
-        raise ContractViolationError(f"fock level must be >= 0, got {n}")
-    g = degree // 2 + 1 + n
-    if g > NODE_CAP:
-        raise EnvelopeError(
-            f"{spec.kind} probe moments of degree {degree} need {g} Gauss-Hermite "
-            f"nodes, beyond {NODE_CAP}")
-    t = _hermite_nodes(g)
-    w = _node_weights(t, n)
+    t, n, centre, width = _rule(spec, quadrature, degree // 2 + 1)
+    return centre + width * t, _node_weights(t, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _root_weights(g: int) -> np.ndarray:
+    """sqrt(w_j e^{t_j^2}) = 1 / (sqrt(G) |h_{G-1}(t_j) e^{-t_j^2/2}|), the
+    G-node rule for plain integration over t (Christoffel), read-only."""
+    root = 1.0 / (math.sqrt(g) * np.abs(_hermite_function(_hermite_nodes(g), g - 1)))
+    root.setflags(write=False)
+    return root
+
+
+def probe_amplitudes(spec: ProbeSpec, nodes: int, shift: float) -> tuple:
+    """Grid p_j = c + s t_j of `probe_on_nodes`' P rule (`nodes` + n nodes)
+    and a_j = sqrt(W_j) psi(p_j + shift), W_j the weights of plain
+    integration over p, so vdot(a, b) is the quadrature of <a|b>.
+
+    psi is the probe in the P eigenbasis, with X = i d/dp: vacuum
+    pi^{-1/4} e^{-p^2/2}; coherent(alpha) the vacuum centred at c times
+    e^{-i x0 (p - c/2)}, x0 = sqrt(2) Re alpha; squeezed(r) the vacuum of
+    width e^r; fock(n) (-i)^n h_n(p) e^{-p^2/2}.  W_j's e^{t^2} and psi's
+    Gaussian meet in one Hermite function, so nothing overflows.  At shift 0
+    the grid norm is 1; a shift the grid does not cover lowers it."""
+    t, n, centre, width = _rule(spec, "P", nodes)
+    p = centre + width * t
+    amps = (-1j) ** (n % 4) * _root_weights(t.size) * _hermite_function(t + shift / width, n)
     if spec.kind == "coherent":
-        shift = spec.alpha.real if quadrature == "X" else spec.alpha.imag
-        return t + math.sqrt(2.0) * shift, w
-    if spec.kind == "squeezed_vacuum":
-        return t * math.exp(-spec.r if quadrature == "X" else spec.r), w
-    return t, w
+        x0 = math.sqrt(2.0) * spec.alpha.real
+        amps = amps * np.exp(-1j * x0 * (p + shift - centre / 2))
+    return p, amps
 
 
 @dataclass(frozen=True)
@@ -449,9 +488,8 @@ class DimensionScan:
 
 
 def converge_dimension(evaluate: Callable[[int], float],
-                       start: int = DIM_START,
-                       cap: int = DIM_CAP) -> DimensionScan:
-    """Double d from `start` until `evaluate(d)` moves by < 1e-6 relative, cap at `cap`.
+                       start: int = DIM_START) -> DimensionScan:
+    """Double d from `start` until `evaluate(d)` moves by < 1e-6 relative, cap at DIM_CAP.
 
     Non-convergence is a first-class status, never a silently returned last
     value.
@@ -459,7 +497,7 @@ def converge_dimension(evaluate: Callable[[int], float],
     d = start
     prev = evaluate(d)
     history = [(d, prev)]
-    while d < cap:
+    while d < DIM_CAP:
         d *= 2
         cur = evaluate(d)
         history.append((d, cur))

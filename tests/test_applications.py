@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -9,19 +10,28 @@ from cvmet.applications import (
     DEFAULT_OPTOMECH,
     OptomechParams,
     cavity_moment,
-    overlap_constant_diagnostic,
     fit_scaling,
     homodyne_g_variance,
     optomech_state,
 )
-from cvmet.cvspace import FD_MAX_REDUCTIONS, FockDim, Operator, ProbeSpec
+from cvmet.cvspace import (
+    FD_MAX_REDUCTIONS,
+    FockDim,
+    Operator,
+    ProbeSpec,
+    build_quadrature,
+    prepare_probe,
+    propagator,
+    spectrum,
+)
 from cvmet.errors import (
     ContractViolationError,
     DomainError,
+    EnvelopeError,
     NonConvergenceError,
     UnidentifiableParameterError,
 )
-from cvmet.qfi import QfiEstimate, asymptotic_qfi, crb_precision, qfi_fd
+from cvmet.qfi import asymptotic_qfi, crb_precision, qfi_fd
 from cvmet.strategies import (
     COHERENT_SUPERPOSITION,
     StrategyConfig,
@@ -31,8 +41,7 @@ from cvmet.strategies import (
     switch_output_factorized,
 )
 
-PAPER_STYLE = OptomechParams(g=0.1, mass=1.0, omega_c=1.0, tau=0.2, n_steps=8,
-                             mirror_dim=FockDim(192))
+PAPER_STYLE = OptomechParams(g=0.1, mass=1.0, omega_c=1.0, tau=0.2, n_steps=8)
 
 
 class TestOptomechState:
@@ -67,10 +76,11 @@ class TestOptomechState:
         p = replace(PAPER_STYLE, n_steps=10)
         assert cavity_moment(optomech_state(p), 2) == pytest.approx(1.0, abs=1e-12)
 
-    def test_envelope_violation_is_nonconvergence(self):
-        cramped = replace(PAPER_STYLE, mirror_dim=FockDim(24), n_steps=24, g=0.4)
-        with pytest.raises(NonConvergenceError):
-            optomech_state(cramped)
+    def test_branch_leaving_the_grid_is_an_envelope_error(self):
+        # g N tau = 9.6 moves the coupled branch to the edge of the 64 nodes,
+        # whose outermost lies near p = 10.5: its grid norm misses 1 by 2.2e-2
+        with pytest.raises(EnvelopeError, match="misses 1 by 2.2"):
+            optomech_state(replace(DEFAULT_OPTOMECH, g=2.0, n_steps=24))
 
     def test_parameter_validation(self):
         with pytest.raises(ContractViolationError):
@@ -112,46 +122,66 @@ class TestHomodyneVariance:
         assert fisher.converged
         assert d2 >= (1.0 / fisher.value) * (1 - 1e-9)
 
-    def test_overlap_constant_diagnostic_shape(self):
-        diag = overlap_constant_diagnostic(replace(DEFAULT_OPTOMECH, n_steps=12))
-        assert set(diag) == {"u_mean", "closed_form", "simulated"}
-        assert diag["simulated"] > 0
+
+MIRROR_PROBES = [ProbeSpec.vacuum(), ProbeSpec.coherent(0.4 + 0.3j),
+                 ProbeSpec.coherent(-1.1 + 0.7j), ProbeSpec.squeezed_vacuum(0.3),
+                 ProbeSpec.squeezed_vacuum(-0.4), ProbeSpec.fock(1), ProbeSpec.fock(3)]
+ORACLE_DIM = FockDim(256)
 
 
-def _clear_spectrum_caches():
-    applications._kinetic_spectrum.cache_clear()
-    applications._displaced_spectrum.cache_clear()
+@functools.lru_cache(maxsize=None)
+def _fock_spectrum(mass, g, omega_c):
+    """omega_c + P^2/2m + g X on the d = 256 truncated basis."""
+    x, p = (build_quadrature(ORACLE_DIM, q).mat for q in ("X", "P"))
+    h = omega_c * np.eye(ORACLE_DIM.d) + p @ p / (2 * mass) + g * x
+    return spectrum(Operator(ORACLE_DIM, h, hermitian=True))
 
 
-class TestMirrorSpectra:
-    @pytest.mark.parametrize("change", [{"mass": 1.7}, {"omega_c": 2.5}, {"g": 0.13},
-                                        {"mirror_dim": FockDim(160)}],
-                             ids=["mass", "omega_c", "g", "mirror_dim"])
-    def test_every_matrix_parameter_keys_the_cache(self, change):
-        p = replace(PAPER_STYLE, n_steps=10)
-        optomech_state(p)  # leaves the spectra of p cached
-        cached = optomech_state(replace(p, **change)).amplitudes
-        _clear_spectrum_caches()
-        fresh = optomech_state(replace(p, **change)).amplitudes
-        assert np.array_equal(cached, fresh)
+def fock_mirror_branches(p):
+    """The mirror branches by eigendecomposition in a Fock basis, the oracle
+    of the closed forms on momentum nodes."""
+    phi = prepare_probe(p.mirror_probe, ORACLE_DIM).vec
+    t_total = p.n_steps * p.tau
+    return (propagator(_fock_spectrum(p.mass, 0.0, 0.0), t_total) @ phi,
+            propagator(_fock_spectrum(p.mass, p.g, p.omega_c), t_total) @ phi)
 
-    def test_claim_8_steps_share_six_eigendecompositions(self, monkeypatch):
-        # the kinetic branch is free of g and N, the displaced branch free of
-        # N; the homodyne slope and the fd QFI visit the same five g values
-        eigh = np.linalg.eigh
-        calls = []
 
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape[-1])
-            return eigh(a, *args, **kwargs)
+def _homodyne_and_fisher(p):
+    fisher = qfi_fd(lambda g: optomech_state(replace(p, g=g)), p.g)
+    assert fisher.converged
+    return homodyne_g_variance(p), fisher.value
 
-        _clear_spectrum_caches()
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        for n in (8, 10):
-            p = replace(DEFAULT_OPTOMECH, n_steps=n)
-            homodyne_g_variance(p)
-            qfi_fd(lambda g, pp=p: optomech_state(replace(pp, g=g)), p.g)
-        assert len(calls) <= 6
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("probe", MIRROR_PROBES, ids=lambda s: f"{s.kind}-{s.n}-{s.alpha}-{s.r}")
+class TestFockMirrorOracle:
+    def test_branch_overlap_matches(self, probe, n):
+        p = replace(DEFAULT_OPTOMECH, n_steps=n, mirror_probe=probe)
+        fock = np.vdot(*fock_mirror_branches(p))
+        assert abs(np.vdot(*applications._mirror_branches(p)) - fock) <= 1e-11
+
+    def test_homodyne_variance_and_fisher_match(self, probe, n, monkeypatch):
+        p = replace(DEFAULT_OPTOMECH, n_steps=n, mirror_probe=probe)
+        on_nodes = _homodyne_and_fisher(p)
+        monkeypatch.setattr(applications, "_mirror_branches", fock_mirror_branches)
+        in_fock = _homodyne_and_fisher(p)
+        assert on_nodes == pytest.approx(in_fock, rel=1e-9)
+
+
+def test_claim_8_steps_run_no_eigendecomposition(monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for n in (8, 10):
+        p = replace(DEFAULT_OPTOMECH, n_steps=n)
+        homodyne_g_variance(p)
+        qfi_fd(lambda g, pp=p: optomech_state(replace(pp, g=g)), p.g)
+    assert calls == []
 
 
 class TestStateBuildersStayFactored:

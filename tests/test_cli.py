@@ -176,8 +176,7 @@ class TestExitCodes:
         ["qfi", "--set", "nu=0"],
         ["sweep", "--set", 'sweep={"param": "m", "values": [0, 1]}'],
         ["optomech", "--set", "optomech.mass=-1"],
-        ["optomech", "--set", "optomech.mirror_dim=0"],
-        ["optomech", "--set", "optomech.mirror_dim=1"],
+        ["optomech", "--set", "optomech.mirror_dim=256"],
         ["ratio", "--set", "ratio.m_values=[0]"],
         ["qfi", "--set", "theta1=abc"],
         ["qfi", "--set", 'probe={"kind": "fock"}'],
@@ -192,6 +191,18 @@ class TestExitCodes:
         ["factorization-check", "--set", 'factorization={"cases": [[2, 0.1, 64, "XY"]]}'],
         ["optomech", "--set", "optomech.n_values=[8, 10]"],
         ["optomech", "--set", "optomech.n_values=[10, 8, 8, 12]"],
+        ["qfi", "--set", "theta1=NaN"],
+        ["qfi", "--set", "theta2=-Infinity"],
+        ["sweep", "--set", 'sweep={"param": "theta1", "values": [0.1, NaN]}'],
+        ["qfi", "--set", 'probe={"kind": "coherent", "alpha_re": NaN}'],
+        ["qfi", "--set", 'probe={"kind": "coherent", "alpha_im": Infinity}'],
+        ["qfi", "--set", 'probe={"kind": "squeezed_vacuum", "r": NaN}'],
+        ["ratio", "--set", "ratio.theta1=NaN"],
+        ["factorization-check", "--set", 'factorization={"cases": [[1, NaN, 64, "AB"]]}'],
+        ["optomech", "--set", "optomech.g=NaN"],
+        ["optomech", "--set", "optomech.mass=Infinity"],
+        ["optomech", "--set", "optomech.omega_c=NaN"],
+        ["optomech", "--set", "optomech.tau=Infinity"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_config_value_exits_1(self, argv, capsys):
         assert cli.main(argv) == 1
@@ -214,6 +225,18 @@ class TestExitCodes:
         assert record["converged"] == "true"
         assert record["dim_used"] == "256"
         assert float(record["F"]) == pytest.approx(float(record["F_gen"]), rel=1e-9)
+
+    @pytest.mark.parametrize("probe", ['{"kind": "coherent", "alpha_re": 0.4, "alpha_im": 0.3}',
+                                       '{"kind": "squeezed_vacuum", "r": 0.3}',
+                                       '{"kind": "fock", "n": 1}'])
+    def test_optomech_mirror_probes_run_on_the_default_sweep(self, probe, tmp_path):
+        out_path = tmp_path / "optomech.csv"
+        assert cli.main(["optomech", "--set", f"optomech.probe={probe}",
+                         "--out", str(out_path)]) == 0
+        header, *rows = rows_of(out_path.read_text())
+        assert header == ["N", "delta2_g"]
+        assert [int(n) for n, _ in rows] == list(cli.DEFAULT_CONFIG["optomech"]["n_values"])
+        assert all(float(d2) > 0 for _, d2 in rows)
 
     def test_set_section_runs_like_dot_path(self, capsys):
         assert cli.main(["sweep", "--set", 'sweep={"values": [2, 3]}']) == 0

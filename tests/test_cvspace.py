@@ -16,6 +16,7 @@ from cvmet.cvspace import (
     holding_dimension,
     operator_power,
     prepare_probe,
+    probe_amplitudes,
     probe_on_nodes,
     propagator,
     richardson,
@@ -313,6 +314,53 @@ class TestProbeOnNodes:
             probe_on_nodes(ProbeSpec.vacuum(), which, degree)
 
 
+class TestProbeAmplitudes:
+    @pytest.mark.parametrize("spec", [s for s in NODE_PROBES if s.kind != "squeezed_vacuum"],
+                             ids=lambda s: f"{s.kind}-{s.n}-{s.alpha}")
+    def test_fock_components_match_prepare_probe(self, spec):
+        # <k|probe> as the grid quadrature against Fock(k) amplitudes on the
+        # same nodes (shifted to the probe's centre), for the first 12 levels
+        p, a = probe_amplitudes(spec, 64, 0.0)
+        centre = math.sqrt(2) * spec.alpha.imag
+        number_basis = prepare_probe(spec, 64).vec
+        for k in range(12):
+            _, fock = probe_amplitudes(ProbeSpec.fock(k), p.size - k, centre)
+            assert abs(np.vdot(fock, a) - number_basis[k]) <= 1e-13
+
+    @pytest.mark.parametrize("spec", NODE_PROBES, ids=lambda s: f"{s.kind}-{s.n}-{s.alpha}-{s.r}")
+    def test_densities_are_the_node_weights(self, spec):
+        p, a = probe_amplitudes(spec, 64, 0.0)
+        q, w = probe_on_nodes(spec, "P", 126)
+        assert np.array_equal(p, q)
+        assert np.abs(np.abs(a) ** 2 - w).max() <= 1e-15
+        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("spec", NODE_PROBES, ids=lambda s: f"{s.kind}-{s.n}-{s.alpha}-{s.r}")
+    def test_x_acts_as_i_d_dp(self, spec):
+        # <X> = i <psi| d psi/dp>, the derivative taken through the shift
+        h = 1e-5
+        _, a = probe_amplitudes(spec, 64, 0.0)
+        up, dn = (probe_amplitudes(spec, 64, s)[1] for s in (h, -h))
+        mean_x = 1j * np.vdot(a, (up - dn) / (2 * h))
+        assert mean_x == pytest.approx(math.sqrt(2) * spec.alpha.real, abs=1e-8)
+
+    def test_a_shift_off_the_grid_lowers_the_norm(self):
+        # the outermost of 64 nodes lies near p = 10.5
+        assert np.linalg.norm(probe_amplitudes(ProbeSpec.vacuum(), 64, 0.3)[1]) == \
+            pytest.approx(1.0, abs=1e-13)
+        assert np.linalg.norm(probe_amplitudes(ProbeSpec.vacuum(), 64, 9.6)[1]) < 0.999
+
+    def test_large_fock_level_stays_finite(self):
+        # Fock(300) on 364 nodes: h_300 and the rule's e^{t^2} would overflow
+        _, a = probe_amplitudes(ProbeSpec.fock(300), 64, 0.5)
+        assert np.isfinite(a).all()
+        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+
+    def test_beyond_the_node_cap_is_an_envelope_error(self):
+        with pytest.raises(EnvelopeError):
+            probe_amplitudes(ProbeSpec.fock(NODE_CAP - 63), 64, 0.0)
+
+
 class TestContracts:
     def test_false_hermitian_claim_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -356,9 +404,9 @@ class TestDimensionLoop:
         assert d_vals == [64, 128]
 
     def test_non_convergence_is_reported_not_silent(self):
-        scan = converge_dimension(lambda d: float(d), start=64, cap=256)
+        scan = converge_dimension(lambda d: float(d), start=64)
         assert not scan.converged
-        assert scan.dim_used == 256
+        assert scan.dim_used == 1024
 
 
     @pytest.mark.parametrize("probe, d", [

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses, one
 function owns the eigendecomposition, propagators stay factored, and the
-exact generator route stays off the truncated basis."""
+exact generator route and the optomech mirror stay off the truncated basis."""
 
 import ast
 import pathlib
@@ -198,3 +198,40 @@ def test_generator_route_needs_no_basis():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert basis_route_violations(sources) == []
+
+
+# the Fock-basis mirror as it ran before the momentum nodes
+FOCK_MIRROR = '''
+@functools.lru_cache(maxsize=8)
+def _kinetic_spectrum(d, mass):
+    return spectrum(_kinetic(d, mass))
+
+@functools.lru_cache(maxsize=8)
+def _displaced_spectrum(d, mass, g, omega_c):
+    return spectrum(h1)
+
+def _mirror_branches(p):
+    phi = prepare_probe(p.mirror_probe, d).vec
+    b0 = propagator(_kinetic_spectrum(d, p.mass), t_total) @ phi
+    b1 = propagator(_displaced_spectrum(d, p.mass, p.g, p.omega_c), t_total) @ phi
+    return b0, b1
+'''
+BASIS_CALLS = ("spectrum", "propagator", "prepare_probe")
+
+
+def basis_calls(source: str) -> list:
+    """(function, name) of every call of a BASIS_CALLS name."""
+    return sorted((site, name) for name in BASIS_CALLS for site in call_sites(source, name))
+
+
+def test_checker_flags_the_fock_mirror():
+    assert basis_calls(FOCK_MIRROR) == [
+        ("_displaced_spectrum", "spectrum"), ("_kinetic_spectrum", "spectrum"),
+        ("_mirror_branches", "prepare_probe"), ("_mirror_branches", "propagator"),
+        ("_mirror_branches", "propagator")]
+
+
+def test_optomech_mirror_needs_no_basis():
+    """The mirror branches are closed forms on momentum nodes: applications
+    prepares no Fock probe, decomposes no generator and builds no propagator."""
+    assert basis_calls((PACKAGE / "applications.py").read_text(encoding="utf-8")) == []
