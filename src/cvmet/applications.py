@@ -44,6 +44,7 @@ from .errors import (
 from .strategies import QState
 
 MIRROR_NODES = 64  # Gauss-Hermite nodes of the mirror's momentum grid, + n for Fock(n)
+OVERLAP_REL_TOL = 1e-6  # largest relative move of <b0|b1> allowed on twice the nodes
 # Photon amplitude stays in {|0>, |1>}, so three cavity levels already give
 # exact X_cav and X_cav^2 elements there; more levels only cost time.
 CAVITY_DIM = FockDim(3)
@@ -79,7 +80,7 @@ DEFAULT_OPTOMECH = OptomechParams(g=0.07, mass=1.1, omega_c=2 * math.pi / 0.2,
 DEFAULT_OPTOMECH_SWEEP = tuple(range(8, 25, 2))
 
 
-def _mirror_branches(p: OptomechParams):
+def _mirror_branches(p: OptomechParams, nodes: int = MIRROR_NODES):
     """The mirror branches on the momentum grid of `probe_amplitudes`.
 
     With X = i d/dp both propagators act exactly over T = N tau: e^{-iT P^2/2m}
@@ -87,8 +88,8 @@ def _mirror_branches(p: OptomechParams):
     to psi(p + gT) under omega_c T + T p^2/2m + g T^2 p/2m + g^2 T^3/6m."""
     t_total = p.n_steps * p.tau
     shift = p.g * t_total
-    q, phi = probe_amplitudes(p.mirror_probe, MIRROR_NODES, 0.0)
-    _, moved = probe_amplitudes(p.mirror_probe, MIRROR_NODES, shift)
+    q, phi = probe_amplitudes(p.mirror_probe, nodes, 0.0)
+    _, moved = probe_amplitudes(p.mirror_probe, nodes, shift)
     kinetic = np.exp(-1j * t_total * q ** 2 / (2 * p.mass))
     coupled = np.exp(-1j * (p.omega_c * t_total + shift * t_total * q / (2 * p.mass)
                             + shift ** 2 * t_total / (6 * p.mass)))
@@ -98,14 +99,20 @@ def _mirror_branches(p: OptomechParams):
 def optomech_state(p: OptomechParams) -> QState:
     """Two-branch output (|0> e^{-iH0 Nt}|phi> + |1> e^{-iH1 Nt}|phi>)/sqrt(2)
     on (CAVITY_DIM Fock levels) x (mirror momentum grid); the photon number
-    is conserved, so levels >= 2 stay exactly empty.  A branch whose grid
-    norm <b|b> misses 1 by more than NORM_TOL has left the grid: EnvelopeError."""
+    is conserved, so levels >= 2 stay exactly empty.
+
+    EnvelopeError when a branch's grid norm misses 1 by more than NORM_TOL
+    (the momentum shift g N tau leaves the grid), or when <b0|b1> moves by
+    more than OVERLAP_REL_TOL relative on twice the nodes: past the kinetic
+    phases it keeps e^{-ikp}, k = g (N tau)^2 / 2m, and the node sum aliases
+    to a smooth wrong value once k nears sqrt(2 MIRROR_NODES)."""
     b0, b1 = _mirror_branches(p)
-    for b in (b0, b1):
-        miss = abs(np.vdot(b, b).real - 1.0)
-        if not miss <= NORM_TOL:
-            raise EnvelopeError(f"mirror branch grid norm misses 1 by {miss:.3e}: the shift "
-                                f"g N tau leaves the {b.size}-node momentum grid")
+    reference = np.vdot(*_mirror_branches(p, 2 * MIRROR_NODES))
+    miss = max(abs(np.vdot(b, b).real - 1.0) for b in (b0, b1))
+    gap = abs(np.vdot(b0, b1) - reference)
+    if not (miss <= NORM_TOL and gap <= OVERLAP_REL_TOL * abs(reference)):
+        raise EnvelopeError(f"mirror branches leave the {b0.size}-node momentum grid: norm "
+                            f"misses 1 by {miss:.3e}, <b0|b1> moves by {gap:.3e} on twice the nodes")
     amps = np.concatenate([b0, b1, np.zeros_like(b0)]) / math.sqrt(2)
     return QState(CAVITY_DIM.d, FockDim(b0.size), amps)
 

@@ -44,6 +44,16 @@ from cvmet.strategies import (
 PAPER_STYLE = OptomechParams(g=0.1, mass=1.0, omega_c=1.0, tau=0.2, n_steps=8)
 
 
+def vacuum_overlap(p):
+    """<b0|b1> for the vacuum mirror in closed form: with T = N tau, s = gT
+    and k = s T / 2m, e^{-i(omega_c T + s^2 T / 6m)} e^{-(s^2 + k^2)/4} e^{iks/2}."""
+    t_total = p.n_steps * p.tau
+    s = p.g * t_total
+    k = s * t_total / (2 * p.mass)
+    return (np.exp(-1j * (p.omega_c * t_total + s ** 2 * t_total / (6 * p.mass)))
+            * math.exp(-(s ** 2 + k ** 2) / 4) * np.exp(0.5j * k * s))
+
+
 class TestOptomechState:
     def test_uncoupled_branches_identical(self):
         p = replace(PAPER_STYLE, g=0.0, omega_c=0.0)
@@ -81,6 +91,21 @@ class TestOptomechState:
         # whose outermost lies near p = 10.5: its grid norm misses 1 by 2.2e-2
         with pytest.raises(EnvelopeError, match="misses 1 by 2.2"):
             optomech_state(replace(DEFAULT_OPTOMECH, g=2.0, n_steps=24))
+
+    @pytest.mark.parametrize("tau, resolved", [(1.0, (8, 10, 12, 14, 16)), (2.0, (8,))])
+    def test_unresolved_position_shift_is_an_envelope_error(self, tau, resolved):
+        # k = g T^2 / 2m reaches 10.3 at tau = 1, N = 18, and 73 at tau = 2,
+        # N = 24, where the node sum aliases to 6e-5 against an exact e^{-1346}
+        for n in range(8, 25, 2):
+            p = replace(DEFAULT_OPTOMECH, tau=tau, n_steps=n)
+            on_nodes, exact = np.vdot(*applications._mirror_branches(p)), vacuum_overlap(p)
+            if n in resolved:
+                assert abs(on_nodes - exact) <= 1e-7 * abs(exact)
+                optomech_state(p)
+            else:
+                with pytest.raises(EnvelopeError, match="<b0|b1> moves by"):
+                    optomech_state(p)
+        assert abs(on_nodes) > 1e-6 > abs(exact)
 
     def test_parameter_validation(self):
         with pytest.raises(ContractViolationError):
@@ -137,9 +162,10 @@ def _fock_spectrum(mass, g, omega_c):
     return spectrum(Operator(ORACLE_DIM, h, hermitian=True))
 
 
-def fock_mirror_branches(p):
+def fock_mirror_branches(p, nodes=None):
     """The mirror branches by eigendecomposition in a Fock basis, the oracle
-    of the closed forms on momentum nodes."""
+    of the closed forms on momentum nodes (`nodes` is the grid size it
+    stands in for, unused)."""
     phi = prepare_probe(p.mirror_probe, ORACLE_DIM).vec
     t_total = p.n_steps * p.tau
     return (propagator(_fock_spectrum(p.mass, 0.0, 0.0), t_total) @ phi,

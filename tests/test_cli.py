@@ -208,6 +208,13 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         assert "validation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["optomech.tau=2", "optomech.mass=0.05"])
+    def test_unresolved_mirror_position_shift_exits_2(self, setting, capsys):
+        # g (N tau)^2 / 2m outgrows the 64 momentum nodes within the default
+        # sweep; the aliased overlap must not be fitted as a slope
+        assert cli.main(["optomech", "--set", setting]) == 2
+        assert "<b0|b1> moves by" in capsys.readouterr().err
+
     @pytest.mark.parametrize("probe", ['{"kind": "coherent", "alpha_re": 40}',
                                        '{"kind": "fock", "n": 1024}'])
     def test_truncation_leakage_exits_2(self, probe, capsys):
