@@ -42,6 +42,7 @@ from .errors import (
     InvalidDimensionError,
     LargeNGateError,
     NonConvergenceError,
+    UnidentifiableParameterError,
     ValidationError,
 )
 from .qfi import (
@@ -447,6 +448,9 @@ def main(argv=None) -> int:
         return 1
     except (NonConvergenceError, EnvelopeError, LargeNGateError) as exc:
         print(f"cvmet: numerical non-convergence: {exc}", file=sys.stderr)
+        return 2
+    except UnidentifiableParameterError as exc:
+        print(f"cvmet: unidentifiable parameter: {exc}", file=sys.stderr)
         return 2
     except CvmetError as exc:
         print(f"cvmet: internal contract violation: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 Exit-code mapping used by the CLI: ValidationError -> 1, numerical
 non-convergence (NonConvergenceError, EnvelopeError with its subclass
-TruncationLeakageError, LargeNGateError) -> 2, any other CvmetError -> 3.
+TruncationLeakageError, LargeNGateError) and an operating point where the
+parameter cannot be estimated (UnidentifiableParameterError) -> 2, any other
+CvmetError -> 3.
 """
 
 

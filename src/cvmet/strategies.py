@@ -147,18 +147,47 @@ class CompositeParams:
                 self.t * self.g2 / (2 * self.n_queries))
 
 
-def _mode_operators(cfg_m: int, dim: FockDim):
-    x = build_quadrature(dim, "X")
-    pm = operator_power(build_quadrature(dim, "P"), cfg_m)
-    return x, pm
+def band_diagonals(op: Operator, width: int) -> dict:
+    """{k: read-only copy of diagonal k} for |k| <= width (those inside the
+    matrix); a nonzero entry outside that band is a ContractViolationError."""
+    width = min(width, op.d - 1)
+    diagonals = {k: np.diagonal(op.mat, k).copy() for k in range(-width, width + 1)}
+    outside = np.count_nonzero(op.mat) - sum(map(np.count_nonzero, diagonals.values()))
+    if outside:
+        raise ContractViolationError(
+            f"{outside} nonzero entries lie outside the band |k| <= {width}")
+    for diag in diagonals.values():
+        diag.setflags(write=False)
+    return diagonals
+
+
+@functools.lru_cache(maxsize=8)
+def _generator_bands(m: int, dim: FockDim) -> tuple:
+    """(k, X_k, (P^m)_k) for every diagonal k of the band |k| <= m, taken from
+    the verified X and dense P^m once per (m, dim): every builder that evolves
+    under X, P^m or a combination of the two writes its generator from these,
+    O(d m) numbers in place of the two d x d matrices."""
+    x = band_diagonals(build_quadrature(dim, "X"), m)
+    pm = band_diagonals(operator_power(build_quadrature(dim, "P"), m), m)
+    return tuple((k, x[k], pm[k]) for k in pm)
+
+
+def _banded(dim: FockDim, diagonals) -> Operator:
+    """The Hermitian generator with the given (k, values) diagonals, written
+    into one zeroed d x d buffer and verified as an Operator."""
+    mat = np.zeros((dim.d, dim.d), dtype=complex)
+    for k, values in diagonals:
+        np.fill_diagonal(mat[:, k:] if k >= 0 else mat[-k:], values)
+    return Operator(dim, mat, hermitian=True)
 
 
 @functools.lru_cache(maxsize=8)
 def _mode_spectra(m: int, dim: FockDim) -> tuple[Spectrum, Spectrum]:
     """Spectra of X and P^m, shared by every builder that evolves under them
     separately; (m, dim) is all that enters the two matrices."""
-    x, pm = _mode_operators(m, dim)
-    return spectrum(x), spectrum(pm)
+    bands = _generator_bands(m, dim)
+    return (spectrum(_banded(dim, ((k, x_k) for k, x_k, _ in bands))),
+            spectrum(_banded(dim, ((k, pm_k) for k, _, pm_k in bands))))
 
 
 def switch_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
@@ -232,15 +261,18 @@ def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
 
     (|0> U+^{2N} |phi> + |1> U-^{2N} |phi>)/sqrt(2) with
     U+- = e^{-i(theta1 X +- theta2 P^m)}, so the branch unitary is
-    e^{-i 2N (theta1 X +- theta2 P^m)}, one propagator per branch.
+    e^{-i 2N (theta1 X +- theta2 P^m)}, one propagator per branch.  The
+    generators are written from the cached bands of X and P^m, the values of
+    the dense sum exactly.
     """
     dim = as_dim(dim)
-    x, pm = _mode_operators(cfg.m, dim)
+    bands = _generator_bands(cfg.m, dim)
     phi = prepare_probe(cfg.probe, dim).vec
     tau = 2 * cfg.n_queries
     branches = []
     for sign in (+1.0, -1.0):
-        gen = Operator(dim, cfg.theta1 * x.mat + sign * cfg.theta2 * pm.mat, hermitian=True)
+        gen = _banded(dim, ((k, cfg.theta1 * x_k + sign * cfg.theta2 * pm_k)
+                            for k, x_k, pm_k in bands))
         branches.append(propagator(gen, tau) @ phi)
     return QState.from_branches(branches, dim)
 

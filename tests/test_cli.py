@@ -245,6 +245,15 @@ class TestExitCodes:
         assert [int(n) for n, _ in rows] == list(cli.DEFAULT_CONFIG["optomech"]["n_values"])
         assert all(float(d2) > 0 for _, d2 in rows)
 
+    @pytest.mark.parametrize("setting", ["optomech.g=0", "optomech.tau=1e-9"])
+    def test_unidentifiable_coupling_exits_2_with_its_reason(self, setting, capsys):
+        # the homodyne signal does not depend on g at this operating point, so
+        # g cannot be estimated there: an input error of the physics, not a bug
+        assert cli.main(["optomech", "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert "unidentifiable" in err
+        assert "d<X_cav>/dg vanished" in err
+
     def test_set_section_runs_like_dot_path(self, capsys):
         assert cli.main(["sweep", "--set", 'sweep={"values": [2, 3]}']) == 0
         whole = capsys.readouterr().out

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cvmet import cvspace
 from cvmet.cvspace import (
     FD_MAX_REDUCTIONS,
     NODE_CAP,
@@ -257,6 +259,23 @@ class TestSpectrum:
             dense = u.mat
             assert np.abs(u @ vec - dense @ vec).max() <= 1e-12
             assert np.abs(u @ block - dense @ block).max() <= 1e-12
+
+
+    @pytest.mark.parametrize("terms", [((1.0, "X"),), ((1.0, 3),)], ids=["real V", "complex V"])
+    def test_propagator_forms_v_dagger_once_and_the_spectrum_never(self, terms):
+        # v^dag lives on the propagator, so N applications copy it once and a
+        # cached spectrum keeps only w and v; the product is the one it was
+        d = 24
+        spec = spectrum(_generator(d, *terms))
+        u = propagator(spec, 0.7)
+        assert [f.name for f in dataclasses.fields(Spectrum)] == ["dim", "w", "v"]
+        assert not u.vh.flags.writeable
+        rng = np.random.default_rng(5)
+        for x in (rng.normal(size=d) + 1j * rng.normal(size=d),
+                  rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))):
+            phases = u.phases if x.ndim == 1 else u.phases[:, None]
+            reference = cvspace._product(spec.v, phases * cvspace._product(spec.v.conj().T, x))
+            assert (u @ x).tobytes() == reference.tobytes()
 
 
 class TestMoments:

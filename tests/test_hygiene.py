@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses, one
-function owns the eigendecomposition, propagators stay factored, and the
-exact generator route and the optomech mirror stay off the truncated basis."""
+function owns the eigendecomposition, propagators stay factored, the exact
+generator route and the optomech mirror stay off the truncated basis, and the
+coherent-superposition builder forms no quadrature per state build."""
 
 import ast
 import pathlib
@@ -235,3 +236,64 @@ def test_optomech_mirror_needs_no_basis():
     """The mirror branches are closed forms on momentum nodes: applications
     prepares no Fock probe, decomposes no generator and builds no propagator."""
     assert basis_calls((PACKAGE / "applications.py").read_text(encoding="utf-8")) == []
+
+
+QUADRATURE_BUILDERS = ("build_quadrature", "operator_power")
+
+
+def uncached_quadrature_calls(source: str, root: str) -> list:
+    """(function, name) of every QUADRATURE_BUILDERS call that `root` reaches
+    through this module's functions without entering an lru_cache'd one."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    cached = {name for name, node in functions.items()
+              if any("lru_cache" in ast.unparse(dec) for dec in node.decorator_list)}
+    found, seen, todo = set(), set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for call in ast.walk(functions[name]):
+            callee = (getattr(call.func, "id", getattr(call.func, "attr", None))
+                      if isinstance(call, ast.Call) else None)
+            if callee in QUADRATURE_BUILDERS:
+                found.add((name, callee))
+            elif callee in functions and callee not in cached:
+                todo.append(callee)
+    return sorted(found)
+
+
+# cs_output as it rebuilt X, P and the dense P^m on every state build
+PER_BUILD_CS_OUTPUT = '''
+def _mode_operators(cfg_m, dim):
+    x = build_quadrature(dim, "X")
+    pm = operator_power(build_quadrature(dim, "P"), cfg_m)
+    return x, pm
+
+@functools.lru_cache(maxsize=8)
+def _mode_spectra(m, dim):
+    x, pm = _mode_operators(m, dim)
+    return spectrum(x), spectrum(pm)
+
+def cs_output(cfg, dim):
+    x, pm = _mode_operators(cfg.m, dim)
+    for sign in (+1.0, -1.0):
+        gen = Operator(dim, cfg.theta1 * x.mat + sign * cfg.theta2 * pm.mat, hermitian=True)
+'''
+
+
+def test_checker_flags_per_build_quadratures():
+    assert uncached_quadrature_calls(PER_BUILD_CS_OUTPUT, "cs_output") == [
+        ("_mode_operators", "build_quadrature"), ("_mode_operators", "operator_power")]
+    assert uncached_quadrature_calls(PER_BUILD_CS_OUTPUT, "_mode_spectra") != []
+    cached_only = PER_BUILD_CS_OUTPUT.replace("x, pm = _mode_operators(cfg.m, dim)",
+                                              "x, pm = _mode_spectra(cfg.m, dim)")
+    assert uncached_quadrature_calls(cached_only, "cs_output") == []
+
+
+def test_cs_output_reads_cached_bands():
+    """Only theta changes between the fd builds of a coherent-superposition
+    state, so X and P^m come from the cached band table, never per build."""
+    source = (PACKAGE / "strategies.py").read_text(encoding="utf-8")
+    assert uncached_quadrature_calls(source, "cs_output") == []

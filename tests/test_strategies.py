@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from cvmet.cvspace import FockDim, ProbeSpec, build_quadrature, prepare_probe, propagator, Operator
+from cvmet import qfi, strategies
+from cvmet.cvspace import (
+    FockDim,
+    Operator,
+    ProbeSpec,
+    build_quadrature,
+    operator_power,
+    prepare_probe,
+    propagator,
+)
 from cvmet.errors import ContractViolationError, UnsupportedConfigurationError
 from cvmet.strategies import (
     COHERENT_SUPERPOSITION,
@@ -11,6 +20,7 @@ from cvmet.strategies import (
     CompositeParams,
     QState,
     StrategyConfig,
+    band_diagonals,
     composite_output,
     cs_output,
     cs_output_factorized,
@@ -156,6 +166,51 @@ class TestCsOutput:
                              strategy=COHERENT_SUPERPOSITION)
         assert cfg.query_accounting() == {"u_plus_minus_queries": 10,
                                           "total_queries": 10}
+
+
+class TestGeneratorBands:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("d", [64, 256])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_cs_generator_is_the_dense_sum(self, m, d, sign, monkeypatch):
+        # the branch generator written from the cached bands holds exactly the
+        # values of theta1 X +- theta2 P^m formed from the dense matrices
+        generators = []
+        monkeypatch.setattr(strategies, "propagator",
+                            lambda gen, tau: generators.append(gen) or propagator(gen, tau))
+        cfg = StrategyConfig(theta1=0.3, theta2=0.05, n_queries=4, m=m,
+                             strategy=COHERENT_SUPERPOSITION)
+        cs_output(cfg, d)
+        x = build_quadrature(d, "X")
+        pm = operator_power(build_quadrature(d, "P"), m)
+        gen = generators[(1 - int(sign)) // 2]
+        assert gen.hermitian
+        assert np.array_equal(gen.mat, cfg.theta1 * x.mat + sign * cfg.theta2 * pm.mat)
+
+    def test_fd_qfi_forms_p_power_once_per_dimension(self, monkeypatch):
+        strategies._generator_bands.cache_clear()
+        powers = []
+        monkeypatch.setattr(strategies, "operator_power",
+                            lambda op, m: powers.append((m, op.d)) or operator_power(op, m))
+        cfg = StrategyConfig(theta1=0.3, theta2=0.05, n_queries=8, m=2,
+                             strategy=COHERENT_SUPERPOSITION)
+        est = qfi.qfi_converged(cfg, qfi.THETA2)
+        visited = [d for d, _ in est.diagnostics["dim_history"]]
+        assert len(visited) >= 2
+        assert powers == [(2, d) for d in visited]
+
+    def test_entry_outside_the_band_is_rejected(self):
+        off = np.full(3, 0.5)
+        mat = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag(off, 1) + np.diag(off, -1)
+        assert len(band_diagonals(Operator(4, mat, hermitian=True), 1)) == 3
+        mat[0, 2] = mat[2, 0] = 1e-300
+        with pytest.raises(ContractViolationError):
+            band_diagonals(Operator(4, mat, hermitian=True), 1)
+
+    def test_bands_are_read_only_copies(self):
+        bands = band_diagonals(build_quadrature(8, "X"), 2)
+        assert sorted(bands) == [-2, -1, 0, 1, 2]
+        assert all(not diag.flags.writeable and diag.flags.owndata for diag in bands.values())
 
 
 class TestCompositeOutput:
