@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cvspace import (
+    MOMENTUM_NODES,
     NORM_TOL,
     FockDim,
     ProbeSpec,
@@ -43,7 +44,6 @@ from .errors import (
 )
 from .strategies import QState
 
-MIRROR_NODES = 64  # Gauss-Hermite nodes of the mirror's momentum grid, + n for Fock(n)
 OVERLAP_REL_TOL = 1e-6  # largest relative move of <b0|b1> allowed on twice the nodes
 # Photon amplitude stays in {|0>, |1>}, so three cavity levels already give
 # exact X_cav and X_cav^2 elements there; more levels only cost time.
@@ -80,7 +80,7 @@ DEFAULT_OPTOMECH = OptomechParams(g=0.07, mass=1.1, omega_c=2 * math.pi / 0.2,
 DEFAULT_OPTOMECH_SWEEP = tuple(range(8, 25, 2))
 
 
-def _mirror_branches(p: OptomechParams, nodes: int = MIRROR_NODES):
+def _mirror_branches(p: OptomechParams, nodes: int = MOMENTUM_NODES):
     """The mirror branches on the momentum grid of `probe_amplitudes`.
 
     With X = i d/dp both propagators act exactly over T = N tau: e^{-iT P^2/2m}
@@ -105,9 +105,9 @@ def optomech_state(p: OptomechParams) -> QState:
     (the momentum shift g N tau leaves the grid), or when <b0|b1> moves by
     more than OVERLAP_REL_TOL relative on twice the nodes: past the kinetic
     phases it keeps e^{-ikp}, k = g (N tau)^2 / 2m, and the node sum aliases
-    to a smooth wrong value once k nears sqrt(2 MIRROR_NODES)."""
+    to a smooth wrong value once k nears sqrt(2 MOMENTUM_NODES)."""
     b0, b1 = _mirror_branches(p)
-    reference = np.vdot(*_mirror_branches(p, 2 * MIRROR_NODES))
+    reference = np.vdot(*_mirror_branches(p, 2 * MOMENTUM_NODES))
     miss = max(abs(np.vdot(b, b).real - 1.0) for b in (b0, b1))
     gap = abs(np.vdot(b0, b1) - reference)
     if not (miss <= NORM_TOL and gap <= OVERLAP_REL_TOL * abs(reference)):

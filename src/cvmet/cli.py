@@ -230,6 +230,8 @@ def _estimate_row(cfg: StrategyConfig, which: str, nu: int):
         f_asym = asymptotic_qfi(cfg, which).value
     except CvmetError:
         f_asym = float("nan")
+    if "reason" in fd.diagnostics:
+        print(f"cvmet: not converged: {fd.diagnostics['reason']}", file=sys.stderr)
     delta = crb_precision(fd, nu).delta_theta
     dim_used = fd.diagnostics.get("dim_used", 0)
     return fd, f_gen, f_asym, delta, dim_used

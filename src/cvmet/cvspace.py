@@ -234,6 +234,7 @@ def prepare_probe(spec: ProbeSpec, dim: FockDim | int) -> CvState:
 
 
 NODE_CAP = 512  # largest Gauss-Hermite rule probe_on_nodes builds
+MOMENTUM_NODES = 64  # base nodes of a probe_amplitudes grid, + n for Fock(n)
 
 
 @functools.lru_cache(maxsize=64)

@@ -3,14 +3,17 @@
 For a pure family |psi(theta)> the figure of merit is
 F = 4(<d psi|d psi> - |<d psi|psi>|^2).  Three estimators are provided:
 
-  finite_difference  central differences with a mandatory Richardson step
+  finite_difference  central differences with a mandatory Richardson step,
+                     on the truncated Fock basis or, for rows no basis up to
+                     DIM_CAP holds, on momentum nodes
   generator_exact    per-branch derivative generators (polynomials in one
                      quadrature) evaluated as exact probe moments on
                      Gauss-Hermite nodes, with no basis and no dimension loop
   asymptotic         the closed leading-order laws, for cross-checks
 
 Only the finite-difference route runs in the truncated Fock basis, inside the
-dimension-doubling loop of `qfi_converged`.
+dimension-doubling loop of `qfi_converged`, and only where `fock_start`
+finds a basis that can hold the row.
 
 The exact route uses expectation-of-square <g^2>, not the squared
 expectation |<g>|^2 sometimes quoted at leading order: only <g^2> satisfies
@@ -29,6 +32,9 @@ import numpy as np
 
 from . import bch
 from .cvspace import (
+    DIM_CAP,
+    DIM_REL_TOL,
+    MOMENTUM_NODES,
     CvState,
     FockDim,
     ProbeSpec,
@@ -39,7 +45,9 @@ from .cvspace import (
     richardson,
 )
 from .errors import (
+    EnvelopeError,
     LargeNGateError,
+    TruncationLeakageError,
     UnidentifiableParameterError,
     UnsupportedConfigurationError,
 )
@@ -50,6 +58,9 @@ from .strategies import (
     StrategyConfig,
     build_output,
     encoding,
+    momentum_shift,
+    node_output,
+    node_phase_rate,
 )
 
 THETA1 = "theta1"
@@ -89,15 +100,17 @@ def qfi_from_derivative(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return float(4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(dpsi, psi)) ** 2))
 
 
-def qfi_fd(builder: Callable[[float], object], theta0: float, start: int = 0) -> QfiEstimate:
+def qfi_fd(builder: Callable[[float], object], theta0: float, start: int = 0,
+           step: float | None = None) -> QfiEstimate:
     """Central-difference QFI with the mandatory Richardson check of `richardson`.
 
     The builder must be a deterministic map from the scalar to a state; the
     eigendecomposition propagators downstream are smooth in the parameter, so
     no gauge jumps enter the difference.  The centre state builder(theta0) is
     built once and shared by every step; each step h then builds
-    theta0 +- h.  The step ladder is h0 / 2^k with h0 = 1e-4 max(1, |theta0|),
-    entered at rung `start` (0, the top, unless `qfi_converged` resumes it);
+    theta0 +- h.  The step ladder is h0 / 2^k with h0 = `step`, by default
+    1e-4 max(1, |theta0|), entered at rung `start` (0, the top, unless
+    `qfi_converged` resumes it);
     `diagnostics["rung"]` is the rung of the last step.  A failed check is
     reported as unconverged with every step in the diagnostics.
     """
@@ -107,7 +120,9 @@ def qfi_fd(builder: Callable[[float], object], theta0: float, start: int = 0) ->
         dpsi = (_state_vector(builder(theta0 + h)) - _state_vector(builder(theta0 - h))) / (2 * h)
         return qfi_from_derivative(psi0, dpsi)
 
-    value, converged, history = richardson(estimate, 1e-4 * max(1.0, abs(theta0)), start)
+    if step is None:
+        step = 1e-4 * max(1.0, abs(theta0))
+    value, converged, history = richardson(estimate, step, start)
     h, f_h, f_h2, resid = history[-1]
     return QfiEstimate(value, "finite_difference", step_used=h, converged=converged,
                        diagnostics={"richardson_residual": resid,
@@ -238,16 +253,95 @@ def builder_for(cfg: StrategyConfig, which_param: str,
     return build
 
 
+def fock_start(cfg: StrategyConfig) -> int | None:
+    """The reach rule: the first dimension of the Fock doubling loop, or None
+    when no basis up to DIM_CAP can hold the row.
+
+    None when no such basis holds the probe (`holding_dimension`), or when the
+    branches carry the probe's momentum centre <P> to <P> - `momentum_shift`
+    beyond sqrt(2 DIM_CAP + 1), which bounds every eigenvalue of the
+    truncated P at DIM_CAP: the exact Heisenberg motion P(s) = P - theta1 s
+    puts the final state where that basis has no support.  A probe the node
+    layer cannot take (past NODE_CAP) stays on the Fock route.
+    """
+    try:
+        start = holding_dimension(cfg.probe)
+    except TruncationLeakageError:
+        return None
+    try:
+        q, w = probe_on_nodes(cfg.probe, "P", 1)
+    except EnvelopeError:  # past NODE_CAP: the node route cannot take the row either
+        return start
+    if abs(float(w @ q) - momentum_shift(cfg)) > math.sqrt(2 * DIM_CAP + 1):
+        return None
+    return start
+
+
+def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
+    """Finite-difference QFI of theta2 on the exact momentum-node states of
+    `node_output`, at G = MOMENTUM_NODES and at 2G base nodes.
+
+    Each run starts its Richardson ladder at h0 = 1e-3 / max_j |d phase_j /
+    d theta2| on its nodes, so the top step turns no node's phase by more
+    than 1e-3 rad.  Converged means both runs settled and their values agree
+    to DIM_REL_TOL; the value, step and node count reported are the 2G
+    run's, and an unconverged estimate names its reason in
+    `diagnostics["reason"]`.
+
+    Not covered, so an EnvelopeError before any state is built: theta1,
+    which moves the node grid, and a step too small for double precision.
+    Rounding theta2 +- h and the phases theta2 g(q) costs about
+    ulp(theta2) / h of the difference quotient, so h0 / 2 must resolve
+    theta2 to DIM_REL_TOL; past that the quotient degrades to noise, and to
+    an exact, wrong zero once theta2 + h rounds to theta2.
+    """
+    if which_param != THETA2:
+        raise EnvelopeError(
+            f"no Fock basis up to d={DIM_CAP} holds this row, and the momentum-node "
+            f"route covers theta2 only ({which_param} moves the node grid)")
+    steps = []
+    for nodes in (MOMENTUM_NODES, 2 * MOMENTUM_NODES):
+        size, rate = node_phase_rate(cfg, nodes)
+        step = 1e-3 / rate
+        resolution = math.ulp(cfg.theta2) / (step / 2)
+        if not resolution <= DIM_REL_TOL:
+            raise EnvelopeError(
+                f"the momentum-node step {step:.3e} resolves theta2={cfg.theta2!r} to "
+                f"{resolution:.1e} relative on {size} nodes, beyond {DIM_REL_TOL:g}")
+        steps.append((nodes, size, step))
+    runs = [(size, qfi_fd(lambda theta, nodes=nodes: node_output(replace(cfg, theta2=theta), nodes),
+                          cfg.theta2, step=step))
+            for nodes, size, step in steps]
+    reasons = [f"Richardson did not settle on {size} nodes"
+               for size, est in runs if not est.converged]
+    (coarse_size, coarse), (size, fine) = runs
+    gap = abs(fine.value - coarse.value) / max(abs(fine.value), abs(coarse.value), 1e-300)
+    if not gap <= DIM_REL_TOL:
+        reasons.append(f"{coarse_size} and {size} nodes differ by {gap:.3e} relative")
+    diagnostics = dict(fine.diagnostics)
+    diagnostics.update({"dim_used": size, "node_gap": gap,
+                        "node_history": ((coarse_size, coarse.value), (size, fine.value))})
+    if reasons:
+        diagnostics["reason"] = "; ".join(reasons)
+    return QfiEstimate(fine.value, "finite_difference_nodes", step_used=fine.step_used,
+                       converged=not reasons, diagnostics=diagnostics)
+
+
 def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     """Finite-difference QFI with the dimension-doubling loop wrapped around it.
 
-    The loop starts at the smallest doubling of DIM_START whose basis holds
-    the probe (`holding_dimension`).  Each dimension enters the Richardson
+    The reach rule `fock_start` runs first: a row no basis up to DIM_CAP can
+    hold goes to `qfi_nodes` and never builds a Fock state.  Otherwise the
+    loop starts at the smallest doubling of DIM_START whose basis holds the
+    probe (`holding_dimension`).  Each dimension enters the Richardson
     ladder at the rung where the previous dimension converged; after an
     unconverged dimension the next one starts again at the top.  Converged
     means both Richardson settled and the value stopped moving under
     doubling.  The generator route needs no loop: see `qfi_generator`.
     """
+    start = fock_start(cfg)
+    if start is None:
+        return qfi_nodes(cfg, which_param)
     theta0 = getattr(cfg, which_param)
     inner: dict[int, QfiEstimate] = {}
     rung = 0
@@ -259,7 +353,7 @@ def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
         rung = est.diagnostics["rung"] if est.converged else 0
         return est.value
 
-    scan = converge_dimension(at_dim, start=holding_dimension(cfg.probe))
+    scan = converge_dimension(at_dim, start=start)
     last = inner[scan.dim_used]
     diagnostics = dict(last.diagnostics)
     diagnostics.update({"dim_used": scan.dim_used, "dim_history": scan.history,

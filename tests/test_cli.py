@@ -1,11 +1,20 @@
 import csv
 import io
 import json
+import math
+import pathlib
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cvmet import cli
+from cvmet import cli, cvspace, strategies
+from cvmet.cvspace import ProbeSpec
+from cvmet.qfi import fock_start
+from cvmet.strategies import StrategyConfig
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def rows_of(text: str):
@@ -215,12 +224,12 @@ class TestExitCodes:
         assert cli.main(["optomech", "--set", setting]) == 2
         assert "<b0|b1> moves by" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("probe", ['{"kind": "coherent", "alpha_re": 40}',
-                                       '{"kind": "fock", "n": 1024}'])
+    @pytest.mark.parametrize("probe", ['{"kind": "fock", "n": 1024}'])
     def test_truncation_leakage_exits_2(self, probe, capsys):
-        # no basis of the doubling loop, up to d = 1024, holds these probes
+        # no basis of the doubling loop, up to d = 1024, holds this probe, and
+        # its momentum-node rule needs 64 + 1024 nodes, beyond NODE_CAP
         assert cli.main(["qfi", "--set", f"probe={probe}"]) == 2
-        assert "non-convergence" in capsys.readouterr().err
+        assert "Gauss-Hermite nodes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("probe", ['{"kind": "fock", "n": 70}',
                                        '{"kind": "coherent", "alpha_re": 6}'])
@@ -267,3 +276,99 @@ class TestExitCodes:
         monkeypatch.setitem(cli.COMMAND_TABLE, "qfi", broken)
         assert cli.main(["qfi"]) == 3
         assert "contract" in capsys.readouterr().err
+
+
+CS_M3_N24 = ["qfi", "--set", "m=3", "--set", "n_queries=24", "--set", "theta1=1.2",
+             "--set", "theta2=0.05", "--set", "strategy=coherent_superposition"]
+
+
+def exact_cs_vacuum_qfi(m: int, n: int, theta1: float) -> Fraction:
+    """4 <g^2> on the vacuum, g(P) = int_0^{2N} (P - theta1 s)^m ds in exact
+    rationals; the two branches' means cancel."""
+    t1, span = Fraction(theta1), 2 * n
+    g = [math.comb(m, j) * (-t1) ** j * Fraction(span ** (j + 1), j + 1)
+         for j in range(m + 1)]                  # coefficient of P^(m - j)
+    square = [Fraction(0)] * (2 * m + 1)
+    for i, a in enumerate(g):
+        for j, b in enumerate(g):
+            square[i + j] += a * b               # coefficient of P^(2m - i - j)
+    # <0|P^k|0> = k! / ((k/2)! 4^(k/2)) for even k, zero for odd k
+    return 4 * sum(c * Fraction(math.factorial(k), math.factorial(k // 2) * 4 ** (k // 2))
+                   for c, k in zip(square, range(2 * m, -1, -1)) if k % 2 == 0)
+
+
+def qfi_record(argv, tmp_path) -> dict:
+    out_path = tmp_path / "row.csv"
+    assert cli.main(argv + ["--out", str(out_path)]) == 0
+    header, row = rows_of(out_path.read_text())
+    return dict(zip(header, row))
+
+
+class TestNodeRoute:
+    def test_m3_n24_row_matches_the_exact_rational_value(self, tmp_path):
+        record = qfi_record(CS_M3_N24, tmp_path)
+        exact = exact_cs_vacuum_qfi(3, 24, 1.2)
+        assert float(exact) == pytest.approx(2.1124582336e13, rel=1e-10)
+        assert (record["method"], record["converged"]) == ("finite_difference_nodes", "true")
+        assert record["dim_used"] == str(2 * cvspace.MOMENTUM_NODES)
+        assert abs(float(record["F"]) - float(exact)) <= 1e-6 * float(exact)
+        assert abs(float(record["F_gen"]) - float(exact)) <= 1e-9 * float(exact)
+
+    def test_node_row_runs_no_eigendecomposition(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(generator):
+            calls.append(generator.d)
+            return real(generator)
+
+        real = cvspace.spectrum
+        monkeypatch.setattr(cvspace, "spectrum", counted)
+        monkeypatch.setattr(strategies, "spectrum", counted)
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh"))
+        qfi_record(CS_M3_N24, tmp_path)
+        assert calls == []
+
+    @pytest.mark.parametrize("probe", ['{"kind": "squeezed_vacuum", "r": 2.5}',
+                                       '{"kind": "coherent", "alpha_re": 40}'])
+    def test_probe_no_basis_holds_runs_on_nodes(self, probe, tmp_path):
+        # both leak past d = 1024; the basis-free node route takes the row
+        record = qfi_record(["qfi", "--set", f"probe={probe}"], tmp_path)
+        assert (record["method"], record["converged"]) == ("finite_difference_nodes", "true")
+        assert float(record["F"]) == pytest.approx(float(record["F_gen"]), rel=1e-6)
+
+    def test_theta1_beyond_reach_exits_2_with_its_reason(self, capsys):
+        assert cli.main(CS_M3_N24 + ["--set", "estimate=theta1"]) == 2
+        assert "covers theta2 only" in capsys.readouterr().err
+
+    def test_reach_rule_keeps_recorded_rows_on_the_fock_route(self):
+        """Every benchmark case with a recorded dim_used stays a Fock row, at
+        its nominal thetas and at both ends of the jitter band; the m = 3,
+        N = 24 case does not.  The default CSV bodies are those the Fock-only
+        route gave before the node route existed."""
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(ROOT / "perfbench"))
+        refs = json.loads((ROOT / "perfbench" / "references.json").read_text())
+        cases = [(f"m={m},N={n}", workloads.CS, m, n, t1, t2)
+                 for m, n, t1, t2 in workloads.QFI_CASES]
+        recorded = set(refs["qfi_dim_used"])
+        for key, dims in refs["sweep_dim_used"].items():
+            strategy, m = key.split(",m=")
+            cases += [(key, strategy, int(m), n, workloads.SWEEP_THETA, workloads.SWEEP_THETA)
+                      for n in workloads.SWEEP_N[:len(dims)]]
+            recorded.add(key)
+        checked = set()
+        for key, strategy, m, n, theta1, theta2 in cases:
+            for jitter in (1 - workloads.JITTER, 1.0, 1 + workloads.JITTER):
+                cfg = StrategyConfig(theta1=theta1 * jitter, theta2=theta2, n_queries=n,
+                                     m=m, strategy=strategy, probe=ProbeSpec.vacuum())
+                assert (fock_start(cfg) is not None) == (key != "m=3,N=24"), (key, n, jitter)
+            checked.add(key)
+        assert recorded <= checked
+
+        bodies = json.loads((ROOT / "tests" / "data" / "default_csv_bodies.json").read_text())
+        for command, body in bodies.items():
+            text = cli.COMMAND_TABLE[command](cli.load_config(command, None, [])).csv_text()
+            assert text.split("\n", 1)[1] == body, command

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from cvmet.bch import ExactComplex, PPoly, zassenhaus_term
+from cvmet import strategies
 from cvmet.cvspace import (
     FD_MAX_REDUCTIONS,
+    MOMENTUM_NODES,
     FockDim,
     ProbeSpec,
     build_quadrature,
@@ -15,6 +17,7 @@ from cvmet.cvspace import (
     propagator,
 )
 from cvmet.errors import (
+    EnvelopeError,
     LargeNGateError,
     UnidentifiableParameterError,
     UnsupportedConfigurationError,
@@ -287,6 +290,72 @@ class TestGeneratorOnNodes:
                              probe=ProbeSpec.fock(300))
         expected = 0.2 ** 2 * 6 ** 4 + 4 * 6 ** 2 * 300.5
         assert asymptotic_qfi(cfg, THETA2).value == pytest.approx(expected, rel=1e-12)
+
+
+TRIANGLE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.coherent(0.3 + 0.2j), ProbeSpec.fock(2)]
+
+
+class TestNodeRoute:
+    """The fourth leg of the fd / generator / asymptotic triangle: fd on the
+    exact momentum-node states, against fd in the Fock basis and F_gen, on
+    small rows both fd routes can take."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
+    @pytest.mark.parametrize("probe", TRIANGLE_PROBES, ids=lambda p: p.kind)
+    def test_node_fd_fock_fd_and_generator_agree(self, m, strategy, probe):
+        cfg = StrategyConfig(theta1=0.2, theta2=0.05, n_queries=2, m=m,
+                             strategy=strategy, probe=probe)
+        assert qfi_module.fock_start(cfg) is not None
+        fock = qfi_converged(cfg, THETA2)
+        nodes = qfi_module.qfi_nodes(cfg, THETA2)
+        exact = qfi_generator(cfg, THETA2).value
+        assert fock.method == "finite_difference" and fock.converged
+        assert nodes.method == "finite_difference_nodes" and nodes.converged
+        assert nodes.diagnostics["dim_used"] == 2 * MOMENTUM_NODES + probe.n
+        for est in (fock, nodes):
+            assert est.value == pytest.approx(exact, rel=1e-8)
+
+    def test_rows_beyond_the_fock_reach_take_the_node_route(self):
+        # <P> - theta1 2N = -57.6 lies past sqrt(2 * 1024 + 1) = 45.3
+        cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
+                             strategy=COHERENT_SUPERPOSITION)
+        assert qfi_module.fock_start(cfg) is None
+        assert qfi_module.fock_start(replace(cfg, theta1=0.9)) == 64   # 43.2
+        # Fock(600) fits d = 1024 but not the node rule's NODE_CAP = 512 nodes
+        assert qfi_module.fock_start(replace(cfg, theta1=0.9, probe=ProbeSpec.fock(600))) == 1024
+        est = qfi_converged(cfg, THETA2)
+        assert est.method == "finite_difference_nodes" and est.converged
+        assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-6)
+        # the start step turns no node's phase by more than 1e-3 rad
+        assert est.diagnostics["step_history"][0][0] == pytest.approx(
+            1e-3 / strategies.node_phase_rate(cfg, 2 * MOMENTUM_NODES)[1], rel=1e-15)
+
+    def test_grid_disagreement_is_reported_with_its_reason(self, monkeypatch):
+        real = strategies.node_output
+
+        def drifting(cfg, nodes):  # the 2G grid sees a slightly different theta1
+            return real(replace(cfg, theta1=cfg.theta1 * (1 + 1e-3 * (nodes > MOMENTUM_NODES))),
+                        nodes)
+
+        monkeypatch.setattr(qfi_module, "node_output", drifting)
+        cfg = StrategyConfig(theta1=0.2, theta2=0.05, n_queries=4, m=2,
+                             strategy=COHERENT_SUPERPOSITION)
+        est = qfi_module.qfi_nodes(cfg, THETA2)
+        assert not est.converged
+        assert est.diagnostics["reason"].startswith("64 and 128 nodes differ by")
+
+    def test_uncovered_rows_fail_before_any_build(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(qfi_module, "node_output", lambda *a: builds.append(a))
+        cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
+                             strategy=COHERENT_SUPERPOSITION)
+        with pytest.raises(EnvelopeError, match="covers theta2 only"):
+            qfi_converged(cfg, THETA1)
+        # theta2 + h rounds to theta2: the difference would be an exact, wrong 0
+        with pytest.raises(EnvelopeError, match="resolves theta2"):
+            qfi_converged(replace(cfg, m=5, n_queries=200, theta1=1.0), THETA2)
+        assert builds == []
 
 
 class TestAsymptotics:

@@ -245,6 +245,11 @@ class TestQState:
         with pytest.raises(ContractViolationError):
             QState(2, FockDim(4), np.ones(8))
 
+    def test_nan_amplitudes_rejected(self):
+        # a NaN norm fails `abs(nrm - 1) > tol` as well as `<= tol`
+        with pytest.raises(ContractViolationError):
+            QState(2, FockDim(2), [math.nan, 0, 0, 0])
+
     def test_control_reduced_is_density_matrix(self):
         cfg = StrategyConfig(theta1=0.1, theta2=0.08, n_queries=4,
                              strategy=COHERENT_SUPERPOSITION)
