@@ -274,8 +274,9 @@ def exp_antihermitian(mat: np.ndarray, dim: FockDim) -> SpectralUnitary:
 
 
 def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
-                         variant: str = "AB", detail: bool = False):
-    """Max-element residual of the factorization at lambda = i*lambda_im.
+                         variant: str = "AB") -> FactorizationCheck:
+    """Max-element residual of the factorization at lambda = i*lambda_im, with
+    the number of columns it was taken over.
 
     Both sides are built as d x d matrices.  Purely imaginary lambda keeps
     every factor unitary (real lambda exponentiates an unbounded X and
@@ -327,4 +328,4 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
             f"(best boundary mass {worst:.3e} >= {FACTORIZATION_MASS_TOL:g}); "
             "reduce |lambda| or enlarge d")
     residual = float(np.abs(lhs[:, ok] - part[:, ok]).max())
-    return FactorizationCheck(residual, n_ok) if detail else residual
+    return FactorizationCheck(residual, n_ok)

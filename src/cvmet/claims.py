@@ -183,7 +183,7 @@ def claim_5_zassenhaus() -> ClaimResult:
     worst = 0.0
     for m, lam in ((1, 0.3), (2, 0.3), (3, 0.1)):
         for variant in ("AB", "BA"):
-            res = verify_factorization(m, lam, FockDim(128), variant)
+            res = verify_factorization(m, lam, FockDim(128), variant).residual
             worst = max(worst, res)
             residues.append(f"m={m} {variant} lam={lam}i: {res:.2e}")
     return ClaimResult(5, "operator-ordering suite", worst < 1e-7,

@@ -310,7 +310,7 @@ def cmd_factorization_check(config: dict) -> CommandOutput:
                  for m, lam, dim, variant in _list(config["factorization"]["cases"])]
     rows = []
     for m, lam_im, dim, variant in cases:
-        check = verify_factorization(m, lam_im, dim, variant, detail=True)
+        check = verify_factorization(m, lam_im, dim, variant)
         rows.append((m, variant, lam_im, dim.d, check.residual, check.columns_checked))
     return CommandOutput(
         ("m", "variant", "lambda_im", "dim", "residual", "columns_checked"), rows)

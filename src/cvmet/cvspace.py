@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -168,11 +167,8 @@ def build_quadrature(dim: FockDim | int, which: str) -> Operator:
 
 def operator_power(op: Operator, m: int) -> Operator:
     """Repeated matrix product op^m; hermitian flag propagates from op."""
-    if m < 0:
-        raise ContractViolationError("operator power needs m >= 0")
-    if m == 0:
-        warnings.warn("operator_power with m = 0 yields the identity (degenerate Hamiltonian)")
-        return Operator(op.dim, np.eye(op.d), hermitian=True, unitary=True)
+    if m < 1:
+        raise ContractViolationError(f"operator power needs m >= 1, got {m!r}")
     mat = op.mat
     for _ in range(m - 1):
         mat = mat @ op.mat

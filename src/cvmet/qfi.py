@@ -5,7 +5,9 @@ F = 4(<d psi|d psi> - |<d psi|psi>|^2).  Three estimators are provided:
 
   finite_difference  central differences with a mandatory Richardson step,
                      on the truncated Fock basis or, for rows no basis up to
-                     DIM_CAP holds, on momentum nodes
+                     DIM_CAP holds, on momentum nodes, where theta2 enters
+                     each branch as the phase e^{-i theta2 Phi_b} and one
+                     centre state per grid is differenced in an offset
   generator_exact    per-branch derivative generators (polynomials in one
                      quadrature) evaluated as exact probe moments on
                      Gauss-Hermite nodes, with no basis and no dimension loop
@@ -41,6 +43,7 @@ from .cvspace import (
     as_dim,
     converge_dimension,
     holding_dimension,
+    probe_amplitudes,
     probe_on_nodes,
     richardson,
 )
@@ -60,7 +63,7 @@ from .strategies import (
     encoding,
     momentum_shift,
     node_output,
-    node_phase_rate,
+    node_phases,
 )
 
 THETA1 = "theta1"
@@ -281,37 +284,31 @@ def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     """Finite-difference QFI of theta2 on the exact momentum-node states of
     `node_output`, at G = MOMENTUM_NODES and at 2G base nodes.
 
-    Each run starts its Richardson ladder at h0 = 1e-3 / max_j |d phase_j /
-    d theta2| on its nodes, so the top step turns no node's phase by more
-    than 1e-3 rad.  Converged means both runs settled and their values agree
-    to DIM_REL_TOL; the value, step and node count reported are the 2G
-    run's, and an unconverged estimate names its reason in
+    Branch b is its probe amplitudes times e^{-i theta2 Phi_b(q)}
+    (`node_phases`), Phi_b free of theta2, so moving theta2 by h multiplies
+    the centre by e^{-i h Phi_b}.  Each grid builds its centre once and
+    `qfi_fd` differences e^{-i h Phi_b} centre in the offset h at 0, so
+    theta2 itself is never rounded.  The Richardson ladder starts at
+    h0 = 1e-3 / max_j |Phi_b(q_j)|: the top step turns no node's phase by
+    more than 1e-3 rad.  Converged means both runs settled and their values
+    agree to DIM_REL_TOL; the value, step and node count reported are the
+    2G run's, and an unconverged estimate names its reason in
     `diagnostics["reason"]`.
 
-    Not covered, so an EnvelopeError before any state is built: theta1,
-    which moves the node grid, and a step too small for double precision.
-    Rounding theta2 +- h and the phases theta2 g(q) costs about
-    ulp(theta2) / h of the difference quotient, so h0 / 2 must resolve
-    theta2 to DIM_REL_TOL; past that the quotient degrades to noise, and to
-    an exact, wrong zero once theta2 + h rounds to theta2.
+    theta1, which moves the node grid, is not covered: an EnvelopeError
+    before any state is built.
     """
     if which_param != THETA2:
         raise EnvelopeError(
             f"no Fock basis up to d={DIM_CAP} holds this row, and the momentum-node "
             f"route covers theta2 only ({which_param} moves the node grid)")
-    steps = []
+    runs = []
     for nodes in (MOMENTUM_NODES, 2 * MOMENTUM_NODES):
-        size, rate = node_phase_rate(cfg, nodes)
-        step = 1e-3 / rate
-        resolution = math.ulp(cfg.theta2) / (step / 2)
-        if not resolution <= DIM_REL_TOL:
-            raise EnvelopeError(
-                f"the momentum-node step {step:.3e} resolves theta2={cfg.theta2!r} to "
-                f"{resolution:.1e} relative on {size} nodes, beyond {DIM_REL_TOL:g}")
-        steps.append((nodes, size, step))
-    runs = [(size, qfi_fd(lambda theta, nodes=nodes: node_output(replace(cfg, theta2=theta), nodes),
-                          cfg.theta2, step=step))
-            for nodes, size, step in steps]
+        q, _ = probe_amplitudes(cfg.probe, nodes, 0.0)
+        phases = np.concatenate(node_phases(cfg, q))
+        centre = node_output(cfg, nodes).amplitudes
+        runs.append((q.size, qfi_fd(lambda h: centre * np.exp(-1j * h * phases), 0.0,
+                                    step=1e-3 / np.abs(phases).max())))
     reasons = [f"Richardson did not settle on {size} nodes"
                for size, est in runs if not est.converged]
     (coarse_size, coarse), (size, fine) = runs
@@ -337,7 +334,9 @@ def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     ladder at the rung where the previous dimension converged; after an
     unconverged dimension the next one starts again at the top.  Converged
     means both Richardson settled and the value stopped moving under
-    doubling.  The generator route needs no loop: see `qfi_generator`.
+    doubling; an unconverged estimate names the check that failed, and at
+    which d, in `diagnostics["reason"]`.  The generator route needs no loop:
+    see `qfi_generator`.
     """
     start = fock_start(cfg)
     if start is None:
@@ -358,6 +357,14 @@ def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     diagnostics = dict(last.diagnostics)
     diagnostics.update({"dim_used": scan.dim_used, "dim_history": scan.history,
                         "dim_converged": scan.converged})
+    reasons = []
+    if not last.converged:
+        reasons.append(f"Richardson did not settle at d={scan.dim_used}")
+    if not scan.converged:
+        reasons.append(f"the value still moved by more than {DIM_REL_TOL:g} relative "
+                       f"when doubling to d={scan.dim_used}")
+    if reasons:
+        diagnostics["reason"] = "; ".join(reasons)
     return QfiEstimate(scan.value, last.method, step_used=last.step_used,
                        converged=scan.converged and last.converged,
                        diagnostics=diagnostics)

@@ -336,26 +336,34 @@ def momentum_shift(cfg: StrategyConfig) -> float:
     return cfg.theta1 * span
 
 
-def _cs_node_phase(cfg: StrategyConfig, q: np.ndarray) -> np.ndarray:
-    """int_0^{2N} (q - theta1 s)^m ds = [q^{m+1} - (q - theta1 2N)^{m+1}] / (theta1 (m+1)),
-    summed term by term (binomial theorem) so theta1 = 0 needs no limit."""
+def node_phases(cfg: StrategyConfig, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi_0, Phi_1) on momentum nodes q: branch b of `node_output` is the
+    probe's node amplitudes times e^{-i theta2 Phi_b(q)}, Phi_b free of theta2.
+
+    A coherent-superposition branch e^{-i2N(theta1 X +- theta2 P^m)} has
+    Phi = +-int_0^{2N} (q - theta1 s)^m ds
+        = +-[q^{m+1} - (q - theta1 2N)^{m+1}] / (theta1 (m+1)),
+    summed term by term (binomial theorem) so theta1 = 0 needs no limit.  A
+    switch branch accumulates N literal queries of each gate, as
+    `switch_output` applies them: U1 = e^{-i theta1 X} moves the grid down by
+    theta1, U2 = e^{-i theta2 P^m} adds p^m at the current grid.
+    """
+    if encoding(cfg.strategy) == SWITCH:
+        phases = []
+        for gates in ("21", "12"):   # U1^N U2^N, U2^N U1^N
+            grid, phase = q, np.zeros_like(q)
+            for gate in gates:
+                for _ in range(cfg.n_queries):
+                    if gate == "1":
+                        grid = grid - cfg.theta1
+                    else:
+                        phase = phase + grid ** cfg.m
+            phases.append(phase)
+        return phases[0], phases[1]
     m, a, tau = cfg.m, cfg.theta1, 2 * cfg.n_queries
-    return sum(math.comb(m, k) * (-a) ** k * tau ** (k + 1) / (k + 1) * q ** (m - k)
-               for k in range(m + 1))
-
-
-def _switch_node_branch(cfg: StrategyConfig, grid: np.ndarray, amps: np.ndarray,
-                        gates: str) -> np.ndarray:
-    """N literal queries of each gate, in the order of `gates`: U1 = e^{-i theta1 X}
-    moves the grid down by theta1, U2 = e^{-i theta2 P^m} is the phase
-    theta2 p^m at the current grid."""
-    for gate in gates:
-        for _ in range(cfg.n_queries):
-            if gate == "1":
-                grid = grid - cfg.theta1
-            else:
-                amps = amps * np.exp(-1j * cfg.theta2 * grid ** cfg.m)
-    return amps
+    phase = sum(math.comb(m, k) * (-a) ** k * tau ** (k + 1) / (k + 1) * q ** (m - k)
+                for k in range(m + 1))
+    return phase, -phase
 
 
 def node_output(cfg: StrategyConfig, nodes: int) -> QState:
@@ -364,34 +372,14 @@ def node_output(cfg: StrategyConfig, nodes: int) -> QState:
     With X = i d/dp, e^{-i a X} moves psi(p) to psi(p + a) and e^{-i b P^m}
     is the phase b p^m, so each branch is the probe's node amplitudes
     (`probe_amplitudes`, `nodes` + n nodes q_j) carried to the grid
-    p_j = q_j - `momentum_shift` with a phase.  A coherent-superposition
-    branch e^{-i2N(theta1 X +- theta2 P^m)} has the phase
-    +-theta2 int_0^{2N} (q_j - theta1 s)^m ds; a switch branch applies its N
-    queries of each gate literally, as `switch_output` does.  Both branches
-    end on the same grid, so the inner products of the QState are the
-    quadrature of the mode's.  Differencing is sound in theta2 only: theta1
-    moves the grid.
+    p_j = q_j - `momentum_shift` with the phase e^{-i theta2 Phi_b(q_j)} of
+    `node_phases`.  Both branches end on the same grid, so the inner
+    products of the QState are the quadrature of the mode's.  Differencing
+    is sound in theta2 only: theta1 moves the grid.
     """
     q, phi = probe_amplitudes(cfg.probe, nodes, 0.0)
-    if encoding(cfg.strategy) == SWITCH:
-        branches = [_switch_node_branch(cfg, q, phi, "21"),   # U1^N U2^N
-                    _switch_node_branch(cfg, q, phi, "12")]   # U2^N U1^N
-    else:
-        phase = cfg.theta2 * _cs_node_phase(cfg, q)
-        branches = [phi * np.exp(-1j * phase), phi * np.exp(1j * phase)]
-    return QState.from_branches(branches, FockDim(q.size))
-
-
-def node_phase_rate(cfg: StrategyConfig, nodes: int) -> tuple[int, float]:
-    """(node count, max_j |d phase_j / d theta2| over both branches) of the
-    grid `node_output` builds with `nodes`."""
-    q, _ = probe_amplitudes(cfg.probe, nodes, 0.0)
-    if encoding(cfg.strategy) == SWITCH:
-        n = cfg.n_queries
-        rate = n * max(np.abs(q).max(), np.abs(q - n * cfg.theta1).max()) ** cfg.m
-    else:
-        rate = np.abs(_cs_node_phase(cfg, q)).max()
-    return q.size, float(rate)
+    return QState.from_branches([phi * np.exp(-1j * cfg.theta2 * phase)
+                                 for phase in node_phases(cfg, q)], FockDim(q.size))
 
 
 def switch_relative_phase(cfg: StrategyConfig, dim: FockDim | int) -> float:

@@ -147,17 +147,17 @@ class TestPolyAlgebra:
 
 class TestFactorization:
     def test_linear_case_is_central(self):
-        assert verify_factorization(1, 0.3, FockDim(64), "AB") < 1e-8
+        assert verify_factorization(1, 0.3, FockDim(64), "AB").residual < 1e-8
 
     def test_quadratic_case(self):
-        assert verify_factorization(2, 0.2, FockDim(128), "AB") < 1e-7
+        assert verify_factorization(2, 0.2, FockDim(128), "AB").residual < 1e-7
 
     def test_lambda_zero_residual_exactly_zero(self):
-        assert verify_factorization(2, 0.0, FockDim(32), "AB") == 0.0
+        assert verify_factorization(2, 0.0, FockDim(32), "AB").residual == 0.0
 
     @pytest.mark.parametrize("variant", ["AB", "BA"])
     def test_both_variants_m3(self, variant):
-        assert verify_factorization(3, 0.1, FockDim(128), variant) < 1e-7
+        assert verify_factorization(3, 0.1, FockDim(128), variant).residual < 1e-7
 
     def test_envelope_violation_raises(self):
         with pytest.raises(EnvelopeError):

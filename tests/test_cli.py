@@ -311,8 +311,17 @@ class TestNodeRoute:
         assert float(exact) == pytest.approx(2.1124582336e13, rel=1e-10)
         assert (record["method"], record["converged"]) == ("finite_difference_nodes", "true")
         assert record["dim_used"] == str(2 * cvspace.MOMENTUM_NODES)
-        assert abs(float(record["F"]) - float(exact)) <= 1e-6 * float(exact)
+        assert abs(float(record["F"]) - float(exact)) <= 1e-10 * float(exact)
         assert abs(float(record["F_gen"]) - float(exact)) <= 1e-9 * float(exact)
+
+    @pytest.mark.parametrize("strategy", ["switch", "coherent_superposition"])
+    def test_m5_n200_row_converges(self, strategy, tmp_path):
+        record = qfi_record(["qfi", "--set", "m=5", "--set", "n_queries=200", "--set",
+                             "theta1=1.0", "--set", f"strategy={strategy}"], tmp_path)
+        assert (record["method"], record["converged"]) == ("finite_difference_nodes", "true")
+        assert float(record["F"]) == pytest.approx(float(record["F_gen"]), rel=1e-10)
+        # theta2 +- h would round to theta2 at this step; the offset h does not
+        assert float(record["step_used"]) < 1e-16
 
     def test_node_row_runs_no_eigendecomposition(self, monkeypatch, tmp_path):
         calls = []

@@ -104,10 +104,10 @@ class TestOperatorPower:
                 naive[i, j] = acc
         assert np.abs(cube - naive).max() < 1e-12
 
-    def test_power_zero_warns_and_returns_identity(self):
-        with pytest.warns(UserWarning):
-            ident = operator_power(build_quadrature(4, "X"), 0)
-        assert np.array_equal(ident.mat, np.eye(4))
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_power_below_one_is_rejected(self, m):
+        with pytest.raises(ContractViolationError, match="m >= 1"):
+            operator_power(build_quadrature(4, "X"), m)
 
 
 class TestProbes:

@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses, one
-function owns the eigendecomposition, propagators stay factored, the exact
-generator route and the optomech mirror stay off the truncated basis, and the
+"""Source hygiene: no module of the package imports a name it never uses or
+keeps a private helper nothing calls, one function owns the
+eigendecomposition, propagators stay factored, the exact generator route and
+the optomech mirror stay off the truncated basis, and the
 coherent-superposition builder forms no quadrature per state build."""
 
 import ast
@@ -32,6 +33,41 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """(module, name) of every top-level `_private` def that no module of
+    `sources` names outside the def's own body: a leftover helper."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    found = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                    and not fn.name.startswith("__")):
+                continue
+            own = {id(node) for node in ast.walk(fn)}
+            if not any(fn.name in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   node.name if isinstance(node, ast.alias) else None)
+                       and id(node) not in own
+                       for other in trees.values() for node in ast.walk(other)):
+                found.append((module, fn.name))
+    return sorted(found)
+
+
+def test_checker_flags_an_unreferenced_private_def():
+    sources = {"a.py": ("def _used():\n    pass\n"
+                        "def _imported():\n    pass\n"
+                        "def _recursive(n):\n    return _recursive(n - 1)\n"
+                        "def _dead():\n    pass\n"
+                        "def public():\n    pass\n"),
+               "b.py": "from . import a\nfrom .a import _imported\nx = a._used\n"}
+    assert unreferenced_private_defs(sources) == [("a.py", "_dead"), ("a.py", "_recursive")]
+
+
+def test_every_private_def_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []
 
 
 def test_every_config_key_is_read_by_the_cli():
