@@ -43,6 +43,7 @@ from .strategies import (
     composite_output,
     cs_output,
     cs_output_factorized,
+    shared_over_n,
     switch_output,
     switch_output_factorized,
 )
@@ -89,15 +90,17 @@ def claim_2_cs_linear_qfi() -> ClaimResult:
     equal 16 N^4 theta1^2 + 16 N^2 Var(P), and the value depends on theta1,
     not theta2 (cross-sweep constant to rel 1e-6)."""
     worst_pair = worst_formula = 0.0
-    for n in (2, 4, 6, 8):
-        cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=n, m=1,
-                             strategy=COHERENT_SUPERPOSITION)
-        fd = qfi_converged(cfg, THETA2)
-        gen = qfi_generator(cfg, THETA2)
-        expected = 16 * n ** 4 * cfg.theta1 ** 2 + 16 * n ** 2 * 0.5
-        worst_pair = max(worst_pair, _rel_err(fd.value, gen.value))
-        worst_formula = max(worst_formula, _rel_err(gen.value, expected),
-                            _rel_err(fd.value, expected))
+    n_values = (2, 4, 6, 8)
+    with shared_over_n(n_values):
+        for n in n_values:
+            cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=n, m=1,
+                                 strategy=COHERENT_SUPERPOSITION)
+            fd = qfi_converged(cfg, THETA2)
+            gen = qfi_generator(cfg, THETA2)
+            expected = 16 * n ** 4 * cfg.theta1 ** 2 + 16 * n ** 2 * 0.5
+            worst_pair = max(worst_pair, _rel_err(fd.value, gen.value))
+            worst_formula = max(worst_formula, _rel_err(gen.value, expected),
+                                _rel_err(fd.value, expected))
     # cross-sweep: vary theta2 at fixed theta1; the converged estimates must
     # not move (the exact generator is theta2-free; fd is checked loosely as
     # a non-symbolic corroboration)

@@ -11,13 +11,21 @@ the phase e^{-i N^2 theta1 theta2} on the |0> branch (measured, not assumed;
 `switch_relative_phase` reports it); a convention that conjugates the
 commutator moves it to the |1> branch, a global phase apart.  Fidelity checks therefore
 quotient the global phase.
+
+Each `cs_output` call decomposes its two branch generators, two eigh and two
+propagators, except inside a `shared_over_n` scope, which a sweep over the
+query count opens: N only sets the evolution time, so the scope decomposes
+each generator pair once, keeps the branch states (never a spectrum) at every
+N it names, and drops them when it closes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -258,25 +266,71 @@ def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     return QState.from_branches([b0, b1], dim)
 
 
+@dataclass
+class _NSweep:
+    """An open `shared_over_n` scope: its query counts, and the branch states
+    of each coherent-superposition generator pair at every one of them."""
+
+    n_values: frozenset
+    branches: dict = field(default_factory=dict)
+
+
+_N_SWEEP = contextvars.ContextVar("cvmet_n_sweep", default=None)
+
+
+@contextlib.contextmanager
+def shared_over_n(n_values):
+    """Scope of a sweep over the query count: inside it `cs_output` shares each
+    branch spectrum across the rows whose N is in `n_values`.
+
+    The branch generator theta1 X +- theta2 P^m does not depend on N, which
+    only sets the evolution time 2N.  The first build of a generator pair
+    (per dimension, couplings, m and probe) decomposes both branches once and
+    evaluates them at every N of the scope; every later build of that pair
+    reads its branch states, bitwise those of the plain path.  The scope
+    holds those states only, O(d) numbers per N, never a spectrum, and drops
+    them when it closes, on an exception too.  It is a contextvars scope, so
+    concurrent callers never share it.
+    """
+    scope = _NSweep(frozenset(n_values))
+    token = _N_SWEEP.set(scope)
+    try:
+        yield scope
+    finally:
+        _N_SWEEP.reset(token)
+        scope.branches.clear()
+
+
+def _cs_branches(cfg: StrategyConfig, dim: FockDim, n_values) -> dict:
+    """{N: (U+^{2N} phi, U-^{2N} phi)} for every N of n_values, each branch
+    generator decomposed once.  The generators are written from the cached
+    bands of X and P^m, the values of the dense sum exactly."""
+    bands = _generator_bands(cfg.m, dim)
+    phi = prepare_probe(cfg.probe, dim).vec
+    spectra = [spectrum(_banded(dim, ((k, cfg.theta1 * x_k + sign * cfg.theta2 * pm_k)
+                                      for k, x_k, pm_k in bands)))
+               for sign in (+1.0, -1.0)]
+    return {n: tuple(propagator(spec, 2 * n) @ phi for spec in spectra) for n in n_values}
+
+
 def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     """Coherent-superposition state, each branch one exact Hermitian exponential.
 
     (|0> U+^{2N} |phi> + |1> U-^{2N} |phi>)/sqrt(2) with
     U+- = e^{-i(theta1 X +- theta2 P^m)}, so the branch unitary is
-    e^{-i 2N (theta1 X +- theta2 P^m)}, one propagator per branch.  The
-    generators are written from the cached bands of X and P^m, the values of
-    the dense sum exactly.
+    e^{-i 2N (theta1 X +- theta2 P^m)}: two eigh and two propagators per
+    call, unless a `shared_over_n` scope holds this N, where the branch
+    states of one decomposition serve every N of the scope.
     """
     dim = as_dim(dim)
-    bands = _generator_bands(cfg.m, dim)
-    phi = prepare_probe(cfg.probe, dim).vec
-    tau = 2 * cfg.n_queries
-    branches = []
-    for sign in (+1.0, -1.0):
-        gen = _banded(dim, ((k, cfg.theta1 * x_k + sign * cfg.theta2 * pm_k)
-                            for k, x_k, pm_k in bands))
-        branches.append(propagator(gen, tau) @ phi)
-    return QState.from_branches(branches, dim)
+    n = cfg.n_queries
+    scope = _N_SWEEP.get()
+    if scope is None or n not in scope.n_values:
+        return QState.from_branches(_cs_branches(cfg, dim, (n,))[n], dim)
+    key = (dim, cfg.theta1, cfg.theta2, cfg.m, cfg.probe)
+    if key not in scope.branches:
+        scope.branches[key] = _cs_branches(cfg, dim, scope.n_values)
+    return QState.from_branches(scope.branches[key][n], dim)
 
 
 def cs_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:

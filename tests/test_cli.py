@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from cvmet import cli, cvspace, strategies
-from cvmet.cvspace import ProbeSpec
+from cvmet.cvspace import ProbeSpec, as_dim
 from cvmet.qfi import fock_start
 from cvmet.strategies import StrategyConfig
 
@@ -381,3 +382,45 @@ class TestNodeRoute:
         for command, body in bodies.items():
             text = cli.COMMAND_TABLE[command](cli.load_config(command, None, [])).csv_text()
             assert text.split("\n", 1)[1] == body, command
+
+
+class TestSharedOverN:
+    @pytest.mark.parametrize("settings", [
+        ("strategy=coherent_superposition", "m=1"),
+        ("strategy=coherent_superposition", "m=2"),
+        ("strategy=composite",),
+        ("strategy=coherent_superposition", "estimate=theta1"),
+        ("strategy=coherent_superposition",
+         'probe={"kind": "coherent", "alpha_re": 0.5, "alpha_im": -0.3}'),
+    ], ids=["cs-m1", "cs-m2", "composite", "theta1", "coherent-probe"])
+    def test_n_sweep_is_byte_identical_without_the_scope(self, settings, monkeypatch,
+                                                         capsys):
+        argv = ["sweep", "--set", "sweep.values=[2, 3, 5]"]
+        for setting in settings:
+            argv += ["--set", setting]
+        shared = (cli.main(argv), *capsys.readouterr())
+        monkeypatch.setattr(cli, "shared_over_n", lambda n_values: contextlib.nullcontext())
+        plain = (cli.main(argv), *capsys.readouterr())
+        assert shared[0] == 0
+        assert shared == plain
+
+    def test_n_sweep_decomposes_each_generator_once(self, monkeypatch, capsys):
+        decomposed, generators, builds = [], set(), []
+        spectrum, cs_output = cvspace.spectrum, strategies.cs_output
+
+        def counted(gen):
+            decomposed.append(gen.d)
+            return spectrum(gen)
+
+        def recorded(cfg, dim):
+            generators.add((as_dim(dim).d, cfg.theta1, cfg.theta2))
+            builds.append(cfg.n_queries)
+            return cs_output(cfg, dim)
+
+        monkeypatch.setattr(cvspace, "spectrum", counted)
+        monkeypatch.setattr(strategies, "spectrum", counted)
+        monkeypatch.setattr(strategies, "cs_output", recorded)
+        assert cli.main(["sweep", "--set", "strategy=coherent_superposition", "--set", "m=2",
+                         "--set", "sweep.values=[2, 3, 5, 6]"]) == 0
+        assert set(builds) == {2, 3, 5, 6}
+        assert len(decomposed) == 2 * len(generators) < 2 * len(builds)

@@ -1,7 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses or
-keeps a private helper nothing calls, one function owns the
-eigendecomposition, propagators stay factored, the exact generator route and
-the optomech mirror stay off the truncated basis, and the
+"""Source hygiene: no module of the package imports a name it never uses,
+keeps a private helper nothing calls or holds an unbounded cache, one
+function owns the eigendecomposition, propagators stay factored, the exact
+generator route and the optomech mirror stay off the truncated basis, and the
 coherent-superposition builder forms no quadrature per state build."""
 
 import ast
@@ -68,6 +68,48 @@ def test_every_private_def_is_referenced():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_defs(sources) == []
+
+
+def unbounded_caches(source: str) -> list:
+    """Line of every functools cache that names no explicit integer maxsize:
+    `functools.cache`, a bare or empty `lru_cache`, or `maxsize=None`."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names}
+
+    def functools_name(node):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            return node.attr
+        return imported.get(node.id) if isinstance(node, ast.Name) else None
+
+    bounded = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and functools_name(call.func) == "lru_cache":
+            size = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+            if size and isinstance(size[0], ast.Constant) and type(size[0].value) is int:
+                bounded.add(id(call.func))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if functools_name(node) in ("cache", "lru_cache") and id(node) not in bounded)
+
+
+def test_checker_flags_an_unbounded_cache():
+    source = ("import functools\nfrom functools import lru_cache as lru\n"
+              "@functools.cache\ndef a(): pass\n"
+              "@functools.lru_cache\ndef b(): pass\n"
+              "@functools.lru_cache()\ndef c(): pass\n"
+              "@lru(maxsize=None)\ndef d(): pass\n"
+              "@functools.lru_cache(maxsize=8)\ndef e(): pass\n"
+              "@lru(16)\ndef f(): pass\n"
+              "cache = {}\n")
+    assert unbounded_caches(source) == [3, 5, 7, 9]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    """A cache without a bound grows for the life of the process; what one
+    sweep shares (`strategies.shared_over_n`) lives in its scope instead."""
+    assert unbounded_caches(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_config_key_is_read_by_the_cli():

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cvmet.cvspace import (
     operator_power,
     prepare_probe,
     propagator,
+    spectrum,
 )
 from cvmet.errors import ContractViolationError, UnsupportedConfigurationError
 from cvmet.strategies import (
@@ -24,6 +27,7 @@ from cvmet.strategies import (
     composite_output,
     cs_output,
     cs_output_factorized,
+    shared_over_n,
     switch_output,
     switch_output_factorized,
     switch_relative_phase,
@@ -174,10 +178,11 @@ class TestGeneratorBands:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_cs_generator_is_the_dense_sum(self, m, d, sign, monkeypatch):
         # the branch generator written from the cached bands holds exactly the
-        # values of theta1 X +- theta2 P^m formed from the dense matrices
+        # values of theta1 X +- theta2 P^m formed from the dense matrices;
+        # it is captured where it is decomposed
         generators = []
-        monkeypatch.setattr(strategies, "propagator",
-                            lambda gen, tau: generators.append(gen) or propagator(gen, tau))
+        monkeypatch.setattr(strategies, "spectrum",
+                            lambda gen: generators.append(gen) or spectrum(gen))
         cfg = StrategyConfig(theta1=0.3, theta2=0.05, n_queries=4, m=m,
                              strategy=COHERENT_SUPERPOSITION)
         cs_output(cfg, d)
@@ -211,6 +216,57 @@ class TestGeneratorBands:
         bands = band_diagonals(build_quadrature(8, "X"), 2)
         assert sorted(bands) == [-2, -1, 0, 1, 2]
         assert all(not diag.flags.writeable and diag.flags.owndata for diag in bands.values())
+
+
+class TestSharedOverN:
+    CFG = StrategyConfig(theta1=0.1, theta2=0.05, n_queries=3, m=2,
+                         strategy=COHERENT_SUPERPOSITION)
+
+    @staticmethod
+    def count_eigh(monkeypatch) -> Counter:
+        counts = Counter()
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: counts.update(["eigh"]) or eigh(a))
+        return counts
+
+    def test_one_call_outside_a_scope_runs_two_eigh_and_two_propagators(self, monkeypatch):
+        cs_output(self.CFG, 32)  # warms the band table of (m, d)
+        counts = self.count_eigh(monkeypatch)
+        monkeypatch.setattr(strategies, "propagator",
+                            lambda gen, tau: counts.update(["propagator"]) or propagator(gen, tau))
+        post_init = Operator.__post_init__
+        monkeypatch.setattr(Operator, "__post_init__",
+                            lambda op: counts.update(["Operator"]) or post_init(op))
+        cs_output(replace(self.CFG, theta2=0.06), 32)
+        assert counts == {"eigh": 2, "propagator": 2, "Operator": 2}
+
+    def test_a_scope_decomposes_each_generator_pair_once(self, monkeypatch):
+        n_values = (1, 2, 5)
+        cfgs = [replace(self.CFG, theta2=t, n_queries=n) for t in (0.05, 0.06) for n in n_values]
+        plain = [cs_output(cfg, 32).amplitudes for cfg in cfgs]
+        counts = self.count_eigh(monkeypatch)
+        with shared_over_n(n_values):
+            shared = [cs_output(cfg, 32).amplitudes for cfg in cfgs + cfgs]
+        assert counts["eigh"] == 4
+        assert all(np.array_equal(a, b) for a, b in zip(plain + plain, shared))
+
+    def test_the_scope_holds_branch_states_only_and_drops_them_on_exit(self):
+        with shared_over_n((1, 2)) as scope:
+            cs_output(self.CFG, 32)
+            assert scope.branches == {}  # N = 3 is outside the scope: the plain path
+            cs_output(replace(self.CFG, n_queries=2), 32)
+            (held,) = scope.branches.values()
+            assert sorted(held) == [1, 2]
+            assert all(b.shape == (32,) for branches in held.values() for b in branches)
+        assert scope.branches == {} and strategies._N_SWEEP.get() is None
+
+    def test_the_scope_drops_its_states_after_an_exception(self):
+        with pytest.raises(ZeroDivisionError):
+            with shared_over_n((3,)) as scope:
+                cs_output(self.CFG, 32)
+                assert len(scope.branches) == 1
+                1 / 0
+        assert scope.branches == {} and strategies._N_SWEEP.get() is None
 
 
 class TestCompositeOutput:
