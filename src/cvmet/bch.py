@@ -286,13 +286,14 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     The truncated basis cannot represent columns whose image reaches the
     boundary, so the residual is taken over the columns for which every
     partial product keeps its occupation of the top FACTORIZATION_GUARD
-    levels below FACTORIZATION_MASS_TOL; if no column qualifies the envelope
-    is violated and the EnvelopeError message carries the smallest offending mass.
+    levels (every level, on a basis no larger than that) below
+    FACTORIZATION_MASS_TOL; if no column qualifies the envelope is violated
+    and the EnvelopeError message carries the smallest offending mass.
     """
     table = ExpansionTable.build(m, variant)  # checks the variant before any eigh
     dim = as_dim(dim)
     d = dim.d
-    top = d - FACTORIZATION_GUARD  # first level of the guarded boundary band
+    top = max(d - FACTORIZATION_GUARD, 0)  # first level of the guarded boundary band
     lam = 1j * float(lambda_im)
     x_op = build_quadrature(dim, "X")
     p_op = build_quadrature(dim, "P")

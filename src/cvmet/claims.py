@@ -194,8 +194,9 @@ def claim_5_zassenhaus() -> ClaimResult:
 
 
 def claim_6_factorized_state_oracles() -> ClaimResult:
-    """Generic gate-by-gate builders match the factorized closed forms with
-    fidelity >= 1 - 1e-7 on a 3x3 coupling grid, N = 6, m in {1, 2}."""
+    """Generic builders, which apply each query block as one exponent and read
+    no bch table, match the factorized closed forms with fidelity >= 1 - 1e-7
+    on a 3x3 coupling grid, N = 6, m in {1, 2}."""
     dim = FockDim(128)
     worst = 0.0
     for m in (1, 2):
@@ -221,7 +222,7 @@ def claim_7_composite_equality() -> ClaimResult:
         cfg = StrategyConfig(theta1=theta1, theta2=theta2, n_queries=n, m=1,
                              strategy=COHERENT_SUPERPOSITION)
         dim = FockDim(128)
-        fid = composite_output(params, 1, ProbeSpec.vacuum(), dim).fidelity(
+        fid = composite_output(params, ProbeSpec.vacuum(), dim).fidelity(
             cs_output(cfg, dim))
         worst = max(worst, 1.0 - fid)
     return ClaimResult(7, "composite realization equality", worst <= 1e-12,

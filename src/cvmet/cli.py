@@ -308,7 +308,8 @@ def cmd_bch_table(config: dict) -> CommandOutput:
 
 def cmd_factorization_check(config: dict) -> CommandOutput:
     with _config_values():
-        cases = [(_integer(m), _real(lam), FockDim(_integer(dim)), _one_of(variant, VARIANTS))
+        cases = [(_integer(m), _real(lam), FockDim(_integer(dim, low=2)),
+                  _one_of(variant, VARIANTS))
                  for m, lam, dim, variant in _list(config["factorization"]["cases"])]
     rows = []
     for m, lam_im, dim, variant in cases:

@@ -422,8 +422,8 @@ class SpectralUnitary:
 
     `u @ x` applies v (phases * (v^dag x)) to a vector or to a block of
     columns, O(d^2) per column, with the unitarity `Spectrum` verified.
-    v^dag is formed once per propagator, so N literal applications copy it
-    once, and a cached spectrum never holds it.  `.mat` forms the dense
+    v^dag is formed inside the product, a view of a real v, so neither the
+    propagator nor a cached spectrum holds it.  `.mat` forms the dense
     matrix through that same product applied to the identity and checks it
     again as an `Operator`.
     """
@@ -431,15 +431,11 @@ class SpectralUnitary:
     spectrum: Spectrum
     tau: float
     phases: np.ndarray = field(init=False, repr=False)
-    vh: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         phases = np.exp(-1j * self.tau * self.spectrum.w)
-        vh = self.spectrum.v.conj().T
         phases.setflags(write=False)
-        vh.setflags(write=False)
         object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "vh", vh)
 
     @classmethod
     def identity(cls, dim: FockDim) -> "SpectralUnitary":
@@ -449,7 +445,8 @@ class SpectralUnitary:
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         phases = self.phases if x.ndim == 1 else self.phases[:, None]
-        return _product(self.spectrum.v, phases * _product(self.vh, x))
+        v = self.spectrum.v
+        return _product(v, phases * _product(v.conj().T, x))
 
     @property
     def mat(self) -> np.ndarray:

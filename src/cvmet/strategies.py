@@ -1,16 +1,18 @@
 """Exact (control x mode) output states of the three coding strategies.
 
-The generic switch builder applies the single-query gates literally N times
-each, so the factorized closed forms assembled from the bch tables remain
-genuinely independent oracles rather than restatements.  All outputs are
-normalized (the Fisher-information formula downstream presumes unit norm)
-and the control register is fixed to (|0> + |1>)/sqrt(2).
+Every block of N identical queries is one exponent: U1^N = e^{-i N theta1 X},
+U2^N = e^{-i N theta2 P^m}.  The generic switch builder applies those two
+blocks in both orders and reads no bch table, so the factorized closed forms
+assembled from the tables remain genuinely independent oracles rather than
+restatements.  All outputs are normalized (the Fisher-information formula
+downstream presumes unit norm) and the control register is fixed to
+(|0> + |1>)/sqrt(2).
 
 Relative-phase convention: under [X, P] = +i the linear-case reordering puts
-the phase e^{-i N^2 theta1 theta2} on the |0> branch (measured, not assumed;
-`switch_relative_phase` reports it); a convention that conjugates the
-commutator moves it to the |1> branch, a global phase apart.  Fidelity checks therefore
-quotient the global phase.
+the phase e^{-i N^2 theta1 theta2} on the |0> branch (measured, not assumed:
+it is the angle between the two branches of `switch_output`); a convention
+that conjugates the commutator moves it to the |1> branch, a global phase
+apart.  Fidelity checks therefore quotient the global phase.
 
 Each `cs_output` call decomposes its two branch generators, two eigh and two
 propagators, except inside a `shared_over_n` scope, which a sweep over the
@@ -44,7 +46,7 @@ from .cvspace import (
     propagator,
     spectrum,
 )
-from .errors import ContractViolationError, UnsupportedConfigurationError
+from .errors import ContractViolationError
 
 SWITCH = "switch"
 COHERENT_SUPERPOSITION = "coherent_superposition"
@@ -115,7 +117,8 @@ class StrategyConfig:
 
     theta1 couples H1 = X, theta2 couples H2 = P^m; n_queries is N (the
     switch uses N queries of each gate, the coherent superposition 2N
-    queries of U+/U-, so both consume 2N queries in total).
+    queries of U+/U-, so both consume 2N queries in total).  The composite
+    realization is linear, so it takes m = 1 only.
     """
 
     theta1: float
@@ -130,6 +133,9 @@ class StrategyConfig:
             raise ContractViolationError(f"unknown strategy {self.strategy!r}")
         if self.n_queries < 1 or self.m < 1:
             raise ContractViolationError("n_queries and m must be positive")
+        if self.strategy == COMPOSITE and self.m != 1:
+            raise ContractViolationError(
+                "the composite realization is defined for the linear case m = 1 only")
 
     def query_accounting(self) -> dict:
         n = self.n_queries
@@ -201,28 +207,17 @@ def _mode_spectra(m: int, dim: FockDim) -> tuple[Spectrum, Spectrum]:
 
 
 def switch_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
-    """Generic switch state by N literal applications of each single-query gate.
+    """Generic switch state, the two query blocks applied in both orders.
 
-    (|0> U1^N U2^N |phi> + |1> U2^N U1^N |phi>)/sqrt(2) with U1 = e^{-i theta1 X}
-    and U2 = e^{-i theta2 P^m}.
+    (|0> U1^N U2^N |phi> + |1> U2^N U1^N |phi>)/sqrt(2) with
+    U1^N = e^{-i N theta1 X} and U2^N = e^{-i N theta2 P^m}.
     """
     dim = as_dim(dim)
     x, pm = _mode_spectra(cfg.m, dim)
-    u1 = propagator(x, cfg.theta1)
-    u2 = propagator(pm, cfg.theta2)
+    u1 = propagator(x, cfg.n_queries * cfg.theta1)
+    u2 = propagator(pm, cfg.n_queries * cfg.theta2)
     phi = prepare_probe(cfg.probe, dim).vec
-
-    b0 = phi
-    for _ in range(cfg.n_queries):
-        b0 = u2 @ b0
-    for _ in range(cfg.n_queries):
-        b0 = u1 @ b0
-    b1 = phi
-    for _ in range(cfg.n_queries):
-        b1 = u1 @ b1
-    for _ in range(cfg.n_queries):
-        b1 = u2 @ b1
-    return QState.from_branches([b0, b1], dim)
+    return QState.from_branches([u1 @ (u2 @ phi), u2 @ (u1 @ phi)], dim)
 
 
 @functools.lru_cache(maxsize=8)
@@ -354,7 +349,7 @@ def cs_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     return QState.from_branches(branches, dim)
 
 
-def composite_output(params: CompositeParams, m: int, probe: ProbeSpec,
+def composite_output(params: CompositeParams, probe: ProbeSpec,
                      dim: FockDim | int) -> QState:
     """Normalized output of the composite model, stated for the linear case only.
 
@@ -362,9 +357,6 @@ def composite_output(params: CompositeParams, m: int, probe: ProbeSpec,
     Delegates to the coherent-superposition builder under theta_j = T G_j/2N,
     which reproduces the same matrix exponentials exactly.
     """
-    if m != 1:
-        raise UnsupportedConfigurationError(
-            "the composite realization is defined for the linear case m = 1 only")
     theta1, theta2 = params.thetas()
     cfg = StrategyConfig(theta1=theta1, theta2=theta2, n_queries=params.n_queries,
                          m=1, strategy=COHERENT_SUPERPOSITION, probe=probe)
@@ -398,23 +390,14 @@ def node_phases(cfg: StrategyConfig, q: np.ndarray) -> tuple[np.ndarray, np.ndar
     Phi = +-int_0^{2N} (q - theta1 s)^m ds
         = +-[q^{m+1} - (q - theta1 2N)^{m+1}] / (theta1 (m+1)),
     summed term by term (binomial theorem) so theta1 = 0 needs no limit.  A
-    switch branch accumulates N literal queries of each gate, as
-    `switch_output` applies them: U1 = e^{-i theta1 X} moves the grid down by
-    theta1, U2 = e^{-i theta2 P^m} adds p^m at the current grid.
+    switch branch applies its two query blocks in order: U1^N moves the grid
+    down by N theta1, U2^N adds N p^m at the current grid, so
+    Phi_0 = N q^m (U1^N U2^N) and Phi_1 = N (q - N theta1)^m (U2^N U1^N).
     """
+    m, n = cfg.m, cfg.n_queries
     if encoding(cfg.strategy) == SWITCH:
-        phases = []
-        for gates in ("21", "12"):   # U1^N U2^N, U2^N U1^N
-            grid, phase = q, np.zeros_like(q)
-            for gate in gates:
-                for _ in range(cfg.n_queries):
-                    if gate == "1":
-                        grid = grid - cfg.theta1
-                    else:
-                        phase = phase + grid ** cfg.m
-            phases.append(phase)
-        return phases[0], phases[1]
-    m, a, tau = cfg.m, cfg.theta1, 2 * cfg.n_queries
+        return n * q ** m, n * (q - n * cfg.theta1) ** m
+    a, tau = cfg.theta1, 2 * n
     phase = sum(math.comb(m, k) * (-a) ** k * tau ** (k + 1) / (k + 1) * q ** (m - k)
                 for k in range(m + 1))
     return phase, -phase
@@ -435,19 +418,3 @@ def node_output(cfg: StrategyConfig, nodes: int) -> QState:
     return QState.from_branches([phi * np.exp(-1j * cfg.theta2 * phase)
                                  for phase in node_phases(cfg, q)], FockDim(q.size))
 
-
-def switch_relative_phase(cfg: StrategyConfig, dim: FockDim | int) -> float:
-    """Measured phase of the |0> branch relative to the reordered common factor.
-
-    For m = 1 the algebra gives exactly -N^2 theta1 theta2; reported rather
-    than assumed so a sign-convention drift is self-detecting.
-    """
-    dim = as_dim(dim)
-    x, pm = _mode_spectra(cfg.m, dim)
-    phi = prepare_probe(cfg.probe, dim).vec
-    n = cfg.n_queries
-    u1 = propagator(x, n * cfg.theta1)
-    u2 = propagator(pm, n * cfg.theta2)
-    b0 = u1 @ (u2 @ phi)
-    common = u2 @ (u1 @ phi)
-    return float(np.angle(np.vdot(common, b0)))

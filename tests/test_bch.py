@@ -163,6 +163,13 @@ class TestFactorization:
         with pytest.raises(EnvelopeError):
             verify_factorization(3, 0.3, FockDim(32), "AB")
 
+    @pytest.mark.parametrize("d", [8, 12, 16])
+    def test_basis_no_larger_than_the_guard_band_raises(self, d):
+        # every level of such a basis lies in the guarded boundary band, so
+        # no column can keep its boundary mass below the tolerance
+        with pytest.raises(EnvelopeError):
+            verify_factorization(1, 0.01, FockDim(d), "AB")
+
     def test_appending_vanished_terms_changes_nothing(self):
         # terms with n > m+1 are the zero polynomial; their exponentials are
         # the exact identity, so the factorized side cannot move

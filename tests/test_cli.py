@@ -213,6 +213,10 @@ class TestExitCodes:
         ["optomech", "--set", "optomech.mass=Infinity"],
         ["optomech", "--set", "optomech.omega_c=NaN"],
         ["optomech", "--set", "optomech.tau=Infinity"],
+        ["qfi", "--set", "strategy=composite", "--set", "m=2"],
+        ["sweep", "--set", "strategy=composite",
+         "--set", 'sweep={"param": "m", "values": [1, 2]}'],
+        ["factorization-check", "--set", 'factorization={"cases": [[1, 0.01, 1, "AB"]]}'],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_config_value_exits_1(self, argv, capsys):
         assert cli.main(argv) == 1

@@ -262,20 +262,35 @@ class TestSpectrum:
 
 
     @pytest.mark.parametrize("terms", [((1.0, "X"),), ((1.0, 3),)], ids=["real V", "complex V"])
-    def test_propagator_forms_v_dagger_once_and_the_spectrum_never(self, terms):
-        # v^dag lives on the propagator, so N applications copy it once and a
-        # cached spectrum keeps only w and v; the product is the one it was
+    def test_propagator_applies_v_dagger_in_the_product_and_keeps_no_copy(self, terms):
+        # v^dag is formed inside `@`, so a cached spectrum keeps only w and v;
+        # the product is the one it was
         d = 24
         spec = spectrum(_generator(d, *terms))
         u = propagator(spec, 0.7)
         assert [f.name for f in dataclasses.fields(Spectrum)] == ["dim", "w", "v"]
-        assert not u.vh.flags.writeable
         rng = np.random.default_rng(5)
         for x in (rng.normal(size=d) + 1j * rng.normal(size=d),
                   rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))):
             phases = u.phases if x.ndim == 1 else u.phases[:, None]
             reference = cvspace._product(spec.v, phases * cvspace._product(spec.v.conj().T, x))
             assert (u @ x).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("terms", [((1.0, "X"),), ((1.0, 2),), ((1.0, 3),)],
+                             ids=["X", "P2", "P3"])
+    @pytest.mark.parametrize("n", [1, 6, 24])
+    def test_n_applications_compose_to_one_exponent(self, terms, n):
+        # e^{-i theta H} applied N times is e^{-i N theta H}: a block of N
+        # identical queries is one propagator
+        d = 64
+        spec = spectrum(_generator(d, *terms))
+        rng = np.random.default_rng(3)
+        vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+        vec /= np.linalg.norm(vec)
+        step, applied = propagator(spec, 0.05), vec
+        for _ in range(n):
+            applied = step @ applied
+        assert np.abs(applied - propagator(spec, n * 0.05) @ vec).max() <= 1e-12
 
 
 class TestMoments:

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 keeps a private helper nothing calls or holds an unbounded cache, one
 function owns the eigendecomposition, propagators stay factored, the exact
-generator route and the optomech mirror stay off the truncated basis, and the
-coherent-superposition builder forms no quadrature per state build."""
+generator route and the optomech mirror stay off the truncated basis, the
+coherent-superposition builder forms no quadrature per state build, and no
+block of N identical queries is applied one query at a time."""
 
 import ast
 import pathlib
@@ -375,3 +376,47 @@ def test_cs_output_reads_cached_bands():
     state, so X and P^m come from the cached band table, never per build."""
     source = (PACKAGE / "strategies.py").read_text(encoding="utf-8")
     assert uncached_quadrature_calls(source, "cs_output") == []
+
+
+def query_loops(source: str) -> list:
+    """Line of every `for` loop or comprehension over a `range(...)` whose
+    arguments name `n_queries`: N identical queries applied one at a time."""
+    tree = ast.parse(source)
+    return sorted(loop.iter.lineno for loop in ast.walk(tree)
+                  if isinstance(loop, (ast.For, ast.comprehension))
+                  and isinstance(loop.iter, ast.Call)
+                  and getattr(loop.iter.func, "id", None) == "range"
+                  and any(getattr(node, "id", getattr(node, "attr", None)) == "n_queries"
+                          for arg in loop.iter.args for node in ast.walk(arg)))
+
+
+# switch_output as it applied each single-query gate N times
+LITERAL_SWITCH_OUTPUT = '''
+def switch_output(cfg, dim):
+    u1 = propagator(x, cfg.theta1)
+    u2 = propagator(pm, cfg.theta2)
+    b0 = phi
+    for _ in range(cfg.n_queries):
+        b0 = u2 @ b0
+    for _ in range(cfg.n_queries):
+        b0 = u1 @ b0
+    b1 = phi
+    for _ in range(cfg.n_queries):
+        b1 = u1 @ b1
+    for _ in range(cfg.n_queries):
+        b1 = u2 @ b1
+    return QState.from_branches([b0, b1], dim)
+'''
+
+
+def test_checker_flags_the_literal_switch_output():
+    assert query_loops(LITERAL_SWITCH_OUTPUT) == [6, 8, 11, 13]
+    assert query_loops("n_queries = 3\nfor k in range(1, n_queries + 1): pass\n"
+                       "[k for k in range(n_queries)]\nfor k in range(n): pass\n") == [2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_query_block_is_applied_query_by_query(path):
+    """N identical queries are one unitary, e^{-i N theta H}: every builder
+    evaluates the block as one exponent, so no loop runs over N."""
+    assert query_loops(path.read_text(encoding="utf-8")) == []

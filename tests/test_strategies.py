@@ -16,9 +16,10 @@ from cvmet.cvspace import (
     propagator,
     spectrum,
 )
-from cvmet.errors import ContractViolationError, UnsupportedConfigurationError
+from cvmet.errors import ContractViolationError
 from cvmet.strategies import (
     COHERENT_SUPERPOSITION,
+    COMPOSITE,
     SWITCH,
     CompositeParams,
     QState,
@@ -30,7 +31,6 @@ from cvmet.strategies import (
     shared_over_n,
     switch_output,
     switch_output_factorized,
-    switch_relative_phase,
 )
 
 DIM = FockDim(128)
@@ -70,7 +70,8 @@ class TestSwitchOutput:
 
     def test_measured_relative_phase_matches_algebra(self):
         cfg = StrategyConfig(theta1=0.05, theta2=0.05, n_queries=4, m=1, strategy=SWITCH)
-        measured = switch_relative_phase(cfg, DIM)
+        state = switch_output(cfg, DIM)
+        measured = np.angle(np.vdot(state.branch(1), state.branch(0)))
         assert measured == pytest.approx(-cfg.n_queries ** 2 * cfg.theta1 * cfg.theta2,
                                          abs=1e-10)
 
@@ -78,6 +79,27 @@ class TestSwitchOutput:
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=5, strategy=SWITCH)
         assert cfg.query_accounting() == {"u1_queries": 5, "u2_queries": 5,
                                           "total_queries": 10}
+
+
+class TestNodePhases:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_switch_phases_are_the_query_by_query_sum(self, m, n):
+        # reference: N queries of each gate applied one at a time, U1 moving
+        # the grid down by theta1, U2 adding p^m at the current grid
+        cfg = StrategyConfig(theta1=0.13, theta2=0.05, n_queries=n, m=m, strategy=SWITCH)
+        q = np.linspace(-6.0, 6.0, 49)
+        reference = []
+        for gates in ("2" * n + "1" * n, "1" * n + "2" * n):  # U1^N U2^N, U2^N U1^N
+            grid, phase = q, np.zeros_like(q)
+            for gate in gates:
+                if gate == "1":
+                    grid = grid - cfg.theta1
+                else:
+                    phase = phase + grid ** m
+            reference.append(phase)
+        for phase, ref in zip(strategies.node_phases(cfg, q), reference):
+            assert np.abs(phase - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestCsOutput:
@@ -272,7 +294,7 @@ class TestSharedOverN:
 class TestCompositeOutput:
     def test_zero_couplings(self):
         params = CompositeParams(g1=0.0, g2=0.0, t=1.0, n_queries=4)
-        state = composite_output(params, 1, ProbeSpec.vacuum(), DIM)
+        state = composite_output(params, ProbeSpec.vacuum(), DIM)
         assert state.fidelity(balanced_control_vacuum(DIM)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_cs_under_parameter_mapping(self):
@@ -281,19 +303,22 @@ class TestCompositeOutput:
         assert theta1 == pytest.approx(0.05)
         cfg = StrategyConfig(theta1=theta1, theta2=theta2, n_queries=4, m=1,
                              strategy=COHERENT_SUPERPOSITION)
-        fid = composite_output(params, 1, ProbeSpec.vacuum(), DIM).fidelity(
+        fid = composite_output(params, ProbeSpec.vacuum(), DIM).fidelity(
             cs_output(cfg, DIM))
         assert fid >= 1 - 1e-12
 
     def test_no_sigma_z_coupling_keeps_control_pure(self):
         params = CompositeParams(g1=0.7, g2=0.0, t=1.5, n_queries=3)
-        state = composite_output(params, 1, ProbeSpec.vacuum(), DIM)
+        state = composite_output(params, ProbeSpec.vacuum(), DIM)
         assert state.control_purity() == pytest.approx(1.0, abs=1e-12)
 
     def test_nonlinear_composite_unsupported(self):
-        params = CompositeParams(g1=0.4, g2=0.4, t=1.0, n_queries=4)
-        with pytest.raises(UnsupportedConfigurationError):
-            composite_output(params, 2, ProbeSpec.vacuum(), DIM)
+        # the composite realization is linear: its config refuses m != 1
+        for m in (2, 3):
+            with pytest.raises(ContractViolationError):
+                StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=m, strategy=COMPOSITE)
+        assert StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1,
+                              strategy=COMPOSITE).m == 1
 
 
 class TestQState:
