@@ -64,13 +64,11 @@ SWEEP_COLUMNS = ("N", "m", "theta1", "theta2", "strategy", "F_fd", "F_gen",
 
 
 def format_value(value) -> str:
-    """Fixed rendering: floats at 17 significant digits, exact rationals as-is."""
+    """Fixed rendering: floats at 17 significant digits, booleans in lower case."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, Fraction):
-        return render_fraction(value)
     return str(value)
 
 
@@ -158,7 +156,9 @@ def _config_values():
 
 
 def _real(value) -> float:
-    """A finite real config number; JSON's NaN and Infinity are rejected."""
+    """A finite real config number; JSON's NaN, Infinity, true and false are rejected."""
+    if isinstance(value, bool):  # float(True) would pass as 1.0
+        raise TypeError(f"expected a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")
@@ -167,7 +167,7 @@ def _real(value) -> float:
 
 def _integer(value, low: int = 1) -> int:
     """An integral config number >= low; 2.5 is rejected, never truncated."""
-    number = float(value)
+    number = _real(value)
     if not number.is_integer() or number < low:
         raise ValueError(f"expected an integer >= {low}, got {value!r}")
     return int(number)
@@ -245,7 +245,8 @@ def cmd_qfi(config: dict) -> CommandOutput:
                "F", "F_gen", "F_asym", "step_used", "delta_theta", "converged",
                "dim_used")
     row = (cfg.strategy, cfg.m, cfg.n_queries, cfg.theta1, cfg.theta2, which,
-           fd.method, fd.value, f_gen, f_asym, fd.step_used, delta,
+           fd.method, fd.value, f_gen, f_asym,
+           "" if fd.step_used is None else fd.step_used, delta,
            fd.converged, dim_used)
     return CommandOutput(columns, [row],
                          {"query_accounting": cfg.query_accounting()})

@@ -1,13 +1,13 @@
-"""Quantum Fisher information of the strategy outputs by three routes.
+"""Quantum Fisher information of the strategy outputs by four routes.
 
 For a pure family |psi(theta)> the figure of merit is
-F = 4(<d psi|d psi> - |<d psi|psi>|^2).  Three estimators are provided:
+F = 4(<d psi|d psi> - |<d psi|psi>|^2).  Four estimators are provided:
 
   finite_difference  central differences with a mandatory Richardson step,
-                     on the truncated Fock basis or, for rows no basis up to
-                     DIM_CAP holds, on momentum nodes, where theta2 enters
-                     each branch as the phase e^{-i theta2 Phi_b} and one
-                     centre state per grid is differenced in an offset
+                     on the truncated Fock basis
+  exact_nodes        for rows no basis up to DIM_CAP holds: theta2 enters
+                     each branch on momentum nodes as the phase
+                     e^{-i theta2 Phi_b}, so d psi = -i Phi_b psi exactly
   generator_exact    per-branch derivative generators (polynomials in one
                      quadrature) evaluated as exact probe moments on
                      Gauss-Hermite nodes, with no basis and no dimension loop
@@ -17,7 +17,7 @@ Only the finite-difference route runs in the truncated Fock basis, inside the
 dimension-doubling loop of `qfi_converged`, and only where `fock_start`
 finds a basis that can hold the row.
 
-The exact route uses expectation-of-square <g^2>, not the squared
+The generator route uses expectation-of-square <g^2>, not the squared
 expectation |<g>|^2 sometimes quoted at leading order: only <g^2> satisfies
 the pure-state formula exactly.  The leading-order form is still reported in
 the diagnostics, so the discrepancy between the two is itself a regression
@@ -37,7 +37,6 @@ from .cvspace import (
     DIM_CAP,
     DIM_REL_TOL,
     MOMENTUM_NODES,
-    CvState,
     FockDim,
     ProbeSpec,
     as_dim,
@@ -93,8 +92,6 @@ class PrecisionResult:
 def _state_vector(state) -> np.ndarray:
     if isinstance(state, QState):
         return state.amplitudes
-    if isinstance(state, CvState):
-        return state.vec
     return np.asarray(state, dtype=complex)
 
 
@@ -103,17 +100,15 @@ def qfi_from_derivative(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return float(4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(dpsi, psi)) ** 2))
 
 
-def qfi_fd(builder: Callable[[float], object], theta0: float, start: int = 0,
-           step: float | None = None) -> QfiEstimate:
+def qfi_fd(builder: Callable[[float], object], theta0: float, start: int = 0) -> QfiEstimate:
     """Central-difference QFI with the mandatory Richardson check of `richardson`.
 
     The builder must be a deterministic map from the scalar to a state; the
     eigendecomposition propagators downstream are smooth in the parameter, so
     no gauge jumps enter the difference.  The centre state builder(theta0) is
     built once and shared by every step; each step h then builds
-    theta0 +- h.  The step ladder is h0 / 2^k with h0 = `step`, by default
-    1e-4 max(1, |theta0|), entered at rung `start` (0, the top, unless
-    `qfi_converged` resumes it);
+    theta0 +- h.  The step ladder is h0 / 2^k with h0 = 1e-4 max(1, |theta0|),
+    entered at rung `start` (0, the top, unless `qfi_converged` resumes it);
     `diagnostics["rung"]` is the rung of the last step.  A failed check is
     reported as unconverged with every step in the diagnostics.
     """
@@ -123,9 +118,7 @@ def qfi_fd(builder: Callable[[float], object], theta0: float, start: int = 0,
         dpsi = (_state_vector(builder(theta0 + h)) - _state_vector(builder(theta0 - h))) / (2 * h)
         return qfi_from_derivative(psi0, dpsi)
 
-    if step is None:
-        step = 1e-4 * max(1.0, abs(theta0))
-    value, converged, history = richardson(estimate, step, start)
+    value, converged, history = richardson(estimate, 1e-4 * max(1.0, abs(theta0)), start)
     h, f_h, f_h2, resid = history[-1]
     return QfiEstimate(value, "finite_difference", step_used=h, converged=converged,
                        diagnostics={"richardson_residual": resid,
@@ -281,18 +274,14 @@ def fock_start(cfg: StrategyConfig) -> int | None:
 
 
 def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
-    """Finite-difference QFI of theta2 on the exact momentum-node states of
-    `node_output`, at G = MOMENTUM_NODES and at 2G base nodes.
+    """Exact QFI of theta2 on the momentum-node states of `node_output`, at
+    G = MOMENTUM_NODES and at 2G base nodes.
 
     Branch b is its probe amplitudes times e^{-i theta2 Phi_b(q)}
-    (`node_phases`), Phi_b free of theta2, so moving theta2 by h multiplies
-    the centre by e^{-i h Phi_b}.  Each grid builds its centre once and
-    `qfi_fd` differences e^{-i h Phi_b} centre in the offset h at 0, so
-    theta2 itself is never rounded.  The Richardson ladder starts at
-    h0 = 1e-3 / max_j |Phi_b(q_j)|: the top step turns no node's phase by
-    more than 1e-3 rad.  Converged means both runs settled and their values
-    agree to DIM_REL_TOL; the value, step and node count reported are the
-    2G run's, and an unconverged estimate names its reason in
+    (`node_phases`), Phi_b free of theta2, so the derivative of the state is
+    exactly -i Phi_b times it: no step and no difference.  Converged means
+    the two grids agree to DIM_REL_TOL; the value and node count reported
+    are the 2G grid's, and an unconverged estimate names its reason in
     `diagnostics["reason"]`.
 
     theta1, which moves the node grid, is not covered: an EnvelopeError
@@ -306,22 +295,16 @@ def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     for nodes in (MOMENTUM_NODES, 2 * MOMENTUM_NODES):
         q, _ = probe_amplitudes(cfg.probe, nodes, 0.0)
         phases = np.concatenate(node_phases(cfg, q))
-        centre = node_output(cfg, nodes).amplitudes
-        runs.append((q.size, qfi_fd(lambda h: centre * np.exp(-1j * h * phases), 0.0,
-                                    step=1e-3 / np.abs(phases).max())))
-    reasons = [f"Richardson did not settle on {size} nodes"
-               for size, est in runs if not est.converged]
+        psi = node_output(cfg, nodes).amplitudes
+        runs.append((q.size, qfi_from_derivative(psi, -1j * phases * psi)))
     (coarse_size, coarse), (size, fine) = runs
-    gap = abs(fine.value - coarse.value) / max(abs(fine.value), abs(coarse.value), 1e-300)
-    if not gap <= DIM_REL_TOL:
-        reasons.append(f"{coarse_size} and {size} nodes differ by {gap:.3e} relative")
-    diagnostics = dict(fine.diagnostics)
-    diagnostics.update({"dim_used": size, "node_gap": gap,
-                        "node_history": ((coarse_size, coarse.value), (size, fine.value))})
-    if reasons:
-        diagnostics["reason"] = "; ".join(reasons)
-    return QfiEstimate(fine.value, "finite_difference_nodes", step_used=fine.step_used,
-                       converged=not reasons, diagnostics=diagnostics)
+    gap = abs(fine - coarse) / max(abs(fine), abs(coarse), 1e-300)
+    diagnostics = {"dim_used": size, "node_gap": gap,
+                   "node_history": ((coarse_size, coarse), (size, fine))}
+    converged = gap <= DIM_REL_TOL
+    if not converged:
+        diagnostics["reason"] = f"{coarse_size} and {size} nodes differ by {gap:.3e} relative"
+    return QfiEstimate(fine, "exact_nodes", converged=converged, diagnostics=diagnostics)
 
 
 def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:

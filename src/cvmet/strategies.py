@@ -411,8 +411,8 @@ def node_output(cfg: StrategyConfig, nodes: int) -> QState:
     (`probe_amplitudes`, `nodes` + n nodes q_j) carried to the grid
     p_j = q_j - `momentum_shift` with the phase e^{-i theta2 Phi_b(q_j)} of
     `node_phases`.  Both branches end on the same grid, so the inner
-    products of the QState are the quadrature of the mode's.  Differencing
-    is sound in theta2 only: theta1 moves the grid.
+    products of the QState are the quadrature of the mode's.  theta2 enters
+    only through those phases; theta1 moves the grid.
     """
     q, phi = probe_amplitudes(cfg.probe, nodes, 0.0)
     return QState.from_branches([phi * np.exp(-1j * cfg.theta2 * phase)

@@ -217,6 +217,10 @@ class TestExitCodes:
         ["sweep", "--set", "strategy=composite",
          "--set", 'sweep={"param": "m", "values": [1, 2]}'],
         ["factorization-check", "--set", 'factorization={"cases": [[1, 0.01, 1, "AB"]]}'],
+        ["qfi", "--set", "n_queries=true"],
+        ["qfi", "--set", "theta2=false"],
+        ["qfi", "--set", 'probe={"kind": "fock", "n": true}'],
+        ["factorization-check", "--set", 'factorization={"cases": [[1, true, 64, "AB"]]}'],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_config_value_exits_1(self, argv, capsys):
         assert cli.main(argv) == 1
@@ -314,7 +318,7 @@ class TestNodeRoute:
         record = qfi_record(CS_M3_N24, tmp_path)
         exact = exact_cs_vacuum_qfi(3, 24, 1.2)
         assert float(exact) == pytest.approx(2.1124582336e13, rel=1e-10)
-        assert (record["method"], record["converged"]) == ("finite_difference_nodes", "true")
+        assert (record["method"], record["converged"]) == ("exact_nodes", "true")
         assert record["dim_used"] == str(2 * cvspace.MOMENTUM_NODES)
         assert abs(float(record["F"]) - float(exact)) <= 1e-10 * float(exact)
         assert abs(float(record["F_gen"]) - float(exact)) <= 1e-9 * float(exact)
@@ -323,10 +327,10 @@ class TestNodeRoute:
     def test_m5_n200_row_converges(self, strategy, tmp_path):
         record = qfi_record(["qfi", "--set", "m=5", "--set", "n_queries=200", "--set",
                              "theta1=1.0", "--set", f"strategy={strategy}"], tmp_path)
-        assert (record["method"], record["converged"]) == ("finite_difference_nodes", "true")
+        assert (record["method"], record["converged"]) == ("exact_nodes", "true")
         assert float(record["F"]) == pytest.approx(float(record["F_gen"]), rel=1e-10)
-        # theta2 +- h would round to theta2 at this step; the offset h does not
-        assert float(record["step_used"]) < 1e-16
+        # the node derivative is exact: no step to report
+        assert record["step_used"] == ""
 
     def test_node_row_runs_no_eigendecomposition(self, monkeypatch, tmp_path):
         calls = []
@@ -347,7 +351,7 @@ class TestNodeRoute:
     def test_probe_no_basis_holds_runs_on_nodes(self, probe, tmp_path):
         # both leak past d = 1024; the basis-free node route takes the row
         record = qfi_record(["qfi", "--set", f"probe={probe}"], tmp_path)
-        assert (record["method"], record["converged"]) == ("finite_difference_nodes", "true")
+        assert (record["method"], record["converged"]) == ("exact_nodes", "true")
         assert float(record["F"]) == pytest.approx(float(record["F_gen"]), rel=1e-6)
 
     def test_theta1_beyond_reach_exits_2_with_its_reason(self, capsys):

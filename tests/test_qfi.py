@@ -14,7 +14,6 @@ from cvmet.cvspace import (
     ProbeSpec,
     build_quadrature,
     prepare_probe,
-    probe_amplitudes,
     propagator,
 )
 from cvmet.errors import (
@@ -313,14 +312,14 @@ TRIANGLE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.coherent(0.3 + 0.2j), ProbeSpec
 
 
 class TestNodeRoute:
-    """The fourth leg of the fd / generator / asymptotic triangle: fd on the
-    exact momentum-node states, against fd in the Fock basis and F_gen, on
-    small rows both fd routes can take."""
+    """The fourth leg of the fd / generator / asymptotic triangle: the exact
+    theta2 derivative of the momentum-node states, against fd in the Fock
+    basis and F_gen, on small rows both routes can take."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
     @pytest.mark.parametrize("probe", TRIANGLE_PROBES, ids=lambda p: p.kind)
-    def test_node_fd_fock_fd_and_generator_agree(self, m, strategy, probe):
+    def test_exact_nodes_fock_fd_and_generator_agree(self, m, strategy, probe):
         cfg = StrategyConfig(theta1=0.2, theta2=0.05, n_queries=2, m=m,
                              strategy=strategy, probe=probe)
         assert qfi_module.fock_start(cfg) is not None
@@ -328,7 +327,7 @@ class TestNodeRoute:
         nodes = qfi_module.qfi_nodes(cfg, THETA2)
         exact = qfi_generator(cfg, THETA2).value
         assert fock.method == "finite_difference" and fock.converged
-        assert nodes.method == "finite_difference_nodes" and nodes.converged
+        assert nodes.method == "exact_nodes" and nodes.converged
         assert nodes.diagnostics["dim_used"] == 2 * MOMENTUM_NODES + probe.n
         for est in (fock, nodes):
             assert est.value == pytest.approx(exact, rel=1e-8)
@@ -342,20 +341,17 @@ class TestNodeRoute:
         # Fock(600) fits d = 1024 but not the node rule's NODE_CAP = 512 nodes
         assert qfi_module.fock_start(replace(cfg, theta1=0.9, probe=ProbeSpec.fock(600))) == 1024
         est = qfi_converged(cfg, THETA2)
-        assert est.method == "finite_difference_nodes" and est.converged
-        assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-10)
-        # the start step turns no node's phase by more than 1e-3 rad
-        q, _ = probe_amplitudes(cfg.probe, 2 * MOMENTUM_NODES, 0.0)
-        top = max(np.abs(phase).max() for phase in strategies.node_phases(cfg, q))
-        assert est.diagnostics["step_history"][0][0] == pytest.approx(1e-3 / top, rel=1e-15)
+        assert est.method == "exact_nodes" and est.converged
+        assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
+        # the derivative is exact: no step is taken or reported
+        assert est.step_used is None and "step_history" not in est.diagnostics
 
     def test_seeded_grid_matches_the_generator_route(self):
-        """m 1..5, N 1..400, theta1 in [0.05, 2]: every row converges.  The
-        bound is the rounding floor of the difference, not 1e-10: a stored
-        state is exact to eps, so node j's quotient carries about
-        eps / (h Phi_j), and the step h0 = 1e-3 / max|Phi| is set by the
-        grid's tail nodes; 4800 random rows of this kind reach 4.3e-10
-        (m = 5 switch, N = 10, coherent probe)."""
+        """m 1..5, N 1..400, theta1 in [0.05, 2]: every row converges and
+        agrees with F_gen to 1e-12.  The node rows take Phi_b from the
+        binomial sums of `node_phases` and the weights from the probe's
+        Hermite functions; F_gen takes its generators from the bch tables and
+        its weights from the Christoffel rule of `probe_on_nodes`."""
         rng = np.random.default_rng(0)
         for _ in range(60):
             cfg = StrategyConfig(theta1=rng.uniform(0.05, 2.0), theta2=rng.uniform(0.01, 1.0),
@@ -364,7 +360,27 @@ class TestNodeRoute:
                                  probe=NODE_PROBES[rng.integers(len(NODE_PROBES))])
             est = qfi_module.qfi_nodes(cfg, THETA2)
             assert est.converged, cfg
-            assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-9), cfg
+            assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12), cfg
+
+    def test_tail_dominated_phase_row_matches_the_generator_route(self):
+        # Phi_b spans many decades across the grid, where a difference
+        # stepped by the outermost nodes' phase loses digits to rounding
+        cfg = StrategyConfig(theta1=0.10575, theta2=0.3, n_queries=10, m=5, strategy=SWITCH,
+                             probe=ProbeSpec.coherent(-1.1 + 0.7j))
+        est = qfi_module.qfi_nodes(cfg, THETA2)
+        assert est.converged
+        assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
+
+    def test_node_rows_take_no_difference(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a node row took a finite difference")
+
+        monkeypatch.setattr(qfi_module, "qfi_fd", refuse)
+        monkeypatch.setattr(qfi_module, "richardson", refuse)
+        cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
+                             strategy=COHERENT_SUPERPOSITION)
+        est = qfi_converged(cfg, THETA2)
+        assert est.method == "exact_nodes" and est.converged
 
     def test_centre_is_built_once_per_grid(self, monkeypatch):
         builds = []
