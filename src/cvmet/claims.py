@@ -68,8 +68,9 @@ SCALING_N_SWEEP = tuple(range(14, 27, 2))
 
 
 def claim_1_switch_linear_qfi() -> ClaimResult:
-    """Switch, m=1: finite-difference QFI of the first coupling reproduces
-    theta2^2 N^4 + 4 N^2 Var(X) to relative 1e-3 for N in {2,4,6,8}."""
+    """Switch, m=1: the Fock-basis QFI of the first coupling (`qfi_converged`,
+    exact derivative, dimension doubling) reproduces theta2^2 N^4 + 4 N^2 Var(X)
+    to relative 1e-3 for N in {2,4,6,8}."""
     worst = 0.0
     rows = []
     for n in (2, 4, 6, 8):
@@ -86,24 +87,27 @@ def claim_1_switch_linear_qfi() -> ClaimResult:
 
 
 def claim_2_cs_linear_qfi() -> ClaimResult:
-    """Coherent superposition, m=1: fd and generator agree (rel 1e-3), both
-    equal 16 N^4 theta1^2 + 16 N^2 Var(P), and the value depends on theta1,
-    not theta2 (cross-sweep constant to rel 1e-6)."""
+    """Coherent superposition, m=1: the Fock-basis QFI (`qfi_converged`, exact
+    derivative) and the generator route agree (rel 1e-3), both equal
+    16 N^4 theta1^2 + 16 N^2 Var(P), and the value depends on theta1, not
+    theta2 (cross-sweep constant to rel 1e-6; a Richardson fd at d = 128
+    corroborates that)."""
     worst_pair = worst_formula = 0.0
     n_values = (2, 4, 6, 8)
     with shared_over_n(n_values):
         for n in n_values:
             cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=n, m=1,
                                  strategy=COHERENT_SUPERPOSITION)
-            fd = qfi_converged(cfg, THETA2)
+            fock = qfi_converged(cfg, THETA2)
             gen = qfi_generator(cfg, THETA2)
             expected = 16 * n ** 4 * cfg.theta1 ** 2 + 16 * n ** 2 * 0.5
-            worst_pair = max(worst_pair, _rel_err(fd.value, gen.value))
+            worst_pair = max(worst_pair, _rel_err(fock.value, gen.value))
             worst_formula = max(worst_formula, _rel_err(gen.value, expected),
-                                _rel_err(fd.value, expected))
+                                _rel_err(fock.value, expected))
     # cross-sweep: vary theta2 at fixed theta1; the converged estimates must
-    # not move (the exact generator is theta2-free; fd is checked loosely as
-    # a non-symbolic corroboration)
+    # not move (the exact generator is theta2-free; a finite difference, the
+    # one estimator here that shares no code with the exact derivative, is
+    # checked loosely as a non-symbolic corroboration)
     base = None
     spread_gen = 0.0
     spread_fd = 0.0
@@ -121,7 +125,7 @@ def claim_2_cs_linear_qfi() -> ClaimResult:
     spread_fd = (max(fd_vals) - min(fd_vals)) / max(fd_vals)
     passed = worst_pair <= 1e-3 and worst_formula <= 1e-3 and spread_gen <= 1e-6
     return ClaimResult(2, "coherent-superposition linear QFI", passed,
-                       f"fd/gen worst rel {worst_pair:.2e}; formula worst rel "
+                       f"Fock/gen worst rel {worst_pair:.2e}; formula worst rel "
                        f"{worst_formula:.2e}; theta2 cross-sweep spread {spread_gen:.2e} "
                        f"(fd corroboration spread {spread_fd:.2e})")
 

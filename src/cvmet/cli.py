@@ -259,15 +259,17 @@ def cmd_sweep(config: dict) -> CommandOutput:
         cast = _integer if param in ("n_queries", "m") else _real
         cfgs = [replace(base, **{param: value})
                 for value in _increasing(config["sweep"]["values"], cast)]
-    rows = []
+    rows, methods = [], []
     with (shared_over_n([cfg.n_queries for cfg in cfgs]) if param == "n_queries"
           else contextlib.nullcontext()):
         for cfg in cfgs:
             fd, f_gen, f_asym, delta, dim_used = _estimate_row(cfg, which, nu)
             rows.append((cfg.n_queries, cfg.m, cfg.theta1, cfg.theta2, cfg.strategy,
                          fd.value, f_gen, f_asym, delta, fd.converged, dim_used))
+            methods.append(fd.method)
+    # the frozen columns name no route: `methods` says which one gave each F_fd
     return CommandOutput(SWEEP_COLUMNS, rows,
-                         {"parameter": which, "nu": nu,
+                         {"parameter": which, "nu": nu, "methods": methods,
                           "query_accounting": base.query_accounting()})
 
 

@@ -10,7 +10,9 @@ Truncation caveats: on the truncated basis [X, P] = i(I - d |d-1><d-1|), and
 the top ~m rows/columns of P^m are corrupted, so callers must keep the
 occupied subspace away from the boundary.  `converge_dimension` doubles d
 until the requested scalar settles and reports non-convergence explicitly;
-`richardson` does the same for the step of a finite difference.
+`richardson` does the same for the step of a finite difference, which the
+Fock-basis QFI no longer takes (its derivative is exact) but the generic
+`qfi.qfi_fd` of the claims' oracles and the optomech mirror still does.
 """
 
 from __future__ import annotations
@@ -524,25 +526,20 @@ FD_REL_TOL = 1e-4
 FD_MAX_REDUCTIONS = 3
 
 
-def richardson(estimate: Callable[[float], float], h: float, start: int = 0):
+def richardson(estimate: Callable[[float], float], h: float):
     """Richardson extrapolation of a step-h estimate on the ladder h / 2^k.
 
     Returns `(value, converged, history)`.  Each step compares f(h') with
     f(h'/2) at rung h' = h / 2^k and extrapolates (4 f(h'/2) - f(h'))/3;
     converged means the pair agrees to relative 1e-4, otherwise h' is halved,
     down to the rung h / 2^FD_MAX_REDUCTIONS, and the last extrapolation is
-    returned unconverged.  `start` = k begins at rung k instead of the top,
-    with the same floor, so no estimate takes a step below
+    returned unconverged, so no estimate takes a step below
     h / 2^(FD_MAX_REDUCTIONS + 1).  `history` holds one (h', f_h', f_h'/2,
     residual) row per rung tried.
     """
-    if not 0 <= start <= FD_MAX_REDUCTIONS:
-        raise ContractViolationError(
-            f"Richardson start rung must lie in 0..{FD_MAX_REDUCTIONS}, got {start!r}")
     history = []
-    h = h / 2 ** start
     f_h = estimate(h)
-    for _ in range(FD_MAX_REDUCTIONS + 1 - start):
+    for _ in range(FD_MAX_REDUCTIONS + 1):
         f_h2 = estimate(h / 2)
         resid = abs(f_h - f_h2) / max(abs(f_h), abs(f_h2), 1e-300)
         history.append((h, f_h, f_h2, resid))

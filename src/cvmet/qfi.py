@@ -3,8 +3,9 @@
 For a pure family |psi(theta)> the figure of merit is
 F = 4(<d psi|d psi> - |<d psi|psi>|^2).  Four estimators are provided:
 
-  finite_difference  central differences with a mandatory Richardson step,
-                     on the truncated Fock basis
+  exact_fock         on the truncated Fock basis, the exact derivative of
+                     each state from the spectra that build it
+                     (`output_derivative`), inside a dimension-doubling loop
   exact_nodes        for rows no basis up to DIM_CAP holds: theta2 enters
                      each branch on momentum nodes as the phase
                      e^{-i theta2 Phi_b}, so d psi = -i Phi_b psi exactly
@@ -13,9 +14,12 @@ F = 4(<d psi|d psi> - |<d psi|psi>|^2).  Four estimators are provided:
                      Gauss-Hermite nodes, with no basis and no dimension loop
   asymptotic         the closed leading-order laws, for cross-checks
 
-Only the finite-difference route runs in the truncated Fock basis, inside the
+Only the exact_fock route runs in the truncated Fock basis, inside the
 dimension-doubling loop of `qfi_converged`, and only where `fock_start`
-finds a basis that can hold the row.
+finds a basis that can hold the row.  Neither it nor exact_nodes takes a
+step; `qfi_fd`, the central difference with a mandatory Richardson check, is
+the generic estimator for any one-parameter builder (the claims' oracles and
+the optomech mirror).
 
 The generator route uses expectation-of-square <g^2>, not the squared
 expectation |<g>|^2 sometimes quoted at leading order: only <g^2> satisfies
@@ -37,9 +41,7 @@ from .cvspace import (
     DIM_CAP,
     DIM_REL_TOL,
     MOMENTUM_NODES,
-    FockDim,
     ProbeSpec,
-    as_dim,
     converge_dimension,
     holding_dimension,
     probe_amplitudes,
@@ -56,17 +58,16 @@ from .errors import (
 from .strategies import (
     COHERENT_SUPERPOSITION,
     SWITCH,
+    THETA1,
+    THETA2,
     QState,
     StrategyConfig,
-    build_output,
     encoding,
     momentum_shift,
     node_output,
     node_phases,
+    output_derivative,
 )
-
-THETA1 = "theta1"
-THETA2 = "theta2"
 
 
 @dataclass(frozen=True)
@@ -100,17 +101,16 @@ def qfi_from_derivative(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return float(4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(dpsi, psi)) ** 2))
 
 
-def qfi_fd(builder: Callable[[float], object], theta0: float, start: int = 0) -> QfiEstimate:
+def qfi_fd(builder: Callable[[float], object], theta0: float) -> QfiEstimate:
     """Central-difference QFI with the mandatory Richardson check of `richardson`.
 
     The builder must be a deterministic map from the scalar to a state; the
     eigendecomposition propagators downstream are smooth in the parameter, so
     no gauge jumps enter the difference.  The centre state builder(theta0) is
     built once and shared by every step; each step h then builds
-    theta0 +- h.  The step ladder is h0 / 2^k with h0 = 1e-4 max(1, |theta0|),
-    entered at rung `start` (0, the top, unless `qfi_converged` resumes it);
-    `diagnostics["rung"]` is the rung of the last step.  A failed check is
-    reported as unconverged with every step in the diagnostics.
+    theta0 +- h, on the ladder h0 / 2^k with h0 = 1e-4 max(1, |theta0|).  A
+    failed check is reported as unconverged with every step in the
+    diagnostics.
     """
     psi0 = _state_vector(builder(theta0))
 
@@ -118,13 +118,12 @@ def qfi_fd(builder: Callable[[float], object], theta0: float, start: int = 0) ->
         dpsi = (_state_vector(builder(theta0 + h)) - _state_vector(builder(theta0 - h))) / (2 * h)
         return qfi_from_derivative(psi0, dpsi)
 
-    value, converged, history = richardson(estimate, 1e-4 * max(1.0, abs(theta0)), start)
+    value, converged, history = richardson(estimate, 1e-4 * max(1.0, abs(theta0)))
     h, f_h, f_h2, resid = history[-1]
     return QfiEstimate(value, "finite_difference", step_used=h, converged=converged,
                        diagnostics={"richardson_residual": resid,
                                     "f_h": f_h, "f_h2": f_h2,
-                                    "step_history": history,
-                                    "rung": start + len(history) - 1})
+                                    "step_history": history})
 
 
 # --- exact generator route ---------------------------------------------------
@@ -150,7 +149,7 @@ def _branch_generators(cfg: StrategyConfig, which_param: str):
         if cfg.m != 1:
             raise UnsupportedConfigurationError(
                 "the exact generator route covers theta1 only in the linear case; "
-                "use qfi_fd for theta1 with m > 1")
+                "use qfi_converged for theta1 with m > 1")
         if strategy == COHERENT_SUPERPOSITION:
             # probe-frame generators 2N X +- 2N^2 theta2: the 2N X query term
             # picks up the +-2N theta2 momentum-displacement shift of X plus
@@ -238,17 +237,6 @@ def asymptotic_qfi(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
 
 # --- orchestration ------------------------------------------------------------
 
-def builder_for(cfg: StrategyConfig, which_param: str,
-                dim: FockDim | int) -> Callable[[float], QState]:
-    """One-scalar state builder for finite differencing at a fixed dimension."""
-    dim = as_dim(dim)
-
-    def build(theta: float) -> QState:
-        return build_output(replace(cfg, **{which_param: theta}), dim)
-
-    return build
-
-
 def fock_start(cfg: StrategyConfig) -> int | None:
     """The reach rule: the first dimension of the Fock doubling loop, or None
     when no basis up to DIM_CAP can hold the row.
@@ -308,48 +296,32 @@ def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
 
 
 def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
-    """Finite-difference QFI with the dimension-doubling loop wrapped around it.
+    """Exact QFI of the Fock-basis state with the dimension-doubling loop
+    wrapped around it.
 
     The reach rule `fock_start` runs first: a row no basis up to DIM_CAP can
     hold goes to `qfi_nodes` and never builds a Fock state.  Otherwise the
     loop starts at the smallest doubling of DIM_START whose basis holds the
-    probe (`holding_dimension`).  Each dimension enters the Richardson
-    ladder at the rung where the previous dimension converged; after an
-    unconverged dimension the next one starts again at the top.  Converged
-    means both Richardson settled and the value stopped moving under
-    doubling; an unconverged estimate names the check that failed, and at
-    which d, in `diagnostics["reason"]`.  The generator route needs no loop:
-    see `qfi_generator`.
+    probe (`holding_dimension`), and at each d builds the state once with
+    its exact derivative (`output_derivative`): no step, no Richardson.
+    Converged means the value stopped moving under doubling; an unconverged
+    estimate names the d it reached in `diagnostics["reason"]`.  The
+    generator route needs no loop: see `qfi_generator`.
     """
     start = fock_start(cfg)
     if start is None:
         return qfi_nodes(cfg, which_param)
-    theta0 = getattr(cfg, which_param)
-    inner: dict[int, QfiEstimate] = {}
-    rung = 0
 
     def at_dim(d: int) -> float:
-        nonlocal rung
-        est = qfi_fd(builder_for(cfg, which_param, d), theta0, rung)
-        inner[d] = est
-        rung = est.diagnostics["rung"] if est.converged else 0
-        return est.value
+        psi, dpsi = output_derivative(cfg, d, which_param)
+        return qfi_from_derivative(psi.amplitudes, dpsi)
 
     scan = converge_dimension(at_dim, start=start)
-    last = inner[scan.dim_used]
-    diagnostics = dict(last.diagnostics)
-    diagnostics.update({"dim_used": scan.dim_used, "dim_history": scan.history,
-                        "dim_converged": scan.converged})
-    reasons = []
-    if not last.converged:
-        reasons.append(f"Richardson did not settle at d={scan.dim_used}")
+    diagnostics = {"dim_used": scan.dim_used, "dim_history": scan.history}
     if not scan.converged:
-        reasons.append(f"the value still moved by more than {DIM_REL_TOL:g} relative "
-                       f"when doubling to d={scan.dim_used}")
-    if reasons:
-        diagnostics["reason"] = "; ".join(reasons)
-    return QfiEstimate(scan.value, last.method, step_used=last.step_used,
-                       converged=scan.converged and last.converged,
+        diagnostics["reason"] = (f"the value still moved by more than {DIM_REL_TOL:g} "
+                                 f"relative when doubling to d={scan.dim_used}")
+    return QfiEstimate(scan.value, "exact_fock", converged=scan.converged,
                        diagnostics=diagnostics)
 
 

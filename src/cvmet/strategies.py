@@ -14,11 +14,17 @@ it is the angle between the two branches of `switch_output`); a convention
 that conjugates the commutator moves it to the |1> branch, a global phase
 apart.  Fidelity checks therefore quotient the global phase.
 
-Each `cs_output` call decomposes its two branch generators, two eigh and two
-propagators, except inside a `shared_over_n` scope, which a sweep over the
-query count opens: N only sets the evolution time, so the scope decomposes
-each generator pair once, keeps the branch states (never a spectrum) at every
-N it names, and drops them when it closes.
+`output_derivative` returns a state together with its exact derivative in
+theta1 or theta2, from the spectra that build the state: the switch applies
+-iN X or -iN P^m at its place in each order through the cached X and P^m
+spectra, and a coherent-superposition branch takes the Daleckii-Krein form
+of the derivative of e^{-i2N H_b} on the one eigendecomposition of H_b.  A
+coherent-superposition build decomposes its two branch generators, two eigh
+and two propagators, except that `output_derivative` inside a
+`shared_over_n` scope, which a sweep over the query count opens, decomposes
+each generator pair once: N only sets the evolution time, so the scope keeps
+the branch states and derivatives (never a spectrum) at every N it names,
+and drops them when it closes.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .cvspace import (
     operator_power,
     prepare_probe,
     probe_amplitudes,
+    _product,
     propagator,
     spectrum,
 )
@@ -52,6 +59,8 @@ SWITCH = "switch"
 COHERENT_SUPERPOSITION = "coherent_superposition"
 COMPOSITE = "composite"
 STRATEGIES = (SWITCH, COHERENT_SUPERPOSITION, COMPOSITE)
+THETA1 = "theta1"
+THETA2 = "theta2"
 
 
 def encoding(strategy: str) -> str:
@@ -206,6 +215,50 @@ def _mode_spectra(m: int, dim: FockDim) -> tuple[Spectrum, Spectrum]:
             spectrum(_banded(dim, ((k, pm_k) for k, _, pm_k in bands))))
 
 
+def _band_product(bands, y: np.ndarray) -> np.ndarray:
+    """B @ y for the band matrix B given as (k, diagonal k) pairs, y a vector
+    or a block of columns: O(d m) per column, B never formed."""
+    d = y.shape[0]
+    out = np.zeros(y.shape, dtype=np.result_type(y, *(diag for _, diag in bands)))
+    for k, diag in bands:
+        diag = diag.reshape(diag.shape + (1,) * (y.ndim - 1))
+        if k >= 0:
+            out[:d - k] += diag * y[k:]
+        else:
+            out[-k:] += diag * y[:d + k]
+    return out
+
+
+def _quadrature_bands(m: int, dim: FockDim, which: str, sign: float = 1.0) -> list:
+    """The bands of the generator that `which` couples: X for theta1, sign P^m
+    for theta2."""
+    bands = _generator_bands(m, dim)
+    if which == THETA1:
+        return [(k, x_k) for k, x_k, _ in bands]
+    return [(k, sign * pm_k) for k, _, pm_k in bands]
+
+
+def _switch_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None):
+    """(U1^N U2^N phi, U2^N U1^N phi) and, for `which`, their derivatives:
+    d U1^N = -iN X U1^N and d U2^N = -iN P^m U2^N, so the generator is
+    applied where its block acts in each order; None without `which`."""
+    x, pm = _mode_spectra(cfg.m, dim)
+    n = cfg.n_queries
+    u1 = propagator(x, n * cfg.theta1)
+    u2 = propagator(pm, n * cfg.theta2)
+    phi = prepare_probe(cfg.probe, dim).vec
+    mid0, mid1 = u2 @ phi, u1 @ phi
+    branches = (u1 @ mid0, u2 @ mid1)
+    if which is None:
+        return branches, None
+    gen = _quadrature_bands(cfg.m, dim, which)
+    if which == THETA1:
+        derivatives = (_band_product(gen, branches[0]), u2 @ _band_product(gen, mid1))
+    else:
+        derivatives = (u1 @ _band_product(gen, mid0), _band_product(gen, branches[1]))
+    return branches, tuple(-1j * n * dpsi for dpsi in derivatives)
+
+
 def switch_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     """Generic switch state, the two query blocks applied in both orders.
 
@@ -213,11 +266,7 @@ def switch_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     U1^N = e^{-i N theta1 X} and U2^N = e^{-i N theta2 P^m}.
     """
     dim = as_dim(dim)
-    x, pm = _mode_spectra(cfg.m, dim)
-    u1 = propagator(x, cfg.n_queries * cfg.theta1)
-    u2 = propagator(pm, cfg.n_queries * cfg.theta2)
-    phi = prepare_probe(cfg.probe, dim).vec
-    return QState.from_branches([u1 @ (u2 @ phi), u2 @ (u1 @ phi)], dim)
+    return QState.from_branches(_switch_branches(cfg, dim)[0], dim)
 
 
 @functools.lru_cache(maxsize=8)
@@ -264,7 +313,8 @@ def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
 @dataclass
 class _NSweep:
     """An open `shared_over_n` scope: its query counts, and the branch states
-    of each coherent-superposition generator pair at every one of them."""
+    and derivatives of each coherent-superposition generator pair at every
+    one of them."""
 
     n_values: frozenset
     branches: dict = field(default_factory=dict)
@@ -275,17 +325,18 @@ _N_SWEEP = contextvars.ContextVar("cvmet_n_sweep", default=None)
 
 @contextlib.contextmanager
 def shared_over_n(n_values):
-    """Scope of a sweep over the query count: inside it `cs_output` shares each
-    branch spectrum across the rows whose N is in `n_values`.
+    """Scope of a sweep over the query count: inside it `output_derivative`
+    shares each coherent-superposition branch spectrum across the rows whose
+    N is in `n_values`.
 
     The branch generator theta1 X +- theta2 P^m does not depend on N, which
     only sets the evolution time 2N.  The first build of a generator pair
-    (per dimension, couplings, m and probe) decomposes both branches once and
-    evaluates them at every N of the scope; every later build of that pair
-    reads its branch states, bitwise those of the plain path.  The scope
-    holds those states only, O(d) numbers per N, never a spectrum, and drops
-    them when it closes, on an exception too.  It is a contextvars scope, so
-    concurrent callers never share it.
+    (per dimension, couplings, m, probe and parameter) decomposes both
+    branches once and evaluates the states and their derivatives at every N
+    of the scope; every later build of that pair reads them, bitwise those
+    of the plain path.  The scope holds those vectors only, O(d) numbers per
+    N, never a spectrum, and drops them when it closes, on an exception too.
+    It is a contextvars scope, so concurrent callers never share it.
     """
     scope = _NSweep(frozenset(n_values))
     token = _N_SWEEP.set(scope)
@@ -296,16 +347,57 @@ def shared_over_n(n_values):
         scope.branches.clear()
 
 
-def _cs_branches(cfg: StrategyConfig, dim: FockDim, n_values) -> dict:
-    """{N: (U+^{2N} phi, U-^{2N} phi)} for every N of n_values, each branch
-    generator decomposed once.  The generators are written from the cached
-    bands of X and P^m, the values of the dense sum exactly."""
+_DERIVATIVE_ROWS = 64  # row block of the Daleckii-Krein product
+
+
+def _exp_derivatives(spec: Spectrum, gen, taus, phi: np.ndarray) -> list:
+    """[d/ds e^{-i tau (H + s B)} phi at s = 0 for tau in taus], H = v w v^dag
+    the spectrum and B the Hermitian band matrix `gen`.
+
+    Daleckii-Krein: the derivative is v[(Gamma o M)(v^dag phi)] with
+    M = v^dag B v and Gamma_jk = -i tau e^{-i tau (w_j + w_k)/2}
+    sinc(tau (w_j - w_k)/2), which stays finite and exact at degenerate
+    eigenvalues.  M is formed in blocks of _DERIVATIVE_ROWS rows,
+    M_J = (B v_J)^dag v, and each block serves every tau, so no d x d
+    matrix besides v is held.
+    """
+    v, w = spec.v, spec.w
+    c = _product(v.conj().T, phi)
+    halves = [np.exp(-0.5j * tau * w) for tau in taus]
+    weighted = [half * c for half in halves]
+    ys = [np.empty(w.size, dtype=complex) for _ in taus]
+    for lo in range(0, w.size, _DERIVATIVE_ROWS):
+        rows = slice(lo, lo + _DERIVATIVE_ROWS)
+        bv = _band_product(gen, v[:, rows])
+        m_t = v.T @ bv if not np.iscomplexobj(bv) else _product(v.T, bv.conj())  # M_J^T
+        gap = (w[:, None] - w[None, rows]) / (2 * math.pi)
+        for y, tau, half, hc in zip(ys, taus, halves, weighted):
+            y[rows] = -1j * tau * half[rows] * (hc @ (np.sinc(tau * gap) * m_t))
+    return [_product(v, y) for y in ys]
+
+
+def _cs_branches(cfg: StrategyConfig, dim: FockDim, n_values,
+                 which: str | None = None) -> dict:
+    """{N: ((U+^{2N} phi, U-^{2N} phi), derivatives)} for every N of
+    n_values, each branch generator decomposed once; the derivatives in
+    `which` by `_exp_derivatives` on that spectrum, None without `which`.
+    The generators are written from the cached bands of X and P^m, the
+    values of the dense sum exactly."""
+    n_values = tuple(n_values)
     bands = _generator_bands(cfg.m, dim)
     phi = prepare_probe(cfg.probe, dim).vec
-    spectra = [spectrum(_banded(dim, ((k, cfg.theta1 * x_k + sign * cfg.theta2 * pm_k)
+    taus = [2 * n for n in n_values]
+    states, derivatives = [], []
+    for sign in (+1.0, -1.0):
+        spec = spectrum(_banded(dim, ((k, cfg.theta1 * x_k + sign * cfg.theta2 * pm_k)
                                       for k, x_k, pm_k in bands)))
-               for sign in (+1.0, -1.0)]
-    return {n: tuple(propagator(spec, 2 * n) @ phi for spec in spectra) for n in n_values}
+        states.append([propagator(spec, tau) @ phi for tau in taus])
+        if which is not None:
+            derivatives.append(_exp_derivatives(
+                spec, _quadrature_bands(cfg.m, dim, which, sign), taus, phi))
+    return {n: (tuple(b[i] for b in states),
+                tuple(b[i] for b in derivatives) if which is not None else None)
+            for i, n in enumerate(n_values)}
 
 
 def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
@@ -313,19 +405,11 @@ def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
 
     (|0> U+^{2N} |phi> + |1> U-^{2N} |phi>)/sqrt(2) with
     U+- = e^{-i(theta1 X +- theta2 P^m)}, so the branch unitary is
-    e^{-i 2N (theta1 X +- theta2 P^m)}: two eigh and two propagators per
-    call, unless a `shared_over_n` scope holds this N, where the branch
-    states of one decomposition serve every N of the scope.
+    e^{-i 2N (theta1 X +- theta2 P^m)}: two eigh and two propagators per call.
     """
     dim = as_dim(dim)
     n = cfg.n_queries
-    scope = _N_SWEEP.get()
-    if scope is None or n not in scope.n_values:
-        return QState.from_branches(_cs_branches(cfg, dim, (n,))[n], dim)
-    key = (dim, cfg.theta1, cfg.theta2, cfg.m, cfg.probe)
-    if key not in scope.branches:
-        scope.branches[key] = _cs_branches(cfg, dim, scope.n_values)
-    return QState.from_branches(scope.branches[key][n], dim)
+    return QState.from_branches(_cs_branches(cfg, dim, (n,))[n][0], dim)
 
 
 def cs_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
@@ -368,6 +452,33 @@ def build_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     if encoding(cfg.strategy) == SWITCH:
         return switch_output(cfg, dim)
     return cs_output(cfg, dim)
+
+
+def output_derivative(cfg: StrategyConfig, dim: FockDim | int,
+                      which: str) -> tuple[QState, np.ndarray]:
+    """(build_output(cfg, dim), the exact derivative of its amplitudes in
+    `which`), both from the one set of spectra: no step and no second build.
+
+    The state is bitwise `build_output`'s.  Inside a `shared_over_n` scope
+    that holds this N, a coherent-superposition pair is decomposed once for
+    every N of the scope.
+    """
+    if which not in (THETA1, THETA2):
+        raise ContractViolationError(f"unknown parameter {which!r}")
+    dim = as_dim(dim)
+    n = cfg.n_queries
+    scope = _N_SWEEP.get()
+    if encoding(cfg.strategy) == SWITCH:
+        branches, derivatives = _switch_branches(cfg, dim, which)
+    elif scope is None or n not in scope.n_values:
+        branches, derivatives = _cs_branches(cfg, dim, (n,), which)[n]
+    else:
+        key = (dim, cfg.theta1, cfg.theta2, cfg.m, cfg.probe, which)
+        if key not in scope.branches:
+            scope.branches[key] = _cs_branches(cfg, dim, scope.n_values, which)
+        branches, derivatives = scope.branches[key][n]
+    return (QState.from_branches(branches, dim),
+            np.concatenate(derivatives) / math.sqrt(len(derivatives)))
 
 
 def momentum_shift(cfg: StrategyConfig) -> float:

@@ -15,7 +15,7 @@ from cvmet import cli
 
 CRITERIA = {
     1: "switch linear QFI matches theta2^2 N^4 + 4 N^2 Var(X) (rel 1e-3)",
-    2: "cs linear QFI: fd/generator agree, equal 16 N^4 theta1^2 + 16 N^2 Var(P), theta2-free",
+    2: "cs linear QFI: Fock/generator agree, equal 16 N^4 theta1^2 + 16 N^2 Var(P), theta2-free",
     3: "precision ratios 1/4 (2%), 3/16 (5%), 1/8 (5%) at the gated largest N",
     4: "delta theta2 scaling slope -(m+1) within 0.05, both strategies, m in {1,2,3}",
     5: "ordering coefficients exact vs oracle; factorization residual < 1e-7 at d=128",

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cvmet import cli, cvspace, strategies
+from cvmet import cli, cvspace, qfi, strategies
 from cvmet.cvspace import ProbeSpec, as_dim
 from cvmet.qfi import fock_start
 from cvmet.strategies import StrategyConfig
@@ -168,6 +168,17 @@ class TestCommands:
         payload = json.loads(json_path.read_text())
         assert payload["columns"][0] == "strategy"
         assert payload["query_accounting"]["total_queries"] == 4
+
+    def test_sweep_json_names_the_route_of_each_row(self, tmp_path):
+        # N = 4 stays in the Fock basis; N = 24 carries <P> past its reach
+        json_path = tmp_path / "sweep.json"
+        assert cli.main(["sweep", "--set", "m=2", "--set", "theta1=1.2",
+                         "--set", "theta2=0.05", "--set", "strategy=coherent_superposition",
+                         "--set", "sweep.values=[4, 24]", "--out", str(tmp_path / "sweep.csv"),
+                         "--json", str(json_path)]) == 0
+        payload = json.loads(json_path.read_text())
+        assert payload["columns"] == list(cli.SWEEP_COLUMNS)
+        assert payload["methods"] == ["exact_fock", "exact_nodes"]
 
     def test_version_line_precedes_csv(self, capsys):
         assert cli.main(["bch-table", "--set", 'bch={"m_values": [1], "variants": ["AB"]}']) == 0
@@ -414,20 +425,20 @@ class TestSharedOverN:
 
     def test_n_sweep_decomposes_each_generator_once(self, monkeypatch, capsys):
         decomposed, generators, builds = [], set(), []
-        spectrum, cs_output = cvspace.spectrum, strategies.cs_output
+        spectrum, output_derivative = cvspace.spectrum, qfi.output_derivative
 
         def counted(gen):
             decomposed.append(gen.d)
             return spectrum(gen)
 
-        def recorded(cfg, dim):
+        def recorded(cfg, dim, which):
             generators.add((as_dim(dim).d, cfg.theta1, cfg.theta2))
             builds.append(cfg.n_queries)
-            return cs_output(cfg, dim)
+            return output_derivative(cfg, dim, which)
 
         monkeypatch.setattr(cvspace, "spectrum", counted)
         monkeypatch.setattr(strategies, "spectrum", counted)
-        monkeypatch.setattr(strategies, "cs_output", recorded)
+        monkeypatch.setattr(qfi, "output_derivative", recorded)
         assert cli.main(["sweep", "--set", "strategy=coherent_superposition", "--set", "m=2",
                          "--set", "sweep.values=[2, 3, 5, 6]"]) == 0
         assert set(builds) == {2, 3, 5, 6}

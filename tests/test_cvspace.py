@@ -469,15 +469,3 @@ class TestRichardson:
         assert not converged
         assert len(history) == FD_MAX_REDUCTIONS + 1
         assert [row[0] for row in history] == [1e-3 / 2 ** k for k in range(len(history))]
-
-    @pytest.mark.parametrize("start", range(FD_MAX_REDUCTIONS + 1))
-    def test_start_rung_keeps_the_floor(self, start):
-        _, converged, history = richardson(math.sqrt, 1e-3, start)
-        assert not converged
-        assert [row[0] for row in history] == [1e-3 / 2 ** k
-                                               for k in range(start, FD_MAX_REDUCTIONS + 1)]
-
-    @pytest.mark.parametrize("start", [-1, FD_MAX_REDUCTIONS + 1])
-    def test_start_rung_off_the_ladder_rejected(self, start):
-        with pytest.raises(ContractViolationError):
-            richardson(math.sqrt, 1e-3, start)

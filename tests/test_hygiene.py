@@ -2,8 +2,9 @@
 keeps a private helper nothing calls or holds an unbounded cache, one
 function owns the eigendecomposition, propagators stay factored, the exact
 generator route and the optomech mirror stay off the truncated basis, the
-coherent-superposition builder forms no quadrature per state build, and no
-block of N identical queries is applied one query at a time."""
+coherent-superposition builder forms no quadrature per state build, no
+block of N identical queries is applied one query at a time, and the
+dimension-doubling loop takes no finite difference."""
 
 import ast
 import pathlib
@@ -372,10 +373,11 @@ def test_checker_flags_per_build_quadratures():
 
 
 def test_cs_output_reads_cached_bands():
-    """Only theta changes between the fd builds of a coherent-superposition
+    """Only theta changes between the builds of a coherent-superposition
     state, so X and P^m come from the cached band table, never per build."""
     source = (PACKAGE / "strategies.py").read_text(encoding="utf-8")
     assert uncached_quadrature_calls(source, "cs_output") == []
+    assert uncached_quadrature_calls(source, "output_derivative") == []
 
 
 def query_loops(source: str) -> list:
@@ -420,3 +422,57 @@ def test_no_query_block_is_applied_query_by_query(path):
     """N identical queries are one unitary, e^{-i N theta H}: every builder
     evaluates the block as one exponent, so no loop runs over N."""
     assert query_loops(path.read_text(encoding="utf-8")) == []
+
+
+def reached_calls(sources: dict, root: str) -> set:
+    """Name of every call that `root` makes, directly or through the
+    top-level functions of `sources` it calls (nested defs included)."""
+    functions = {node.name: node for source in sources.values()
+                 for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    called, todo = set(), [root]
+    while todo:
+        for call in ast.walk(functions[todo.pop()]):
+            callee = (getattr(call.func, "id", getattr(call.func, "attr", None))
+                      if isinstance(call, ast.Call) else None)
+            if callee and callee not in called:
+                called.add(callee)
+                if callee in functions:
+                    todo.append(callee)
+    return called
+
+
+# qfi_converged as it differenced each Fock-basis state on a Richardson ladder
+RICHARDSON_FOCK_LOOP = '''
+def builder_for(cfg, which_param, dim):
+    def build(theta):
+        return build_output(replace(cfg, **{which_param: theta}), dim)
+    return build
+
+def qfi_fd(builder, theta0, start=0):
+    value, converged, history = richardson(estimate, 1e-4 * max(1.0, abs(theta0)), start)
+
+def qfi_converged(cfg, which_param):
+    def at_dim(d):
+        est = qfi_fd(builder_for(cfg, which_param, d), theta0, rung)
+        return est.value
+    scan = converge_dimension(at_dim, start=start)
+'''
+DIFFERENCES = {"qfi_fd", "richardson"}
+
+
+def test_checker_flags_the_richardson_fock_loop():
+    assert reached_calls({"qfi.py": RICHARDSON_FOCK_LOOP}, "qfi_converged") & DIFFERENCES == {
+        "qfi_fd", "richardson"}
+    exact = RICHARDSON_FOCK_LOOP.replace(
+        "est = qfi_fd(builder_for(cfg, which_param, d), theta0, rung)",
+        "est = exact(*output_derivative(cfg, d, which_param))")
+    assert reached_calls({"qfi.py": exact}, "qfi_converged") & DIFFERENCES == set()
+
+
+def test_qfi_converged_takes_no_difference():
+    """Both routes of the dimension loop differentiate exactly (the Fock
+    states from their spectra, the node states by their phases), so nothing
+    `qfi_converged` reaches steps a parameter or calls Richardson."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert reached_calls(sources, "qfi_converged") & DIFFERENCES == set()

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from cvmet.bch import ExactComplex, PPoly, zassenhaus_term
-from cvmet import strategies
+from cvmet import cvspace, strategies
 from cvmet.cvspace import (
-    FD_MAX_REDUCTIONS,
     MOMENTUM_NODES,
     FockDim,
+    Operator,
     ProbeSpec,
     build_quadrature,
     prepare_probe,
@@ -28,12 +28,12 @@ from cvmet.qfi import (
     THETA2,
     QfiEstimate,
     asymptotic_qfi,
-    builder_for,
     crb_precision,
     large_n_gate,
     precision_ratio,
     qfi_converged,
     qfi_fd,
+    qfi_from_derivative,
     qfi_generator,
     ratio_formula,
 )
@@ -42,7 +42,9 @@ from cvmet.strategies import (
     COMPOSITE,
     SWITCH,
     StrategyConfig,
+    build_output,
     cs_output,
+    output_derivative,
 )
 
 
@@ -87,8 +89,7 @@ def rotating_builder(w, calls):
 
     Its step-h central-difference QFI is 4 w^2 sinc^2(w h), so Richardson
     pairs at h and h/2 differ by about (w h)^2 / 4 relative: with
-    h0 = 1e-4 (theta0 = 0), w = 150 * 2^k first settles at rung k, and
-    w = 150 * 2^5 never settles."""
+    h0 = 1e-4 (theta0 = 0), w = 150 * 2^k first settles at rung k."""
     def build(theta):
         calls.append(theta)
         return np.array([math.cos(w * theta), math.sin(w * theta)])
@@ -100,87 +101,129 @@ def settling_at(k):
     return 150.0 * 2 ** k
 
 
-NEVER_SETTLES = 150.0 * 2 ** 5
-H0 = 1e-4
-
 
 class TestStepLadder:
     def test_centre_is_built_once_and_each_estimate_builds_two(self):
         calls = []
         est = qfi_fd(rotating_builder(settling_at(2), calls), 0.0)
-        assert est.converged and est.diagnostics["rung"] == 2
+        assert est.converged and len(est.diagnostics["step_history"]) == 3
         estimates = len(est.diagnostics["step_history"]) + 1
         assert calls[0] == 0.0 and calls.count(0.0) == 1
         assert len(calls) == 1 + 2 * estimates
 
-    @pytest.mark.parametrize("start", range(FD_MAX_REDUCTIONS + 1))
-    def test_start_rung_enters_the_same_ladder(self, start):
+
+def fixed_dim_fd(cfg, which, d):
+    """Richardson fd of the plain builder at one dimension."""
+    return qfi_fd(lambda t: build_output(replace(cfg, **{which: t}), d), getattr(cfg, which))
+
+
+def exact_at_dim(cfg, which, d):
+    psi, dpsi = output_derivative(cfg, d, which)
+    return qfi_from_derivative(psi.amplitudes, dpsi)
+
+
+class TestExactFock:
+    """The Fock route differentiates each state exactly, from the spectra that
+    build it: no step, one build per dimension."""
+
+    @pytest.mark.parametrize("d", [64, 128])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("which", [THETA1, THETA2])
+    @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
+    def test_agrees_with_richardson_fd_of_the_same_builder(self, strategy, which, m, d):
+        cfg = StrategyConfig(theta1=0.2, theta2=0.05, n_queries=2, m=m, strategy=strategy)
+        fd = fixed_dim_fd(cfg, which, d)
+        assert fd.converged
+        assert exact_at_dim(cfg, which, d) == pytest.approx(fd.value, rel=1e-7)
+
+    @pytest.mark.parametrize("which", [THETA1, THETA2])
+    @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
+    def test_state_is_bitwise_build_output(self, strategy, which):
+        cfgs = [StrategyConfig(theta1=0.2, theta2=0.05, n_queries=n, m=2, strategy=strategy,
+                               probe=ProbeSpec.coherent(0.3 + 0.2j)) for n in (2, 3)]
+        plain = [output_derivative(cfg, 64, which) for cfg in cfgs]
+        with strategies.shared_over_n((2, 3)):
+            shared = [output_derivative(cfg, 64, which) for cfg in cfgs]
+        for cfg, (psi, dpsi), (psi_s, dpsi_s) in zip(cfgs, plain, shared):
+            reference = build_output(cfg, 64).amplitudes
+            assert np.array_equal(psi.amplitudes, reference)
+            assert np.array_equal(psi_s.amplitudes, reference)
+            assert np.array_equal(dpsi, dpsi_s)
+
+    @pytest.mark.parametrize("c", [0.0, 0.7, -2.5])
+    def test_degenerate_generator_gives_the_closed_form(self, c):
+        """H = c I: every eigenvalue repeats, Gamma is -i tau e^{-i tau c}
+        everywhere, so the derivative in B is -i tau e^{-i tau c} B x (to
+        rounding), where a divided difference of eigenvalues would be 0/0."""
+        dim = FockDim(8)
+        spec = cvspace.spectrum(Operator(dim, c * np.eye(8), hermitian=True))
+        bands = [(k, x_k) for k, x_k, _ in strategies._generator_bands(2, dim)]
+        x = np.exp(0.3j * np.arange(8)) / np.sqrt(8)
+        taus = [0.5, 4.0]
+        got = strategies._exp_derivatives(spec, bands, taus, x)
+        b_x = build_quadrature(dim, "X").mat @ x
+        for tau, dpsi in zip(taus, got):
+            expected = -1j * tau * np.exp(-1j * tau * c) * b_x
+            assert np.abs(dpsi - expected).max() <= 1e-15 * tau * np.abs(b_x).max()
+
+    def test_coherent_superposition_row_decomposes_two_generators_per_dimension(
+            self, monkeypatch):
         calls = []
-        est = qfi_fd(rotating_builder(NEVER_SETTLES, calls), 0.0, start)
-        assert not est.converged
-        assert est.diagnostics["rung"] == FD_MAX_REDUCTIONS
-        assert calls[1] == H0 / 2 ** start
-        assert min(abs(t) for t in calls[1:]) == H0 / 2 ** (FD_MAX_REDUCTIONS + 1)
-
-    def _doubling(self, monkeypatch, w_by_dim):
-        """qfi_converged on rotating builders, one w per dimension; returns the
-        estimate and the thetas built at each dimension."""
-        calls = {d: [] for d in w_by_dim}
-        monkeypatch.setattr(qfi_module, "builder_for",
-                            lambda cfg, which, d: rotating_builder(w_by_dim[d], calls[d]))
-        cfg = StrategyConfig(theta1=0.1, theta2=0.0, n_queries=2, m=1, strategy=SWITCH)
-        return qfi_converged(cfg, THETA2), calls
-
-    def test_each_dimension_resumes_where_the_last_converged(self, monkeypatch):
-        rungs = {64: 1, 128: 3, 256: 2, 512: 3, 1024: 3}
-        est, calls = self._doubling(monkeypatch, {d: settling_at(k) for d, k in rungs.items()})
-        # the first step of each dimension after the centre build
-        assert [calls[d][1] for d in rungs] == [H0, H0 / 2, H0 / 8, H0 / 8, H0 / 8]
-        assert est.diagnostics["rung"] == 3
-        # 256 would settle at rung 2 cold; resumed at 128's rung 3 it stops there
-        assert calls[256][-1] == -H0 / 16
-        for d, thetas in calls.items():
-            assert min(abs(t) for t in thetas[1:]) >= H0 / 2 ** (FD_MAX_REDUCTIONS + 1)
-
-    def test_unconverged_dimension_leaves_the_next_at_the_top(self, monkeypatch):
-        w_by_dim = {64: NEVER_SETTLES, 128: settling_at(2), 256: NEVER_SETTLES,
-                    512: settling_at(1), 1024: settling_at(1)}
-        est, calls = self._doubling(monkeypatch, w_by_dim)
-        assert [calls[d][1] for d in w_by_dim] == [H0, H0, H0 / 4, H0, H0 / 2]
-        assert est.converged and est.diagnostics["dim_used"] == 1024
-        assert "reason" not in est.diagnostics
-
-    def test_unsettled_richardson_names_its_dimension(self, monkeypatch):
-        # equal builders at every d: the doubling settles at 128, Richardson never
-        est, _ = self._doubling(monkeypatch, dict.fromkeys((64, 128, 256, 512, 1024),
-                                                           NEVER_SETTLES))
-        assert not est.converged and est.diagnostics["dim_converged"]
-        assert est.diagnostics["reason"] == "Richardson did not settle at d=128"
-
-    def test_unsettled_doubling_names_its_last_dimension(self, monkeypatch):
-        est, _ = self._doubling(monkeypatch, {d: settling_at(k) for d, k in
-                                              {64: 0, 128: 1, 256: 2, 512: 3, 1024: 4}.items()})
-        assert not est.converged and not est.diagnostics["dim_converged"]
-        assert est.diagnostics["reason"] == (
-            "Richardson did not settle at d=1024; "
-            "the value still moved by more than 1e-06 relative when doubling to d=1024")
-
-    def test_resumed_values_equal_cold_runs_bit_for_bit(self):
-        # cold runs settle at rung 1 at every dimension (the settled step
-        # does not grow as d doubles), so resuming skips rung 0 and changes
-        # no value
-        cfg = StrategyConfig(theta1=0.3, theta2=0.05, n_queries=10, m=2,
+        monkeypatch.setattr(strategies, "spectrum",
+                            lambda gen: calls.append(gen.d) or cvspace.spectrum(gen))
+        cfg = StrategyConfig(theta1=0.3, theta2=0.05, n_queries=8, m=2,
                              strategy=COHERENT_SUPERPOSITION)
         est = qfi_converged(cfg, THETA2)
         dims = [d for d, _ in est.diagnostics["dim_history"]]
-        cold = {d: qfi_fd(builder_for(cfg, THETA2, d), cfg.theta2) for d in dims}
-        rungs = [cold[d].diagnostics["rung"] for d in dims]
-        assert rungs == sorted(rungs) and rungs[0] > 0
-        assert est.diagnostics["dim_history"] == tuple((d, cold[d].value) for d in dims)
-        assert est.value == cold[dims[-1]].value
-        assert est.step_used == cold[dims[-1]].step_used
-        assert len(est.diagnostics["step_history"]) < len(
-            cold[dims[-1]].diagnostics["step_history"])
+        assert dims == [64, 128, 256]
+        assert calls == [d for d in dims for _ in range(2)]
+
+    def test_switch_row_decomposes_nothing_beyond_the_mode_spectra(self, monkeypatch):
+        strategies._mode_spectra.cache_clear()
+        calls = []
+        monkeypatch.setattr(strategies, "spectrum",
+                            lambda gen: calls.append(gen.d) or cvspace.spectrum(gen))
+        cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=2, strategy=SWITCH)
+        est = qfi_converged(cfg, THETA1)
+        dims = [d for d, _ in est.diagnostics["dim_history"]]
+        assert calls == [d for d in dims for _ in range(2)]  # X and P^m, once per d
+        calls.clear()
+        assert qfi_converged(cfg, THETA2).converged
+        assert calls == []
+
+    def test_fock_rows_take_no_difference(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fock row took a finite difference")
+
+        monkeypatch.setattr(qfi_module, "qfi_fd", refuse)
+        monkeypatch.setattr(qfi_module, "richardson", refuse)
+        for strategy in (SWITCH, COHERENT_SUPERPOSITION):
+            cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1, strategy=strategy)
+            est = qfi_converged(cfg, THETA2)
+            assert est.method == "exact_fock" and est.converged
+            assert est.step_used is None and "step_history" not in est.diagnostics
+
+    def test_history_holds_the_exact_value_of_each_dimension(self):
+        cfg = StrategyConfig(theta1=0.3, theta2=0.05, n_queries=10, m=2,
+                             strategy=COHERENT_SUPERPOSITION)
+        est = qfi_converged(cfg, THETA2)
+        history = est.diagnostics["dim_history"]
+        assert history == tuple((d, exact_at_dim(cfg, THETA2, d)) for d, _ in history)
+        assert est.diagnostics["dim_used"] == history[-1][0] == 256
+        assert est.value == history[-1][1]
+        assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
+
+    def test_unsettled_doubling_names_its_last_dimension(self, monkeypatch):
+        def drifting(cfg, d, which):  # a value that moves by 1e-3 at every doubling
+            psi, dpsi = output_derivative(cfg, 64, which)
+            return psi, dpsi * (1 + 1e-3 * math.log2(d))
+
+        monkeypatch.setattr(qfi_module, "output_derivative", drifting)
+        cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=2, m=1, strategy=SWITCH)
+        est = qfi_converged(cfg, THETA2)
+        assert not est.converged and est.diagnostics["dim_used"] == 1024
+        assert est.diagnostics["reason"] == (
+            "the value still moved by more than 1e-06 relative when doubling to d=1024")
 
 
 class TestGeneratorRoute:
@@ -326,7 +369,7 @@ class TestNodeRoute:
         fock = qfi_converged(cfg, THETA2)
         nodes = qfi_module.qfi_nodes(cfg, THETA2)
         exact = qfi_generator(cfg, THETA2).value
-        assert fock.method == "finite_difference" and fock.converged
+        assert fock.method == "exact_fock" and fock.converged
         assert nodes.method == "exact_nodes" and nodes.converged
         assert nodes.diagnostics["dim_used"] == 2 * MOMENTUM_NODES + probe.n
         for est in (fock, nodes):

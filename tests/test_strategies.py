@@ -21,6 +21,8 @@ from cvmet.strategies import (
     COHERENT_SUPERPOSITION,
     COMPOSITE,
     SWITCH,
+    THETA1,
+    THETA2,
     CompositeParams,
     QState,
     StrategyConfig,
@@ -28,6 +30,7 @@ from cvmet.strategies import (
     composite_output,
     cs_output,
     cs_output_factorized,
+    output_derivative,
     shared_over_n,
     switch_output,
     switch_output_factorized,
@@ -265,27 +268,43 @@ class TestSharedOverN:
     def test_a_scope_decomposes_each_generator_pair_once(self, monkeypatch):
         n_values = (1, 2, 5)
         cfgs = [replace(self.CFG, theta2=t, n_queries=n) for t in (0.05, 0.06) for n in n_values]
-        plain = [cs_output(cfg, 32).amplitudes for cfg in cfgs]
+        plain = [output_derivative(cfg, 32, THETA2) for cfg in cfgs]
         counts = self.count_eigh(monkeypatch)
         with shared_over_n(n_values):
-            shared = [cs_output(cfg, 32).amplitudes for cfg in cfgs + cfgs]
+            shared = [output_derivative(cfg, 32, THETA2) for cfg in cfgs + cfgs]
         assert counts["eigh"] == 4
-        assert all(np.array_equal(a, b) for a, b in zip(plain + plain, shared))
+        for (psi, dpsi), (psi_s, dpsi_s) in zip(plain + plain, shared):
+            assert np.array_equal(psi.amplitudes, psi_s.amplitudes)
+            assert np.array_equal(dpsi, dpsi_s)
+
+    def test_plain_builds_never_read_the_scope(self, monkeypatch):
+        counts = self.count_eigh(monkeypatch)
+        with shared_over_n((3,)) as scope:
+            cs_output(self.CFG, 32)
+            cs_output(self.CFG, 32)
+            assert scope.branches == {} and counts["eigh"] == 4
 
     def test_the_scope_holds_branch_states_only_and_drops_them_on_exit(self):
         with shared_over_n((1, 2)) as scope:
-            cs_output(self.CFG, 32)
+            output_derivative(self.CFG, 32, THETA2)
             assert scope.branches == {}  # N = 3 is outside the scope: the plain path
-            cs_output(replace(self.CFG, n_queries=2), 32)
+            output_derivative(replace(self.CFG, n_queries=2), 32, THETA2)
             (held,) = scope.branches.values()
             assert sorted(held) == [1, 2]
-            assert all(b.shape == (32,) for branches in held.values() for b in branches)
+            assert all(b.shape == (32,) for pair in held.values()
+                       for vectors in pair for b in vectors)
         assert scope.branches == {} and strategies._N_SWEEP.get() is None
+
+    def test_the_scope_keys_the_parameter(self):
+        with shared_over_n((3,)) as scope:
+            for which in (THETA1, THETA2, THETA2):
+                output_derivative(self.CFG, 32, which)
+            assert sorted(key[-1] for key in scope.branches) == [THETA1, THETA2]
 
     def test_the_scope_drops_its_states_after_an_exception(self):
         with pytest.raises(ZeroDivisionError):
             with shared_over_n((3,)) as scope:
-                cs_output(self.CFG, 32)
+                output_derivative(self.CFG, 32, THETA2)
                 assert len(scope.branches) == 1
                 1 / 0
         assert scope.branches == {} and strategies._N_SWEEP.get() is None
