@@ -37,9 +37,8 @@ from .cvspace import (
     FockDim,
     Operator,
     SpectralUnitary,
+    Spectrum,
     as_dim,
-    build_quadrature,
-    operator_power,
     propagator,
 )
 from .errors import ContractViolationError, EnvelopeError
@@ -263,6 +262,21 @@ class FactorizationCheck:
     columns_checked: int
 
 
+@functools.lru_cache(maxsize=64)
+def _factor_weights(m: int, variant: str) -> tuple:
+    """((n, power, r), ...) with i^{n+1} C_n = r P^power over the cached
+    (m, variant) table, so e^{lambda^n C_n} = e^{-i lambda_im^n r P^power}
+    at lambda = i lambda_im: checked real once, in exact arithmetic, then
+    stored as floats."""
+    rows = []
+    for n, term in ExpansionTable.build(m, variant).terms:
+        real = term.scale(I_UNIT ** (n + 1))
+        if not real.is_real():
+            raise ContractViolationError("factorization exponent is not anti-Hermitian")
+        rows.extend((n, power, float(c.re)) for power, c in real.coeffs)
+    return tuple(rows)
+
+
 def exp_antihermitian(mat: np.ndarray, dim: FockDim) -> SpectralUnitary:
     """e^{M} for verified anti-Hermitian M, via the Hermitian generator iM."""
     if np.abs(mat + mat.conj().T).max() > 1e-10:
@@ -283,6 +297,13 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     explodes on a truncated basis; the identity is a formal power-series
     statement, so imaginary lambda tests the same coefficients).
 
+    Only the left-hand side e^{lambda(X + P^m)}, the oracle, runs its own
+    eigh.  The X and P^m factors are propagators on the cached spectra of
+    `strategies._mode_spectra`, and each e^{lambda^n C_n} is
+    e^{-i lambda_im^n h_n(P)}, h_n = i^{n+1} C_n, applied as phases on the
+    cached spectrum of P; h_n is checked real once per table, in exact
+    arithmetic.
+
     The truncated basis cannot represent columns whose image reaches the
     boundary, so the residual is taken over the columns for which every
     partial product keeps its occupation of the top FACTORIZATION_GUARD
@@ -290,25 +311,25 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     FACTORIZATION_MASS_TOL; if no column qualifies the envelope is violated
     and the EnvelopeError message carries the smallest offending mass.
     """
-    table = ExpansionTable.build(m, variant)  # checks the variant before any eigh
+    from . import strategies  # strategies imports bch
+
+    weights = _factor_weights(m, variant)  # checks the variant before any eigh
     dim = as_dim(dim)
     d = dim.d
     top = max(d - FACTORIZATION_GUARD, 0)  # first level of the guarded boundary band
-    lam = 1j * float(lambda_im)
-    x_op = build_quadrature(dim, "X")
-    p_op = build_quadrature(dim, "P")
-    pm_op = operator_power(p_op, m)
-    p_mat = p_op.mat
+    tau = -float(lambda_im)  # e^{lambda H} = e^{-i tau H}
 
-    summed = Operator(dim, x_op.mat + pm_op.mat, hermitian=True)
-    lhs = propagator(summed, -float(lambda_im)).mat  # e^{lam (X + P^m)}
+    bands = strategies._generator_bands(m, dim)
+    summed = strategies._banded(dim, ((k, x_k + pm_k) for k, x_k, pm_k in bands))
+    lhs = propagator(summed, tau).mat  # e^{lam (X + P^m)}
 
-    x_u = propagator(x_op, -float(lambda_im))
-    pm_u = propagator(pm_op, -float(lambda_im))
+    x, pm = strategies._mode_spectra(m, dim)
+    x_u, pm_u = propagator(x, tau), propagator(pm, tau)
     factors = [x_u, pm_u] if variant == "AB" else [pm_u, x_u]
-    for n, term in table.terms:
-        scaled = (lam ** n) * term.to_matrix(p_mat)
-        factors.append(exp_antihermitian(scaled, dim))
+    p = strategies._p_spectrum(dim)
+    for n, power, r in weights:
+        factors.append(propagator(Spectrum(dim, r * p.w ** power, p.v),
+                                  float(lambda_im) ** n))
 
     ok = np.ones(d, dtype=bool)
     worst = 0.0

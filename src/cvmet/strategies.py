@@ -18,9 +18,14 @@ apart.  Fidelity checks therefore quotient the global phase.
 theta1 or theta2, from the spectra that build the state: the switch applies
 -iN X or -iN P^m at its place in each order through the cached X and P^m
 spectra, and a coherent-superposition branch takes the Daleckii-Krein form
-of the derivative of e^{-i2N H_b} on the one eigendecomposition of H_b.  A
-coherent-superposition build decomposes its two branch generators, two eigh
-and two propagators, except that `output_derivative` inside a
+of the derivative of e^{-i2N H_b} on the one spectrum of H_b.
+
+Which generators are decomposed: X and P^m once per (m, d), cached, and P
+once per d for the phase operators of the factorized builders.  A linear
+(m = 1) coherent-superposition branch theta1 X +- theta2 P is a phase-space
+rotation of X, so its spectrum is the cached X spectrum rotated, with no
+eigh.  At m >= 2 a coherent-superposition build decomposes its two branch
+generators, two eigh, except that `output_derivative` inside a
 `shared_over_n` scope, which a sweep over the query count opens, decomposes
 each generator pair once: N only sets the evolution time, so the scope keeps
 the branch states and derivatives (never a spectrum) at every N it names,
@@ -29,6 +34,7 @@ and drops them when it closes.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import contextvars
 import functools
@@ -331,12 +337,13 @@ def shared_over_n(n_values):
 
     The branch generator theta1 X +- theta2 P^m does not depend on N, which
     only sets the evolution time 2N.  The first build of a generator pair
-    (per dimension, couplings, m, probe and parameter) decomposes both
-    branches once and evaluates the states and their derivatives at every N
-    of the scope; every later build of that pair reads them, bitwise those
-    of the plain path.  The scope holds those vectors only, O(d) numbers per
-    N, never a spectrum, and drops them when it closes, on an exception too.
-    It is a contextvars scope, so concurrent callers never share it.
+    (per dimension, couplings, m, probe and parameter) takes both branch
+    spectra once (`_branch_spectrum`) and evaluates the states and their
+    derivatives at every N of the scope; every later build of that pair
+    reads them, bitwise those of the plain path.  The scope holds those
+    vectors only, O(d) numbers per N, never a spectrum, and drops them when
+    it closes, on an exception too.  It is a contextvars scope, so
+    concurrent callers never share it.
     """
     scope = _NSweep(frozenset(n_values))
     token = _N_SWEEP.set(scope)
@@ -376,21 +383,37 @@ def _exp_derivatives(spec: Spectrum, gen, taus, phi: np.ndarray) -> list:
     return [_product(v, y) for y in ys]
 
 
+def _branch_spectrum(cfg: StrategyConfig, dim: FockDim, sign: float) -> Spectrum:
+    """Spectrum of the branch generator theta1 X + sign theta2 P^m.
+
+    At m = 1 it is a phase-space rotation of X: with r e^{i phi} =
+    theta1 + i sign theta2 and R = diag(e^{-i n phi}), theta1 X +
+    sign theta2 P = r R^dag X R, exactly on the truncated basis too, since R
+    is diagonal in n.  So the spectrum is r w_X on the eigenvectors
+    R^dag v_X of the cached X spectrum, with no eigh.  At m >= 2 the
+    generator is written from the cached bands of X and P^m, the values of
+    the dense sum exactly, and decomposed.
+    """
+    if cfg.m == 1:
+        x = _mode_spectra(1, dim)[0]
+        z = complex(cfg.theta1, sign * cfg.theta2)
+        rotation = np.exp(1j * cmath.phase(z) * np.arange(dim.d))
+        return Spectrum(dim, abs(z) * x.w, rotation[:, None] * x.v)
+    return spectrum(_banded(dim, ((k, cfg.theta1 * x_k + sign * cfg.theta2 * pm_k)
+                                  for k, x_k, pm_k in _generator_bands(cfg.m, dim))))
+
+
 def _cs_branches(cfg: StrategyConfig, dim: FockDim, n_values,
                  which: str | None = None) -> dict:
     """{N: ((U+^{2N} phi, U-^{2N} phi), derivatives)} for every N of
-    n_values, each branch generator decomposed once; the derivatives in
-    `which` by `_exp_derivatives` on that spectrum, None without `which`.
-    The generators are written from the cached bands of X and P^m, the
-    values of the dense sum exactly."""
+    n_values, on one `_branch_spectrum` per branch; the derivatives in
+    `which` by `_exp_derivatives` on that spectrum, None without `which`."""
     n_values = tuple(n_values)
-    bands = _generator_bands(cfg.m, dim)
     phi = prepare_probe(cfg.probe, dim).vec
     taus = [2 * n for n in n_values]
     states, derivatives = [], []
     for sign in (+1.0, -1.0):
-        spec = spectrum(_banded(dim, ((k, cfg.theta1 * x_k + sign * cfg.theta2 * pm_k)
-                                      for k, x_k, pm_k in bands)))
+        spec = _branch_spectrum(cfg, dim, sign)
         states.append([propagator(spec, tau) @ phi for tau in taus])
         if which is not None:
             derivatives.append(_exp_derivatives(
@@ -405,7 +428,9 @@ def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
 
     (|0> U+^{2N} |phi> + |1> U-^{2N} |phi>)/sqrt(2) with
     U+- = e^{-i(theta1 X +- theta2 P^m)}, so the branch unitary is
-    e^{-i 2N (theta1 X +- theta2 P^m)}: two eigh and two propagators per call.
+    e^{-i 2N (theta1 X +- theta2 P^m)}: two propagators per call, on the
+    spectra of `_branch_spectrum` (two eigh at m >= 2, none beyond the
+    cached X spectrum at m = 1).
     """
     dim = as_dim(dim)
     n = cfg.n_queries
@@ -460,8 +485,8 @@ def output_derivative(cfg: StrategyConfig, dim: FockDim | int,
     `which`), both from the one set of spectra: no step and no second build.
 
     The state is bitwise `build_output`'s.  Inside a `shared_over_n` scope
-    that holds this N, a coherent-superposition pair is decomposed once for
-    every N of the scope.
+    that holds this N, a coherent-superposition pair takes its spectra once
+    for every N of the scope.
     """
     if which not in (THETA1, THETA2):
         raise ContractViolationError(f"unknown parameter {which!r}")

@@ -152,6 +152,15 @@ class TestFactorization:
     def test_quadratic_case(self):
         assert verify_factorization(2, 0.2, FockDim(128), "AB").residual < 1e-7
 
+    def test_warm_check_decomposes_only_its_left_hand_side(self, monkeypatch):
+        # X, P^m and the C_n phases come from the cached spectra of X, P^m and P
+        verify_factorization(2, 0.2, FockDim(128), "BA")
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        assert verify_factorization(2, 0.2, FockDim(128), "AB").residual < 1e-7
+        assert calls == [(128, 128)]
+
     def test_lambda_zero_residual_exactly_zero(self):
         assert verify_factorization(2, 0.0, FockDim(32), "AB").residual == 0.0
 

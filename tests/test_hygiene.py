@@ -228,12 +228,12 @@ def call_sites(source: str, name: str) -> list:
 
 
 # The truncated-basis machinery of the generator algebra and of the dimension
-# loop, and the only functions allowed to call it: the factorization check,
-# which compares matrices, substitutes the tables into P (the factorized
-# builders take their phase operators on the spectrum of P instead), and only
-# the finite-difference route doubles d.
+# loop, and the only functions allowed to call it: no function substitutes the
+# tables into a P matrix (the factorization check and the factorized builders
+# take their phase operators on the spectrum of P instead), and only the
+# finite-difference route doubles d.
 BASIS_ONLY_IN = {
-    "to_matrix": {("bch.py", "verify_factorization")},
+    "to_matrix": set(),
     "converge_dimension": {("qfi.py", "qfi_converged")},
 }
 

@@ -191,6 +191,22 @@ class TestExactFock:
         assert qfi_converged(cfg, THETA2).converged
         assert calls == []
 
+    def test_linear_cs_row_decomposes_nothing_beyond_the_mode_spectra(self, monkeypatch):
+        # each m = 1 branch spectrum is the cached X spectrum rotated
+        strategies._mode_spectra.cache_clear()
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[0]) or eigh(a))
+        cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1,
+                             strategy=COHERENT_SUPERPOSITION)
+        est = qfi_converged(cfg, THETA1)
+        assert est.method == "exact_fock" and est.converged
+        dims = [d for d, _ in est.diagnostics["dim_history"]]
+        assert calls == [d for d in dims for _ in range(2)]  # X and P, once per d
+        calls.clear()
+        assert qfi_converged(cfg, THETA2).converged
+        assert calls == []
+
     def test_fock_rows_take_no_difference(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a Fock row took a finite difference")
