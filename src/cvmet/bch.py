@@ -298,11 +298,11 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     statement, so imaginary lambda tests the same coefficients).
 
     Only the left-hand side e^{lambda(X + P^m)}, the oracle, runs its own
-    eigh.  The X and P^m factors are propagators on the cached spectra of
-    `strategies._mode_spectra`, and each e^{lambda^n C_n} is
+    eigh.  The X and P^m factors are propagators on the cached quadrature
+    spectra (`strategies._mode_spectra`), and each e^{lambda^n C_n} is
     e^{-i lambda_im^n h_n(P)}, h_n = i^{n+1} C_n, applied as phases on the
-    cached spectrum of P; h_n is checked real once per table, in exact
-    arithmetic.
+    cached spectrum of P, the P^1 entry of that same cache; h_n is checked
+    real once per table, in exact arithmetic.
 
     The truncated basis cannot represent columns whose image reaches the
     boundary, so the residual is taken over the columns for which every
@@ -326,7 +326,7 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     x, pm = strategies._mode_spectra(m, dim)
     x_u, pm_u = propagator(x, tau), propagator(pm, tau)
     factors = [x_u, pm_u] if variant == "AB" else [pm_u, x_u]
-    p = strategies._p_spectrum(dim)
+    p = strategies._quadrature_spectrum("P", 1, dim)
     for n, power, r in weights:
         factors.append(propagator(Spectrum(dim, r * p.w ** power, p.v),
                                   float(lambda_im) ** n))

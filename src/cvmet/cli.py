@@ -57,7 +57,7 @@ from .qfi import (
     qfi_generator,
     ratio_formula,
 )
-from .strategies import StrategyConfig, shared_over_n
+from .strategies import StrategyConfig
 
 SWEEP_COLUMNS = ("N", "m", "theta1", "theta2", "strategy", "F_fd", "F_gen",
                  "F_asym", "delta_theta", "converged", "dim_used")
@@ -260,13 +260,11 @@ def cmd_sweep(config: dict) -> CommandOutput:
         cfgs = [replace(base, **{param: value})
                 for value in _increasing(config["sweep"]["values"], cast)]
     rows, methods = [], []
-    with (shared_over_n([cfg.n_queries for cfg in cfgs]) if param == "n_queries"
-          else contextlib.nullcontext()):
-        for cfg in cfgs:
-            fd, f_gen, f_asym, delta, dim_used = _estimate_row(cfg, which, nu)
-            rows.append((cfg.n_queries, cfg.m, cfg.theta1, cfg.theta2, cfg.strategy,
-                         fd.value, f_gen, f_asym, delta, fd.converged, dim_used))
-            methods.append(fd.method)
+    for cfg in cfgs:
+        fd, f_gen, f_asym, delta, dim_used = _estimate_row(cfg, which, nu)
+        rows.append((cfg.n_queries, cfg.m, cfg.theta1, cfg.theta2, cfg.strategy,
+                     fd.value, f_gen, f_asym, delta, fd.converged, dim_used))
+        methods.append(fd.method)
     # the frozen columns name no route: `methods` says which one gave each F_fd
     return CommandOutput(SWEEP_COLUMNS, rows,
                          {"parameter": which, "nu": nu, "methods": methods,

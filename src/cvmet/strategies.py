@@ -20,26 +20,25 @@ theta1 or theta2, from the spectra that build the state: the switch applies
 spectra, and a coherent-superposition branch takes the Daleckii-Krein form
 of the derivative of e^{-i2N H_b} on the one spectrum of H_b.
 
-Which generators are decomposed: X and P^m once per (m, d), cached, and P
-once per d for the phase operators of the factorized builders.  A linear
-(m = 1) coherent-superposition branch theta1 X +- theta2 P is a phase-space
+Which generators are decomposed: X once per dimension and P^k once per
+(k, dimension), in one bounded cache of single quadrature spectra that the
+switch, the factorized builders (whose phase operators are diagonal in
+P = P^1) and `bch.verify_factorization` share.  A linear (m = 1)
+coherent-superposition branch theta1 X +- theta2 P is a phase-space
 rotation of X, so its spectrum is the cached X spectrum rotated, with no
-eigh.  At m >= 2 a coherent-superposition build decomposes its two branch
-generators, two eigh, except that `output_derivative` inside a
-`shared_over_n` scope, which a sweep over the query count opens, decomposes
-each generator pair once: N only sets the evolution time, so the scope keeps
-the branch states and derivatives (never a spectrum) at every N it names,
-and drops them when it closes.
+eigh.  At m >= 2 each branch generator theta1 X +- theta2 P^m is decomposed
+once and kept in a small bounded cache keyed by (m, d, theta1, +-theta2),
+what enters the matrix: N only sets the evolution time 2N, so the rows of a
+sweep over N, the probe or the estimated parameter share the spectrum
+without asking for it.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
-import contextvars
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,13 +211,23 @@ def _banded(dim: FockDim, diagonals) -> Operator:
     return Operator(dim, mat, hermitian=True)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=16)
+def _quadrature_spectrum(which: str, power: int, dim: FockDim) -> Spectrum:
+    """Spectrum of X (power 1) or of P^power, written from the cached bands
+    and decomposed once per key.
+
+    X is the same matrix in the band table of every power, so one entry
+    serves every m; the P^1 entry is bit for bit `build_quadrature(dim, "P")`,
+    the P in which the factorized phase operators are diagonal.
+    """
+    return spectrum(_banded(dim, ((k, x_k if which == "X" else pm_k)
+                                  for k, x_k, pm_k in _generator_bands(power, dim))))
+
+
 def _mode_spectra(m: int, dim: FockDim) -> tuple[Spectrum, Spectrum]:
-    """Spectra of X and P^m, shared by every builder that evolves under them
-    separately; (m, dim) is all that enters the two matrices."""
-    bands = _generator_bands(m, dim)
-    return (spectrum(_banded(dim, ((k, x_k) for k, x_k, _ in bands))),
-            spectrum(_banded(dim, ((k, pm_k) for k, _, pm_k in bands))))
+    """Spectra of X and P^m, for every builder that evolves under them
+    separately."""
+    return _quadrature_spectrum("X", 1, dim), _quadrature_spectrum("P", m, dim)
 
 
 def _band_product(bands, y: np.ndarray) -> np.ndarray:
@@ -275,13 +284,6 @@ def switch_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     return QState.from_branches(_switch_branches(cfg, dim)[0], dim)
 
 
-@functools.lru_cache(maxsize=8)
-def _p_spectrum(dim: FockDim) -> Spectrum:
-    """Spectrum of P, in which every phase operator of the factorized builders
-    is diagonal."""
-    return spectrum(build_quadrature(dim, "P"))
-
-
 def _phase_spectrum(cfg: StrategyConfig, dim: FockDim, variant: str) -> Spectrum:
     """Spectrum of the real polynomial h(P) with e^{-i theta2 h(P)} the
     terminating phase-operator product of the bch table.
@@ -291,7 +293,7 @@ def _phase_spectrum(cfg: StrategyConfig, dim: FockDim, variant: str) -> Spectrum
     N for the switch branch, 2N for a coherent-superposition branch); the
     span P^m term is the P^m gate itself, so h is g without its top power.
     """
-    p = _p_spectrum(dim)
+    p = _quadrature_spectrum("P", 1, dim)
     h = np.zeros_like(p.w)
     for c in reversed(bch.phase_derivative_generator(
             cfg.m, cfg.theta1, cfg.n_queries, variant)[:-1]):  # Horner
@@ -316,71 +318,40 @@ def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     return QState.from_branches([b0, b1], dim)
 
 
-@dataclass
-class _NSweep:
-    """An open `shared_over_n` scope: its query counts, and the branch states
-    and derivatives of each coherent-superposition generator pair at every
-    one of them."""
-
-    n_values: frozenset
-    branches: dict = field(default_factory=dict)
-
-
-_N_SWEEP = contextvars.ContextVar("cvmet_n_sweep", default=None)
-
-
-@contextlib.contextmanager
-def shared_over_n(n_values):
-    """Scope of a sweep over the query count: inside it `output_derivative`
-    shares each coherent-superposition branch spectrum across the rows whose
-    N is in `n_values`.
-
-    The branch generator theta1 X +- theta2 P^m does not depend on N, which
-    only sets the evolution time 2N.  The first build of a generator pair
-    (per dimension, couplings, m, probe and parameter) takes both branch
-    spectra once (`_branch_spectrum`) and evaluates the states and their
-    derivatives at every N of the scope; every later build of that pair
-    reads them, bitwise those of the plain path.  The scope holds those
-    vectors only, O(d) numbers per N, never a spectrum, and drops them when
-    it closes, on an exception too.  It is a contextvars scope, so
-    concurrent callers never share it.
-    """
-    scope = _NSweep(frozenset(n_values))
-    token = _N_SWEEP.set(scope)
-    try:
-        yield scope
-    finally:
-        _N_SWEEP.reset(token)
-        scope.branches.clear()
-
-
 _DERIVATIVE_ROWS = 64  # row block of the Daleckii-Krein product
 
 
-def _exp_derivatives(spec: Spectrum, gen, taus, phi: np.ndarray) -> list:
-    """[d/ds e^{-i tau (H + s B)} phi at s = 0 for tau in taus], H = v w v^dag
-    the spectrum and B the Hermitian band matrix `gen`.
+def _exp_derivative(spec: Spectrum, gen, tau: float, phi: np.ndarray) -> np.ndarray:
+    """d/ds e^{-i tau (H + s B)} phi at s = 0, H = v w v^dag the spectrum and
+    B the Hermitian band matrix `gen`.
 
     Daleckii-Krein: the derivative is v[(Gamma o M)(v^dag phi)] with
     M = v^dag B v and Gamma_jk = -i tau e^{-i tau (w_j + w_k)/2}
     sinc(tau (w_j - w_k)/2), which stays finite and exact at degenerate
     eigenvalues.  M is formed in blocks of _DERIVATIVE_ROWS rows,
-    M_J = (B v_J)^dag v, and each block serves every tau, so no d x d
-    matrix besides v is held.
+    M_J = (B v_J)^dag v, so no d x d matrix besides v is held.
     """
     v, w = spec.v, spec.w
-    c = _product(v.conj().T, phi)
-    halves = [np.exp(-0.5j * tau * w) for tau in taus]
-    weighted = [half * c for half in halves]
-    ys = [np.empty(w.size, dtype=complex) for _ in taus]
+    half = np.exp(-0.5j * tau * w)
+    weighted = half * _product(v.conj().T, phi)
+    y = np.empty(w.size, dtype=complex)
     for lo in range(0, w.size, _DERIVATIVE_ROWS):
         rows = slice(lo, lo + _DERIVATIVE_ROWS)
         bv = _band_product(gen, v[:, rows])
         m_t = v.T @ bv if not np.iscomplexobj(bv) else _product(v.T, bv.conj())  # M_J^T
         gap = (w[:, None] - w[None, rows]) / (2 * math.pi)
-        for y, tau, half, hc in zip(ys, taus, halves, weighted):
-            y[rows] = -1j * tau * half[rows] * (hc @ (np.sinc(tau * gap) * m_t))
-    return [_product(v, y) for y in ys]
+        y[rows] = -1j * tau * half[rows] * (weighted @ (np.sinc(tau * gap) * m_t))
+    return _product(v, y)
+
+
+@functools.lru_cache(maxsize=4)
+def _cs_generator_spectrum(m: int, dim: FockDim, theta1: float, theta2: float) -> Spectrum:
+    """Spectrum of theta1 X + theta2 P^m (theta2 signed by the branch),
+    written from the cached bands of X and P^m, the values of the dense sum
+    exactly, and decomposed.  The key is what enters the matrix, never N,
+    the probe or the parameter, so every row at one coupling shares it."""
+    return spectrum(_banded(dim, ((k, theta1 * x_k + theta2 * pm_k)
+                                  for k, x_k, pm_k in _generator_bands(m, dim))))
 
 
 def _branch_spectrum(cfg: StrategyConfig, dim: FockDim, sign: float) -> Spectrum:
@@ -390,37 +361,31 @@ def _branch_spectrum(cfg: StrategyConfig, dim: FockDim, sign: float) -> Spectrum
     theta1 + i sign theta2 and R = diag(e^{-i n phi}), theta1 X +
     sign theta2 P = r R^dag X R, exactly on the truncated basis too, since R
     is diagonal in n.  So the spectrum is r w_X on the eigenvectors
-    R^dag v_X of the cached X spectrum, with no eigh.  At m >= 2 the
-    generator is written from the cached bands of X and P^m, the values of
-    the dense sum exactly, and decomposed.
+    R^dag v_X of the cached X spectrum, with no eigh.  At m >= 2 it is the
+    cached `_cs_generator_spectrum`.
     """
     if cfg.m == 1:
         x = _mode_spectra(1, dim)[0]
         z = complex(cfg.theta1, sign * cfg.theta2)
         rotation = np.exp(1j * cmath.phase(z) * np.arange(dim.d))
         return Spectrum(dim, abs(z) * x.w, rotation[:, None] * x.v)
-    return spectrum(_banded(dim, ((k, cfg.theta1 * x_k + sign * cfg.theta2 * pm_k)
-                                  for k, x_k, pm_k in _generator_bands(cfg.m, dim))))
+    return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, sign * cfg.theta2)
 
 
-def _cs_branches(cfg: StrategyConfig, dim: FockDim, n_values,
-                 which: str | None = None) -> dict:
-    """{N: ((U+^{2N} phi, U-^{2N} phi), derivatives)} for every N of
-    n_values, on one `_branch_spectrum` per branch; the derivatives in
-    `which` by `_exp_derivatives` on that spectrum, None without `which`."""
-    n_values = tuple(n_values)
+def _cs_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None):
+    """((U+^{2N} phi, U-^{2N} phi), derivatives) on one `_branch_spectrum`
+    per branch; the derivatives in `which` by `_exp_derivative` on that
+    spectrum, None without `which`."""
     phi = prepare_probe(cfg.probe, dim).vec
-    taus = [2 * n for n in n_values]
+    tau = 2 * cfg.n_queries
     states, derivatives = [], []
     for sign in (+1.0, -1.0):
         spec = _branch_spectrum(cfg, dim, sign)
-        states.append([propagator(spec, tau) @ phi for tau in taus])
+        states.append(propagator(spec, tau) @ phi)
         if which is not None:
-            derivatives.append(_exp_derivatives(
-                spec, _quadrature_bands(cfg.m, dim, which, sign), taus, phi))
-    return {n: (tuple(b[i] for b in states),
-                tuple(b[i] for b in derivatives) if which is not None else None)
-            for i, n in enumerate(n_values)}
+            derivatives.append(_exp_derivative(
+                spec, _quadrature_bands(cfg.m, dim, which, sign), tau, phi))
+    return tuple(states), tuple(derivatives) if which is not None else None
 
 
 def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
@@ -429,12 +394,11 @@ def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     (|0> U+^{2N} |phi> + |1> U-^{2N} |phi>)/sqrt(2) with
     U+- = e^{-i(theta1 X +- theta2 P^m)}, so the branch unitary is
     e^{-i 2N (theta1 X +- theta2 P^m)}: two propagators per call, on the
-    spectra of `_branch_spectrum` (two eigh at m >= 2, none beyond the
-    cached X spectrum at m = 1).
+    spectra of `_branch_spectrum` (two eigh at a new m >= 2 coupling, none
+    beyond the cached X spectrum at m = 1).
     """
     dim = as_dim(dim)
-    n = cfg.n_queries
-    return QState.from_branches(_cs_branches(cfg, dim, (n,))[n][0], dim)
+    return QState.from_branches(_cs_branches(cfg, dim)[0], dim)
 
 
 def cs_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
@@ -484,24 +448,15 @@ def output_derivative(cfg: StrategyConfig, dim: FockDim | int,
     """(build_output(cfg, dim), the exact derivative of its amplitudes in
     `which`), both from the one set of spectra: no step and no second build.
 
-    The state is bitwise `build_output`'s.  Inside a `shared_over_n` scope
-    that holds this N, a coherent-superposition pair takes its spectra once
-    for every N of the scope.
+    The state is bitwise `build_output`'s.
     """
     if which not in (THETA1, THETA2):
         raise ContractViolationError(f"unknown parameter {which!r}")
     dim = as_dim(dim)
-    n = cfg.n_queries
-    scope = _N_SWEEP.get()
     if encoding(cfg.strategy) == SWITCH:
         branches, derivatives = _switch_branches(cfg, dim, which)
-    elif scope is None or n not in scope.n_values:
-        branches, derivatives = _cs_branches(cfg, dim, (n,), which)[n]
     else:
-        key = (dim, cfg.theta1, cfg.theta2, cfg.m, cfg.probe, which)
-        if key not in scope.branches:
-            scope.branches[key] = _cs_branches(cfg, dim, scope.n_values, which)
-        branches, derivatives = scope.branches[key][n]
+        branches, derivatives = _cs_branches(cfg, dim, which)
     return (QState.from_branches(branches, dim),
             np.concatenate(derivatives) / math.sqrt(len(derivatives)))
 

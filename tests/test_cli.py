@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import io
 import json
@@ -403,7 +402,12 @@ class TestNodeRoute:
             assert text.split("\n", 1)[1] == body, command
 
 
-class TestSharedOverN:
+class TestNSweep:
+    @staticmethod
+    def body(overrides) -> list:
+        config = cli.load_config("sweep", None, overrides)
+        return cli.COMMAND_TABLE["sweep"](config).csv_text().splitlines()[2:]
+
     @pytest.mark.parametrize("settings", [
         ("strategy=coherent_superposition", "m=1"),
         ("strategy=coherent_superposition", "m=2"),
@@ -412,18 +416,19 @@ class TestSharedOverN:
         ("strategy=coherent_superposition",
          'probe={"kind": "coherent", "alpha_re": 0.5, "alpha_im": -0.3}'),
     ], ids=["cs-m1", "cs-m2", "composite", "theta1", "coherent-probe"])
-    def test_n_sweep_is_byte_identical_without_the_scope(self, settings, monkeypatch,
-                                                         capsys):
-        argv = ["sweep", "--set", "sweep.values=[2, 3, 5]"]
-        for setting in settings:
-            argv += ["--set", setting]
-        shared = (cli.main(argv), *capsys.readouterr())
-        monkeypatch.setattr(cli, "shared_over_n", lambda n_values: contextlib.nullcontext())
-        plain = (cli.main(argv), *capsys.readouterr())
-        assert shared[0] == 0
-        assert shared == plain
+    def test_n_sweep_is_byte_identical_row_by_row(self, settings, cold_spectra):
+        # the rows of one sweep share cached branch spectra; each row run
+        # alone on cold caches gives the same bytes
+        overrides = [tuple(setting.split("=", 1)) for setting in settings]
+        swept = self.body(overrides + [("sweep.values", "[2, 3, 5]")])
+        alone = []
+        for n in (2, 3, 5):
+            cold_spectra()
+            alone += self.body(overrides + [("sweep.values", f"[{n}]")])
+        assert len(swept) == 3
+        assert swept == alone
 
-    def test_n_sweep_decomposes_each_generator_once(self, monkeypatch, capsys):
+    def test_n_sweep_decomposes_each_generator_once(self, monkeypatch, capsys, cold_spectra):
         decomposed, generators, builds = [], set(), []
         spectrum, output_derivative = cvspace.spectrum, qfi.output_derivative
 

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-keeps a private helper nothing calls or holds an unbounded cache, one
+keeps a private helper nothing calls, holds an unbounded cache or
+state a caller must open (a `contextvars` scope), one
 function owns the eigendecomposition, propagators stay factored, the exact
 generator route and the optomech mirror stay off the truncated basis, the
 coherent-superposition builder forms no quadrature per state build, no
@@ -109,9 +110,42 @@ def test_checker_flags_an_unbounded_cache():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_cache_is_bounded(path):
-    """A cache without a bound grows for the life of the process; what one
-    sweep shares (`strategies.shared_over_n`) lives in its scope instead."""
+    """A cache without a bound grows for the life of the process; what the
+    rows of a sweep share (the quadrature and branch spectra of
+    `strategies`) lives in caches of a few entries."""
     assert unbounded_caches(path.read_text(encoding="utf-8")) == []
+
+
+def caller_opened_state(source: str) -> list:
+    """Line of every `contextvars` import and of every module-level
+    assignment that calls a `ContextVar`."""
+    tree = ast.parse(source)
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "contextvars" for alias in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "contextvars"]
+    found += [node.lineno for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              and any(isinstance(call, ast.Call)
+                      and ast.unparse(call.func).split(".")[-1] == "ContextVar"
+                      for call in ast.walk(node))]
+    return sorted(found)
+
+
+def test_checker_flags_caller_opened_state():
+    source = ("import contextvars\nimport contextvars as cv\n"
+              "from contextvars import ContextVar\nimport functools\n"
+              "_A = cv.ContextVar('a', default=None)\n"
+              "_B: object = ContextVar('b')\n"
+              "def f():\n    return functools.reduce\n")
+    assert caller_opened_state(source) == [1, 2, 3, 5, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_holds_caller_opened_state(path):
+    """What calls share lives in bounded caches that no caller sees, never
+    in a scope that each caller must remember to open."""
+    assert caller_opened_state(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_config_key_is_read_by_the_cli():

@@ -138,17 +138,14 @@ class TestExactFock:
 
     @pytest.mark.parametrize("which", [THETA1, THETA2])
     @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
-    def test_state_is_bitwise_build_output(self, strategy, which):
+    def test_state_is_bitwise_build_output(self, strategy, which, cold_spectra):
+        # cold, then on the spectra the first build cached
         cfgs = [StrategyConfig(theta1=0.2, theta2=0.05, n_queries=n, m=2, strategy=strategy,
                                probe=ProbeSpec.coherent(0.3 + 0.2j)) for n in (2, 3)]
-        plain = [output_derivative(cfg, 64, which) for cfg in cfgs]
-        with strategies.shared_over_n((2, 3)):
-            shared = [output_derivative(cfg, 64, which) for cfg in cfgs]
-        for cfg, (psi, dpsi), (psi_s, dpsi_s) in zip(cfgs, plain, shared):
-            reference = build_output(cfg, 64).amplitudes
-            assert np.array_equal(psi.amplitudes, reference)
-            assert np.array_equal(psi_s.amplitudes, reference)
-            assert np.array_equal(dpsi, dpsi_s)
+        for cfg in cfgs:
+            psi, dpsi = output_derivative(cfg, 64, which)
+            assert np.array_equal(psi.amplitudes, build_output(cfg, 64).amplitudes)
+            assert np.array_equal(dpsi, output_derivative(cfg, 64, which)[1])
 
     @pytest.mark.parametrize("c", [0.0, 0.7, -2.5])
     def test_degenerate_generator_gives_the_closed_form(self, c):
@@ -159,15 +156,14 @@ class TestExactFock:
         spec = cvspace.spectrum(Operator(dim, c * np.eye(8), hermitian=True))
         bands = [(k, x_k) for k, x_k, _ in strategies._generator_bands(2, dim)]
         x = np.exp(0.3j * np.arange(8)) / np.sqrt(8)
-        taus = [0.5, 4.0]
-        got = strategies._exp_derivatives(spec, bands, taus, x)
         b_x = build_quadrature(dim, "X").mat @ x
-        for tau, dpsi in zip(taus, got):
+        for tau in (0.5, 4.0):
+            dpsi = strategies._exp_derivative(spec, bands, tau, x)
             expected = -1j * tau * np.exp(-1j * tau * c) * b_x
             assert np.abs(dpsi - expected).max() <= 1e-15 * tau * np.abs(b_x).max()
 
     def test_coherent_superposition_row_decomposes_two_generators_per_dimension(
-            self, monkeypatch):
+            self, monkeypatch, cold_spectra):
         calls = []
         monkeypatch.setattr(strategies, "spectrum",
                             lambda gen: calls.append(gen.d) or cvspace.spectrum(gen))
@@ -178,8 +174,8 @@ class TestExactFock:
         assert dims == [64, 128, 256]
         assert calls == [d for d in dims for _ in range(2)]
 
-    def test_switch_row_decomposes_nothing_beyond_the_mode_spectra(self, monkeypatch):
-        strategies._mode_spectra.cache_clear()
+    def test_switch_row_decomposes_nothing_beyond_the_mode_spectra(self, monkeypatch,
+                                                                   cold_spectra):
         calls = []
         monkeypatch.setattr(strategies, "spectrum",
                             lambda gen: calls.append(gen.d) or cvspace.spectrum(gen))
@@ -191,9 +187,9 @@ class TestExactFock:
         assert qfi_converged(cfg, THETA2).converged
         assert calls == []
 
-    def test_linear_cs_row_decomposes_nothing_beyond_the_mode_spectra(self, monkeypatch):
+    def test_linear_cs_row_decomposes_nothing_beyond_the_mode_spectra(self, monkeypatch,
+                                                                      cold_spectra):
         # each m = 1 branch spectrum is the cached X spectrum rotated
-        strategies._mode_spectra.cache_clear()
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[0]) or eigh(a))

@@ -31,7 +31,6 @@ from cvmet.strategies import (
     cs_output,
     cs_output_factorized,
     output_derivative,
-    shared_over_n,
     switch_output,
     switch_output_factorized,
 )
@@ -125,23 +124,29 @@ class TestCsOutput:
                              strategy=COHERENT_SUPERPOSITION)
         assert cs_output(cfg, DIM).fidelity(cs_output_factorized(cfg, DIM)) >= 1 - 1e-8
 
-    def test_factorized_phase_operators_reuse_the_p_spectrum(self, monkeypatch):
-        # after one build at (m, d) has cached the X, P^m and P spectra, new
-        # couplings need no eigendecomposition: the phase operators are
-        # polynomials in P, diagonal in its spectrum
+    def test_factorized_phase_operators_reuse_the_p_spectrum(self, monkeypatch,
+                                                             cold_spectra):
+        # one build at (m, d) decomposes X, P^m and P; new couplings need no
+        # eigendecomposition, since the phase operators are polynomials in P,
+        # diagonal in its spectrum, and another m only its P^m
         d = FockDim(40)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         cfg = StrategyConfig(theta1=0.05, theta2=0.04, n_queries=3, m=3,
                              strategy=COHERENT_SUPERPOSITION)
         cs_output_factorized(cfg, d)
         switch_output_factorized(cfg, d)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        assert calls == [(40, 40)] * 3
+        calls.clear()
         moved = StrategyConfig(theta1=0.07, theta2=0.03, n_queries=4, m=3,
                                strategy=COHERENT_SUPERPOSITION)
         cs_output_factorized(moved, d)
         switch_output_factorized(moved, d)
         assert calls == []
+        cs_output_factorized(replace(moved, m=2), d)
+        switch_output_factorized(replace(moved, m=2), d)
+        assert calls == [(40, 40)]
 
     @pytest.mark.parametrize("variant", ["switch_branch", "cs_branch"])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -201,7 +206,7 @@ class TestGeneratorBands:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("d", [64, 256])
     @pytest.mark.parametrize("m", [2, 3])
-    def test_cs_generator_is_the_dense_sum(self, m, d, sign, monkeypatch):
+    def test_cs_generator_is_the_dense_sum(self, m, d, sign, monkeypatch, cold_spectra):
         # the branch generator written from the cached bands holds exactly the
         # values of theta1 X +- theta2 P^m formed from the dense matrices;
         # it is captured where it is decomposed
@@ -211,6 +216,7 @@ class TestGeneratorBands:
         cfg = StrategyConfig(theta1=0.3, theta2=0.05, n_queries=4, m=m,
                              strategy=COHERENT_SUPERPOSITION)
         cs_output(cfg, d)
+        assert len(generators) == 2
         x = build_quadrature(d, "X")
         pm = operator_power(build_quadrature(d, "P"), m)
         gen = generators[(1 - int(sign)) // 2]
@@ -241,10 +247,10 @@ class TestGeneratorBands:
         for tau in taus:
             assert np.abs(propagator(spec, tau) @ phi
                           - propagator(reference, tau) @ phi).max() <= 1e-12
-        for which in (THETA1, THETA2):
-            gen = strategies._quadrature_bands(1, dim, which, sign)
-            for got, want in zip(strategies._exp_derivatives(spec, gen, taus, phi),
-                                 strategies._exp_derivatives(reference, gen, taus, phi)):
+            for which in (THETA1, THETA2):
+                gen = strategies._quadrature_bands(1, dim, which, sign)
+                got = strategies._exp_derivative(spec, gen, tau, phi)
+                want = strategies._exp_derivative(reference, gen, tau, phi)
                 assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_fd_qfi_forms_p_power_once_per_dimension(self, monkeypatch):
@@ -273,7 +279,7 @@ class TestGeneratorBands:
         assert all(not diag.flags.writeable and diag.flags.owndata for diag in bands.values())
 
 
-class TestSharedOverN:
+class TestBranchSpectrumCache:
     CFG = StrategyConfig(theta1=0.1, theta2=0.05, n_queries=3, m=2,
                          strategy=COHERENT_SUPERPOSITION)
 
@@ -284,7 +290,8 @@ class TestSharedOverN:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: counts.update(["eigh"]) or eigh(a))
         return counts
 
-    def test_one_call_outside_a_scope_runs_two_eigh_and_two_propagators(self, monkeypatch):
+    def test_a_new_coupling_runs_two_eigh_and_two_propagators(self, monkeypatch,
+                                                              cold_spectra):
         cs_output(self.CFG, 32)  # warms the band table of (m, d)
         counts = self.count_eigh(monkeypatch)
         monkeypatch.setattr(strategies, "propagator",
@@ -295,49 +302,37 @@ class TestSharedOverN:
         cs_output(replace(self.CFG, theta2=0.06), 32)
         assert counts == {"eigh": 2, "propagator": 2, "Operator": 2}
 
-    def test_a_scope_decomposes_each_generator_pair_once(self, monkeypatch):
-        n_values = (1, 2, 5)
-        cfgs = [replace(self.CFG, theta2=t, n_queries=n) for t in (0.05, 0.06) for n in n_values]
-        plain = [output_derivative(cfg, 32, THETA2) for cfg in cfgs]
+    def test_rows_that_differ_in_n_probe_or_parameter_share_one_spectrum(
+            self, monkeypatch, cold_spectra):
+        # N only sets the evolution time; the probe and the parameter never
+        # enter the branch generator
+        seen = []
+        monkeypatch.setattr(strategies, "propagator",
+                            lambda spec, tau: seen.append(spec) or propagator(spec, tau))
         counts = self.count_eigh(monkeypatch)
-        with shared_over_n(n_values):
-            shared = [output_derivative(cfg, 32, THETA2) for cfg in cfgs + cfgs]
-        assert counts["eigh"] == 4
-        for (psi, dpsi), (psi_s, dpsi_s) in zip(plain + plain, shared):
-            assert np.array_equal(psi.amplitudes, psi_s.amplitudes)
-            assert np.array_equal(dpsi, dpsi_s)
+        rows = (self.CFG, replace(self.CFG, n_queries=7),
+                replace(self.CFG, probe=ProbeSpec.coherent(0.3 - 0.2j)))
+        for row in rows:
+            for which in (THETA1, THETA2):
+                output_derivative(row, 32, which)
+        cs_output(replace(self.CFG, n_queries=1), 32)
+        assert counts["eigh"] == 2
+        assert len(seen) == 2 * (2 * len(rows) + 1)
+        assert all(spec is seen[0] for spec in seen[0::2])
+        assert all(spec is seen[1] for spec in seen[1::2])
+        assert seen[0] is not seen[1]
 
-    def test_plain_builds_never_read_the_scope(self, monkeypatch):
-        counts = self.count_eigh(monkeypatch)
-        with shared_over_n((3,)) as scope:
-            cs_output(self.CFG, 32)
-            cs_output(self.CFG, 32)
-            assert scope.branches == {} and counts["eigh"] == 4
-
-    def test_the_scope_holds_branch_states_only_and_drops_them_on_exit(self):
-        with shared_over_n((1, 2)) as scope:
-            output_derivative(self.CFG, 32, THETA2)
-            assert scope.branches == {}  # N = 3 is outside the scope: the plain path
-            output_derivative(replace(self.CFG, n_queries=2), 32, THETA2)
-            (held,) = scope.branches.values()
-            assert sorted(held) == [1, 2]
-            assert all(b.shape == (32,) for pair in held.values()
-                       for vectors in pair for b in vectors)
-        assert scope.branches == {} and strategies._N_SWEEP.get() is None
-
-    def test_the_scope_keys_the_parameter(self):
-        with shared_over_n((3,)) as scope:
-            for which in (THETA1, THETA2, THETA2):
-                output_derivative(self.CFG, 32, which)
-            assert sorted(key[-1] for key in scope.branches) == [THETA1, THETA2]
-
-    def test_the_scope_drops_its_states_after_an_exception(self):
-        with pytest.raises(ZeroDivisionError):
-            with shared_over_n((3,)) as scope:
-                output_derivative(self.CFG, 32, THETA2)
-                assert len(scope.branches) == 1
-                1 / 0
-        assert scope.branches == {} and strategies._N_SWEEP.get() is None
+    @pytest.mark.parametrize("change, d", [({"m": 3}, 32), ({"theta1": 0.11}, 32),
+                                           ({"theta2": 0.06}, 32), ({}, 33)],
+                             ids=["m", "theta1", "theta2", "d"])
+    def test_rows_that_differ_in_the_generator_do_not(self, change, d, cold_spectra):
+        held = {sign: strategies._branch_spectrum(self.CFG, FockDim(32), sign)
+                for sign in (1.0, -1.0)}
+        assert held[1.0] is not held[-1.0]
+        other = replace(self.CFG, **change)
+        for sign, spec in held.items():
+            assert strategies._branch_spectrum(other, FockDim(d), sign) is not spec
+            assert strategies._branch_spectrum(self.CFG, FockDim(32), sign) is spec
 
 
 class TestCompositeOutput:
