@@ -211,19 +211,6 @@ class ExpansionTable:
                    tuple((n, zassenhaus_term(m, n, variant)) for n in range(2, m + 2)))
 
 
-@functools.lru_cache(maxsize=64)
-def _derivative_weights(m: int) -> tuple:
-    """((n, power, r), ...) with i (-i)^n C_n = r P^power, over the cached AB
-    table of m: checked real once, in exact arithmetic, then stored as floats."""
-    rows = []
-    for n, term in ExpansionTable.build(m, "AB").terms:
-        real = term.scale(I_UNIT * MINUS_I ** n)
-        if not real.is_real():
-            raise ContractViolationError("derivative generator acquired imaginary coefficients")
-        rows.extend((n, power, float(c.re)) for power, c in real.coeffs)
-    return tuple(rows)
-
-
 def phase_derivative_generator(m: int, theta1: float, n_queries: int,
                                variant: str = "cs_branch") -> tuple:
     """Hermitian generator g of the branch derivative in the second coupling.
@@ -234,10 +221,10 @@ def phase_derivative_generator(m: int, theta1: float, n_queries: int,
       cs_branch:     g = 2N P^m + i * sum_n (-2Ni)^n theta1^{n-1} C_n
       switch_branch: g = N  P^m + i * sum_n (-Ni)^n  theta1^{n-1} n C_n
 
-    The i-factors cancel exactly, since i (-i)^n C_n is real (checked once
-    per m on the cached table); for the switch the sum collapses to
-    N (P - N theta1)^m.  theta1 and N enter in floating point.  Returns the
-    real coefficients (c_0, ..., c_m) of g by power of P.
+    The i-factors cancel exactly: i (-i)^n C_n = (-1)^n i^{n+1} C_n, the
+    real weights of `_factor_weights(m, "AB")`; for the switch the sum
+    collapses to N (P - N theta1)^m.  theta1 and N enter in floating point.
+    Returns the real coefficients (c_0, ..., c_m) of g by power of P.
     """
     if variant not in ("cs_branch", "switch_branch"):
         raise ContractViolationError(f"variant must be 'cs_branch' or 'switch_branch', got {variant!r}")
@@ -245,8 +232,8 @@ def phase_derivative_generator(m: int, theta1: float, n_queries: int,
     span = int(n_queries) * (1 if switch else 2)
     theta1 = float(theta1)
     coeffs = [0.0] * m + [float(span)]
-    for n, power, r in _derivative_weights(m):
-        coeffs[power] += r * span ** n * theta1 ** (n - 1) * (n if switch else 1)
+    for n, power, r in _factor_weights(m, "AB"):
+        coeffs[power] += (-1) ** n * r * span ** n * theta1 ** (n - 1) * (n if switch else 1)
     return tuple(coeffs)
 
 

@@ -41,7 +41,6 @@ from .errors import (
     EnvelopeError,
     InvalidDimensionError,
     LargeNGateError,
-    NonConvergenceError,
     UnidentifiableParameterError,
     ValidationError,
 )
@@ -452,7 +451,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"cvmet: validation error: {exc}", file=sys.stderr)
         return 1
-    except (NonConvergenceError, EnvelopeError, LargeNGateError) as exc:
+    except (EnvelopeError, LargeNGateError) as exc:
         print(f"cvmet: numerical non-convergence: {exc}", file=sys.stderr)
         return 2
     except UnidentifiableParameterError as exc:

@@ -11,8 +11,8 @@ the top ~m rows/columns of P^m are corrupted, so callers must keep the
 occupied subspace away from the boundary.  `converge_dimension` doubles d
 until the requested scalar settles and reports non-convergence explicitly;
 `richardson` does the same for the step of a finite difference, which the
-Fock-basis QFI no longer takes (its derivative is exact) but the generic
-`qfi.qfi_fd` of the claims' oracles and the optomech mirror still does.
+Fock-basis QFI and the optomech readout no longer take (their derivatives
+are exact) but the generic `qfi.qfi_fd` of the claims' oracles still does.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Exception hierarchy shared by all cvmet modules.
 
 Exit-code mapping used by the CLI: ValidationError -> 1, numerical
-non-convergence (NonConvergenceError, EnvelopeError with its subclass
-TruncationLeakageError, LargeNGateError) and an operating point where the
-parameter cannot be estimated (UnidentifiableParameterError) -> 2, any other
-CvmetError -> 3.
+non-convergence (EnvelopeError with its subclass TruncationLeakageError,
+LargeNGateError) and an operating point where the parameter cannot be
+estimated (UnidentifiableParameterError) -> 2, any other CvmetError -> 3.
+A dimension loop or Richardson ladder that does not settle is reported as a
+status on its result, never raised.
 """
 
 
@@ -30,10 +31,6 @@ class EnvelopeError(CvmetError):
 
 class TruncationLeakageError(EnvelopeError):
     """Probe preparation leaks more mass past the truncation than allowed."""
-
-
-class NonConvergenceError(CvmetError):
-    """Dimension-doubling or step-refinement loop failed to settle."""
 
 
 class UnsupportedConfigurationError(CvmetError):

@@ -18,8 +18,8 @@ Only the exact_fock route runs in the truncated Fock basis, inside the
 dimension-doubling loop of `qfi_converged`, and only where `fock_start`
 finds a basis that can hold the row.  Neither it nor exact_nodes takes a
 step; `qfi_fd`, the central difference with a mandatory Richardson check, is
-the generic estimator for any one-parameter builder (the claims' oracles and
-the optomech mirror).
+the generic estimator for any one-parameter builder and the one caller of
+`cvspace.richardson` (the claims' oracles, the optomech F_g among them).
 
 The generator route uses expectation-of-square <g^2>, not the squared
 expectation |<g>|^2 sometimes quoted at leading order: only <g^2> satisfies

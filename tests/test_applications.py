@@ -1,21 +1,23 @@
 import functools
 import math
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cvmet import applications
 from cvmet.applications import (
+    CAVITY_DIM,
     DEFAULT_OPTOMECH,
     OptomechParams,
-    cavity_moment,
     fit_scaling,
     homodyne_g_variance,
+    mirror_overlap,
     optomech_state,
 )
 from cvmet.cvspace import (
-    FD_MAX_REDUCTIONS,
     FockDim,
     Operator,
     ProbeSpec,
@@ -28,7 +30,6 @@ from cvmet.errors import (
     ContractViolationError,
     DomainError,
     EnvelopeError,
-    NonConvergenceError,
     UnidentifiableParameterError,
 )
 from cvmet.qfi import asymptotic_qfi, crb_precision, qfi_fd
@@ -54,6 +55,21 @@ def vacuum_overlap(p):
             * math.exp(-(s ** 2 + k ** 2) / 4) * np.exp(0.5j * k * s))
 
 
+def cavity_moment(state, k):
+    """<X_cav^k> on the cavity register of an optomech output state."""
+    blocks = state.amplitudes.reshape(state.control_dim, -1)
+    work = blocks
+    for _ in range(k):
+        work = build_quadrature(CAVITY_DIM, "X").mat @ work
+    return complex(np.vdot(blocks, work))
+
+
+def g_slope(f, p, h=2e-4):
+    """df/dg at p by the fourth-order central difference."""
+    at = [f(replace(p, g=p.g + j * h)) for j in (-2, -1, 1, 2)]
+    return (at[0] - 8 * at[1] + 8 * at[2] - at[3]) / (12 * h)
+
+
 class TestOptomechState:
     def test_uncoupled_branches_identical(self):
         p = replace(PAPER_STYLE, g=0.0, omega_c=0.0)
@@ -74,17 +90,14 @@ class TestOptomechState:
         dm = state.fock.d
         assert np.abs(state.amplitudes[2 * dm:]).max() == 0.0
 
-    def test_cavity_mean_equals_branch_overlap_formula(self):
+    def test_cavity_moments_follow_the_branch_overlap(self):
+        # the readout's <X_cav> = Re<b0|b1>/sqrt(2) and <X_cav^2> = 1, here
+        # on the node state with the overlap taken in closed form
         p = replace(PAPER_STYLE, n_steps=10)
         state = optomech_state(p)
-        direct = cavity_moment(state, 1)
-        b0 = state.branch(0) * math.sqrt(2)
-        b1 = state.branch(1) * math.sqrt(2)
-        assert direct == pytest.approx(np.vdot(b0, b1).real / math.sqrt(2), abs=1e-10)
-
-    def test_cavity_second_moment_is_unity(self):
-        p = replace(PAPER_STYLE, n_steps=10)
-        assert cavity_moment(optomech_state(p), 2) == pytest.approx(1.0, abs=1e-12)
+        overlap, _ = mirror_overlap(p)
+        assert cavity_moment(state, 1) == pytest.approx(overlap.real / math.sqrt(2), abs=1e-12)
+        assert cavity_moment(state, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_branch_leaving_the_grid_is_an_envelope_error(self):
         # g N tau = 9.6 moves the coupled branch to the edge of the 64 nodes,
@@ -92,24 +105,57 @@ class TestOptomechState:
         with pytest.raises(EnvelopeError, match="misses 1 by 2.2"):
             optomech_state(replace(DEFAULT_OPTOMECH, g=2.0, n_steps=24))
 
-    @pytest.mark.parametrize("tau, resolved", [(1.0, (8, 10, 12, 14, 16)), (2.0, (8,))])
-    def test_unresolved_position_shift_is_an_envelope_error(self, tau, resolved):
-        # k = g T^2 / 2m reaches 10.3 at tau = 1, N = 18, and 73 at tau = 2,
-        # N = 24, where the node sum aliases to 6e-5 against an exact e^{-1346}
-        for n in range(8, 25, 2):
-            p = replace(DEFAULT_OPTOMECH, tau=tau, n_steps=n)
-            on_nodes, exact = np.vdot(*applications._mirror_branches(p)), vacuum_overlap(p)
-            if n in resolved:
-                assert abs(on_nodes - exact) <= 1e-7 * abs(exact)
-                optomech_state(p)
-            else:
-                with pytest.raises(EnvelopeError, match="<b0|b1> moves by"):
-                    optomech_state(p)
-        assert abs(on_nodes) > 1e-6 > abs(exact)
-
     def test_parameter_validation(self):
         with pytest.raises(ContractViolationError):
             OptomechParams(g=0.1, mass=-1.0, omega_c=1.0, tau=0.2, n_steps=4)
+
+
+class TestMirrorOverlap:
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    def test_matches_the_vacuum_past_the_node_aliasing(self, tau):
+        # k = g T^2 / 2m reaches 10.3 at tau = 1, N = 18, and 73 at tau = 2,
+        # N = 24, where the node sum aliases to 6e-5 against an exact e^{-1346}
+        # (0 in floating point)
+        for n in range(8, 25, 2):
+            p = replace(DEFAULT_OPTOMECH, tau=tau, n_steps=n)
+            exact = vacuum_overlap(p)
+            assert abs(mirror_overlap(p)[0] - exact) <= 1e-12 * abs(exact)
+        on_nodes = np.vdot(*applications._mirror_branches(p))
+        assert abs(on_nodes) > 1e-6 > abs(exact)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 40, 300])
+    def test_laguerre_matches_numpy_and_its_limit_at_zero(self, n):
+        from numpy.polynomial import laguerre
+
+        coeffs = [0] * n + [1]
+        for u in (0.0, 1e-30, 0.3, 7.0, 4.0 * n + 2):
+            chi, d_chi = applications._laguerre(n, u)
+            value = laguerre.lagval(u, coeffs)
+            slope = laguerre.lagval(u, laguerre.lagder(coeffs))
+            scale = math.exp(-u / 2)
+            assert chi == pytest.approx(scale * value, rel=1e-9, abs=1e-12)
+            assert d_chi == pytest.approx(scale * (slope - value / 2), rel=1e-9, abs=1e-11)
+        assert applications._laguerre(n, 0.0) == pytest.approx((1.0, -n - 0.5), rel=1e-12)
+
+    def test_laguerre_past_the_overflow_of_its_polynomial(self):
+        # at u = 1500, e^{-u/2} alone underflows and L_400(u) alone overflows;
+        # their product is O(1e-2), here against L_n in exact arithmetic
+        n, u = 400, 1500
+
+        def exact(k):
+            return sum(Fraction(math.comb(k, j) * (-u) ** j, math.factorial(j))
+                       for j in range(k + 1))
+
+        def scaled(x):  # e^{-u/2} x as a float, for an exact rational x
+            size = math.log(abs(x.numerator)) - math.log(x.denominator) - u / 2
+            return math.exp(size) if x > 0 else -math.exp(size)
+
+        value = exact(n)
+        slope = n * (value - exact(n - 1)) / u
+        chi, d_chi = applications._laguerre(n, float(u))
+        assert 1e-3 < abs(chi) < 1
+        assert chi == pytest.approx(scaled(value), rel=1e-9)
+        assert d_chi == pytest.approx(scaled(slope) - scaled(value) / 2, rel=1e-9)
 
 
 class TestHomodyneVariance:
@@ -122,22 +168,21 @@ class TestHomodyneVariance:
 
     def test_symmetric_point_is_not_estimable(self):
         p = replace(PAPER_STYLE, g=0.0, omega_c=0.0, n_steps=6)
-        with pytest.raises((UnidentifiableParameterError, NonConvergenceError)):
+        with pytest.raises(UnidentifiableParameterError, match="vanished"):
             homodyne_g_variance(p)
 
-    def test_unsettled_slope_is_nonconvergence(self, monkeypatch):
-        # a square-root kink at the operating point: the central difference
-        # grows as h^-1/2 and never settles, so every halving is spent
-        calls = []
-
-        def kinked_mean(p):
-            calls.append(p.g)
-            return math.sqrt(max(p.g - PAPER_STYLE.g, 0.0))
-
-        monkeypatch.setattr(applications, "cavity_mean", kinked_mean)
-        with pytest.raises(NonConvergenceError):
-            homodyne_g_variance(PAPER_STYLE)
-        assert len(calls) == 2 * (FD_MAX_REDUCTIONS + 2)
+    @pytest.mark.parametrize("change, reason", [
+        ({"tau": 2.0, "n_steps": 18}, "underflows"),  # its square does
+        ({"tau": 2.0, "n_steps": 24}, "underflows"),  # with the overlap
+        ({"tau": 2.0, "n_steps": 24, "mirror_probe": ProbeSpec.fock(300)}, "underflows"),
+        ({"g": 1e200}, "is not finite"),
+        ({"mass": 1e-300}, "is not finite"),
+    ], ids=["square-underflows", "overlap-underflows", "fock300", "huge-g", "tiny-mass"])
+    def test_unusable_slope_is_unidentifiable_without_a_warning(self, change, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnidentifiableParameterError, match=reason):
+                homodyne_g_variance(replace(DEFAULT_OPTOMECH, **change))
 
     @pytest.mark.parametrize("n", [8, 16, 24])
     def test_homodyne_respects_quantum_bound(self, n):
@@ -162,20 +207,17 @@ def _fock_spectrum(mass, g, omega_c):
     return spectrum(Operator(ORACLE_DIM, h, hermitian=True))
 
 
-def fock_mirror_branches(p, nodes=None):
+def fock_mirror_branches(p):
     """The mirror branches by eigendecomposition in a Fock basis, the oracle
-    of the closed forms on momentum nodes (`nodes` is the grid size it
-    stands in for, unused)."""
+    of the closed forms on momentum nodes."""
     phi = prepare_probe(p.mirror_probe, ORACLE_DIM).vec
     t_total = p.n_steps * p.tau
     return (propagator(_fock_spectrum(p.mass, 0.0, 0.0), t_total) @ phi,
             propagator(_fock_spectrum(p.mass, p.g, p.omega_c), t_total) @ phi)
 
 
-def _homodyne_and_fisher(p):
-    fisher = qfi_fd(lambda g: optomech_state(replace(p, g=g)), p.g)
-    assert fisher.converged
-    return homodyne_g_variance(p), fisher.value
+def fock_overlap(p):
+    return complex(np.vdot(*fock_mirror_branches(p)))
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -183,15 +225,25 @@ def _homodyne_and_fisher(p):
 class TestFockMirrorOracle:
     def test_branch_overlap_matches(self, probe, n):
         p = replace(DEFAULT_OPTOMECH, n_steps=n, mirror_probe=probe)
-        fock = np.vdot(*fock_mirror_branches(p))
+        fock = fock_overlap(p)
         assert abs(np.vdot(*applications._mirror_branches(p)) - fock) <= 1e-11
+        assert abs(mirror_overlap(p)[0] - fock) <= 1e-11
+
+    def test_overlap_slope_matches(self, probe, n):
+        p = replace(DEFAULT_OPTOMECH, n_steps=n, mirror_probe=probe)
+        slope = g_slope(fock_overlap, p)
+        assert abs(mirror_overlap(p)[1] - slope) <= 1e-9 * abs(slope)
 
     def test_homodyne_variance_and_fisher_match(self, probe, n, monkeypatch):
         p = replace(DEFAULT_OPTOMECH, n_steps=n, mirror_probe=probe)
-        on_nodes = _homodyne_and_fisher(p)
+        overlap, slope = fock_overlap(p), g_slope(fock_overlap, p)
+        in_fock = (1 - overlap.real ** 2 / 2) / (slope.real ** 2 / 2)
+        assert homodyne_g_variance(p) == pytest.approx(in_fock, rel=1e-9)
+        on_nodes = qfi_fd(lambda g: optomech_state(replace(p, g=g)), p.g)
         monkeypatch.setattr(applications, "_mirror_branches", fock_mirror_branches)
-        in_fock = _homodyne_and_fisher(p)
-        assert on_nodes == pytest.approx(in_fock, rel=1e-9)
+        fisher = qfi_fd(lambda g: optomech_state(replace(p, g=g)), p.g)
+        assert on_nodes.converged and fisher.converged
+        assert on_nodes.value == pytest.approx(fisher.value, rel=1e-9)
 
 
 def test_claim_8_steps_run_no_eigendecomposition(monkeypatch):

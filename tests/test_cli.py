@@ -236,12 +236,39 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         assert "validation" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["optomech.tau=2", "optomech.mass=0.05"])
-    def test_unresolved_mirror_position_shift_exits_2(self, setting, capsys):
-        # g (N tau)^2 / 2m outgrows the 64 momentum nodes within the default
-        # sweep; the aliased overlap must not be fitted as a slope
-        assert cli.main(["optomech", "--set", setting]) == 2
-        assert "<b0|b1> moves by" in capsys.readouterr().err
+    @pytest.mark.parametrize("setting", ["optomech.tau=1.2", "optomech.mass=0.05"])
+    def test_large_mirror_position_shift_runs(self, setting, tmp_path):
+        # g (N tau)^2 / 2m outgrows what 64 momentum nodes resolve within the
+        # default sweep; the closed-form overlap does not alias there
+        out_path = tmp_path / "optomech.csv"
+        with pytest.warns(UserWarning, match="far from a power law"):
+            assert cli.main(["optomech", "--set", setting, "--out", str(out_path)]) == 0
+        _, *rows = rows_of(out_path.read_text())
+        assert len(rows) == len(cli.DEFAULT_CONFIG["optomech"]["n_values"])
+        assert all(0 < float(d2) < math.inf for _, d2 in rows)
+
+    def test_underflowing_slope_exits_2(self, capsys):
+        # at tau = 2 the overlap falls as e^{-(gT^2/2m)^2/4}: from N = 18 on
+        # the square of d<X_cav>/dg underflows, so no finite delta^2 g exists
+        assert cli.main(["optomech", "--set", "optomech.tau=2"]) == 2
+        err = capsys.readouterr().err
+        assert "unidentifiable" in err
+        assert "d<X_cav>/dg underflows" in err
+
+    def test_fock_mirror_beyond_the_node_cap_exits_2(self, capsys):
+        assert cli.main(["optomech", "--set", 'optomech.probe={"kind": "fock", "n": 600}']) == 2
+        assert "Gauss-Hermite nodes" in capsys.readouterr().err
+
+    def test_vanishing_step_time_runs(self, tmp_path):
+        # the slope is tiny but exact: delta^2 g ~ 1e35 and falls as N^-4
+        out_path = tmp_path / "optomech.csv"
+        json_path = tmp_path / "optomech.json"
+        assert cli.main(["optomech", "--set", "optomech.tau=1e-9", "--out", str(out_path),
+                         "--json", str(json_path)]) == 0
+        _, *rows = rows_of(out_path.read_text())
+        assert all(1e33 < float(d2) < 1e36 for _, d2 in rows)
+        fit = json.loads(json_path.read_text())["scaling_fit"]
+        assert float(fit["slope"]) == pytest.approx(-4.0, abs=1e-9)
 
     @pytest.mark.parametrize("probe", ['{"kind": "fock", "n": 1024}'])
     def test_truncation_leakage_exits_2(self, probe, capsys):
@@ -273,11 +300,10 @@ class TestExitCodes:
         assert [int(n) for n, _ in rows] == list(cli.DEFAULT_CONFIG["optomech"]["n_values"])
         assert all(float(d2) > 0 for _, d2 in rows)
 
-    @pytest.mark.parametrize("setting", ["optomech.g=0", "optomech.tau=1e-9"])
-    def test_unidentifiable_coupling_exits_2_with_its_reason(self, setting, capsys):
+    def test_unidentifiable_coupling_exits_2_with_its_reason(self, capsys):
         # the homodyne signal does not depend on g at this operating point, so
         # g cannot be estimated there: an input error of the physics, not a bug
-        assert cli.main(["optomech", "--set", setting]) == 2
+        assert cli.main(["optomech", "--set", "optomech.g=0"]) == 2
         err = capsys.readouterr().err
         assert "unidentifiable" in err
         assert "d<X_cav>/dg vanished" in err

@@ -4,8 +4,9 @@ state a caller must open (a `contextvars` scope), one
 function owns the eigendecomposition, propagators stay factored, the exact
 generator route and the optomech mirror stay off the truncated basis, the
 coherent-superposition builder forms no quadrature per state build, no
-block of N identical queries is applied one query at a time, and the
-dimension-doubling loop takes no finite difference."""
+block of N identical queries is applied one query at a time, and neither
+the dimension-doubling loop nor the homodyne readout takes a finite
+difference."""
 
 import ast
 import pathlib
@@ -510,3 +511,42 @@ def test_qfi_converged_takes_no_difference():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert reached_calls(sources, "qfi_converged") & DIFFERENCES == set()
+
+
+# homodyne_g_variance as it differenced node-sum overlaps on a Richardson ladder
+NODE_SUM_READOUT = '''
+def _mirror_branches(p, nodes=MOMENTUM_NODES):
+    q, phi = probe_amplitudes(p.mirror_probe, nodes, 0.0)
+    return kinetic * phi, coupled * kinetic * moved
+
+def optomech_state(p):
+    b0, b1 = _mirror_branches(p)
+    reference = np.vdot(*_mirror_branches(p, 2 * MOMENTUM_NODES))
+    return QState(CAVITY_DIM.d, FockDim(b0.size), amps)
+
+def cavity_mean(p):
+    return cavity_moment(optomech_state(p), 1)
+
+def homodyne_g_variance(p):
+    state = optomech_state(p)
+    def slope(step):
+        up = cavity_mean(replace(p, g=p.g + step))
+        dn = cavity_mean(replace(p, g=p.g - step))
+        return (up - dn) / (2 * step)
+    derivative, converged, history = richardson(slope, 1e-4 * max(1.0, abs(p.g)))
+'''
+NODE_STATE_DIFFERENCES = DIFFERENCES | {"optomech_state", "_mirror_branches"}
+
+
+def test_checker_flags_the_node_sum_readout():
+    assert reached_calls({"applications.py": NODE_SUM_READOUT}, "homodyne_g_variance") & (
+        NODE_STATE_DIFFERENCES) == {"richardson", "optomech_state", "_mirror_branches"}
+
+
+def test_homodyne_readout_takes_no_difference():
+    """The readout takes <b0|b1> and its g-derivative in closed form, so it
+    steps no coupling and builds no node state: those stay the oracle that
+    claim 8's quantum bound runs through `qfi_fd`."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert reached_calls(sources, "homodyne_g_variance") & NODE_STATE_DIFFERENCES == set()
