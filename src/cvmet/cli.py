@@ -4,8 +4,9 @@ Usage: cvmet <command> [--config path.json] [--set key=value]... [--out path.csv
                        [--json path.json]
 
 Commands: qfi, sweep, ratio, bch-table, factorization-check, optomech, claims.
-Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence,
-3 internal contract violation.
+Exit codes: 0 success, 1 validation failure, 2 an input outside the
+numerical envelope or the declared large-N regime, or a parameter that
+cannot be estimated there, 3 internal contract violation.
 
 Every floating-point value is rendered with 17 significant digits; two runs
 of the same config produce byte-identical CSV bodies (the leading version
@@ -451,8 +452,11 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"cvmet: validation error: {exc}", file=sys.stderr)
         return 1
-    except (EnvelopeError, LargeNGateError) as exc:
-        print(f"cvmet: numerical non-convergence: {exc}", file=sys.stderr)
+    except EnvelopeError as exc:
+        print(f"cvmet: outside the numerical envelope: {exc}", file=sys.stderr)
+        return 2
+    except LargeNGateError as exc:
+        print(f"cvmet: outside the declared large-N regime: {exc}", file=sys.stderr)
         return 2
     except UnidentifiableParameterError as exc:
         print(f"cvmet: unidentifiable parameter: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all cvmet modules.
 
-Exit-code mapping used by the CLI: ValidationError -> 1, numerical
-non-convergence (EnvelopeError with its subclass TruncationLeakageError,
-LargeNGateError) and an operating point where the parameter cannot be
+Exit-code mapping used by the CLI: ValidationError -> 1, an input outside
+the numerical envelope (EnvelopeError with its subclass
+TruncationLeakageError), outside the declared large-N regime
+(LargeNGateError) or at an operating point where the parameter cannot be
 estimated (UnidentifiableParameterError) -> 2, any other CvmetError -> 3.
 A dimension loop or Richardson ladder that does not settle is reported as a
 status on its result, never raised.
@@ -26,7 +27,8 @@ class ContractViolationError(CvmetError):
 
 
 class EnvelopeError(CvmetError):
-    """Occupation reached the truncation boundary; results not trustworthy."""
+    """Input outside the numerical envelope: the truncated basis or the node
+    grid cannot hold it, so results would not be trustworthy."""
 
 
 class TruncationLeakageError(EnvelopeError):

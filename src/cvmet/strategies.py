@@ -17,20 +17,22 @@ apart.  Fidelity checks therefore quotient the global phase.
 `output_derivative` returns a state together with its exact derivative in
 theta1 or theta2, from the spectra that build the state: the switch applies
 -iN X or -iN P^m at its place in each order through the cached X and P^m
-spectra, and a coherent-superposition branch takes the Daleckii-Krein form
-of the derivative of e^{-i2N H_b} on the one spectrum of H_b.
+spectra, and the coherent superposition takes the Daleckii-Krein form of
+the derivative of e^{-i2N H_+} on the one spectrum of H_+, for both
+branches in one pass.
 
 Which generators are decomposed: X once per dimension and P^k once per
 (k, dimension), in one bounded cache of single quadrature spectra that the
 switch, the factorized builders (whose phase operators are diagonal in
-P = P^1) and `bch.verify_factorization` share.  A linear (m = 1)
-coherent-superposition branch theta1 X +- theta2 P is a phase-space
+P = P^1) and `bch.verify_factorization` share.  Of the two
+coherent-superposition branch generators only H_+ = theta1 X + theta2 P^m
+is decomposed: H_- = -Pi conj(H_+) Pi exactly, Pi the parity, so U_- is
+U_+ conjugated and flipped in parity.  At m = 1, H_+ is a phase-space
 rotation of X, so its spectrum is the cached X spectrum rotated, with no
-eigh.  At m >= 2 each branch generator theta1 X +- theta2 P^m is decomposed
-once and kept in a small bounded cache keyed by (m, d, theta1, +-theta2),
-what enters the matrix: N only sets the evolution time 2N, so the rows of a
-sweep over N, the probe or the estimated parameter share the spectrum
-without asking for it.
+eigh.  At m >= 2, H_+ is decomposed once and kept in a small bounded cache
+keyed by (m, d, theta1, theta2), what enters the matrix: N only sets the
+evolution time 2N, so the rows of a sweep over N, the probe or the
+estimated parameter share the spectrum without asking for it.
 """
 
 from __future__ import annotations
@@ -244,13 +246,13 @@ def _band_product(bands, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadrature_bands(m: int, dim: FockDim, which: str, sign: float = 1.0) -> list:
-    """The bands of the generator that `which` couples: X for theta1, sign P^m
-    for theta2."""
+def _quadrature_bands(m: int, dim: FockDim, which: str) -> list:
+    """The bands of the generator that `which` couples: X for theta1, P^m for
+    theta2."""
     bands = _generator_bands(m, dim)
     if which == THETA1:
         return [(k, x_k) for k, x_k, _ in bands]
-    return [(k, sign * pm_k) for k, _, pm_k in bands]
+    return [(k, pm_k) for k, _, pm_k in bands]
 
 
 def _switch_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None):
@@ -323,69 +325,90 @@ _DERIVATIVE_ROWS = 64  # row block of the Daleckii-Krein product
 
 def _exp_derivative(spec: Spectrum, gen, tau: float, phi: np.ndarray) -> np.ndarray:
     """d/ds e^{-i tau (H + s B)} phi at s = 0, H = v w v^dag the spectrum and
-    B the Hermitian band matrix `gen`.
+    B the Hermitian band matrix `gen`; phi a vector or a block of columns,
+    all differentiated in one pass.
 
     Daleckii-Krein: the derivative is v[(Gamma o M)(v^dag phi)] with
     M = v^dag B v and Gamma_jk = -i tau e^{-i tau (w_j + w_k)/2}
     sinc(tau (w_j - w_k)/2), which stays finite and exact at degenerate
     eigenvalues.  M is formed in blocks of _DERIVATIVE_ROWS rows,
-    M_J = (B v_J)^dag v, so no d x d matrix besides v is held.
+    M_J = (B v_J)^dag v, so no d x d matrix besides v is held, and each
+    block serves every column of phi.
     """
     v, w = spec.v, spec.w
-    half = np.exp(-0.5j * tau * w)
-    weighted = half * _product(v.conj().T, phi)
-    y = np.empty(w.size, dtype=complex)
+    half = np.exp(-0.5j * tau * w)[:, None]
+    columns = phi.reshape(w.size, -1)
+    weighted = half * _product(v.conj().T, columns)
+    y = np.empty(columns.shape, dtype=complex)
     for lo in range(0, w.size, _DERIVATIVE_ROWS):
         rows = slice(lo, lo + _DERIVATIVE_ROWS)
         bv = _band_product(gen, v[:, rows])
         m_t = v.T @ bv if not np.iscomplexobj(bv) else _product(v.T, bv.conj())  # M_J^T
         gap = (w[:, None] - w[None, rows]) / (2 * math.pi)
-        y[rows] = -1j * tau * half[rows] * (weighted @ (np.sinc(tau * gap) * m_t))
-    return _product(v, y)
+        y[rows] = -1j * tau * half[rows] * ((np.sinc(tau * gap) * m_t).T @ weighted)
+    return _product(v, y).reshape(phi.shape)
 
 
 @functools.lru_cache(maxsize=4)
 def _cs_generator_spectrum(m: int, dim: FockDim, theta1: float, theta2: float) -> Spectrum:
-    """Spectrum of theta1 X + theta2 P^m (theta2 signed by the branch),
-    written from the cached bands of X and P^m, the values of the dense sum
-    exactly, and decomposed.  The key is what enters the matrix, never N,
-    the probe or the parameter, so every row at one coupling shares it."""
+    """Spectrum of the + branch generator theta1 X + theta2 P^m, written from
+    the cached bands of X and P^m, the values of the dense sum exactly, and
+    decomposed.  The key is what enters the matrix, never N, the probe or
+    the parameter, so every row at one coupling shares it; the - branch
+    needs no entry of its own (see `_cs_branches`)."""
     return spectrum(_banded(dim, ((k, theta1 * x_k + theta2 * pm_k)
                                   for k, x_k, pm_k in _generator_bands(m, dim))))
 
 
-def _branch_spectrum(cfg: StrategyConfig, dim: FockDim, sign: float) -> Spectrum:
-    """Spectrum of the branch generator theta1 X + sign theta2 P^m.
+def _branch_spectrum(cfg: StrategyConfig, dim: FockDim) -> Spectrum:
+    """Spectrum of the + branch generator theta1 X + theta2 P^m.
 
     At m = 1 it is a phase-space rotation of X: with r e^{i phi} =
-    theta1 + i sign theta2 and R = diag(e^{-i n phi}), theta1 X +
-    sign theta2 P = r R^dag X R, exactly on the truncated basis too, since R
-    is diagonal in n.  So the spectrum is r w_X on the eigenvectors
-    R^dag v_X of the cached X spectrum, with no eigh.  At m >= 2 it is the
-    cached `_cs_generator_spectrum`.
+    theta1 + i theta2 and R = diag(e^{-i n phi}), theta1 X + theta2 P =
+    r R^dag X R, exactly on the truncated basis too, since R is diagonal in
+    n.  So the spectrum is r w_X on the eigenvectors R^dag v_X of the cached
+    X spectrum, with no eigh.  At m >= 2 it is the cached
+    `_cs_generator_spectrum`.
     """
     if cfg.m == 1:
         x = _mode_spectra(1, dim)[0]
-        z = complex(cfg.theta1, sign * cfg.theta2)
+        z = complex(cfg.theta1, cfg.theta2)
         rotation = np.exp(1j * cmath.phase(z) * np.arange(dim.d))
         return Spectrum(dim, abs(z) * x.w, rotation[:, None] * x.v)
-    return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, sign * cfg.theta2)
+    return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, cfg.theta2)
+
+
+def _mirror(y: np.ndarray) -> np.ndarray:
+    """Pi conj(y) for a vector or a block of columns, Pi = diag((-1)^n) the
+    parity: sign flips only, so exact, and its own inverse."""
+    out = y.conj()
+    out[1::2] *= -1
+    return out
 
 
 def _cs_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None):
-    """((U+^{2N} phi, U-^{2N} phi), derivatives) on one `_branch_spectrum`
-    per branch; the derivatives in `which` by `_exp_derivative` on that
-    spectrum, None without `which`."""
+    """((U+^{2N} phi, U-^{2N} phi), derivatives) on the one `_branch_spectrum`
+    of the + generator; the derivatives in `which`, None without `which`.
+
+    On the truncated basis H- = -Pi conj(H+) Pi exactly (`_mirror`): X is
+    real and odd, and P^m has parity (-1)^m and entries all real (m even)
+    or all imaginary (m odd).  So U- = Pi conj(U+) Pi, and the - branch is
+    the mirror of U+ applied to the mirrored probe.  That map is real-linear
+    and takes the derivative X or P^m of H+ to X or -P^m, that of H-, so
+    the - derivative is likewise the mirror of the + one on the mirrored
+    probe: one `_exp_derivative` pass on the block [phi, mirror(phi)].
+    """
     phi = prepare_probe(cfg.probe, dim).vec
     tau = 2 * cfg.n_queries
-    states, derivatives = [], []
-    for sign in (+1.0, -1.0):
-        spec = _branch_spectrum(cfg, dim, sign)
-        states.append(propagator(spec, tau) @ phi)
-        if which is not None:
-            derivatives.append(_exp_derivative(
-                spec, _quadrature_bands(cfg.m, dim, which, sign), tau, phi))
-    return tuple(states), tuple(derivatives) if which is not None else None
+    spec = _branch_spectrum(cfg, dim)
+    inputs = (phi, _mirror(phi))
+    plus, minus = (propagator(spec, tau) @ y for y in inputs)  # one propagator per branch
+    states = (plus, _mirror(minus))
+    if which is None:
+        return states, None
+    block = _exp_derivative(spec, _quadrature_bands(cfg.m, dim, which), tau,
+                            np.column_stack(inputs))
+    return states, (block[:, 0], _mirror(block[:, 1]))
 
 
 def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
@@ -393,9 +416,10 @@ def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
 
     (|0> U+^{2N} |phi> + |1> U-^{2N} |phi>)/sqrt(2) with
     U+- = e^{-i(theta1 X +- theta2 P^m)}, so the branch unitary is
-    e^{-i 2N (theta1 X +- theta2 P^m)}: two propagators per call, on the
-    spectra of `_branch_spectrum` (two eigh at a new m >= 2 coupling, none
-    beyond the cached X spectrum at m = 1).
+    e^{-i 2N (theta1 X +- theta2 P^m)}: two propagators per call, both on
+    the one spectrum of `_branch_spectrum` (one eigh at a new m >= 2
+    coupling, none beyond the cached X spectrum at m = 1), the - branch
+    through the parity-and-conjugation symmetry of `_cs_branches`.
     """
     dim = as_dim(dim)
     return QState.from_branches(_cs_branches(cfg, dim)[0], dim)

@@ -190,7 +190,15 @@ class TestExitCodes:
         code = cli.main(["factorization-check", "--set",
                          'factorization={"cases": [[3, 0.3, 32, "AB"]]}'])
         assert code == 2
-        assert "non-convergence" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "cvmet: outside the numerical envelope: no column of d=32 stays inside")
+
+    def test_node_cap_refusal_exits_2_as_a_refusal(self, capsys):
+        # nothing here failed to converge: the probe needs more nodes than the cap
+        assert cli.main(["optomech", "--set", 'optomech.probe={"kind": "fock", "n": 600}']) == 2
+        err = capsys.readouterr().err
+        assert err == ("cvmet: outside the numerical envelope: fock probe needs 602 "
+                       "Gauss-Hermite nodes, beyond 512\n")
 
     @pytest.mark.parametrize("argv", [
         ["qfi", "--set", "nu=0"],
@@ -473,4 +481,5 @@ class TestNSweep:
         assert cli.main(["sweep", "--set", "strategy=coherent_superposition", "--set", "m=2",
                          "--set", "sweep.values=[2, 3, 5, 6]"]) == 0
         assert set(builds) == {2, 3, 5, 6}
-        assert len(decomposed) == 2 * len(generators) < 2 * len(builds)
+        # one + branch generator per coupling; the - branch is its mirror
+        assert len(decomposed) == len(generators) < len(builds)

@@ -6,7 +6,8 @@ generator route and the optomech mirror stay off the truncated basis, the
 coherent-superposition builder forms no quadrature per state build, no
 block of N identical queries is applied one query at a time, and neither
 the dimension-doubling loop nor the homodyne readout takes a finite
-difference."""
+difference, and the coherent superposition decomposes only its + branch
+generator."""
 
 import ast
 import pathlib
@@ -550,3 +551,55 @@ def test_homodyne_readout_takes_no_difference():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert reached_calls(sources, "homodyne_g_variance") & NODE_STATE_DIFFERENCES == set()
+
+
+def signed_theta2_arguments(source: str, callee: str = "_cs_generator_spectrum") -> list:
+    """(function, line) of every argument of a `callee` call that names
+    theta2 inside an expression (`sign * cfg.theta2`, `-cfg.theta2`) rather
+    than passing it bare."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == callee):
+                for arg in child.args + [k.value for k in child.keywords]:
+                    bare = getattr(arg, "id", getattr(arg, "attr", None)) == "theta2"
+                    if not bare and any(getattr(part, "id", getattr(part, "attr", None)) == "theta2"
+                                        for part in ast.walk(arg)):
+                        found.append((function, arg.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# _branch_spectrum as it decomposed each branch generator, theta2 signed by the branch
+SIGNED_BRANCH_SPECTRUM = '''
+def _branch_spectrum(cfg, dim, sign):
+    if cfg.m == 1:
+        z = complex(cfg.theta1, sign * cfg.theta2)
+        return rotated(z)
+    return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, sign * cfg.theta2)
+
+def _minus_spectrum(cfg, dim):
+    return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, theta2=-cfg.theta2)
+
+def _plus_spectrum(cfg, dim, theta2):
+    return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, theta2)
+'''
+
+
+def test_checker_flags_the_signed_branch_spectrum():
+    assert signed_theta2_arguments(SIGNED_BRANCH_SPECTRUM) == [
+        ("_branch_spectrum", 6), ("_minus_spectrum", 9)]
+
+
+def test_only_the_plus_branch_generator_is_decomposed():
+    """H- = -Pi conj(H+) Pi on the truncated basis, so the - branch runs on
+    the spectrum of H+: no call asks the cache for the generator at -theta2,
+    which would double the eigh of every coherent-superposition row."""
+    source = (PACKAGE / "strategies.py").read_text(encoding="utf-8")
+    assert call_sites(source, "_cs_generator_spectrum") == ["_branch_spectrum"]
+    assert signed_theta2_arguments(source) == []

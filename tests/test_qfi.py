@@ -162,8 +162,9 @@ class TestExactFock:
             expected = -1j * tau * np.exp(-1j * tau * c) * b_x
             assert np.abs(dpsi - expected).max() <= 1e-15 * tau * np.abs(b_x).max()
 
-    def test_coherent_superposition_row_decomposes_two_generators_per_dimension(
+    def test_coherent_superposition_row_decomposes_one_generator_per_dimension(
             self, monkeypatch, cold_spectra):
+        # the + branch generator; the - branch runs on its mirrored spectrum
         calls = []
         monkeypatch.setattr(strategies, "spectrum",
                             lambda gen: calls.append(gen.d) or cvspace.spectrum(gen))
@@ -172,7 +173,7 @@ class TestExactFock:
         est = qfi_converged(cfg, THETA2)
         dims = [d for d, _ in est.diagnostics["dim_history"]]
         assert dims == [64, 128, 256]
-        assert calls == [d for d in dims for _ in range(2)]
+        assert calls == dims
 
     def test_switch_row_decomposes_nothing_beyond_the_mode_spectra(self, monkeypatch,
                                                                    cold_spectra):

@@ -207,40 +207,41 @@ class TestGeneratorBands:
     @pytest.mark.parametrize("d", [64, 256])
     @pytest.mark.parametrize("m", [2, 3])
     def test_cs_generator_is_the_dense_sum(self, m, d, sign, monkeypatch, cold_spectra):
-        # the branch generator written from the cached bands holds exactly the
-        # values of theta1 X +- theta2 P^m formed from the dense matrices;
-        # it is captured where it is decomposed
+        # the + branch generator written from the cached bands holds exactly
+        # the values of theta1 X + theta2 P^m formed from the dense matrices,
+        # at either sign of theta2; it is captured where it is decomposed, and
+        # it is the only one (TestBranchSymmetry covers the - branch)
         generators = []
         monkeypatch.setattr(strategies, "spectrum",
                             lambda gen: generators.append(gen) or spectrum(gen))
-        cfg = StrategyConfig(theta1=0.3, theta2=0.05, n_queries=4, m=m,
+        cfg = StrategyConfig(theta1=0.3, theta2=sign * 0.05, n_queries=4, m=m,
                              strategy=COHERENT_SUPERPOSITION)
         cs_output(cfg, d)
-        assert len(generators) == 2
+        assert len(generators) == 1
         x = build_quadrature(d, "X")
         pm = operator_power(build_quadrature(d, "P"), m)
-        gen = generators[(1 - int(sign)) // 2]
+        gen = generators[0]
         assert gen.hermitian
-        assert np.array_equal(gen.mat, cfg.theta1 * x.mat + sign * cfg.theta2 * pm.mat)
+        assert np.array_equal(gen.mat, cfg.theta1 * x.mat + cfg.theta2 * pm.mat)
 
     @pytest.mark.parametrize("thetas", [(0.3, 0.05), (0.0, 0.2), (0.1, 0.0), (-0.4, 0.1),
                                         (-0.2, -0.3), (0.0, 0.0)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("d", [16, 256])
     def test_linear_branch_spectrum_is_the_rotated_x_spectrum(self, d, sign, thetas):
-        # theta1 X +- theta2 P = r R^dag X R with R = diag(e^{-i n phi}): the
+        # theta1 X + theta2 P = r R^dag X R with R = diag(e^{-i n phi}): the
         # m = 1 branch spectrum is the cached X spectrum rotated, no eigh
         dim = FockDim(d)
-        cfg = StrategyConfig(theta1=thetas[0], theta2=thetas[1], n_queries=4, m=1,
+        cfg = StrategyConfig(theta1=thetas[0], theta2=sign * thetas[1], n_queries=4, m=1,
                              strategy=COHERENT_SUPERPOSITION,
                              probe=ProbeSpec.coherent(0.5 - 0.3j))
-        spec = strategies._branch_spectrum(cfg, dim, sign)
+        spec = strategies._branch_spectrum(cfg, dim)
         dense = (cfg.theta1 * build_quadrature(dim, "X").mat
-                 + sign * cfg.theta2 * build_quadrature(dim, "P").mat)
+                 + cfg.theta2 * build_quadrature(dim, "P").mat)
         rebuilt = (spec.v * spec.w) @ spec.v.conj().T
         assert np.abs(rebuilt - dense).max() <= 1e-12 * np.linalg.norm(dense, 2)
         reference = spectrum(strategies._banded(
-            dim, ((k, cfg.theta1 * x_k + sign * cfg.theta2 * p_k)
+            dim, ((k, cfg.theta1 * x_k + cfg.theta2 * p_k)
                   for k, x_k, p_k in strategies._generator_bands(1, dim))))
         phi = prepare_probe(cfg.probe, dim).vec
         taus = (8.0, 3.0)
@@ -248,7 +249,7 @@ class TestGeneratorBands:
             assert np.abs(propagator(spec, tau) @ phi
                           - propagator(reference, tau) @ phi).max() <= 1e-12
             for which in (THETA1, THETA2):
-                gen = strategies._quadrature_bands(1, dim, which, sign)
+                gen = strategies._quadrature_bands(1, dim, which)
                 got = strategies._exp_derivative(spec, gen, tau, phi)
                 want = strategies._exp_derivative(reference, gen, tau, phi)
                 assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
@@ -290,8 +291,10 @@ class TestBranchSpectrumCache:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: counts.update(["eigh"]) or eigh(a))
         return counts
 
-    def test_a_new_coupling_runs_two_eigh_and_two_propagators(self, monkeypatch,
+    def test_a_new_coupling_runs_one_eigh_and_two_propagators(self, monkeypatch,
                                                               cold_spectra):
+        # the + generator is the only Operator and the only eigh; each branch
+        # takes its propagator on that one spectrum
         cs_output(self.CFG, 32)  # warms the band table of (m, d)
         counts = self.count_eigh(monkeypatch)
         monkeypatch.setattr(strategies, "propagator",
@@ -300,12 +303,12 @@ class TestBranchSpectrumCache:
         monkeypatch.setattr(Operator, "__post_init__",
                             lambda op: counts.update(["Operator"]) or post_init(op))
         cs_output(replace(self.CFG, theta2=0.06), 32)
-        assert counts == {"eigh": 2, "propagator": 2, "Operator": 2}
+        assert counts == {"eigh": 1, "propagator": 2, "Operator": 1}
 
     def test_rows_that_differ_in_n_probe_or_parameter_share_one_spectrum(
             self, monkeypatch, cold_spectra):
         # N only sets the evolution time; the probe and the parameter never
-        # enter the branch generator
+        # enter the branch generator, and both branches run on its spectrum
         seen = []
         monkeypatch.setattr(strategies, "propagator",
                             lambda spec, tau: seen.append(spec) or propagator(spec, tau))
@@ -316,23 +319,85 @@ class TestBranchSpectrumCache:
             for which in (THETA1, THETA2):
                 output_derivative(row, 32, which)
         cs_output(replace(self.CFG, n_queries=1), 32)
-        assert counts["eigh"] == 2
+        assert counts["eigh"] == 1
         assert len(seen) == 2 * (2 * len(rows) + 1)
-        assert all(spec is seen[0] for spec in seen[0::2])
-        assert all(spec is seen[1] for spec in seen[1::2])
-        assert seen[0] is not seen[1]
+        assert all(spec is seen[0] for spec in seen)
 
     @pytest.mark.parametrize("change, d", [({"m": 3}, 32), ({"theta1": 0.11}, 32),
                                            ({"theta2": 0.06}, 32), ({}, 33)],
                              ids=["m", "theta1", "theta2", "d"])
     def test_rows_that_differ_in_the_generator_do_not(self, change, d, cold_spectra):
-        held = {sign: strategies._branch_spectrum(self.CFG, FockDim(32), sign)
-                for sign in (1.0, -1.0)}
-        assert held[1.0] is not held[-1.0]
+        held = strategies._branch_spectrum(self.CFG, FockDim(32))
         other = replace(self.CFG, **change)
-        for sign, spec in held.items():
-            assert strategies._branch_spectrum(other, FockDim(d), sign) is not spec
-            assert strategies._branch_spectrum(self.CFG, FockDim(32), sign) is spec
+        assert strategies._branch_spectrum(other, FockDim(d)) is not held
+        assert strategies._branch_spectrum(self.CFG, FockDim(32)) is held
+
+
+SYMMETRY_THETAS = [(0.3, 0.05), (0.0, 0.2), (0.1, 0.0), (-0.4, 0.1), (-0.2, -0.3), (0.0, 0.0)]
+SYMMETRY_PROBES = [ProbeSpec.vacuum(), ProbeSpec.fock(3), ProbeSpec.squeezed_vacuum(0.4),
+                   ProbeSpec.coherent(0.6 - 0.4j), ProbeSpec.coherent(-1.1 + 0.7j)]
+SYMMETRY_PROBE_IDS = ["vacuum", "fock3", "squeezed", "coherent_a", "coherent_b"]
+
+
+class TestBranchSymmetry:
+    """H- = -Pi conj(H+) Pi, Pi = diag((-1)^n), so the - branch of the
+    coherent superposition comes from the spectrum of H+ alone."""
+
+    @staticmethod
+    def dense(d, m):
+        # P^m unflagged: its truncated round-off asymmetry exceeds the
+        # absolute Hermiticity check at d = 256, m >= 4 (ROADMAP item 3)
+        x = build_quadrature(d, "X").mat
+        pm = operator_power(Operator(d, build_quadrature(d, "P").mat), m).mat
+        return x, pm
+
+    @pytest.mark.parametrize("thetas", SYMMETRY_THETAS)
+    @pytest.mark.parametrize("d", [16, 64, 256])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_minus_generator_is_the_mirrored_plus_generator(self, m, d, thetas):
+        x, pm = self.dense(d, m)
+        theta1, theta2 = thetas
+        parity = (-1.0) ** np.arange(d)
+        plus = theta1 * x + theta2 * pm
+        minus = theta1 * x - theta2 * pm
+        assert np.array_equal(-(parity[:, None] * plus.conj() * parity[None, :]), minus)
+
+    @pytest.mark.parametrize("probe", SYMMETRY_PROBES, ids=SYMMETRY_PROBE_IDS)
+    @pytest.mark.parametrize("which", [THETA1, THETA2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_minus_branch_matches_its_own_spectrum(self, m, which, probe):
+        # reference: the - generator decomposed in the test, and its state and
+        # Daleckii-Krein derivative taken on that spectrum
+        dim = FockDim(64)
+        x, pm = self.dense(dim.d, m)
+        phi = prepare_probe(probe, dim).vec
+        for theta1, theta2 in ((0.3, 0.05), (-0.2, 0.1), (0.1, -0.07), (0.0, 0.08)):
+            cfg = StrategyConfig(theta1=theta1, theta2=theta2, n_queries=3, m=m,
+                                 strategy=COHERENT_SUPERPOSITION, probe=probe)
+            tau = 2 * cfg.n_queries
+            reference = spectrum(Operator(dim, theta1 * x - theta2 * pm, hermitian=True))
+            gen = band_diagonals(Operator(dim, x if which == THETA1 else -pm, hermitian=True), m)
+            want_state = propagator(reference, tau) @ phi
+            want = strategies._exp_derivative(reference, list(gen.items()), tau, phi)
+            state, dpsi = output_derivative(cfg, dim, which)
+            got_state = state.branch(1) * math.sqrt(2)
+            got = dpsi[dim.d:] * math.sqrt(2)
+            assert np.linalg.norm(got_state - want_state) <= 1e-12
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("which", [THETA1, THETA2])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_block_derivative_is_the_columnwise_one(self, m, which):
+        dim = FockDim(100)  # not a multiple of the row block
+        cfg = StrategyConfig(theta1=0.2, theta2=-0.07, n_queries=2, m=m,
+                             strategy=COHERENT_SUPERPOSITION)
+        spec = strategies._branch_spectrum(cfg, dim)
+        bands = strategies._quadrature_bands(m, dim, which)
+        block = np.column_stack([prepare_probe(probe, dim).vec for probe in SYMMETRY_PROBES])
+        together = strategies._exp_derivative(spec, bands, 4.0, block)
+        for column, phi in zip(together.T, block.T):
+            alone = strategies._exp_derivative(spec, bands, 4.0, phi)
+            assert np.abs(column - alone).max() <= 1e-14 * np.abs(alone).max()
 
 
 class TestCompositeOutput:
