@@ -57,6 +57,7 @@ from .applications import (
     ScalingFit,
     fit_scaling,
     homodyne_g_variance,
+    optomech_fisher,
     optomech_state,
 )
 from . import errors

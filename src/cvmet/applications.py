@@ -8,9 +8,11 @@ the cavity quadrature X_cav = (a + a^dag)/sqrt(2) carries the interference
 signal Re<phi_0|phi_1>/sqrt(2).  The variance of g follows from the error
 transfer formula delta^2 g = Var(X_cav) / |d<X_cav>/dg|^2, with <phi_0|phi_1>
 and its g-derivative in closed form (`mirror_overlap`): no step, no grid.
-The output state itself (`optomech_state`, the oracle of the quantum bound
-1/F_g) has no Fock basis: its branches are closed forms on a fixed grid of
-Gauss-Hermite momentum nodes, where both propagators act exactly.
+The quantum bound 1/F_g (`optomech_fisher`) is exact too: the branches and
+the g-derivative of the coupled one are closed forms on a fixed grid of
+Gauss-Hermite momentum nodes, where both propagators act exactly.  The
+output state on that grid (`optomech_state`) is the oracle of F_g, which
+the tests difference.
 
 Shipped defaults: g = 0.07, mass = 1.1, omega_c = 2 pi / tau, tau = 0.2,
 vacuum mirror probe, N in {8, 10, ..., 24}.  The cavity detuning is locked
@@ -48,6 +50,7 @@ from .strategies import QState
 # exact X_cav and X_cav^2 elements there; more levels only cost time.
 CAVITY_DIM = FockDim(3)
 MIN_FIT_POINTS = 4
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -80,19 +83,31 @@ DEFAULT_OPTOMECH_SWEEP = tuple(range(8, 25, 2))
 
 
 def _mirror_branches(p: OptomechParams):
-    """The mirror branches on the momentum grid of `probe_amplitudes`.
+    """The mirror branches b0, b1 and the g-derivative of b1 on the momentum
+    grid of `probe_amplitudes`.
 
     With X = i d/dp both propagators act exactly over T = N tau: e^{-iT P^2/2m}
     is the phase T p^2/2m, and e^{-iT(omega_c + P^2/2m + g X)} moves psi(p)
-    to psi(p + gT) under omega_c T + T p^2/2m + g T^2 p/2m + g^2 T^3/6m."""
+    to psi(p + s), s = gT, under Theta = omega_c T + s T p/2m + s^2 T/6m.  b0
+    is free of g, and d b1/dg = T psi'(p + s) - i T^2 (p/2m + s/3m) psi(p + s)
+    times b1's phases, with psi' exact from the node table.
+
+    EnvelopeError when a branch's grid norm misses 1 by more than NORM_TOL
+    (the momentum shift g N tau leaves the grid)."""
     t_total = p.n_steps * p.tau
     shift = p.g * t_total
-    q, phi = probe_amplitudes(p.mirror_probe, MOMENTUM_NODES, 0.0)
-    _, moved = probe_amplitudes(p.mirror_probe, MOMENTUM_NODES, shift)
+    q, phi, _ = probe_amplitudes(p.mirror_probe, MOMENTUM_NODES, 0.0)
+    _, moved, d_moved = probe_amplitudes(p.mirror_probe, MOMENTUM_NODES, shift)
     kinetic = np.exp(-1j * t_total * q ** 2 / (2 * p.mass))
     coupled = np.exp(-1j * (p.omega_c * t_total + shift * t_total * q / (2 * p.mass)
                             + shift ** 2 * t_total / (6 * p.mass)))
-    return kinetic * phi, coupled * kinetic * moved
+    b0, b1 = kinetic * phi, coupled * kinetic * moved
+    miss = max(abs(np.vdot(b, b).real - 1.0) for b in (b0, b1))
+    if not miss <= NORM_TOL:
+        raise EnvelopeError(f"mirror branches leave the {b0.size}-node momentum grid: "
+                            f"norm misses 1 by {miss:.3e}")
+    d_angle = t_total * t_total * (q / (2 * p.mass) + shift / (3 * p.mass))
+    return b0, b1, coupled * kinetic * (t_total * d_moved - 1j * d_angle * moved)
 
 
 def optomech_state(p: OptomechParams) -> QState:
@@ -100,17 +115,22 @@ def optomech_state(p: OptomechParams) -> QState:
     on (CAVITY_DIM Fock levels) x (mirror momentum grid); the photon number
     is conserved, so levels >= 2 stay exactly empty.
 
-    EnvelopeError when a branch's grid norm misses 1 by more than NORM_TOL
-    (the momentum shift g N tau leaves the grid).  The node sum of <b0|b1>
-    aliases once k = g (N tau)^2 / 2m nears sqrt(2 MOMENTUM_NODES), so the
-    readout takes it from `mirror_overlap`; this state is the oracle of F_g."""
-    b0, b1 = _mirror_branches(p)
-    miss = max(abs(np.vdot(b, b).real - 1.0) for b in (b0, b1))
-    if not miss <= NORM_TOL:
-        raise EnvelopeError(f"mirror branches leave the {b0.size}-node momentum grid: "
-                            f"norm misses 1 by {miss:.3e}")
+    EnvelopeError when the branches leave the grid (`_mirror_branches`).
+    The node sum of <b0|b1> aliases once k = g (N tau)^2 / 2m nears
+    sqrt(2 MOMENTUM_NODES), so the readout takes it from `mirror_overlap`;
+    this state is the oracle of F_g, which `optomech_fisher` takes exactly."""
+    b0, b1, _ = _mirror_branches(p)
     amps = np.concatenate([b0, b1, np.zeros_like(b0)]) / math.sqrt(2)
     return QState(CAVITY_DIM.d, FockDim(b0.size), amps)
+
+
+def optomech_fisher(p: OptomechParams) -> float:
+    """F_g of `optomech_state`, exact: only b1 depends on g, so
+    F_g = 4(<d psi|d psi> - |<d psi|psi>|^2) = 2<db1|db1> - |<db1|b1>|^2,
+    with db1 = d b1/dg from `_mirror_branches` (its EnvelopeError included):
+    no step, no Richardson."""
+    _, b1, d_b1 = _mirror_branches(p)
+    return float(2.0 * np.vdot(d_b1, d_b1).real - abs(np.vdot(d_b1, b1)) ** 2)
 
 
 def _laguerre(n: int, u: float) -> tuple:
@@ -162,14 +182,22 @@ def homodyne_g_variance(p: OptomechParams) -> float:
     <X_cav^2> = 1, so delta^2 g = (1 - Re(o)^2/2) / (Re(o')^2/2) with o and
     o' = do/dg from `mirror_overlap`.  A slope that vanishes, is not finite
     or underflows leaves no finite positive delta^2 g: g is unidentifiable.
+
+    Vanished includes a Re(o') within the rounding of o's phase: its angle
+    omega_c T - sk/6 is rounded to a few eps of its size, which turns that
+    share of |o'| into Re(o').  At g = 0, where omega_c T = 2 pi N makes
+    Re(o') exactly 0, it reads 2e-15 to 2.3e-14 of |o'| on the shipped sweep.
     """
     overlap, slope = mirror_overlap(p)
     rate = slope.real
+    t_total = p.n_steps * p.tau
+    angle = p.omega_c * t_total - p.g * t_total * p.g * t_total * t_total / (12 * p.mass)
+    vanished = abs(rate) <= 4 * EPS * max(1.0, abs(angle)) * abs(slope)
     gain = rate * rate / 2
-    d2 = (1.0 - overlap.real * overlap.real / 2) / gain if gain > 0 else math.inf
+    d2 = (1.0 - overlap.real * overlap.real / 2) / gain if gain > 0 and not vanished else math.inf
     if not 0 < d2 < math.inf:
         reason = ("is not finite" if not (math.isfinite(rate) and math.isfinite(overlap.real))
-                  else "vanished" if rate == 0.0 and overlap != 0.0
+                  else "vanished" if vanished and overlap != 0.0
                   else "underflows in double precision")
         raise UnidentifiableParameterError(
             f"d<X_cav>/dg {reason}; g cannot be estimated at this point")

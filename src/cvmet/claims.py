@@ -17,6 +17,7 @@ from .applications import (
     DEFAULT_OPTOMECH_SWEEP,
     fit_scaling,
     homodyne_g_variance,
+    optomech_fisher,
     optomech_state,
 )
 from .bch import nested_commutator_oracle, verify_factorization, zassenhaus_term
@@ -244,8 +245,7 @@ def claim_8_optomech_scaling() -> ClaimResult:
         p = replace(p0, n_steps=int(n))
         d2 = homodyne_g_variance(p)
         rows.append((n, d2))
-        fisher = qfi_fd(lambda g, pp=p: optomech_state(replace(pp, g=g)), p.g)
-        bound = 1.0 / fisher.value
+        bound = 1.0 / optomech_fisher(p)
         if d2 < bound * (1.0 - 1e-9):
             crb_ok = False
             crb_note = f"; CRB violated at N={n}: {d2:.3e} < {bound:.3e}"

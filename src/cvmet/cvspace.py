@@ -1,18 +1,22 @@
 """Truncated Fock-basis representation of one continuous-variable mode.
 
 Quadrature operators, probe preparation and Hermitian-generator evolution on
-a finite number basis of dimension d, plus a basis-free layer of probe
-moments (`probe_on_nodes`) and momentum amplitudes (`probe_amplitudes`) on
-Gauss-Hermite nodes.  Every value is immutable after construction and every
-operation is a pure function, so concurrent use needs no coordination.
+a finite number basis of dimension d, plus a basis-free layer on
+Gauss-Hermite nodes with one weight rule: the probe's node amplitudes
+sqrt(W_j) psi(q_j), tabled with their exact derivative in momentum
+(`probe_amplitudes`) and read as densities |a_j|^2 for the moments of
+either quadrature (`probe_on_nodes`).  Every value is immutable after
+construction and every operation is a pure function, so concurrent use
+needs no coordination.
 
 Truncation caveats: on the truncated basis [X, P] = i(I - d |d-1><d-1|), and
 the top ~m rows/columns of P^m are corrupted, so callers must keep the
 occupied subspace away from the boundary.  `converge_dimension` doubles d
 until the requested scalar settles and reports non-convergence explicitly;
-`richardson` does the same for the step of a finite difference, which the
-Fock-basis QFI and the optomech readout no longer take (their derivatives
-are exact) but the generic `qfi.qfi_fd` of the claims' oracles still does.
+`richardson` does the same for the step of a finite difference.  The
+Fock-basis QFI, the optomech readout and the optomech F_g take none (their
+derivatives are exact); only the generic `qfi.qfi_fd`, the difference leg
+of claims 2 and 9, does.
 """
 
 from __future__ import annotations
@@ -248,8 +252,9 @@ def _hermite_nodes(g: int) -> np.ndarray:
 
 def _scaled_hermite(x: np.ndarray, n: int) -> tuple:
     """(h_{n-1}, h_n) / c and log c at x, h_k normalized against e^{-x^2} up
-    to h_0 = 1, on values rescaled per point so large n cannot overflow."""
-    prev, cur, log_scale = np.zeros_like(x), np.ones_like(x), 0.0
+    to h_0 = 1, on values rescaled per point so large n cannot overflow.
+    At n = 0 they are the scalars 0 and 1, which broadcast against x."""
+    prev, cur, log_scale = 0.0, 1.0, 0.0
     for k in range(n):
         prev, cur = _hermite_step(k, x, prev, cur)
         scale = np.maximum(np.abs(prev), np.abs(cur))
@@ -262,27 +267,18 @@ def _hermite_step(k: int, x: np.ndarray, prev: np.ndarray, cur: np.ndarray) -> t
     return cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
 
 
-def _node_weights(t: np.ndarray, n: int) -> np.ndarray:
-    """w_j h_n(t_j)^2 on the G Gauss-Hermite nodes t (weights w_j for
-    e^{-t^2}), formed as h_n^2 / (G h_{G-1}^2) at one scale, since
-    w_j = 1 / (G h_{G-1}(t_j)^2) (Christoffel).  n = 0 gives w_j / sqrt(pi)."""
-    prev, h_n, _ = _scaled_hermite(t, n)
-    cur = h_n
-    for k in range(n, t.size - 1):  # a few steps on to h_{G-1}, at the scale of h_n
-        prev, cur = _hermite_step(k, t, prev, cur)
-    return h_n ** 2 / (t.size * cur ** 2)
-
-
-def _hermite_function(x: np.ndarray, n: int) -> np.ndarray:
-    """The unit-norm Hermite function h_n(x) e^{-x^2/2}, the Gaussian in the log scale."""
-    _, cur, log_scale = _scaled_hermite(x, n)
-    return cur * np.exp(log_scale - x ** 2 / 2 - math.log(math.pi) / 4)
+def _hermite_functions(x: np.ndarray, n: int) -> tuple:
+    """(f_{n-1}, f_n) at x: the unit-norm Hermite functions
+    f_k = pi^{-1/4} h_k e^{-x^2/2} (f_{-1} = 0), the Gaussian in the log
+    scale of h_n."""
+    below, at, log_scale = _scaled_hermite(x, n)
+    gauss = np.exp(log_scale - x ** 2 / 2 - math.log(math.pi) / 4)
+    return below * gauss, at * gauss
 
 
 def _rule(spec: ProbeSpec, quadrature: str, base: int) -> tuple:
     """(t, n, c, s): G = base + n nodes t (n for Fock(n); G > NODE_CAP is an
-    EnvelopeError) and the map Q = c + s t of the probe's quadrature, as the
-    table of `probe_on_nodes` gives it."""
+    EnvelopeError) and the map Q = c + s t of the probe's quadrature."""
     n = spec.n if spec.kind == "fock" else 0
     if n < 0:
         raise ContractViolationError(f"fock level must be >= 0, got {n}")
@@ -302,54 +298,67 @@ def probe_on_nodes(spec: ProbeSpec, quadrature: str, degree: int) -> tuple:
     exactly for every polynomial f of degree <= `degree`, Q = X or P.
 
     The density of Q on each probe is a Gaussian or, for Fock(n), e^{-t^2}
-    times h_n(t)^2 (degree 2n), so the Gauss-Hermite rule (t, w) of
+    times h_n(t)^2 (degree 2n), so the Gauss-Hermite rule of
     G = degree // 2 + 1 (+ n) nodes integrates it exactly:
 
-      vacuum           q = t                                  w / sqrt(pi)
+      vacuum           q = t
       coherent(alpha)  q = t + sqrt(2) Re alpha (X), + sqrt(2) Im alpha (P)
-      squeezed(r)      q = e^{-r} t (X), e^{+r} t (P)          w / sqrt(pi)
-      fock(n)          q = t                                  w h_n(t)^2
+      squeezed(r)      q = e^{-r} t (X), e^{+r} t (P)
+      fock(n)          q = t
 
-    These are the moments a large enough truncated Fock basis gives: the
-    eigenvalues of the d x d truncated X are the d-point Gauss-Hermite
-    nodes, so that basis is the Gauss-Hermite grid.  No basis dimension
-    enters; a rule of more than NODE_CAP nodes raises EnvelopeError.
+    with w_j = |a_j|^2 = (sqrt(W_j) f_n(t_j))^2, the densities of the node
+    amplitudes that `probe_amplitudes` tables (their phases have modulus 1
+    and are not formed here).  These are the moments a large enough
+    truncated Fock basis gives: the eigenvalues of the d x d truncated X are
+    the d-point Gauss-Hermite nodes, so that basis is the Gauss-Hermite
+    grid.  No basis dimension enters; a rule of more than NODE_CAP nodes
+    raises EnvelopeError.
     """
     if quadrature not in ("X", "P"):
         raise ContractViolationError(f"quadrature must be 'X' or 'P', got {quadrature!r}")
     if not isinstance(degree, (int, np.integer)) or degree < 0:
         raise ContractViolationError(f"polynomial degree must be an integer >= 0, got {degree!r}")
     t, n, centre, width = _rule(spec, quadrature, degree // 2 + 1)
-    return centre + width * t, _node_weights(t, n)
+    amps = _root_weights(t.size) * _hermite_functions(t, n)[1]
+    return centre + width * t, amps * amps
 
 
 @functools.lru_cache(maxsize=64)
 def _root_weights(g: int) -> np.ndarray:
-    """sqrt(w_j e^{t_j^2}) = 1 / (sqrt(G) |h_{G-1}(t_j) e^{-t_j^2/2}|), the
-    G-node rule for plain integration over t (Christoffel), read-only."""
-    root = 1.0 / (math.sqrt(g) * np.abs(_hermite_function(_hermite_nodes(g), g - 1)))
+    """sqrt(w_j e^{t_j^2}) = 1 / (sqrt(G) |f_{G-1}(t_j)|), the G-node rule
+    for plain integration over t (Christoffel), read-only."""
+    root = 1.0 / (math.sqrt(g) * np.abs(_hermite_functions(_hermite_nodes(g), g - 1)[1]))
     root.setflags(write=False)
     return root
 
 
 def probe_amplitudes(spec: ProbeSpec, nodes: int, shift: float) -> tuple:
-    """Grid p_j = c + s t_j of `probe_on_nodes`' P rule (`nodes` + n nodes)
-    and a_j = sqrt(W_j) psi(p_j + shift), W_j the weights of plain
+    """The probe's node table: (p, a, a'), the grid p_j = c + s t_j of
+    `probe_on_nodes`' P rule (`nodes` + n nodes), a_j = sqrt(W_j) psi(p_j +
+    shift) and a'_j = sqrt(W_j) psi'(p_j + shift), W_j the weights of plain
     integration over p, so vdot(a, b) is the quadrature of <a|b>.
 
-    psi is the probe in the P eigenbasis, with X = i d/dp: vacuum
-    pi^{-1/4} e^{-p^2/2}; coherent(alpha) the vacuum centred at c times
-    e^{-i x0 (p - c/2)}, x0 = sqrt(2) Re alpha; squeezed(r) the vacuum of
-    width e^r; fock(n) (-i)^n h_n(p) e^{-p^2/2}.  W_j's e^{t^2} and psi's
-    Gaussian meet in one Hermite function, so nothing overflows.  At shift 0
-    the grid norm is 1; a shift the grid does not cover lowers it."""
+    psi is the probe in the P eigenbasis, with X = i d/dp: vacuum f_0(p);
+    coherent(alpha) the vacuum centred at c times e^{-i x0 (p - c/2)},
+    x0 = sqrt(2) Re alpha; squeezed(r) the vacuum of width e^r; fock(n)
+    (-i)^n f_n(p), f_n the unit-norm Hermite function.  W_j's e^{t^2} and
+    psi's Gaussian meet in one Hermite function, so nothing overflows.  psi'
+    is exact, by the Hermite ladder f_n' = sqrt(2n) f_{n-1} - x f_n over the
+    width, plus -i x0 psi for a coherent probe.  At shift 0 the grid norm
+    is 1; a shift the grid does not cover lowers it."""
     t, n, centre, width = _rule(spec, "P", nodes)
     p = centre + width * t
-    amps = (-1j) ** (n % 4) * _root_weights(t.size) * _hermite_function(t + shift / width, n)
+    x = t + shift / width
+    below, at = _hermite_functions(x, n)
+    root = (-1j) ** (n % 4) * _root_weights(t.size)
+    amps = root * at
+    slope = root * (math.sqrt(2 * n) * below - x * at) / width
     if spec.kind == "coherent":
         x0 = math.sqrt(2.0) * spec.alpha.real
-        amps = amps * np.exp(-1j * x0 * (p + shift - centre / 2))
-    return p, amps
+        wave = np.exp(-1j * x0 * (p + shift - centre / 2))
+        amps = amps * wave
+        slope = slope * wave - 1j * x0 * amps
+    return p, amps, slope
 
 
 @dataclass(frozen=True)

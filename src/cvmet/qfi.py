@@ -19,7 +19,7 @@ dimension-doubling loop of `qfi_converged`, and only where `fock_start`
 finds a basis that can hold the row.  Neither it nor exact_nodes takes a
 step; `qfi_fd`, the central difference with a mandatory Richardson check, is
 the generic estimator for any one-parameter builder and the one caller of
-`cvspace.richardson` (the claims' oracles, the optomech F_g among them).
+`cvspace.richardson` (the difference leg of claims 2 and 9).
 
 The generator route uses expectation-of-square <g^2>, not the squared
 expectation |<g>|^2 sometimes quoted at leading order: only <g^2> satisfies
@@ -281,9 +281,9 @@ def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
             f"route covers theta2 only ({which_param} moves the node grid)")
     runs = []
     for nodes in (MOMENTUM_NODES, 2 * MOMENTUM_NODES):
-        q, _ = probe_amplitudes(cfg.probe, nodes, 0.0)
+        q, phi, _ = probe_amplitudes(cfg.probe, nodes, 0.0)
         phases = np.concatenate(node_phases(cfg, q))
-        psi = node_output(cfg, nodes).amplitudes
+        psi = node_output(cfg, q, phi).amplitudes
         runs.append((q.size, qfi_from_derivative(psi, -1j * phases * psi)))
     (coarse_size, coarse), (size, fine) = runs
     gap = abs(fine - coarse) / max(abs(fine), abs(coarse), 1e-300)

@@ -55,7 +55,6 @@ from .cvspace import (
     build_quadrature,
     operator_power,
     prepare_probe,
-    probe_amplitudes,
     _product,
     propagator,
     spectrum,
@@ -518,18 +517,17 @@ def node_phases(cfg: StrategyConfig, q: np.ndarray) -> tuple[np.ndarray, np.ndar
     return phase, -phase
 
 
-def node_output(cfg: StrategyConfig, nodes: int) -> QState:
+def node_output(cfg: StrategyConfig, q: np.ndarray, phi: np.ndarray) -> QState:
     """The strategy state on momentum nodes, in closed form: no basis, no eigh.
 
     With X = i d/dp, e^{-i a X} moves psi(p) to psi(p + a) and e^{-i b P^m}
-    is the phase b p^m, so each branch is the probe's node amplitudes
-    (`probe_amplitudes`, `nodes` + n nodes q_j) carried to the grid
-    p_j = q_j - `momentum_shift` with the phase e^{-i theta2 Phi_b(q_j)} of
-    `node_phases`.  Both branches end on the same grid, so the inner
-    products of the QState are the quadrature of the mode's.  theta2 enters
-    only through those phases; theta1 moves the grid.
+    is the phase b p^m, so each branch is the probe's node amplitudes phi on
+    the nodes q_j (`probe_amplitudes` at shift 0, built once per grid by the
+    caller) carried to the grid p_j = q_j - `momentum_shift` with the phase
+    e^{-i theta2 Phi_b(q_j)} of `node_phases`.  Both branches end on the
+    same grid, so the inner products of the QState are the quadrature of the
+    mode's.  theta2 enters only through those phases; theta1 moves the grid.
     """
-    q, phi = probe_amplitudes(cfg.probe, nodes, 0.0)
     return QState.from_branches([phi * np.exp(-1j * cfg.theta2 * phase)
                                  for phase in node_phases(cfg, q)], FockDim(q.size))
 

@@ -11,10 +11,12 @@ from cvmet import applications
 from cvmet.applications import (
     CAVITY_DIM,
     DEFAULT_OPTOMECH,
+    DEFAULT_OPTOMECH_SWEEP,
     OptomechParams,
     fit_scaling,
     homodyne_g_variance,
     mirror_overlap,
+    optomech_fisher,
     optomech_state,
 )
 from cvmet.cvspace import (
@@ -35,6 +37,7 @@ from cvmet.errors import (
 from cvmet.qfi import asymptotic_qfi, crb_precision, qfi_fd
 from cvmet.strategies import (
     COHERENT_SUPERPOSITION,
+    QState,
     StrategyConfig,
     cs_output,
     cs_output_factorized,
@@ -110,6 +113,46 @@ class TestOptomechState:
             OptomechParams(g=0.1, mass=-1.0, omega_c=1.0, tau=0.2, n_steps=4)
 
 
+FISHER_PROBES = [ProbeSpec.vacuum(), ProbeSpec.fock(2), ProbeSpec.coherent(0.3 + 0.2j),
+                 ProbeSpec.coherent(-1.1 + 0.7j), ProbeSpec.squeezed_vacuum(0.3)]
+
+
+def closed_form_fisher(p):
+    """F_g = 2 Var G + <G>^2 for the generator G of d b1/dg = -i G b1: with
+    T = N tau, kappa = T^2/2m and s = gT, G = T X + kappa P - s T^2/6m in the
+    probe frame, and no shipped probe has X-P covariance.  The moments are
+    the probe's textbook ones, so this shares nothing with the node table."""
+    probe = p.mirror_probe
+    mean_x, mean_p, var_x, var_p = 0.0, 0.0, 0.5, 0.5
+    if probe.kind == "coherent":
+        mean_x, mean_p = math.sqrt(2) * probe.alpha.real, math.sqrt(2) * probe.alpha.imag
+    if probe.kind == "squeezed_vacuum":
+        var_x, var_p = math.exp(-2 * probe.r) / 2, math.exp(2 * probe.r) / 2
+    if probe.kind == "fock":
+        var_x = var_p = probe.n + 0.5
+    t_total = p.n_steps * p.tau
+    kappa = t_total * t_total / (2 * p.mass)
+    mean_g = t_total * mean_x + kappa * mean_p - p.g * t_total ** 3 / (6 * p.mass)
+    return 2 * (t_total ** 2 * var_x + kappa ** 2 * var_p) + mean_g ** 2
+
+
+class TestOptomechFisher:
+    @pytest.mark.parametrize("probe", FISHER_PROBES,
+                             ids=lambda s: f"{s.kind}-{s.n}-{s.alpha}-{s.r}")
+    def test_matches_the_difference_of_the_state_and_the_closed_form(self, probe):
+        for n in DEFAULT_OPTOMECH_SWEEP:
+            p = replace(DEFAULT_OPTOMECH, n_steps=n, mirror_probe=probe)
+            fisher = optomech_fisher(p)
+            stepped = qfi_fd(lambda g: optomech_state(replace(p, g=g)), p.g)
+            assert stepped.converged
+            assert fisher == pytest.approx(stepped.value, rel=1e-9)
+            assert fisher == pytest.approx(closed_form_fisher(p), rel=1e-13)
+
+    def test_branch_leaving_the_grid_is_an_envelope_error(self):
+        with pytest.raises(EnvelopeError, match="misses 1 by 2.2"):
+            optomech_fisher(replace(DEFAULT_OPTOMECH, g=2.0, n_steps=24))
+
+
 class TestMirrorOverlap:
     @pytest.mark.parametrize("tau", [1.0, 2.0])
     def test_matches_the_vacuum_past_the_node_aliasing(self, tau):
@@ -120,8 +163,8 @@ class TestMirrorOverlap:
             p = replace(DEFAULT_OPTOMECH, tau=tau, n_steps=n)
             exact = vacuum_overlap(p)
             assert abs(mirror_overlap(p)[0] - exact) <= 1e-12 * abs(exact)
-        on_nodes = np.vdot(*applications._mirror_branches(p))
-        assert abs(on_nodes) > 1e-6 > abs(exact)
+        b0, b1, _ = applications._mirror_branches(p)
+        assert abs(np.vdot(b0, b1)) > 1e-6 > abs(exact)
 
     @pytest.mark.parametrize("n", [0, 1, 3, 40, 300])
     def test_laguerre_matches_numpy_and_its_limit_at_zero(self, n):
@@ -226,7 +269,8 @@ class TestFockMirrorOracle:
     def test_branch_overlap_matches(self, probe, n):
         p = replace(DEFAULT_OPTOMECH, n_steps=n, mirror_probe=probe)
         fock = fock_overlap(p)
-        assert abs(np.vdot(*applications._mirror_branches(p)) - fock) <= 1e-11
+        b0, b1, _ = applications._mirror_branches(p)
+        assert abs(np.vdot(b0, b1) - fock) <= 1e-11
         assert abs(mirror_overlap(p)[0] - fock) <= 1e-11
 
     def test_overlap_slope_matches(self, probe, n):
@@ -234,16 +278,15 @@ class TestFockMirrorOracle:
         slope = g_slope(fock_overlap, p)
         assert abs(mirror_overlap(p)[1] - slope) <= 1e-9 * abs(slope)
 
-    def test_homodyne_variance_and_fisher_match(self, probe, n, monkeypatch):
+    def test_homodyne_variance_and_fisher_match(self, probe, n):
         p = replace(DEFAULT_OPTOMECH, n_steps=n, mirror_probe=probe)
         overlap, slope = fock_overlap(p), g_slope(fock_overlap, p)
         in_fock = (1 - overlap.real ** 2 / 2) / (slope.real ** 2 / 2)
         assert homodyne_g_variance(p) == pytest.approx(in_fock, rel=1e-9)
-        on_nodes = qfi_fd(lambda g: optomech_state(replace(p, g=g)), p.g)
-        monkeypatch.setattr(applications, "_mirror_branches", fock_mirror_branches)
-        fisher = qfi_fd(lambda g: optomech_state(replace(p, g=g)), p.g)
-        assert on_nodes.converged and fisher.converged
-        assert on_nodes.value == pytest.approx(fisher.value, rel=1e-9)
+        fisher = qfi_fd(lambda g: QState.from_branches(fock_mirror_branches(replace(p, g=g)),
+                                                       ORACLE_DIM), p.g)
+        assert fisher.converged
+        assert optomech_fisher(p) == pytest.approx(fisher.value, rel=1e-9)
 
 
 def test_claim_8_steps_run_no_eigendecomposition(monkeypatch):
@@ -258,7 +301,7 @@ def test_claim_8_steps_run_no_eigendecomposition(monkeypatch):
     for n in (8, 10):
         p = replace(DEFAULT_OPTOMECH, n_steps=n)
         homodyne_g_variance(p)
-        qfi_fd(lambda g, pp=p: optomech_state(replace(pp, g=g)), p.g)
+        optomech_fisher(p)
     assert calls == []
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -338,6 +339,20 @@ class TestProbeOnNodes:
         assert w.sum() == pytest.approx(1.0, rel=1e-12)
         assert w @ q ** 2 - (w @ q) ** 2 == pytest.approx(300.5, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 300])
+    @pytest.mark.parametrize("which", ["X", "P"])
+    def test_fock_moments_match_exact_rationals(self, n, which):
+        # <n|Q^{2k}|n> for k = 1, 2, 3 in exact arithmetic: every closed
+        # ladder path multiplies squared sqrt(j) factors, so each is an
+        # integer polynomial in n over 2^k; odd moments vanish by parity
+        exact = [Fraction(2 * n + 1, 2), Fraction(6 * n * n + 6 * n + 3, 4),
+                 Fraction(20 * n ** 3 + 30 * n * n + 40 * n + 15, 8)]
+        q, w = probe_on_nodes(ProbeSpec.fock(n), which, 6)
+        assert w.sum() == pytest.approx(1.0, rel=1e-13)
+        for k, value in enumerate(exact, start=1):
+            assert w @ q ** (2 * k) == pytest.approx(float(value), rel=1e-13)
+            assert abs(w @ q ** (2 * k - 1)) <= 1e-13 * float(value)
+
     def test_rule_beyond_the_node_cap_is_an_envelope_error(self):
         with pytest.raises(EnvelopeError):
             probe_on_nodes(ProbeSpec.fock(NODE_CAP), "P", 2)
@@ -354,26 +369,39 @@ class TestProbeAmplitudes:
     def test_fock_components_match_prepare_probe(self, spec):
         # <k|probe> as the grid quadrature against Fock(k) amplitudes on the
         # same nodes (shifted to the probe's centre), for the first 12 levels
-        p, a = probe_amplitudes(spec, 64, 0.0)
+        p, a, _ = probe_amplitudes(spec, 64, 0.0)
         centre = math.sqrt(2) * spec.alpha.imag
         number_basis = prepare_probe(spec, 64).vec
         for k in range(12):
-            _, fock = probe_amplitudes(ProbeSpec.fock(k), p.size - k, centre)
+            _, fock, _ = probe_amplitudes(ProbeSpec.fock(k), p.size - k, centre)
             assert abs(np.vdot(fock, a) - number_basis[k]) <= 1e-13
 
     @pytest.mark.parametrize("spec", NODE_PROBES, ids=lambda s: f"{s.kind}-{s.n}-{s.alpha}-{s.r}")
     def test_densities_are_the_node_weights(self, spec):
-        p, a = probe_amplitudes(spec, 64, 0.0)
+        p, a, _ = probe_amplitudes(spec, 64, 0.0)
         q, w = probe_on_nodes(spec, "P", 126)
         assert np.array_equal(p, q)
         assert np.abs(np.abs(a) ** 2 - w).max() <= 1e-15
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("spec", [ProbeSpec.vacuum(), ProbeSpec.fock(3),
+                                      ProbeSpec.coherent(0.6 - 0.4j),
+                                      ProbeSpec.squeezed_vacuum(0.4)],
+                             ids=lambda s: f"{s.kind}-{s.n}-{s.alpha}-{s.r}")
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    def test_derivative_matches_a_central_difference(self, spec, shift):
+        # a' = sqrt(W) psi'(p + shift) by the Hermite ladder, against the
+        # difference of a in the shift, at h = 1e-5 (truncation ~1e-10 of a')
+        h = 1e-5
+        _, _, slope = probe_amplitudes(spec, 64, shift)
+        up, dn = (probe_amplitudes(spec, 64, shift + s)[1] for s in (h, -h))
+        assert np.abs((up - dn) / (2 * h) - slope).max() <= 1e-9 * np.abs(slope).max()
+
     @pytest.mark.parametrize("spec", NODE_PROBES, ids=lambda s: f"{s.kind}-{s.n}-{s.alpha}-{s.r}")
     def test_x_acts_as_i_d_dp(self, spec):
         # <X> = i <psi| d psi/dp>, the derivative taken through the shift
         h = 1e-5
-        _, a = probe_amplitudes(spec, 64, 0.0)
+        _, a, _ = probe_amplitudes(spec, 64, 0.0)
         up, dn = (probe_amplitudes(spec, 64, s)[1] for s in (h, -h))
         mean_x = 1j * np.vdot(a, (up - dn) / (2 * h))
         assert mean_x == pytest.approx(math.sqrt(2) * spec.alpha.real, abs=1e-8)
@@ -386,8 +414,8 @@ class TestProbeAmplitudes:
 
     def test_large_fock_level_stays_finite(self):
         # Fock(300) on 364 nodes: h_300 and the rule's e^{t^2} would overflow
-        _, a = probe_amplitudes(ProbeSpec.fock(300), 64, 0.5)
-        assert np.isfinite(a).all()
+        _, a, slope = probe_amplitudes(ProbeSpec.fock(300), 64, 0.5)
+        assert np.isfinite(a).all() and np.isfinite(slope).all()
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
     def test_beyond_the_node_cap_is_an_envelope_error(self):

@@ -546,11 +546,44 @@ def test_checker_flags_the_node_sum_readout():
 
 def test_homodyne_readout_takes_no_difference():
     """The readout takes <b0|b1> and its g-derivative in closed form, so it
-    steps no coupling and builds no node state: those stay the oracle that
-    claim 8's quantum bound runs through `qfi_fd`."""
+    steps no coupling and builds no node state: the node state stays the
+    oracle that the tests difference against claim 8's exact F_g."""
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert reached_calls(sources, "homodyne_g_variance") & NODE_STATE_DIFFERENCES == set()
+
+
+# claim_8_optomech_scaling as it differenced the node state for F_g
+STEPPED_CLAIM_8 = '''
+def claim_8_optomech_scaling():
+    for n in DEFAULT_OPTOMECH_SWEEP:
+        p = replace(p0, n_steps=int(n))
+        d2 = homodyne_g_variance(p)
+        rows.append((n, d2))
+        fisher = qfi_fd(lambda g, pp=p: optomech_state(replace(pp, g=g)), p.g)
+        bound = 1.0 / fisher.value
+
+def qfi_fd(builder, theta0):
+    value, converged, history = richardson(estimate, 1e-4 * max(1.0, abs(theta0)))
+'''
+
+
+def test_checker_flags_the_stepped_claim_8():
+    assert reached_calls({"claims.py": STEPPED_CLAIM_8}, "claim_8_optomech_scaling") & (
+        DIFFERENCES) == {"qfi_fd", "richardson"}
+    exact = STEPPED_CLAIM_8.replace(
+        "fisher = qfi_fd(lambda g, pp=p: optomech_state(replace(pp, g=g)), p.g)",
+        "fisher = optomech_fisher(p)").replace("fisher.value", "fisher")
+    assert reached_calls({"claims.py": exact}, "claim_8_optomech_scaling") & DIFFERENCES == set()
+
+
+def test_claim_8_takes_no_difference():
+    """Claim 8's quantum bound 1/F_g is exact (`optomech_fisher`: b1 and its
+    g-derivative on the momentum nodes), so the claim steps no coupling and
+    calls no Richardson; `qfi_fd` is left to claims 2 and 9."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert reached_calls(sources, "claim_8_optomech_scaling") & DIFFERENCES == set()
 
 
 def signed_theta2_arguments(source: str, callee: str = "_cs_generator_spectrum") -> list:

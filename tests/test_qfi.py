@@ -405,9 +405,9 @@ class TestNodeRoute:
     def test_seeded_grid_matches_the_generator_route(self):
         """m 1..5, N 1..400, theta1 in [0.05, 2]: every row converges and
         agrees with F_gen to 1e-12.  The node rows take Phi_b from the
-        binomial sums of `node_phases` and the weights from the probe's
-        Hermite functions; F_gen takes its generators from the bch tables and
-        its weights from the Christoffel rule of `probe_on_nodes`."""
+        binomial sums of `node_phases`; F_gen takes its generators from the
+        bch tables.  Both read the one node table of the probe, as
+        amplitudes and as their densities (`probe_on_nodes`)."""
         rng = np.random.default_rng(0)
         for _ in range(60):
             cfg = StrategyConfig(theta1=rng.uniform(0.05, 2.0), theta2=rng.uniform(0.01, 1.0),
@@ -439,17 +439,24 @@ class TestNodeRoute:
         assert est.method == "exact_nodes" and est.converged
 
     def test_centre_is_built_once_per_grid(self, monkeypatch):
-        builds = []
+        # one probe table and one state per grid: `node_output` takes the
+        # caller's table, and every table reads its grid from `_rule`
+        builds, tables = [], []
 
-        def counted(cfg, nodes):
-            builds.append(nodes)
-            return strategies.node_output(cfg, nodes)
+        def counted(cfg, q, phi):
+            builds.append(q.size)
+            return strategies.node_output(cfg, q, phi)
+
+        def tabled(spec, quadrature, base, rule=cvspace._rule):
+            tables.append(base)
+            return rule(spec, quadrature, base)
 
         monkeypatch.setattr(qfi_module, "node_output", counted)
+        monkeypatch.setattr(cvspace, "_rule", tabled)
         cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
                              strategy=COHERENT_SUPERPOSITION)
         assert qfi_module.qfi_nodes(cfg, THETA2).converged
-        assert builds == [MOMENTUM_NODES, 2 * MOMENTUM_NODES]
+        assert builds == tables == [MOMENTUM_NODES, 2 * MOMENTUM_NODES]
 
     def test_grid_disagreement_is_reported_with_its_reason(self, monkeypatch):
         real = strategies.node_phases
