@@ -51,6 +51,7 @@ from .strategies import QState
 CAVITY_DIM = FockDim(3)
 MIN_FIT_POINTS = 4
 EPS = float(np.finfo(float).eps)
+READOUT_ROUNDING_TOL = 1e-6  # largest share of Re(o') the phase rounding may take
 
 
 @dataclass(frozen=True)
@@ -187,17 +188,27 @@ def homodyne_g_variance(p: OptomechParams) -> float:
     omega_c T - sk/6 is rounded to a few eps of its size, which turns that
     share of |o'| into Re(o').  At g = 0, where omega_c T = 2 pi N makes
     Re(o') exactly 0, it reads 2e-15 to 2.3e-14 of |o'| on the shipped sweep.
+    Just above that bound delta^2 g would carry a relative error near twice
+    the rounding over |Re(o')|, so a share above READOUT_ROUNDING_TOL is
+    refused as imprecise: 3e-2 with a coherent(0.3+0.2i) mirror at
+    g = 1e-12, against 4e-13 at the shipped g = 0.07.
     """
     overlap, slope = mirror_overlap(p)
     rate = slope.real
     t_total = p.n_steps * p.tau
     angle = p.omega_c * t_total - p.g * t_total * p.g * t_total * t_total / (12 * p.mass)
-    vanished = abs(rate) <= 4 * EPS * max(1.0, abs(angle)) * abs(slope)
+    rounding = 4 * EPS * max(1.0, abs(angle)) * abs(slope)
+    vanished = abs(rate) <= rounding
+    share = 2 * rounding / abs(rate) if abs(rate) > rounding else math.inf
     gain = rate * rate / 2
-    d2 = (1.0 - overlap.real * overlap.real / 2) / gain if gain > 0 and not vanished else math.inf
+    precise = gain > 0 and share <= READOUT_ROUNDING_TOL
+    d2 = (1.0 - overlap.real * overlap.real / 2) / gain if precise else math.inf
     if not 0 < d2 < math.inf:
         reason = ("is not finite" if not (math.isfinite(rate) and math.isfinite(overlap.real))
                   else "vanished" if vanished and overlap != 0.0
+                  else (f"is imprecise: the phase rounding is {share:.1e} of it "
+                        f"(limit {READOUT_ROUNDING_TOL:g})")
+                  if READOUT_ROUNDING_TOL < share < math.inf
                   else "underflows in double precision")
         raise UnidentifiableParameterError(
             f"d<X_cav>/dg {reason}; g cannot be estimated at this point")

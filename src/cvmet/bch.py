@@ -37,7 +37,6 @@ from .cvspace import (
     FockDim,
     Operator,
     SpectralUnitary,
-    Spectrum,
     as_dim,
     propagator,
 )
@@ -285,11 +284,15 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     statement, so imaginary lambda tests the same coefficients).
 
     Only the left-hand side e^{lambda(X + P^m)}, the oracle, runs its own
-    eigh.  The X and P^m factors are propagators on the cached quadrature
-    spectra (`strategies._mode_spectra`), and each e^{lambda^n C_n} is
+    eigh, apart from the factors': the "X+P" entry of the quadrature
+    spectrum cache (`strategies._quadrature_spectrum`), decomposed once per
+    (m, d) and shared by both variants at every lambda.  The X and P^m
+    factors are propagators on the cached quadrature spectra
+    (`strategies._mode_spectra`), and each e^{lambda^n C_n} is
     e^{-i lambda_im^n h_n(P)}, h_n = i^{n+1} C_n, applied as phases on the
-    cached spectrum of P, the P^1 entry of that same cache; h_n is checked
-    real once per table, in exact arithmetic.
+    cached spectrum of P, the P^1 entry of that same cache, through
+    `Spectrum.reweighted`, which reuses P's verified eigenbasis; h_n is
+    checked real once per table, in exact arithmetic.
 
     The truncated basis cannot represent columns whose image reaches the
     boundary, so the residual is taken over the columns for which every
@@ -306,8 +309,7 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     top = max(d - FACTORIZATION_GUARD, 0)  # first level of the guarded boundary band
     tau = -float(lambda_im)  # e^{lambda H} = e^{-i tau H}
 
-    bands = strategies._generator_bands(m, dim)
-    summed = strategies._banded(dim, ((k, x_k + pm_k) for k, x_k, pm_k in bands))
+    summed = strategies._quadrature_spectrum("X+P", m, dim)  # the oracle's own eigh
     lhs = propagator(summed, tau).mat  # e^{lam (X + P^m)}
 
     x, pm = strategies._mode_spectra(m, dim)
@@ -315,8 +317,7 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     factors = [x_u, pm_u] if variant == "AB" else [pm_u, x_u]
     p = strategies._quadrature_spectrum("P", 1, dim)
     for n, power, r in weights:
-        factors.append(propagator(Spectrum(dim, r * p.w ** power, p.v),
-                                  float(lambda_im) ** n))
+        factors.append(propagator(p.reweighted(r * p.w ** power), float(lambda_im) ** n))
 
     ok = np.ones(d, dtype=bool)
     worst = 0.0

@@ -312,15 +312,26 @@ def probe_on_nodes(spec: ProbeSpec, quadrature: str, degree: int) -> tuple:
     truncated Fock basis gives: the eigenvalues of the d x d truncated X are
     the d-point Gauss-Hermite nodes, so that basis is the Gauss-Hermite
     grid.  No basis dimension enters; a rule of more than NODE_CAP nodes
-    raises EnvelopeError.
+    raises EnvelopeError.  The arrays are read-only and shared: one table
+    per (probe, quadrature, rule), whatever the degree within that rule.
     """
     if quadrature not in ("X", "P"):
         raise ContractViolationError(f"quadrature must be 'X' or 'P', got {quadrature!r}")
     if not isinstance(degree, (int, np.integer)) or degree < 0:
         raise ContractViolationError(f"polynomial degree must be an integer >= 0, got {degree!r}")
-    t, n, centre, width = _rule(spec, quadrature, degree // 2 + 1)
+    return _node_table(spec, quadrature, int(degree) // 2 + 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _node_table(spec: ProbeSpec, quadrature: str, base: int) -> tuple:
+    """(q, w) of `probe_on_nodes` on the rule of `base` (+ n) nodes, read-only
+    and built once per key; an EnvelopeError is raised, never cached."""
+    t, n, centre, width = _rule(spec, quadrature, base)
     amps = _root_weights(t.size) * _hermite_functions(t, n)[1]
-    return centre + width * t, amps * amps
+    q, w = centre + width * t, amps * amps
+    q.setflags(write=False)
+    w.setflags(write=False)
+    return q, w
 
 
 @functools.lru_cache(maxsize=64)
@@ -371,9 +382,10 @@ class Spectrum:
     with E = v^dag v - I, U^dag U - I = (v v^dag - I) + v D* E D v^dag, so
     ||U^dag U - I||_2 <= ||E||_2 (2 + ||E||_2) <= UNITARITY_TOL, as
     ||E||_2 <= ||E||_F.  That one d^3 product is the unitarity check of every
-    propagator built from this spectrum.  `w` and `v` are made read-only, so
-    one Spectrum can be cached and handed to every caller; `v` is real when
-    H is real symmetric.
+    propagator built from this spectrum and from every spectrum
+    `reweighted` from it: it is checked once per eigenbasis.  `w` and `v`
+    are made read-only, so one Spectrum can be cached and handed to every
+    caller; `v` is real when H is real symmetric.
     """
 
     dim: FockDim
@@ -382,12 +394,10 @@ class Spectrum:
 
     def __post_init__(self):
         d = self.dim.d
-        w, v = np.asarray(self.w), np.asarray(self.v)
-        if w.shape != (d,) or v.shape != (d, d):
-            raise ContractViolationError(
-                f"spectrum shapes {w.shape}, {v.shape} do not match dim {d}")
-        if np.iscomplexobj(w) or not np.isfinite(w).all():
-            raise ContractViolationError("spectrum eigenvalues must be real and finite")
+        v = np.asarray(self.v)
+        if v.shape != (d, d):
+            raise ContractViolationError(f"eigenvector shape {v.shape} does not match dim {d}")
+        w = _eigenvalues(self.w, d)
         gram = v.conj().T @ v
         gram.flat[::d + 1] -= 1.0
         defect = np.linalg.norm(gram)
@@ -398,6 +408,30 @@ class Spectrum:
         v.setflags(write=False)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
+
+    def reweighted(self, w) -> "Spectrum":
+        """The Hermitian v diag(w) v^dag on this verified eigenbasis: `w` is
+        checked (shape, real, finite) and the read-only `v` is shared, with
+        no second V^dag V check, since that check does not depend on w.  The
+        one way to put new eigenvalues on a basis, for every function of a
+        decomposed generator."""
+        w = _eigenvalues(w, self.dim.d)
+        w.setflags(write=False)
+        out = object.__new__(Spectrum)
+        object.__setattr__(out, "dim", self.dim)
+        object.__setattr__(out, "w", w)
+        object.__setattr__(out, "v", self.v)
+        return out
+
+
+def _eigenvalues(w, d: int) -> np.ndarray:
+    """`w` as an array, checked to hold d real, finite eigenvalues."""
+    w = np.asarray(w)
+    if w.shape != (d,):
+        raise ContractViolationError(f"eigenvalue shape {w.shape} does not match dim {d}")
+    if np.iscomplexobj(w) or not np.isfinite(w).all():
+        raise ContractViolationError("spectrum eigenvalues must be real and finite")
+    return w
 
 
 def spectrum(generator: Operator) -> Spectrum:
@@ -426,6 +460,15 @@ def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.view(complex).reshape(x.shape)
 
 
+def _adjoint_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v^dag @ x for complex x, formed as conj(v^T conj(x)) when v is complex:
+    v^T is a view, so no d x d conjugate copy of v is made, and conjugation
+    is exact, so the product is bitwise that of v.conj().T @ x."""
+    if np.iscomplexobj(v):
+        return (v.T @ x.conj()).conj()
+    return _product(v.T, x)
+
+
 @dataclass(frozen=True)
 class SpectralUnitary:
     """e^{-i tau H}, kept factored as the verified spectrum of H and the
@@ -433,10 +476,10 @@ class SpectralUnitary:
 
     `u @ x` applies v (phases * (v^dag x)) to a vector or to a block of
     columns, O(d^2) per column, with the unitarity `Spectrum` verified.
-    v^dag is formed inside the product, a view of a real v, so neither the
-    propagator nor a cached spectrum holds it.  `.mat` forms the dense
-    matrix through that same product applied to the identity and checks it
-    again as an `Operator`.
+    v^dag is formed inside the product (`_adjoint_product`) from a view of
+    v, so neither the propagator nor a cached spectrum holds it.  `.mat`
+    forms the dense matrix through that same product applied to the
+    identity and checks it again as an `Operator`.
     """
 
     spectrum: Spectrum
@@ -457,7 +500,7 @@ class SpectralUnitary:
         x = np.asarray(x, dtype=complex)
         phases = self.phases if x.ndim == 1 else self.phases[:, None]
         v = self.spectrum.v
-        return _product(v, phases * _product(v.conj().T, x))
+        return _product(v, phases * _adjoint_product(v, x))
 
     @property
     def mat(self) -> np.ndarray:

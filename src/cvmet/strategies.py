@@ -55,6 +55,7 @@ from .cvspace import (
     build_quadrature,
     operator_power,
     prepare_probe,
+    _adjoint_product,
     _product,
     propagator,
     spectrum,
@@ -214,15 +215,26 @@ def _banded(dim: FockDim, diagonals) -> Operator:
 
 @functools.lru_cache(maxsize=16)
 def _quadrature_spectrum(which: str, power: int, dim: FockDim) -> Spectrum:
-    """Spectrum of X (power 1) or of P^power, written from the cached bands
-    and decomposed once per key.
+    """Spectrum of X (power 1), of P^power or of X + P^power ("X+P"),
+    written from the cached bands and decomposed once per key.
 
     X is the same matrix in the band table of every power, so one entry
     serves every m; the P^1 entry is bit for bit `build_quadrature(dim, "P")`,
-    the P in which the factorized phase operators are diagonal.
+    the P in which the factorized phase operators are diagonal.  X + P^m is
+    the left-hand side of `bch.verify_factorization`, whose spectrum depends
+    on (m, d) only, so both variants at every lambda share it.
     """
-    return spectrum(_banded(dim, ((k, x_k if which == "X" else pm_k)
-                                  for k, x_k, pm_k in _generator_bands(power, dim))))
+    bands = _generator_bands(power, dim)
+    if which == "X":
+        diagonals = ((k, x_k) for k, x_k, _ in bands)
+    elif which == "P":
+        diagonals = ((k, pm_k) for k, _, pm_k in bands)
+    elif which == "X+P":
+        diagonals = ((k, x_k + pm_k) for k, x_k, pm_k in bands)
+    else:
+        raise ContractViolationError(f"quadrature spectrum must be of 'X', 'P' or 'X+P', "
+                                     f"got {which!r}")
+    return spectrum(_banded(dim, diagonals))
 
 
 def _mode_spectra(m: int, dim: FockDim) -> tuple[Spectrum, Spectrum]:
@@ -293,13 +305,15 @@ def _phase_spectrum(cfg: StrategyConfig, dim: FockDim, variant: str) -> Spectrum
     g = span P^m + h(P), whose h is that table's sum times i / theta2 (span
     N for the switch branch, 2N for a coherent-superposition branch); the
     span P^m term is the P^m gate itself, so h is g without its top power.
+    It is put on the cached, verified eigenbasis of P by
+    `Spectrum.reweighted`, which checks h and not that basis again.
     """
     p = _quadrature_spectrum("P", 1, dim)
     h = np.zeros_like(p.w)
     for c in reversed(bch.phase_derivative_generator(
             cfg.m, cfg.theta1, cfg.n_queries, variant)[:-1]):  # Horner
         h = h * p.w + c
-    return Spectrum(dim, h, p.v)
+    return p.reweighted(h)
 
 
 def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
@@ -332,12 +346,13 @@ def _exp_derivative(spec: Spectrum, gen, tau: float, phi: np.ndarray) -> np.ndar
     sinc(tau (w_j - w_k)/2), which stays finite and exact at degenerate
     eigenvalues.  M is formed in blocks of _DERIVATIVE_ROWS rows,
     M_J = (B v_J)^dag v, so no d x d matrix besides v is held, and each
-    block serves every column of phi.
+    block serves every column of phi; v^dag phi is `_adjoint_product`'s,
+    with no conjugate copy of v.
     """
     v, w = spec.v, spec.w
     half = np.exp(-0.5j * tau * w)[:, None]
     columns = phi.reshape(w.size, -1)
-    weighted = half * _product(v.conj().T, columns)
+    weighted = half * _adjoint_product(v, columns)
     y = np.empty(columns.shape, dtype=complex)
     for lo in range(0, w.size, _DERIVATIVE_ROWS):
         rows = slice(lo, lo + _DERIVATIVE_ROWS)

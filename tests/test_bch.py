@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cvmet import strategies
 from cvmet.bch import (
     ExactComplex,
     ExpansionTable,
@@ -14,7 +15,7 @@ from cvmet.bch import (
     verify_factorization,
     zassenhaus_term,
 )
-from cvmet.cvspace import FockDim, build_quadrature
+from cvmet.cvspace import FockDim, build_quadrature, operator_power
 from cvmet.errors import ContractViolationError, EnvelopeError
 
 
@@ -152,14 +153,31 @@ class TestFactorization:
     def test_quadratic_case(self):
         assert verify_factorization(2, 0.2, FockDim(128), "AB").residual < 1e-7
 
-    def test_warm_check_decomposes_only_its_left_hand_side(self, monkeypatch):
-        # X, P^m and the C_n phases come from the cached spectra of X, P^m and P
+    def test_cold_left_hand_side_is_decomposed_once_for_both_variants(self, monkeypatch):
+        # X, P^m and the C_n phases come from the cached spectra of X, P^m and
+        # P; the left-hand side X + P^m runs its own eigh, once per (m, d)
+        dim = FockDim(128)
+        strategies._quadrature_spectrum.cache_clear()
+        strategies._mode_spectra(2, dim)
+        strategies._quadrature_spectrum("P", 1, dim)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        assert verify_factorization(2, 0.2, dim, "AB").residual < 1e-7
+        assert verify_factorization(2, 0.2, dim, "BA").residual < 1e-7
+        lhs = build_quadrature(dim, "X").mat + operator_power(build_quadrature(dim, "P"), 2).mat
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], lhs)
+
+    def test_second_variant_decomposes_nothing(self, monkeypatch):
+        # the left-hand side's spectrum depends on (m, d), not on the variant
+        # or lambda, so a check after the other variant's runs no eigh
         verify_factorization(2, 0.2, FockDim(128), "BA")
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-        assert verify_factorization(2, 0.2, FockDim(128), "AB").residual < 1e-7
-        assert calls == [(128, 128)]
+        assert verify_factorization(2, 0.15, FockDim(128), "AB").residual < 1e-7
+        assert calls == []
 
     def test_lambda_zero_residual_exactly_zero(self):
         assert verify_factorization(2, 0.0, FockDim(32), "AB").residual == 0.0

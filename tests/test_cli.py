@@ -321,6 +321,18 @@ class TestExitCodes:
         assert "unidentifiable" in err
         assert "d<X_cav>/dg vanished" in err
 
+    def test_imprecise_readout_exits_2_with_its_bound(self, capsys):
+        # just above the vanished bound the slope Re(o') still carries the
+        # phase rounding, 3e-2 of it at g = 1e-12 with this mirror, so
+        # delta^2 g would print off by about that share
+        mirror = '{"kind": "coherent", "alpha_re": 0.3, "alpha_im": 0.2}'
+        assert cli.main(["optomech", "--set", "optomech.g=1e-12",
+                         "--set", f"optomech.probe={mirror}"]) == 2
+        err = capsys.readouterr().err
+        assert "unidentifiable" in err
+        assert "d<X_cav>/dg is imprecise" in err
+        assert "limit 1e-06" in err
+
     def test_set_section_runs_like_dot_path(self, capsys):
         assert cli.main(["sweep", "--set", 'sweep={"values": [2, 3]}']) == 0
         whole = capsys.readouterr().out

@@ -221,6 +221,37 @@ class TestSpectrum:
         spec = spectrum(_generator(32, (1.0, k)))
         assert np.iscomplexobj(spec.v)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_reweighted_spectrum_shares_the_basis_and_matches_the_constructor(self, k):
+        # new eigenvalues on a verified basis: v is the source's object, and
+        # propagators on it are bitwise those of a freshly checked Spectrum
+        source = spectrum(_generator(48, (1.0, k)))
+        w = 0.3 * source.w ** 2 - 1.5 * source.w
+        derived = source.reweighted(w)
+        assert derived.v is source.v
+        assert derived.dim == source.dim and np.array_equal(derived.w, w)
+        assert not derived.w.flags.writeable
+        checked = Spectrum(source.dim, w, source.v)
+        rng = np.random.default_rng(2)
+        block = rng.normal(size=(48, 2)) + 1j * rng.normal(size=(48, 2))
+        for tau in (0.7, -3.1):
+            assert (propagator(derived, tau) @ block).tobytes() == \
+                (propagator(checked, tau) @ block).tobytes()
+            assert np.array_equal(propagator(derived, tau).mat, propagator(checked, tau).mat)
+
+    def test_reweighted_skips_the_orthonormality_check(self, monkeypatch):
+        source = spectrum(build_quadrature(16, "P"))
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: pytest.fail("V^dag V checked"))
+        source.reweighted(2.0 * source.w)
+
+    @pytest.mark.parametrize("w", [np.zeros(8, dtype=complex), np.full(8, np.nan),
+                                   np.r_[np.zeros(7), np.inf], np.zeros(7), np.zeros((8, 1))],
+                             ids=["complex", "nan", "inf", "short", "column"])
+    def test_reweighted_rejects_bad_eigenvalues(self, w):
+        source = spectrum(build_quadrature(8, "X"))
+        with pytest.raises(ContractViolationError):
+            source.reweighted(w)
+
     def test_spectrum_is_read_only(self):
         spec = spectrum(build_quadrature(8, "X"))
         assert not spec.w.flags.writeable and not spec.v.flags.writeable
@@ -262,11 +293,13 @@ class TestSpectrum:
             assert np.abs(u @ block - dense @ block).max() <= 1e-12
 
 
-    @pytest.mark.parametrize("terms", [((1.0, "X"),), ((1.0, 3),)], ids=["real V", "complex V"])
-    def test_propagator_applies_v_dagger_in_the_product_and_keeps_no_copy(self, terms):
+    @pytest.mark.parametrize("terms,d", [(((1.0, "X"),), 24), (((1.0, 3),), 24),
+                                         (((1.0, 1),), 128)],
+                             ids=["real V", "complex V", "complex V d128"])
+    def test_propagator_applies_v_dagger_in_the_product_and_keeps_no_copy(self, terms, d):
         # v^dag is formed inside `@`, so a cached spectrum keeps only w and v;
-        # the product is the one it was
-        d = 24
+        # the product is bitwise the one of a conjugate copy of v, also at
+        # the oracles' d = 128
         spec = spectrum(_generator(d, *terms))
         u = propagator(spec, 0.7)
         assert [f.name for f in dataclasses.fields(Spectrum)] == ["dim", "w", "v"]
@@ -354,13 +387,25 @@ class TestProbeOnNodes:
             assert abs(w @ q ** (2 * k - 1)) <= 1e-13 * float(value)
 
     def test_rule_beyond_the_node_cap_is_an_envelope_error(self):
-        with pytest.raises(EnvelopeError):
-            probe_on_nodes(ProbeSpec.fock(NODE_CAP), "P", 2)
+        for _ in range(2):  # raised on every call, never cached
+            with pytest.raises(EnvelopeError):
+                probe_on_nodes(ProbeSpec.fock(NODE_CAP), "P", 2)
 
     @pytest.mark.parametrize("which,degree", [("Y", 2), ("P", -1), ("P", 2.0)])
     def test_bad_request_rejected(self, which, degree):
         with pytest.raises(ContractViolationError):
             probe_on_nodes(ProbeSpec.vacuum(), which, degree)
+
+    def test_repeated_request_returns_the_same_read_only_table(self):
+        # degrees 2 and 3 need the same two-node rule, so they share one table
+        spec = ProbeSpec.coherent(0.3 + 0.2j)
+        q, w = probe_on_nodes(spec, "X", 2)
+        again = probe_on_nodes(ProbeSpec.coherent(0.3 + 0.2j), "X", 3)
+        assert again[0] is q and again[1] is w
+        for arr in (q, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestProbeAmplitudes:

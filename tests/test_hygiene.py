@@ -6,8 +6,9 @@ generator route and the optomech mirror stay off the truncated basis, the
 coherent-superposition builder forms no quadrature per state build, no
 block of N identical queries is applied one query at a time, and neither
 the dimension-doubling loop nor the homodyne readout takes a finite
-difference, and the coherent superposition decomposes only its + branch
-generator."""
+difference, the coherent superposition decomposes only its + branch
+generator, and a spectrum on another spectrum's basis is derived, never
+checked again."""
 
 import ast
 import pathlib
@@ -636,3 +637,64 @@ def test_only_the_plus_branch_generator_is_decomposed():
     source = (PACKAGE / "strategies.py").read_text(encoding="utf-8")
     assert call_sites(source, "_cs_generator_spectrum") == ["_branch_spectrum"]
     assert signed_theta2_arguments(source) == []
+
+
+def borrowed_basis_spectra(source: str) -> list:
+    """(function, line) of every `Spectrum(...)` call whose basis, the third
+    argument or `v=`, is another spectrum's `.v` unchanged: read inline or
+    through a local name bound to it."""
+    found = []
+
+    def visit(node, function, bound):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name, set())
+                continue
+            if (isinstance(child, ast.Assign) and isinstance(child.value, ast.Attribute)
+                    and child.value.attr == "v"):
+                bound.update(t.id for t in child.targets if isinstance(t, ast.Name))
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == "Spectrum"):
+                basis = child.args[2:3] + [k.value for k in child.keywords if k.arg == "v"]
+                if basis and (isinstance(basis[0], ast.Attribute) and basis[0].attr == "v"
+                              or isinstance(basis[0], ast.Name) and basis[0].id in bound):
+                    found.append((function, child.lineno))
+            visit(child, function, bound)
+
+    visit(ast.parse(source), None, set())
+    return found
+
+
+# _phase_spectrum and the C_n factors of verify_factorization as they
+# re-checked P's verified basis, beside spectra on bases of their own
+BORROWED_BASES = '''
+def _phase_spectrum(cfg, dim, variant):
+    p = _quadrature_spectrum("P", 1, dim)
+    return Spectrum(dim, h, p.v)
+
+def verify_factorization(m, lambda_im, dim, variant):
+    for n, power, r in weights:
+        factors.append(propagator(cvspace.Spectrum(dim, r * p.w ** power, v=p.v), 1.0))
+
+def _bound(dim, p):
+    basis = p.v
+    return Spectrum(dim, p.w, basis)
+
+def _own_bases(dim, x, w, v):
+    rotated = Spectrum(dim, x.w, rotation[:, None] * x.v)
+    return Spectrum(dim, w, v), Spectrum(dim, np.zeros(dim.d), np.eye(dim.d)), x.reweighted(w)
+'''
+
+
+def test_checker_flags_a_spectrum_on_a_borrowed_basis():
+    assert borrowed_basis_spectra(BORROWED_BASES) == [
+        ("_phase_spectrum", 4), ("verify_factorization", 8), ("_bound", 12)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_derived_spectra_reuse_the_verified_basis(path):
+    """V^dag V is checked once per eigenbasis: new eigenvalues on a basis
+    that a Spectrum already verified go through `Spectrum.reweighted`, which
+    shares its `v`; a basis of its own (a rotation, the identity, a new
+    eigh) is checked at construction."""
+    assert borrowed_basis_spectra(path.read_text(encoding="utf-8")) == []
