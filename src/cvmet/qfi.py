@@ -1,35 +1,30 @@
 """Quantum Fisher information of the strategy outputs by four routes.
 
 For a pure family |psi(theta)> the figure of merit is
-F = 4(<d psi|d psi> - |<d psi|psi>|^2).  Four estimators are provided:
+F = 4(<d psi|d psi> - |<d psi|psi>|^2), estimated by
 
-  exact_fock         on the truncated Fock basis, the exact derivative of
-                     each state from the spectra that build it
-                     (`output_derivative`), inside a dimension-doubling loop
-  exact_nodes        for rows no basis up to DIM_CAP holds: theta2 enters
-                     each branch on momentum nodes as the phase
-                     e^{-i theta2 Phi_b}, so d psi = -i Phi_b psi exactly
-  generator_exact    per-branch derivative generators (polynomials in one
-                     quadrature) evaluated as exact probe moments on
-                     Gauss-Hermite nodes, with no basis and no dimension loop
-  asymptotic         the closed leading-order laws, for cross-checks
+  exact_fock       the exact derivative of the truncated Fock-basis state
+                   (`output_derivative`) in the doubling loop of
+                   `qfi_converged`, where `fock_start` finds a basis
+  exact_nodes      every other row: theta2 enters each branch on momentum
+                   nodes as the phase e^{-i theta2 Phi_b}, so d psi =
+                   -i Phi_b psi exactly, on one grid sized from its degree
+  generator_exact  per-branch derivative generators, polynomials in one
+                   quadrature, as exact probe moments on Gauss-Hermite nodes
+  asymptotic       the closed leading-order laws, for cross-checks
 
-Only the exact_fock route runs in the truncated Fock basis, inside the
-dimension-doubling loop of `qfi_converged`, and only where `fock_start`
-finds a basis that can hold the row.  Neither it nor exact_nodes takes a
-step; `qfi_fd`, the central difference with a mandatory Richardson check, is
-the generic estimator for any one-parameter builder and the one caller of
-`cvspace.richardson` (the difference leg of claims 2 and 9).
-
-The generator route uses expectation-of-square <g^2>, not the squared
-expectation |<g>|^2 sometimes quoted at leading order: only <g^2> satisfies
-the pure-state formula exactly.  The leading-order form is still reported in
-the diagnostics, so the discrepancy between the two is itself a regression
-artifact.
+None takes a step: `qfi_fd`, the central difference with a mandatory
+Richardson check, is the generic estimator for any one-parameter builder
+(claims 2 and 9).  Both node routes take expectation-of-square <g^2>, which
+satisfies the pure-state formula exactly, each generator centred on the
+state's mean first; the leading-order |<g>|^2 is reported in the
+diagnostics.  A value past the float range is an EnvelopeError.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -40,7 +35,6 @@ from . import bch
 from .cvspace import (
     DIM_CAP,
     DIM_REL_TOL,
-    MOMENTUM_NODES,
     ProbeSpec,
     converge_dimension,
     holding_dimension,
@@ -126,6 +120,20 @@ def qfi_fd(builder: Callable[[float], object], theta0: float) -> QfiEstimate:
                                     "step_history": history})
 
 
+def _within_float_range(estimator):
+    """The estimator, with a value past the float range an EnvelopeError:
+    Python's float power raises OverflowError there, numpy gives inf or nan."""
+    @functools.wraps(estimator)
+    def checked(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
+        with np.errstate(over="ignore", invalid="ignore"), contextlib.suppress(OverflowError):
+            est = estimator(cfg, which_param)
+            if math.isfinite(est.value):
+                return est
+        raise EnvelopeError(f"F of {estimator.__name__} overflows the float range "
+                            f"at m={cfg.m}, N={cfg.n_queries:g}")
+    return checked
+
+
 # --- exact generator route ---------------------------------------------------
 
 def _branch_generators(cfg: StrategyConfig, which_param: str):
@@ -164,31 +172,29 @@ def _branch_generators(cfg: StrategyConfig, which_param: str):
     raise UnsupportedConfigurationError(f"unknown parameter {which_param!r}")
 
 
+@_within_float_range
 def qfi_generator(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     """Exact QFI from symbolic branch generators and probe moments.
 
-    F = 4( (1/2) sum_b <g_b^2> - | (1/2) sum_b sigma_b <g_b> |^2 ).
-    The polynomials act on P (or on X for the linear theta1 case), so both
-    moments are weighted sums over the probe's quadrature nodes
-    (`probe_on_nodes` at degree 2 deg g_b): exact, with no basis dimension.
+    F = 4 (1/2) sum_b <(g_b - sigma_b mu)^2>, mu = (1/2) sum_b sigma_b <g_b>
+    the mixture mean, taken out before squaring (sigma_b = +-1).  g_b acts on
+    P (on X for the linear theta1 case), so each moment is a weighted sum over
+    the probe's nodes (`probe_on_nodes` at degree 2 deg g_b): exact, no basis.
     """
-    means = []
-    sq_means = []
-    branches = _branch_generators(cfg, which_param)
-    for coeffs, symbol, sigma in branches:
+    tables = []
+    for coeffs, symbol, sigma in _branch_generators(cfg, which_param):
         q, w = probe_on_nodes(cfg.probe, symbol, 2 * (len(coeffs) - 1))
         g = np.zeros_like(q)
         for c in reversed(coeffs):  # Horner
             g = g * q + c
-        means.append((sigma, float(w @ g)))
-        sq_means.append(float(w @ (g * g)))
-    mean_term = sum(s * m for s, m in means) / len(branches)
-    value = 4.0 * (sum(sq_means) / len(sq_means) - mean_term ** 2)
-    diagnostics = {"branch_means": tuple(m for _, m in means),
-                   "branch_square_means": tuple(sq_means)}
+        tables.append((w, g, sigma, float(w @ g), float(w @ (g * g))))
+    _, _, sigmas, means, sq_means = zip(*tables)
+    mu = sum(s * m for s, m in zip(sigmas, means)) / len(tables)
+    value = 4.0 * sum(float(w @ (g - s * mu) ** 2) for w, g, s, _, _ in tables) / len(tables)
+    diagnostics = {"branch_means": means, "branch_square_means": sq_means}
     if encoding(cfg.strategy) == COHERENT_SUPERPOSITION and which_param == THETA2:
         # leading-order squared-expectation form, reported for regression only
-        diagnostics["expectation_squared_form"] = 4.0 * means[0][1] ** 2
+        diagnostics["expectation_squared_form"] = 4.0 * means[0] ** 2
     return QfiEstimate(value, "generator_exact", converged=True, diagnostics=diagnostics)
 
 
@@ -200,6 +206,7 @@ def _probe_variance(probe: ProbeSpec, which: str) -> float:
     return float(w @ (q * q)) - float(w @ q) ** 2
 
 
+@_within_float_range
 def asymptotic_qfi(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     """Closed-form leading-order information, with probe variances where they enter.
 
@@ -253,7 +260,7 @@ def fock_start(cfg: StrategyConfig) -> int | None:
     except TruncationLeakageError:
         return None
     try:
-        q, w = probe_on_nodes(cfg.probe, "P", 1)
+        q, w = probe_on_nodes(cfg.probe, "P", 2 * cfg.m)
     except EnvelopeError:  # past NODE_CAP: the node route cannot take the row either
         return start
     if abs(float(w @ q) - momentum_shift(cfg)) > math.sqrt(2 * DIM_CAP + 1):
@@ -261,38 +268,30 @@ def fock_start(cfg: StrategyConfig) -> int | None:
     return start
 
 
+@_within_float_range
 def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
-    """Exact QFI of theta2 on the momentum-node states of `node_output`, at
-    G = MOMENTUM_NODES and at 2G base nodes.
+    """Exact QFI of theta2 on the momentum-node state of `node_output`.
 
     Branch b is its probe amplitudes times e^{-i theta2 Phi_b(q)}
-    (`node_phases`), Phi_b free of theta2, so the derivative of the state is
-    exactly -i Phi_b times it: no step and no difference.  Converged means
-    the two grids agree to DIM_REL_TOL; the value and node count reported
-    are the 2G grid's, and an unconverged estimate names its reason in
-    `diagnostics["reason"]`.
-
-    theta1, which moves the node grid, is not covered: an EnvelopeError
-    before any state is built.
+    (`node_phases`), Phi_b free of theta2, so d psi = -i (Phi - mu) psi
+    exactly, centred on the state's mean mu (a constant adds only a global
+    phase).  Each moment is e^{-t^2} times a polynomial of degree 2m + 2n in
+    the base node t, so one grid of G = m + 1 + n nodes (n for Fock(n)) sums
+    it exactly: converged by construction, with G as `dim_used`.  theta1
+    moves the grid and is refused before any state is built.
     """
     if which_param != THETA2:
         raise EnvelopeError(
             f"no Fock basis up to d={DIM_CAP} holds this row, and the momentum-node "
             f"route covers theta2 only ({which_param} moves the node grid)")
-    runs = []
-    for nodes in (MOMENTUM_NODES, 2 * MOMENTUM_NODES):
-        q, phi, _ = probe_amplitudes(cfg.probe, nodes, 0.0)
-        phases = np.concatenate(node_phases(cfg, q))
-        psi = node_output(cfg, q, phi).amplitudes
-        runs.append((q.size, qfi_from_derivative(psi, -1j * phases * psi)))
-    (coarse_size, coarse), (size, fine) = runs
-    gap = abs(fine - coarse) / max(abs(fine), abs(coarse), 1e-300)
-    diagnostics = {"dim_used": size, "node_gap": gap,
-                   "node_history": ((coarse_size, coarse), (size, fine))}
-    converged = gap <= DIM_REL_TOL
-    if not converged:
-        diagnostics["reason"] = f"{coarse_size} and {size} nodes differ by {gap:.3e} relative"
-    return QfiEstimate(fine, "exact_nodes", converged=converged, diagnostics=diagnostics)
+    q, phi, _ = probe_amplitudes(cfg.probe, cfg.m + 1, 0.0)
+    phases = np.concatenate(node_phases(cfg, q))
+    if not np.isfinite(cfg.theta2 * phases).all():  # before node_output's norm check
+        raise OverflowError("theta2 Phi_b")
+    psi = node_output(cfg, q, phi).amplitudes
+    phases = phases - np.abs(psi) ** 2 @ phases
+    return QfiEstimate(qfi_from_derivative(psi, -1j * phases * psi), "exact_nodes",
+                       diagnostics={"dim_used": q.size})
 
 
 def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:

@@ -281,7 +281,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("probe", ['{"kind": "fock", "n": 1024}'])
     def test_truncation_leakage_exits_2(self, probe, capsys):
         # no basis of the doubling loop, up to d = 1024, holds this probe, and
-        # its momentum-node rule needs 64 + 1024 nodes, beyond NODE_CAP
+        # its momentum-node rule needs m + 1 + 1024 nodes, beyond NODE_CAP
         assert cli.main(["qfi", "--set", f"probe={probe}"]) == 2
         assert "Gauss-Hermite nodes" in capsys.readouterr().err
 
@@ -352,19 +352,10 @@ CS_M3_N24 = ["qfi", "--set", "m=3", "--set", "n_queries=24", "--set", "theta1=1.
              "--set", "theta2=0.05", "--set", "strategy=coherent_superposition"]
 
 
-def exact_cs_vacuum_qfi(m: int, n: int, theta1: float) -> Fraction:
-    """4 <g^2> on the vacuum, g(P) = int_0^{2N} (P - theta1 s)^m ds in exact
-    rationals; the two branches' means cancel."""
-    t1, span = Fraction(theta1), 2 * n
-    g = [math.comb(m, j) * (-t1) ** j * Fraction(span ** (j + 1), j + 1)
-         for j in range(m + 1)]                  # coefficient of P^(m - j)
-    square = [Fraction(0)] * (2 * m + 1)
-    for i, a in enumerate(g):
-        for j, b in enumerate(g):
-            square[i + j] += a * b               # coefficient of P^(2m - i - j)
-    # <0|P^k|0> = k! / ((k/2)! 4^(k/2)) for even k, zero for odd k
-    return 4 * sum(c * Fraction(math.factorial(k), math.factorial(k // 2) * 4 ** (k // 2))
-                   for c, k in zip(square, range(2 * m, -1, -1)) if k % 2 == 0)
+def row_config(argv) -> StrategyConfig:
+    """The StrategyConfig a `cvmet qfi` command line runs."""
+    overrides = [tuple(item.split("=", 1)) for item in argv[2::2]]
+    return cli._estimate_settings(cli.load_config("qfi", None, overrides))[0]
 
 
 def qfi_record(argv, tmp_path) -> dict:
@@ -375,12 +366,12 @@ def qfi_record(argv, tmp_path) -> dict:
 
 
 class TestNodeRoute:
-    def test_m3_n24_row_matches_the_exact_rational_value(self, tmp_path):
+    def test_m3_n24_row_matches_the_exact_rational_value(self, tmp_path, exact_theta2_qfi):
         record = qfi_record(CS_M3_N24, tmp_path)
-        exact = exact_cs_vacuum_qfi(3, 24, 1.2)
+        exact = exact_theta2_qfi(row_config(CS_M3_N24))
         assert float(exact) == pytest.approx(2.1124582336e13, rel=1e-10)
         assert (record["method"], record["converged"]) == ("exact_nodes", "true")
-        assert record["dim_used"] == str(2 * cvspace.MOMENTUM_NODES)
+        assert record["dim_used"] == "4"   # m + 1 nodes on the vacuum
         assert abs(float(record["F"]) - float(exact)) <= 1e-10 * float(exact)
         assert abs(float(record["F_gen"]) - float(exact)) <= 1e-9 * float(exact)
 
@@ -418,6 +409,56 @@ class TestNodeRoute:
     def test_theta1_beyond_reach_exits_2_with_its_reason(self, capsys):
         assert cli.main(CS_M3_N24 + ["--set", "estimate=theta1"]) == 2
         assert "covers theta2 only" in capsys.readouterr().err
+
+    def test_fock_450_row_fits_its_node_grid(self, tmp_path, exact_theta2_qfi):
+        # m + 1 + 450 = 453 nodes, within NODE_CAP = 512
+        argv = ["qfi", "--set", "m=2", "--set", "n_queries=40", "--set", "theta1=1.2",
+                "--set", 'probe={"kind": "fock", "n": 450}']
+        record = qfi_record(argv, tmp_path)
+        exact = float(exact_theta2_qfi(row_config(argv)))
+        assert (record["method"], record["converged"]) == ("exact_nodes", "true")
+        assert record["dim_used"] == "453"
+        assert float(record["F"]) == pytest.approx(exact, rel=1e-12)
+        assert float(record["F_gen"]) == pytest.approx(exact, rel=1e-12)
+
+    def test_default_coherent_1e6_row_is_exact(self, tmp_path, exact_theta2_qfi):
+        # <P> = 1.4e6, where <Phi^2> and <Phi>^2 agree to 11 digits unless
+        # the generator is centred first
+        argv = ["qfi", "--set", "m=2",
+                "--set", 'probe={"kind": "coherent", "alpha_re": 1e6, "alpha_im": 1e6}']
+        record = qfi_record(argv, tmp_path)
+        exact = exact_theta2_qfi(row_config(argv))
+        assert float(exact) == pytest.approx(2.7647992179969e14, rel=1e-13)
+        assert (record["method"], record["converged"]) == ("exact_nodes", "true")
+        assert float(record["F"]) == pytest.approx(float(exact), rel=1e-9)
+        assert float(record["F_gen"]) == pytest.approx(float(exact), rel=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["qfi", "--set", "m=5", "--set", "n_queries=1e60", "--set", "theta1=1.2"],
+        ["qfi", "--set", "m=5", "--set", "n_queries=1e60", "--set", "theta1=1.2",
+         "--set", "strategy=coherent_superposition"],
+        ["qfi", "--set", "m=5", "--set", 'probe={"kind": "squeezed_vacuum", "r": 200}'],
+        ["ratio", "--set", "ratio.n_values=[1e60]"],
+    ], ids=["switch", "coherent_superposition", "squeezed", "ratio"])
+    def test_overflowing_rows_exit_2_naming_the_overflow(self, argv, capsys):
+        # F itself passes the float range: no row can be printed
+        assert cli.main(argv) == 2
+        assert "overflows the float range" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["qfi", "--set", "m=5", "--set", "n_queries=1e60", "--set", "theta1=1e-50"],
+        ["qfi", "--set", "n_queries=1e80", "--set", "theta1=1e-78"],
+    ], ids=["m5", "m1"])
+    def test_huge_n_row_is_exact_where_f_fits(self, argv, tmp_path, exact_theta2_qfi):
+        # F fits a float, but a cross-check column passes the float range on
+        # the way (N^(m+1) or N^4): that column reads nan
+        record = qfi_record(argv, tmp_path)
+        exact = float(exact_theta2_qfi(row_config(argv)))
+        assert (record["method"], record["converged"]) == ("exact_nodes", "true")
+        assert float(record["F"]) == pytest.approx(exact, rel=1e-12)
+        assert "nan" in (record["F_gen"], record["F_asym"])
 
     def test_reach_rule_keeps_recorded_rows_on_the_fock_route(self):
         """Every benchmark case with a recorded dim_used stays a Fock row, at

@@ -8,7 +8,6 @@ import pytest
 from cvmet.bch import ExactComplex, PPoly, zassenhaus_term
 from cvmet import cvspace, strategies
 from cvmet.cvspace import (
-    MOMENTUM_NODES,
     FockDim,
     Operator,
     ProbeSpec,
@@ -363,6 +362,25 @@ class TestGeneratorOnNodes:
         expected = 0.2 ** 2 * 6 ** 4 + 4 * 6 ** 2 * 300.5
         assert asymptotic_qfi(cfg, THETA2).value == pytest.approx(expected, rel=1e-12)
 
+    def test_far_centred_probe_keeps_its_digits(self, exact_theta2_qfi):
+        # <P> = 1.4e6: the mixture's <g^2> and <g>^2 agree to 11 digits, so
+        # each sigma_b g_b is centred on the mixture mean before squaring
+        cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=2, strategy=SWITCH,
+                             probe=ProbeSpec.coherent(1e6 + 1e6j))
+        exact = float(exact_theta2_qfi(cfg))
+        assert qfi_generator(cfg, THETA2).value == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("estimator", [qfi_generator, asymptotic_qfi,
+                                           qfi_module.qfi_nodes])
+    @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
+    def test_overflow_is_an_envelope_error(self, estimator, strategy):
+        # N^(m+1) and (N theta1)^m pass the float range: Python's float power
+        # raises OverflowError there, numpy gives inf, a product inf or nan
+        cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=int(1e60), m=5,
+                             strategy=strategy)
+        with pytest.raises(EnvelopeError, match="overflows the float range"):
+            estimator(cfg, THETA2)
+
 
 TRIANGLE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.coherent(0.3 + 0.2j), ProbeSpec.fock(2)]
 
@@ -384,7 +402,7 @@ class TestNodeRoute:
         exact = qfi_generator(cfg, THETA2).value
         assert fock.method == "exact_fock" and fock.converged
         assert nodes.method == "exact_nodes" and nodes.converged
-        assert nodes.diagnostics["dim_used"] == 2 * MOMENTUM_NODES + probe.n
+        assert nodes.diagnostics["dim_used"] == m + 1 + probe.n
         for est in (fock, nodes):
             assert est.value == pytest.approx(exact, rel=1e-8)
 
@@ -396,6 +414,10 @@ class TestNodeRoute:
         assert qfi_module.fock_start(replace(cfg, theta1=0.9)) == 64   # 43.2
         # Fock(600) fits d = 1024 but not the node rule's NODE_CAP = 512 nodes
         assert qfi_module.fock_start(replace(cfg, theta1=0.9, probe=ProbeSpec.fock(600))) == 1024
+        # the reach rule asks for the node route's own grid, m + 1 + n nodes:
+        # 512 for Fock(508) at m = 3, 513 for Fock(509)
+        assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.fock(508))) is None
+        assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.fock(509))) == 512
         est = qfi_converged(cfg, THETA2)
         assert est.method == "exact_nodes" and est.converged
         assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
@@ -438,9 +460,10 @@ class TestNodeRoute:
         est = qfi_converged(cfg, THETA2)
         assert est.method == "exact_nodes" and est.converged
 
-    def test_centre_is_built_once_per_grid(self, monkeypatch):
-        # one probe table and one state per grid: `node_output` takes the
-        # caller's table, and every table reads its grid from `_rule`
+    def test_one_state_is_built_on_m_plus_1_plus_n_nodes(self, monkeypatch):
+        # one probe table and one state: `node_output` takes the caller's
+        # table, and every table reads its grid from `_rule`; m + 1 base
+        # nodes integrate the degree-2m moments of Phi_b exactly
         builds, tables = [], []
 
         def counted(cfg, q, phi):
@@ -448,29 +471,56 @@ class TestNodeRoute:
             return strategies.node_output(cfg, q, phi)
 
         def tabled(spec, quadrature, base, rule=cvspace._rule):
-            tables.append(base)
+            tables.append(base + spec.n)
             return rule(spec, quadrature, base)
 
         monkeypatch.setattr(qfi_module, "node_output", counted)
         monkeypatch.setattr(cvspace, "_rule", tabled)
         cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
-                             strategy=COHERENT_SUPERPOSITION)
-        assert qfi_module.qfi_nodes(cfg, THETA2).converged
-        assert builds == tables == [MOMENTUM_NODES, 2 * MOMENTUM_NODES]
-
-    def test_grid_disagreement_is_reported_with_its_reason(self, monkeypatch):
-        real = strategies.node_phases
-
-        def drifting(cfg, q):  # the 2G grid sees a slightly different theta1
-            return real(replace(cfg, theta1=cfg.theta1 * (1 + 1e-3 * (q.size > MOMENTUM_NODES))),
-                        q)
-
-        monkeypatch.setattr(qfi_module, "node_phases", drifting)
-        cfg = StrategyConfig(theta1=0.2, theta2=0.05, n_queries=4, m=2,
-                             strategy=COHERENT_SUPERPOSITION)
+                             strategy=COHERENT_SUPERPOSITION, probe=ProbeSpec.fock(5))
         est = qfi_module.qfi_nodes(cfg, THETA2)
-        assert not est.converged
-        assert est.diagnostics["reason"].startswith("64 and 128 nodes differ by")
+        assert builds == tables == [3 + 1 + 5]
+        assert est.converged and est.diagnostics == {"dim_used": 9}
+
+    def test_single_grid_matches_a_centred_64_base_grid(self):
+        """The G-vs-2G comparison the route no longer makes on every row:
+        the m + 1 (+ n) node grid against the variance of the centred
+        phases on a 64 (+ n) node grid, which is exact as well, on seeded
+        rows up to m = 8, N = 400 and a coherent probe centred at 1.4e6."""
+        probes = [ProbeSpec.vacuum(), ProbeSpec.fock(3), ProbeSpec.fock(300),
+                  ProbeSpec.coherent(-1.1 + 0.7j), ProbeSpec.coherent(1e3 - 2e3j),
+                  ProbeSpec.coherent(1e6 + 1e6j), ProbeSpec.squeezed_vacuum(0.8),
+                  ProbeSpec.squeezed_vacuum(-0.8)]
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            cfg = StrategyConfig(theta1=rng.uniform(0.05, 2.0), theta2=rng.uniform(0.01, 1.0),
+                                 n_queries=int(rng.integers(1, 401)), m=int(rng.integers(1, 9)),
+                                 strategy=(SWITCH, COHERENT_SUPERPOSITION)[rng.integers(2)],
+                                 probe=probes[rng.integers(len(probes))])
+            q, phi, _ = cvspace.probe_amplitudes(cfg.probe, 64, 0.0)
+            phases = np.concatenate(strategies.node_phases(cfg, q))
+            density = np.abs(np.concatenate([phi, phi])) ** 2 / 2
+            fine = 4 * density @ (phases - density @ phases) ** 2
+            est = qfi_module.qfi_nodes(cfg, THETA2)
+            assert est.converged, cfg
+            assert est.value == pytest.approx(fine, rel=1e-11), cfg
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
+    def test_fock_rows_match_exact_rationals(self, m, strategy, exact_theta2_qfi):
+        """Vacuum and Fock(n <= 8) theta2 rows against the exact-rational
+        oracle, at N = 1, 24, 200 and 400: within 1e-12, for the node route
+        and for F_gen alike."""
+        rng = np.random.default_rng(m)
+        probes = [ProbeSpec.vacuum()] + [ProbeSpec.fock(level) for level in range(1, 9)]
+        for n in (1, 24, 200, 400):
+            for probe in probes:
+                cfg = StrategyConfig(theta1=float(rng.uniform(0.05, 2.0)), theta2=0.05,
+                                     n_queries=n, m=m, strategy=strategy, probe=probe)
+                exact = float(exact_theta2_qfi(cfg))
+                assert qfi_module.qfi_nodes(cfg, THETA2).value == pytest.approx(
+                    exact, rel=1e-12), cfg
+                assert qfi_generator(cfg, THETA2).value == pytest.approx(exact, rel=1e-12), cfg
 
     def test_uncovered_rows_fail_before_any_build(self, monkeypatch):
         builds = []
