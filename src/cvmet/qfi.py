@@ -58,7 +58,6 @@ from .strategies import (
     StrategyConfig,
     encoding,
     momentum_shift,
-    node_output,
     node_phases,
     output_derivative,
 )
@@ -121,13 +120,14 @@ def qfi_fd(builder: Callable[[float], object], theta0: float) -> QfiEstimate:
 
 
 def _within_float_range(estimator):
-    """The estimator, with a value past the float range an EnvelopeError:
-    Python's float power raises OverflowError there, numpy gives inf or nan."""
+    """The estimator, with F past the float range an EnvelopeError: where a
+    power or a sum overflows (Python's OverflowError, numpy's raised as
+    FloatingPointError) or F comes out infinite.  A nan F is returned as is."""
     @functools.wraps(estimator)
     def checked(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
-        with np.errstate(over="ignore", invalid="ignore"), contextlib.suppress(OverflowError):
+        with np.errstate(over="raise"), contextlib.suppress(OverflowError, FloatingPointError):
             est = estimator(cfg, which_param)
-            if math.isfinite(est.value):
+            if not math.isinf(est.value):
                 return est
         raise EnvelopeError(f"F of {estimator.__name__} overflows the float range "
                             f"at m={cfg.m}, N={cfg.n_queries:g}")
@@ -249,49 +249,47 @@ def fock_start(cfg: StrategyConfig) -> int | None:
     when no basis up to DIM_CAP can hold the row.
 
     None when no such basis holds the probe (`holding_dimension`), or when the
-    branches carry the probe's momentum centre <P> to <P> - `momentum_shift`
-    beyond sqrt(2 DIM_CAP + 1), which bounds every eigenvalue of the
-    truncated P at DIM_CAP: the exact Heisenberg motion P(s) = P - theta1 s
-    puts the final state where that basis has no support.  A probe the node
-    layer cannot take (past NODE_CAP) stays on the Fock route.
+    branches carry the probe's momentum centre <P> (sqrt(2) Im alpha for a
+    coherent probe, else 0) to <P> - `momentum_shift` beyond
+    sqrt(2 DIM_CAP + 1), which bounds every eigenvalue of the truncated P at
+    DIM_CAP: the exact Heisenberg motion P(s) = P - theta1 s puts the final
+    state where that basis has no support.  `qfi_nodes` takes every None row
+    or refuses it.
     """
     try:
         start = holding_dimension(cfg.probe)
     except TruncationLeakageError:
         return None
-    try:
-        q, w = probe_on_nodes(cfg.probe, "P", 2 * cfg.m)
-    except EnvelopeError:  # past NODE_CAP: the node route cannot take the row either
-        return start
-    if abs(float(w @ q) - momentum_shift(cfg)) > math.sqrt(2 * DIM_CAP + 1):
+    centre = math.sqrt(2.0) * cfg.probe.alpha.imag if cfg.probe.kind == "coherent" else 0.0
+    if abs(centre - momentum_shift(cfg)) > math.sqrt(2 * DIM_CAP + 1):
         return None
     return start
 
 
 @_within_float_range
 def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
-    """Exact QFI of theta2 on the momentum-node state of `node_output`.
+    """Exact QFI of theta2 on momentum nodes.
 
-    Branch b is its probe amplitudes times e^{-i theta2 Phi_b(q)}
-    (`node_phases`), Phi_b free of theta2, so d psi = -i (Phi - mu) psi
-    exactly, centred on the state's mean mu (a constant adds only a global
-    phase).  Each moment is e^{-t^2} times a polynomial of degree 2m + 2n in
-    the base node t, so one grid of G = m + 1 + n nodes (n for Fock(n)) sums
-    it exactly: converged by construction, with G as `dim_used`.  theta1
-    moves the grid and is refused before any state is built.
+    Branch b is the probe's node amplitudes phi over sqrt(2) times
+    e^{-i theta2 Phi_b(q)} (`node_phases`), Phi_b free of theta2, so
+    d psi = -i (Phi - mu) psi exactly, centred on the state's mean mu (a
+    constant adds only a global phase), and F = 4 sum_b sum_j |phi_j|^2 / 2
+    (Phi_b - mu)^2.  Each term is e^{-t^2} times a polynomial of degree
+    2m + 2n in the base node t, so one grid of G = m + 1 + n nodes (n for
+    Fock(n); past NODE_CAP an EnvelopeError) sums it exactly: converged by
+    construction, with G as `dim_used`.  theta1 moves the grid and is
+    refused before any table is built.
     """
     if which_param != THETA2:
         raise EnvelopeError(
             f"no Fock basis up to d={DIM_CAP} holds this row, and the momentum-node "
             f"route covers theta2 only ({which_param} moves the node grid)")
     q, phi, _ = probe_amplitudes(cfg.probe, cfg.m + 1, 0.0)
-    phases = np.concatenate(node_phases(cfg, q))
-    if not np.isfinite(cfg.theta2 * phases).all():  # before node_output's norm check
-        raise OverflowError("theta2 Phi_b")
-    psi = node_output(cfg, q, phi).amplitudes
-    phases = phases - np.abs(psi) ** 2 @ phases
-    return QfiEstimate(qfi_from_derivative(psi, -1j * phases * psi), "exact_nodes",
-                       diagnostics={"dim_used": q.size})
+    density = np.abs(phi) ** 2 / 2
+    phases = node_phases(cfg, q)
+    mu = sum(density @ phase for phase in phases)
+    value = 4.0 * sum(density @ (phase - mu) ** 2 for phase in phases)
+    return QfiEstimate(float(value), "exact_nodes", diagnostics={"dim_used": q.size})
 
 
 def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:

@@ -512,8 +512,12 @@ def momentum_shift(cfg: StrategyConfig) -> float:
 
 
 def node_phases(cfg: StrategyConfig, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi_0, Phi_1) on momentum nodes q: branch b of `node_output` is the
-    probe's node amplitudes times e^{-i theta2 Phi_b(q)}, Phi_b free of theta2.
+    """(Phi_0, Phi_1) on momentum nodes q: branch b of the strategy state is
+    the probe's node amplitudes times e^{-i theta2 Phi_b(q)}, Phi_b free of
+    theta2, carried to the grid p_j = q_j - `momentum_shift` (with X = i d/dp,
+    e^{-i a X} moves psi(p) to psi(p + a), and e^{-i b P^m} is the phase
+    b p^m).  Both branches end on the same grid, so the state's moments are
+    the quadrature of the probe's; theta1 moves the grid.
 
     A coherent-superposition branch e^{-i2N(theta1 X +- theta2 P^m)} has
     Phi = +-int_0^{2N} (q - theta1 s)^m ds
@@ -530,19 +534,4 @@ def node_phases(cfg: StrategyConfig, q: np.ndarray) -> tuple[np.ndarray, np.ndar
     phase = sum(math.comb(m, k) * (-a) ** k * tau ** (k + 1) / (k + 1) * q ** (m - k)
                 for k in range(m + 1))
     return phase, -phase
-
-
-def node_output(cfg: StrategyConfig, q: np.ndarray, phi: np.ndarray) -> QState:
-    """The strategy state on momentum nodes, in closed form: no basis, no eigh.
-
-    With X = i d/dp, e^{-i a X} moves psi(p) to psi(p + a) and e^{-i b P^m}
-    is the phase b p^m, so each branch is the probe's node amplitudes phi on
-    the nodes q_j (`probe_amplitudes` at shift 0, built once per grid by the
-    caller) carried to the grid p_j = q_j - `momentum_shift` with the phase
-    e^{-i theta2 Phi_b(q_j)} of `node_phases`.  Both branches end on the
-    same grid, so the inner products of the QState are the quadrature of the
-    mode's.  theta2 enters only through those phases; theta1 moves the grid.
-    """
-    return QState.from_branches([phi * np.exp(-1j * cfg.theta2 * phase)
-                                 for phase in node_phases(cfg, q)], FockDim(q.size))
 

@@ -421,6 +421,18 @@ class TestNodeRoute:
         assert float(record["F"]) == pytest.approx(exact, rel=1e-12)
         assert float(record["F_gen"]) == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("m, probe, nodes", [
+        (3, '{"kind": "fock", "n": 510}', 514),
+        (2, '{"kind": "fock", "n": 510}', 513),
+        (600, '{"kind": "vacuum"}', 601),
+    ], ids=["fock510-m3", "fock510-m2", "vacuum-m600"])
+    def test_row_no_route_holds_exits_2_with_its_node_count(self, m, probe, nodes, capsys):
+        # <P> - theta1 2N = -57.6 lies beyond the Fock reach, and the node
+        # grid m + 1 + n passes NODE_CAP = 512
+        argv = CS_M3_N24 + ["--set", f"m={m}", "--set", f"probe={probe}"]
+        assert cli.main(argv) == 2
+        assert f"needs {nodes} Gauss-Hermite nodes" in capsys.readouterr().err
+
     def test_default_coherent_1e6_row_is_exact(self, tmp_path, exact_theta2_qfi):
         # <P> = 1.4e6, where <Phi^2> and <Phi>^2 agree to 11 digits unless
         # the generator is centred first
@@ -459,6 +471,16 @@ class TestNodeRoute:
         assert (record["method"], record["converged"]) == ("exact_nodes", "true")
         assert float(record["F"]) == pytest.approx(exact, rel=1e-12)
         assert "nan" in (record["F_gen"], record["F_asym"])
+
+    def test_huge_theta2_row_prints_its_f(self, tmp_path, exact_theta2_qfi):
+        # theta2 Phi_b passes the float range, but F does not depend on theta2
+        argv = ["qfi", "--set", "m=5", "--set", "n_queries=1e3", "--set", "theta1=3",
+                "--set", "theta2=1e300"]
+        record = qfi_record(argv, tmp_path)
+        exact = float(exact_theta2_qfi(row_config(argv)))
+        assert (record["method"], record["converged"]) == ("exact_nodes", "true")
+        assert float(record["F"]) == pytest.approx(exact, rel=1e-12)
+        assert float(record["F_gen"]) == pytest.approx(exact, rel=1e-12)
 
     def test_reach_rule_keeps_recorded_rows_on_the_fock_route(self):
         """Every benchmark case with a recorded dim_used stays a Fock row, at

@@ -375,11 +375,19 @@ class TestGeneratorOnNodes:
     @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
     def test_overflow_is_an_envelope_error(self, estimator, strategy):
         # N^(m+1) and (N theta1)^m pass the float range: Python's float power
-        # raises OverflowError there, numpy gives inf, a product inf or nan
+        # raises OverflowError there, numpy's power or product overflows
         cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=int(1e60), m=5,
                              strategy=strategy)
         with pytest.raises(EnvelopeError, match="overflows the float range"):
             estimator(cfg, THETA2)
+
+    def test_nan_is_no_overflow(self, monkeypatch):
+        # a nan from anything but an overflow is not hidden as one
+        monkeypatch.setattr(qfi_module, "node_phases",
+                            lambda cfg, q: (np.full(q.size, np.nan),) * 2)
+        cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
+                             strategy=COHERENT_SUPERPOSITION)
+        assert math.isnan(qfi_module.qfi_nodes(cfg, THETA2).value)
 
 
 TRIANGLE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.coherent(0.3 + 0.2j), ProbeSpec.fock(2)]
@@ -412,12 +420,19 @@ class TestNodeRoute:
                              strategy=COHERENT_SUPERPOSITION)
         assert qfi_module.fock_start(cfg) is None
         assert qfi_module.fock_start(replace(cfg, theta1=0.9)) == 64   # 43.2
-        # Fock(600) fits d = 1024 but not the node rule's NODE_CAP = 512 nodes
+        # Fock(600) fits d = 1024, so a row within the reach keeps that basis
         assert qfi_module.fock_start(replace(cfg, theta1=0.9, probe=ProbeSpec.fock(600))) == 1024
-        # the reach rule asks for the node route's own grid, m + 1 + n nodes:
-        # 512 for Fock(508) at m = 3, 513 for Fock(509)
+        # beyond the reach no basis holds the row, whatever its node grid:
+        # m + 1 + n is 512 for Fock(508) at m = 3 and 513, past NODE_CAP,
+        # for Fock(509), which qfi_nodes then refuses
         assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.fock(508))) is None
-        assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.fock(509))) == 512
+        assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.fock(509))) is None
+        with pytest.raises(EnvelopeError, match="needs 513 Gauss-Hermite nodes"):
+            qfi_converged(replace(cfg, probe=ProbeSpec.fock(509)), THETA2)
+        # a coherent probe's momentum centre sqrt(2) Im alpha moves the reach
+        shifted = replace(cfg, probe=ProbeSpec.coherent(10j))   # <P> = 14.1
+        assert qfi_module.fock_start(shifted) == 256
+        assert qfi_module.fock_start(replace(shifted, probe=ProbeSpec.coherent(-10j))) is None
         est = qfi_converged(cfg, THETA2)
         assert est.method == "exact_nodes" and est.converged
         assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
@@ -460,21 +475,21 @@ class TestNodeRoute:
         est = qfi_converged(cfg, THETA2)
         assert est.method == "exact_nodes" and est.converged
 
-    def test_one_state_is_built_on_m_plus_1_plus_n_nodes(self, monkeypatch):
-        # one probe table and one state: `node_output` takes the caller's
-        # table, and every table reads its grid from `_rule`; m + 1 base
-        # nodes integrate the degree-2m moments of Phi_b exactly
+    def test_one_table_is_built_on_m_plus_1_plus_n_nodes(self, monkeypatch):
+        # one probe table and one set of phases on it: every table reads its
+        # grid from `_rule`; m + 1 base nodes integrate the degree-2m moments
+        # of Phi_b exactly
         builds, tables = [], []
 
-        def counted(cfg, q, phi):
+        def counted(cfg, q):
             builds.append(q.size)
-            return strategies.node_output(cfg, q, phi)
+            return strategies.node_phases(cfg, q)
 
         def tabled(spec, quadrature, base, rule=cvspace._rule):
             tables.append(base + spec.n)
             return rule(spec, quadrature, base)
 
-        monkeypatch.setattr(qfi_module, "node_output", counted)
+        monkeypatch.setattr(qfi_module, "node_phases", counted)
         monkeypatch.setattr(cvspace, "_rule", tabled)
         cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
                              strategy=COHERENT_SUPERPOSITION, probe=ProbeSpec.fock(5))
@@ -524,7 +539,7 @@ class TestNodeRoute:
 
     def test_uncovered_rows_fail_before_any_build(self, monkeypatch):
         builds = []
-        monkeypatch.setattr(qfi_module, "node_output", lambda *a: builds.append(a))
+        monkeypatch.setattr(qfi_module, "probe_amplitudes", lambda *a: builds.append(a))
         cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
                              strategy=COHERENT_SUPERPOSITION)
         with pytest.raises(EnvelopeError, match="covers theta2 only"):
