@@ -26,6 +26,7 @@ with the exact relation C'_n = -(n-1) C_n.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -37,6 +38,8 @@ from .cvspace import (
     FockDim,
     Operator,
     SpectralUnitary,
+    _adjoint_product,
+    _product,
     as_dim,
     propagator,
 )
@@ -222,8 +225,11 @@ def phase_derivative_generator(m: int, theta1: float, n_queries: int,
 
     The i-factors cancel exactly: i (-i)^n C_n = (-1)^n i^{n+1} C_n, the
     real weights of `_factor_weights(m, "AB")`; for the switch the sum
-    collapses to N (P - N theta1)^m.  theta1 and N enter in floating point.
-    Returns the real coefficients (c_0, ..., c_m) of g by power of P.
+    collapses to N (P - N theta1)^m.  theta1 and N enter in floating point,
+    each weight as span (span theta1)^(n-1): no partial product passes the
+    float range before the weight does, and a weight that does raises
+    OverflowError, as a float power would.  Returns the real coefficients
+    (c_0, ..., c_m) of g by power of P.
     """
     if variant not in ("cs_branch", "switch_branch"):
         raise ContractViolationError(f"variant must be 'cs_branch' or 'switch_branch', got {variant!r}")
@@ -232,7 +238,9 @@ def phase_derivative_generator(m: int, theta1: float, n_queries: int,
     theta1 = float(theta1)
     coeffs = [0.0] * m + [float(span)]
     for n, power, r in _factor_weights(m, "AB"):
-        coeffs[power] += (-1) ** n * r * span ** n * theta1 ** (n - 1) * (n if switch else 1)
+        coeffs[power] += (-1) ** n * r * span * (span * theta1) ** (n - 1) * (n if switch else 1)
+    if not all(map(math.isfinite, coeffs)):
+        raise OverflowError(f"generator coefficients pass the float range at N={n_queries:g}")
     return tuple(coeffs)
 
 
@@ -283,23 +291,28 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     explodes on a truncated basis; the identity is a formal power-series
     statement, so imaginary lambda tests the same coefficients).
 
-    Only the left-hand side e^{lambda(X + P^m)}, the oracle, runs its own
-    eigh, apart from the factors': the "X+P" entry of the quadrature
-    spectrum cache (`strategies._quadrature_spectrum`), decomposed once per
-    (m, d) and shared by both variants at every lambda.  The X and P^m
-    factors are propagators on the cached quadrature spectra
-    (`strategies._mode_spectra`), and each e^{lambda^n C_n} is
-    e^{-i lambda_im^n h_n(P)}, h_n = i^{n+1} C_n, applied as phases on the
-    cached spectrum of P, the P^1 entry of that same cache, through
-    `Spectrum.reweighted`, which reuses P's verified eigenbasis; h_n is
-    checked real once per table, in exact arithmetic.
+    The left-hand side e^{lambda(X + P^m)}, the oracle, is the "X+P" entry
+    of the quadrature spectrum cache (`strategies._quadrature_spectrum`),
+    one per (m, d) and shared by both variants at every lambda: an eigh of
+    its own at m >= 2, sqrt(2) times X rotated by pi/4 at m = 1.  Its dense
+    matrix is checked unitary as an `Operator`.  The X factor is a
+    propagator on the cached X spectrum.  Every other factor is diagonal in
+    the cached spectrum of P: e^{lambda P^m} on P's basis reweighted to
+    w^m, and each e^{lambda^n C_n} = e^{-i lambda_im^n h_n(P)},
+    h_n = i^{n+1} C_n, checked real once per table in exact arithmetic.  A
+    run of consecutive such factors is one cumulative phase vector Phi on
+    that basis: the partial products are v diag(Phi_k) v^dag times what
+    stands to their right, and only the top FACTORIZATION_GUARD rows of
+    each are formed, for its boundary mass; the run's last is formed in
+    full, one d^3 product in place of two per factor.
 
     The truncated basis cannot represent columns whose image reaches the
     boundary, so the residual is taken over the columns for which every
-    partial product keeps its occupation of the top FACTORIZATION_GUARD
-    levels (every level, on a basis no larger than that) below
-    FACTORIZATION_MASS_TOL; if no column qualifies the envelope is violated
-    and the EnvelopeError message carries the smallest offending mass.
+    partial product of the factor chain keeps its occupation of the top
+    FACTORIZATION_GUARD levels (every level, on a basis no larger than
+    that) below FACTORIZATION_MASS_TOL; if no column qualifies the envelope
+    is violated and the EnvelopeError message carries the smallest
+    offending mass.
     """
     from . import strategies  # strategies imports bch
 
@@ -309,7 +322,7 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     top = max(d - FACTORIZATION_GUARD, 0)  # first level of the guarded boundary band
     tau = -float(lambda_im)  # e^{lambda H} = e^{-i tau H}
 
-    summed = strategies._quadrature_spectrum("X+P", m, dim)  # the oracle's own eigh
+    summed = strategies._quadrature_spectrum("X+P", m, dim)
     lhs = propagator(summed, tau).mat  # e^{lam (X + P^m)}
 
     x, pm = strategies._mode_spectra(m, dim)
@@ -319,23 +332,42 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     for n, power, r in weights:
         factors.append(propagator(p.reweighted(r * p.w ** power), float(lambda_im) ** n))
 
-    ok = np.ones(d, dtype=bool)
-    worst = 0.0
-    part = np.eye(d, dtype=complex)
+    guard = []  # rows from `top` on of every partial product, then of the left-hand side
+    part = None  # the identity
+    run = []  # phases of the consecutive factors diagonal in P, right to left
     for f in reversed(factors):
-        part = f @ part
-        masses = (np.abs(part[top:, :]) ** 2).sum(axis=0)
-        ok &= masses < FACTORIZATION_MASS_TOL
-        worst = max(worst, float(masses.min()))
-    lhs_mass = (np.abs(lhs[top:, :]) ** 2).sum(axis=0)
-    ok &= lhs_mass < FACTORIZATION_MASS_TOL
-    worst = max(worst, float(lhs_mass.min()))
+        if f.spectrum.v is p.v and f.spectrum.frame is None:
+            run.append(f.phases)
+            continue
+        part = _phase_run(p.v, run, part, guard, top)
+        run = []
+        part = f @ (np.eye(d) if part is None else part)
+        guard.append(part[top:])
+    part = _phase_run(p.v, run, part, guard, top)
+    guard.append(lhs[top:])
 
+    masses = np.array([(np.abs(rows) ** 2).sum(axis=0) for rows in guard])
+    ok = (masses < FACTORIZATION_MASS_TOL).all(axis=0)
     n_ok = int(ok.sum())
     if n_ok == 0:
         raise EnvelopeError(
             f"no column of d={d} stays inside the truncation envelope "
-            f"(best boundary mass {worst:.3e} >= {FACTORIZATION_MASS_TOL:g}); "
-            "reduce |lambda| or enlarge d")
+            f"(best boundary mass {masses.min(axis=1).max():.3e} >= "
+            f"{FACTORIZATION_MASS_TOL:g}); reduce |lambda| or enlarge d")
     residual = float(np.abs(lhs[:, ok] - part[:, ok]).max())
     return FactorizationCheck(residual, n_ok)
+
+
+def _phase_run(v: np.ndarray, run: list, part, guard: list, top: int):
+    """v diag(Phi) v^dag part for Phi the product of the phase vectors `run`
+    on the basis v (`part` None: the identity), appending to `guard` the
+    rows from `top` on of each partial product, (d - top) x d apiece; `part`
+    itself when the run is empty."""
+    if not run:
+        return part
+    y = v.conj().T if part is None else _adjoint_product(v, part)  # v^dag part
+    phi = np.ones(v.shape[0], dtype=complex)
+    for phases in run:
+        phi = phi * phases
+        guard.append(_product(v[top:] * phi, y))
+    return _product(v, phi[:, None] * y)

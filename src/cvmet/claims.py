@@ -92,8 +92,9 @@ def claim_2_cs_linear_qfi() -> ClaimResult:
     16 N^4 theta1^2 + 16 N^2 Var(P), and the value depends on theta1, not
     theta2 (cross-sweep constant to rel 1e-6; a Richardson fd at d = 128
     corroborates that).  Every build reads the one cached X spectrum per
-    dimension, of which each m = 1 branch spectrum is a rotation, so the
-    rows over N share it with no eigh of their own."""
+    dimension, of which each m = 1 branch spectrum is a rotation, taken as
+    a phase frame on it (`Spectrum.in_frame`): the rows over N share it with
+    no eigh, no eigenvector copy and no orthonormality check of their own."""
     worst_pair = worst_formula = 0.0
     for n in (2, 4, 6, 8):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=n, m=1,

@@ -374,23 +374,32 @@ def probe_amplitudes(spec: ProbeSpec, nodes: int, shift: float) -> tuple:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition H = v diag(w) v^dag of a verified Hermitian generator.
+    """Eigendecomposition H = v diag(w) v^dag of a verified Hermitian
+    generator, or H = F^dag (v diag(w) v^dag) F in the phase frame
+    F = diag(`frame`), |frame_j| = 1.
 
     Construction checks that `w` is real and finite and that
-    ||v^dag v - I||_F <= UNITARITY_TOL / 3, which bounds max|U^dag U - I| by
-    UNITARITY_TOL for U = v D v^dag, D = diag(e^{-i tau w}), at every tau:
-    with E = v^dag v - I, U^dag U - I = (v v^dag - I) + v D* E D v^dag, so
-    ||U^dag U - I||_2 <= ||E||_2 (2 + ||E||_2) <= UNITARITY_TOL, as
+    ||v^dag v - I||_F <= UNITARITY_TOL / 3, which bounds max|W^dag W - I| by
+    UNITARITY_TOL for W = v D v^dag, D = diag(e^{-i tau w}), at every tau:
+    with E = v^dag v - I, W^dag W - I = (v v^dag - I) + v D* E D v^dag, so
+    ||W^dag W - I||_2 <= eta = ||E||_2 (2 + ||E||_2) <= UNITARITY_TOL, as
     ||E||_2 <= ||E||_F.  That one d^3 product is the unitarity check of every
     propagator built from this spectrum and from every spectrum
-    `reweighted` from it: it is checked once per eigenbasis.  `w` and `v`
-    are made read-only, so one Spectrum can be cached and handed to every
-    caller; `v` is real when H is real symmetric.
+    `reweighted` or put `in_frame` from it: it is checked once per
+    eigenbasis.  A frame is checked in O(d), delta = max_j ||f_j|^2 - 1| <=
+    FRAME_TOL = UNITARITY_TOL / 9.  For U = F^dag W F, U^dag U - I =
+    F^dag (W^dag W - I) F + (F^dag F - I) + F^dag W^dag (F F^dag - I) W F,
+    so ||U^dag U - I||_2 <= (1 + delta) eta + delta (1 + (1 + delta)(1 + eta))
+    ~ (2/3 + 2/9) UNITARITY_TOL, as the Gram check gives
+    eta <= 2 UNITARITY_TOL / 3 + UNITARITY_TOL^2 / 9.  `w`, `v` and the
+    frame are made read-only, so one Spectrum can be cached and handed to
+    every caller; `v` is real when H (before the frame) is real symmetric.
     """
 
     dim: FockDim
     w: np.ndarray
     v: np.ndarray
+    frame: np.ndarray | None = None
 
     def __post_init__(self):
         d = self.dim.d
@@ -408,20 +417,55 @@ class Spectrum:
         v.setflags(write=False)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
+        if self.frame is not None:
+            object.__setattr__(self, "frame", _frame_phases(self.frame, d))
 
     def reweighted(self, w) -> "Spectrum":
-        """The Hermitian v diag(w) v^dag on this verified eigenbasis: `w` is
-        checked (shape, real, finite) and the read-only `v` is shared, with
-        no second V^dag V check, since that check does not depend on w.  The
-        one way to put new eigenvalues on a basis, for every function of a
-        decomposed generator."""
+        """The Hermitian v diag(w) v^dag on this verified eigenbasis, in this
+        spectrum's frame: `w` is checked (shape, real, finite) and the
+        read-only `v` is shared, with no second V^dag V check, since that
+        check does not depend on w.  The one way to put new eigenvalues on a
+        basis, for every function of a decomposed generator."""
         w = _eigenvalues(w, self.dim.d)
         w.setflags(write=False)
+        return self._sharing_v(w, self.frame)
+
+    def in_frame(self, phases) -> "Spectrum":
+        """F^dag H F for F = diag(`phases`), on this verified eigenbasis: the
+        phases are checked (shape, |phases_j|^2 within FRAME_TOL of 1) in
+        O(d), and `v` and `w` are shared, with no eigenvector copy and no
+        second V^dag V check.  The one way to rotate a decomposed generator
+        by a diagonal unitary; frames compose, F^dag (G^dag H G) F being H
+        in the frame G F."""
+        frame = _frame_phases(phases, self.dim.d)
+        if self.frame is not None:
+            frame = _frame_phases(self.frame * frame, self.dim.d)
+        return self._sharing_v(self.w, frame)
+
+    def _sharing_v(self, w: np.ndarray, frame) -> "Spectrum":
         out = object.__new__(Spectrum)
         object.__setattr__(out, "dim", self.dim)
         object.__setattr__(out, "w", w)
         object.__setattr__(out, "v", self.v)
+        object.__setattr__(out, "frame", frame)
         return out
+
+
+FRAME_TOL = UNITARITY_TOL / 9
+
+
+def _frame_phases(phases, d: int) -> np.ndarray:
+    """`phases` as a read-only complex array of d entries of modulus 1
+    (||f_j|^2 - 1| <= FRAME_TOL)."""
+    phases = np.array(phases, dtype=complex)
+    if phases.shape != (d,):
+        raise ContractViolationError(f"frame shape {phases.shape} does not match dim {d}")
+    defect = np.abs(phases.real ** 2 + phases.imag ** 2 - 1.0).max()
+    if not defect <= FRAME_TOL:
+        raise ContractViolationError(f"frame phases are not unimodular: max ||f|^2 - 1| = "
+                                     f"{defect:.3e}")
+    phases.setflags(write=False)
+    return phases
 
 
 def _eigenvalues(w, d: int) -> np.ndarray:
@@ -475,11 +519,13 @@ class SpectralUnitary:
     phases e^{-i tau w}.
 
     `u @ x` applies v (phases * (v^dag x)) to a vector or to a block of
-    columns, O(d^2) per column, with the unitarity `Spectrum` verified.
-    v^dag is formed inside the product (`_adjoint_product`) from a view of
-    v, so neither the propagator nor a cached spectrum holds it.  `.mat`
-    forms the dense matrix through that same product applied to the
-    identity and checks it again as an `Operator`.
+    columns, O(d^2) per column, with the unitarity `Spectrum` verified; in a
+    frame F it applies F first and F^dag last, e^{-i tau F^dag H F} =
+    F^dag e^{-i tau H} F, O(d) more per column.  v^dag is formed inside the
+    product (`_adjoint_product`) from a view of v, so neither the propagator
+    nor a cached spectrum holds it.  `.mat` forms the dense matrix through
+    that same product applied to the identity and checks it again as an
+    `Operator`.
     """
 
     spectrum: Spectrum
@@ -498,9 +544,12 @@ class SpectralUnitary:
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        phases = self.phases if x.ndim == 1 else self.phases[:, None]
-        v = self.spectrum.v
-        return _product(v, phases * _adjoint_product(v, x))
+        column = (slice(None),) + (None,) * (x.ndim - 1)
+        v, frame = self.spectrum.v, self.spectrum.frame
+        if frame is not None:
+            x = frame[column] * x
+        y = _product(v, self.phases[column] * _adjoint_product(v, x))
+        return y if frame is None else frame.conj()[column] * y
 
     @property
     def mat(self) -> np.ndarray:

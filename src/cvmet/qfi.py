@@ -214,31 +214,33 @@ def asymptotic_qfi(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     leading order in N is evaluated (only the second coupling is covered
     there).  The linear coherent-superposition value carries the corrected
     dependence on the *other* coupling, matching the exact generator route.
+    Each N-power term is the square of a product built up from theta N, so
+    no partial product passes the float range before F does.
     """
-    n, m = cfg.n_queries, cfg.m
+    n, m = float(cfg.n_queries), cfg.m
     strategy = encoding(cfg.strategy)
     if m == 1:
         var_x = _probe_variance(cfg.probe, "X")
         var_p = _probe_variance(cfg.probe, "P")
         if strategy == SWITCH:
             if which_param == THETA1:
-                value = cfg.theta2 ** 2 * n ** 4 + 4 * n ** 2 * var_x
+                value = (cfg.theta2 * n * n) ** 2 + 4 * var_x * n * n
             else:
-                value = cfg.theta1 ** 2 * n ** 4 + 4 * n ** 2 * var_p
+                value = (cfg.theta1 * n * n) ** 2 + 4 * var_p * n * n
         else:
             if which_param == THETA1:
-                value = 16 * n ** 4 * cfg.theta2 ** 2 + 16 * n ** 2 * var_x
+                value = (4 * cfg.theta2 * n * n) ** 2 + 16 * var_x * n * n
             else:
-                value = 16 * n ** 4 * cfg.theta1 ** 2 + 16 * n ** 2 * var_p
+                value = (4 * cfg.theta1 * n * n) ** 2 + 16 * var_p * n * n
         return QfiEstimate(value, "asymptotic")
     if which_param != THETA2:
         raise UnsupportedConfigurationError(
             "asymptotic forms for m > 1 cover the second coupling only")
+    root = (cfg.theta1 * n) ** m * n  # theta1^m N^(m+1)
     if strategy == SWITCH:
-        value = cfg.theta1 ** (2 * m) * float(n) ** (2 * (m + 1))
+        value = root ** 2
     else:
-        value = (2.0 ** (2 * (m + 2)) * cfg.theta1 ** (2 * m)
-                 * float(n) ** (2 * (m + 1)) / (m + 1) ** 2)
+        value = (2.0 ** (m + 2) * root / (m + 1)) ** 2
     return QfiEstimate(value, "asymptotic")
 
 

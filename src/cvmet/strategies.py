@@ -21,18 +21,22 @@ spectra, and the coherent superposition takes the Daleckii-Krein form of
 the derivative of e^{-i2N H_+} on the one spectrum of H_+, for both
 branches in one pass.
 
-Which generators are decomposed: X once per dimension and P^k once per
-(k, dimension), in one bounded cache of single quadrature spectra that the
-switch, the factorized builders (whose phase operators are diagonal in
-P = P^1) and `bch.verify_factorization` share.  Of the two
+Which generators are decomposed: X and P once per dimension, in one
+bounded cache of quadrature spectra that the switch, the factorized
+builders (whose phase operators are diagonal in P) and
+`bch.verify_factorization` share.  Every other quadrature-derived
+generator is put on one of those two verified bases without an eigh: P^k
+is P's spectrum reweighted to w^k, and a linear combination
+theta1 X + theta2 P is a phase-space rotation of X, X's spectrum
+reweighted in a diagonal phase frame (`Spectrum.in_frame`).  Of the two
 coherent-superposition branch generators only H_+ = theta1 X + theta2 P^m
 is decomposed: H_- = -Pi conj(H_+) Pi exactly, Pi the parity, so U_- is
-U_+ conjugated and flipped in parity.  At m = 1, H_+ is a phase-space
-rotation of X, so its spectrum is the cached X spectrum rotated, with no
-eigh.  At m >= 2, H_+ is decomposed once and kept in a small bounded cache
+U_+ conjugated and flipped in parity.  At m = 1, H_+ is that rotation of
+X.  At m >= 2, H_+ is decomposed once and kept in a small bounded cache
 keyed by (m, d, theta1, theta2), what enters the matrix: N only sets the
 evolution time 2N, so the rows of a sweep over N, the probe or the
-estimated parameter share the spectrum without asking for it.
+estimated parameter share the spectrum without asking for it.  So is the
+left-hand side X + P^m of the factorization check, once per (m, d).
 """
 
 from __future__ import annotations
@@ -215,15 +219,25 @@ def _banded(dim: FockDim, diagonals) -> Operator:
 
 @functools.lru_cache(maxsize=16)
 def _quadrature_spectrum(which: str, power: int, dim: FockDim) -> Spectrum:
-    """Spectrum of X (power 1), of P^power or of X + P^power ("X+P"),
-    written from the cached bands and decomposed once per key.
+    """Spectrum of X (power 1), of P^power or of X + P^power ("X+P"), once
+    per key, with one eigh per dimension for X and one for P: every other
+    entry is derived from those two verified bases where the algebra allows.
 
-    X is the same matrix in the band table of every power, so one entry
-    serves every m; the P^1 entry is bit for bit `build_quadrature(dim, "P")`,
-    the P in which the factorized phase operators are diagonal.  X + P^m is
-    the left-hand side of `bch.verify_factorization`, whose spectrum depends
-    on (m, d) only, so both variants at every lambda share it.
+    X and P are written from the cached bands and decomposed; the P entry is
+    bit for bit `build_quadrature(dim, "P")`, the P in which the factorized
+    phase operators are diagonal.  P^power for power >= 2 is P's spectrum
+    `reweighted` to w^power, exactly the band P^power, which is the dense
+    product of the truncated P.  X + P^power is the left-hand side of
+    `bch.verify_factorization`, whose spectrum depends on (power, d) only,
+    so both variants at every lambda share it: at power 1 it is sqrt(2)
+    times X rotated by pi/4 (`_rotated_x`), at power >= 2 it is written from
+    the bands and decomposed.
     """
+    if which == "P" and power >= 2:
+        p = _quadrature_spectrum("P", 1, dim)
+        return p.reweighted(p.w ** power)
+    if which == "X+P" and power == 1:
+        return _rotated_x(_quadrature_spectrum("X", 1, dim), complex(1.0, 1.0))
     bands = _generator_bands(power, dim)
     if which == "X":
         diagonals = ((k, x_k) for k, x_k, _ in bands)
@@ -235,6 +249,18 @@ def _quadrature_spectrum(which: str, power: int, dim: FockDim) -> Spectrum:
         raise ContractViolationError(f"quadrature spectrum must be of 'X', 'P' or 'X+P', "
                                      f"got {which!r}")
     return spectrum(_banded(dim, diagonals))
+
+
+def _rotated_x(x: Spectrum, z: complex) -> Spectrum:
+    """Spectrum of Re(z) X + Im(z) P, a phase-space rotation of X, from the
+    spectrum `x` of X.
+
+    With R = diag(e^{-i n arg z}), R^dag a R = e^{-i arg z} a, so
+    Re(z) X + Im(z) P = |z| R^dag X R, exactly on the truncated basis too,
+    since R is diagonal in n: `x` reweighted by |z| in the frame R, no eigh
+    and no second V^dag V check."""
+    rotation = np.exp(-1j * cmath.phase(z) * np.arange(x.dim.d))
+    return x.reweighted(abs(z) * x.w).in_frame(rotation)
 
 
 def _mode_spectra(m: int, dim: FockDim) -> tuple[Spectrum, Spectrum]:
@@ -347,11 +373,17 @@ def _exp_derivative(spec: Spectrum, gen, tau: float, phi: np.ndarray) -> np.ndar
     eigenvalues.  M is formed in blocks of _DERIVATIVE_ROWS rows,
     M_J = (B v_J)^dag v, so no d x d matrix besides v is held, and each
     block serves every column of phi; v^dag phi is `_adjoint_product`'s,
-    with no conjugate copy of v.
+    with no conjugate copy of v.  In a frame F, H = F^dag H_0 F and
+    e^{-i tau (H + s B)} = F^dag e^{-i tau (H_0 + s F B F^dag)} F: the band
+    F B F^dag is B with diagonal k times f_j conj(f_{j+k}), O(d m), and phi
+    enters as F phi and leaves through F^dag.
     """
-    v, w = spec.v, spec.w
+    v, w, frame = spec.v, spec.w, spec.frame
     half = np.exp(-0.5j * tau * w)[:, None]
     columns = phi.reshape(w.size, -1)
+    if frame is not None:
+        gen = _framed_bands(gen, frame)
+        columns = frame[:, None] * columns
     weighted = half * _adjoint_product(v, columns)
     y = np.empty(columns.shape, dtype=complex)
     for lo in range(0, w.size, _DERIVATIVE_ROWS):
@@ -360,7 +392,18 @@ def _exp_derivative(spec: Spectrum, gen, tau: float, phi: np.ndarray) -> np.ndar
         m_t = v.T @ bv if not np.iscomplexobj(bv) else _product(v.T, bv.conj())  # M_J^T
         gap = (w[:, None] - w[None, rows]) / (2 * math.pi)
         y[rows] = -1j * tau * half[rows] * ((np.sinc(tau * gap) * m_t).T @ weighted)
-    return _product(v, y).reshape(phi.shape)
+    out = _product(v, y)
+    if frame is not None:
+        out = frame.conj()[:, None] * out
+    return out.reshape(phi.shape)
+
+
+def _framed_bands(bands, frame: np.ndarray) -> list:
+    """The (k, diagonal k) bands of F B F^dag, F = diag(frame): entry (j, j+k)
+    of diagonal k times frame_j conj(frame_{j+k})."""
+    d = frame.size
+    return [(k, diag * frame[:d - k] * frame[k:].conj()) if k >= 0
+            else (k, diag * frame[-k:] * frame[:d + k].conj()) for k, diag in bands]
 
 
 @functools.lru_cache(maxsize=4)
@@ -377,18 +420,14 @@ def _cs_generator_spectrum(m: int, dim: FockDim, theta1: float, theta2: float) -
 def _branch_spectrum(cfg: StrategyConfig, dim: FockDim) -> Spectrum:
     """Spectrum of the + branch generator theta1 X + theta2 P^m.
 
-    At m = 1 it is a phase-space rotation of X: with r e^{i phi} =
-    theta1 + i theta2 and R = diag(e^{-i n phi}), theta1 X + theta2 P =
-    r R^dag X R, exactly on the truncated basis too, since R is diagonal in
-    n.  So the spectrum is r w_X on the eigenvectors R^dag v_X of the cached
-    X spectrum, with no eigh.  At m >= 2 it is the cached
-    `_cs_generator_spectrum`.
+    At m = 1 it is a phase-space rotation of X (`_rotated_x` at
+    z = theta1 + i theta2): the cached X spectrum of `_mode_spectra`
+    reweighted by |z| in the frame diag(e^{-i n arg z}), O(d) per build,
+    with no eigh, no eigenvector copy and no V^dag V check.  At m >= 2 it
+    is the cached `_cs_generator_spectrum`.
     """
     if cfg.m == 1:
-        x = _mode_spectra(1, dim)[0]
-        z = complex(cfg.theta1, cfg.theta2)
-        rotation = np.exp(1j * cmath.phase(z) * np.arange(dim.d))
-        return Spectrum(dim, abs(z) * x.w, rotation[:, None] * x.v)
+        return _rotated_x(_mode_spectra(1, dim)[0], complex(cfg.theta1, cfg.theta2))
     return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, cfg.theta2)
 
 

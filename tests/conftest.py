@@ -50,9 +50,10 @@ def _momentum_moments(probe, top: int) -> list:
             for k in range(top + 1)]
 
 
-def _exact_theta2_qfi(cfg):
+def _exact_theta2_qfi(cfg, shift=0):
     """F of theta2 from the probe's exact momentum moments, with theta1 taken
-    as Fraction(theta1): no node grid, no basis, no float.
+    as Fraction(theta1): no node grid, no basis, no float.  `shift` is added
+    to both Phi_b, a global phase e^{-i theta2 shift}.
 
     Branch b is the probe times the phase e^{-i theta2 Phi_b(P)}, Phi_b free
     of theta2:
@@ -73,6 +74,7 @@ def _exact_theta2_qfi(cfg):
         phi = [math.comb(m, j) * (-t1) ** (m - j) * Fraction(span ** (m - j + 1), m - j + 1)
                for j in range(m + 1)]
         phis = [phi, [-c for c in phi]]
+    phis = [[phi[0] + Fraction(shift)] + phi[1:] for phi in phis]
     with localcontext(prec=80):
         moments = _momentum_moments(cfg.probe, 2 * m)
         if isinstance(moments[0], Decimal):

@@ -6,16 +6,20 @@ import pytest
 
 from cvmet import strategies
 from cvmet.bch import (
+    FACTORIZATION_GUARD,
+    FACTORIZATION_MASS_TOL,
     ExactComplex,
     ExpansionTable,
+    FactorizationCheck,
     PPoly,
+    _factor_weights,
     exp_antihermitian,
     nested_commutator_oracle,
     phase_derivative_generator,
     verify_factorization,
     zassenhaus_term,
 )
-from cvmet.cvspace import FockDim, build_quadrature, operator_power
+from cvmet.cvspace import FockDim, build_quadrature, operator_power, propagator
 from cvmet.errors import ContractViolationError, EnvelopeError
 
 
@@ -128,6 +132,17 @@ class TestPhaseDerivativeGenerator:
                 want = float(table[power].re) if power in table else 0.0
                 assert abs(c - want) <= 1e-15 * scale, (power, c, want)
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("variant", ["cs_branch", "switch_branch"])
+    @pytest.mark.parametrize("theta1,n", [(1e-50, 10 ** 60), (1e-78, 10 ** 80)])
+    def test_huge_query_counts_keep_every_coefficient_finite(self, theta1, n, variant, m):
+        # span^n passes the float range although span^n theta1^(n-1) does not
+        exact = dict(exact_derivative_generator(m, theta1, n, variant).coeffs)
+        g = phase_derivative_generator(m, theta1, n, variant)
+        for power, c in enumerate(g):
+            want = float(exact[power].re) if power in exact else 0.0
+            assert c == pytest.approx(want, rel=1e-12, abs=0.0), (power, c, want)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ContractViolationError):
             phase_derivative_generator(2, 0.1, 3, "both")
@@ -146,7 +161,60 @@ class TestPolyAlgebra:
         assert np.abs(poly.to_matrix(p_mat) - manual).max() < 1e-13
 
 
+def chain_factorization(m, lambda_im, d, variant):
+    """`verify_factorization` with every factor applied as its own
+    propagator and every partial product formed in full, d x d: the chain
+    that the cumulative phase runs replace, on the same spectra."""
+    dim = FockDim(d)
+    top = max(d - FACTORIZATION_GUARD, 0)
+    tau = -float(lambda_im)
+    lhs = propagator(strategies._quadrature_spectrum("X+P", m, dim), tau).mat
+    x, pm = strategies._mode_spectra(m, dim)
+    factors = [propagator(x, tau), propagator(pm, tau)]
+    if variant == "BA":
+        factors.reverse()
+    p = strategies._quadrature_spectrum("P", 1, dim)
+    for n, power, r in _factor_weights(m, variant):
+        factors.append(propagator(p.reweighted(r * p.w ** power), float(lambda_im) ** n))
+    part, partials = np.eye(d, dtype=complex), []
+    for f in reversed(factors):
+        part = f @ part
+        partials.append(part)
+    ok, worst = np.ones(d, dtype=bool), 0.0
+    for matrix in partials + [lhs]:
+        masses = (np.abs(matrix[top:, :]) ** 2).sum(axis=0)
+        ok &= masses < FACTORIZATION_MASS_TOL
+        worst = max(worst, float(masses.min()))
+    if not ok.any():
+        raise EnvelopeError(f"best boundary mass {worst:.3e}")
+    return FactorizationCheck(float(np.abs(lhs[:, ok] - part[:, ok]).max()), int(ok.sum()))
+
+
+# (m, d) at which the dense P^m of the generator bands passes its Hermiticity
+# check: every d below at m <= 3, d <= 64 at m = 4, d <= 32 at m = 5
+CHAIN_CASES = [(m, d) for m in range(1, 6) for d in (16, 32, 64, 128)
+               if d <= {4: 64, 5: 32}.get(m, 128)]
+
+
 class TestFactorization:
+    @pytest.mark.parametrize("lambda_im", [0.0, 0.02, 0.1, -0.3])
+    @pytest.mark.parametrize("variant", ["AB", "BA"])
+    @pytest.mark.parametrize("m,d", CHAIN_CASES)
+    def test_phase_runs_match_the_factor_by_factor_chain(self, m, d, variant, lambda_im):
+        # the same columns are kept, the residuals agree to round-off, and
+        # every envelope violation of the chain is one of the runs
+        try:
+            want = chain_factorization(m, lambda_im, d, variant)
+        except EnvelopeError:
+            with pytest.raises(EnvelopeError):
+                verify_factorization(m, lambda_im, FockDim(d), variant)
+            return
+        got = verify_factorization(m, lambda_im, FockDim(d), variant)
+        assert got.columns_checked == want.columns_checked
+        assert abs(got.residual - want.residual) <= 1e-13
+        if lambda_im == 0.0:
+            assert got.residual == want.residual == 0.0
+
     def test_linear_case_is_central(self):
         assert verify_factorization(1, 0.3, FockDim(64), "AB").residual < 1e-8
 
@@ -154,8 +222,9 @@ class TestFactorization:
         assert verify_factorization(2, 0.2, FockDim(128), "AB").residual < 1e-7
 
     def test_cold_left_hand_side_is_decomposed_once_for_both_variants(self, monkeypatch):
-        # X, P^m and the C_n phases come from the cached spectra of X, P^m and
-        # P; the left-hand side X + P^m runs its own eigh, once per (m, d)
+        # X comes from the cached spectrum of X, P^m and the C_n phases from
+        # that of P; the left-hand side X + P^m runs its own eigh, once per
+        # (m, d)
         dim = FockDim(128)
         strategies._quadrature_spectrum.cache_clear()
         strategies._mode_spectra(2, dim)
@@ -168,6 +237,21 @@ class TestFactorization:
         lhs = build_quadrature(dim, "X").mat + operator_power(build_quadrature(dim, "P"), 2).mat
         assert len(calls) == 1
         assert np.array_equal(calls[0], lhs)
+
+    def test_linear_left_hand_side_is_the_rotated_x_spectrum(self, monkeypatch, cold_spectra):
+        # X + P = sqrt(2) R^dag X R, R = diag(e^{-i n pi/4}): at m = 1 both
+        # variants decompose X and P only
+        dim = FockDim(128)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        assert verify_factorization(1, 0.3, dim, "AB").residual < 1e-13
+        assert verify_factorization(1, 0.3, dim, "BA").residual < 1e-13
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], build_quadrature(dim, "X").mat.real)
+        assert np.array_equal(calls[1], build_quadrature(dim, "P").mat)
+        lhs = strategies._quadrature_spectrum("X+P", 1, dim)
+        assert lhs.v is strategies._quadrature_spectrum("X", 1, dim).v
 
     def test_second_variant_decomposes_nothing(self, monkeypatch):
         # the left-hand side's spectrum depends on (m, d), not on the variant

@@ -464,13 +464,18 @@ class TestNodeRoute:
         ["qfi", "--set", "n_queries=1e80", "--set", "theta1=1e-78"],
     ], ids=["m5", "m1"])
     def test_huge_n_row_is_exact_where_f_fits(self, argv, tmp_path, exact_theta2_qfi):
-        # F fits a float, but a cross-check column passes the float range on
-        # the way (N^(m+1) or N^4): that column reads nan
+        # F fits a float, and so do both cross-check columns, although N^(m+1)
+        # or N^4 alone would pass the float range on the way
         record = qfi_record(argv, tmp_path)
-        exact = float(exact_theta2_qfi(row_config(argv)))
+        cfg = row_config(argv)
+        exact = float(exact_theta2_qfi(cfg))
+        theta1, n = Fraction(cfg.theta1), cfg.n_queries
+        asymptote = (theta1 ** 2 * n ** 4 + 2 * n ** 2 if cfg.m == 1
+                     else theta1 ** (2 * cfg.m) * n ** (2 * (cfg.m + 1)))  # switch, vacuum
         assert (record["method"], record["converged"]) == ("exact_nodes", "true")
         assert float(record["F"]) == pytest.approx(exact, rel=1e-12)
-        assert "nan" in (record["F_gen"], record["F_asym"])
+        assert float(record["F_gen"]) == pytest.approx(exact, rel=1e-12)
+        assert float(record["F_asym"]) == pytest.approx(float(asymptote), rel=1e-12)
 
     def test_huge_theta2_row_prints_its_f(self, tmp_path, exact_theta2_qfi):
         # theta2 Phi_b passes the float range, but F does not depend on theta2

@@ -252,6 +252,46 @@ class TestSpectrum:
         with pytest.raises(ContractViolationError):
             source.reweighted(w)
 
+    @pytest.mark.parametrize("k", ["X", 2, 3])
+    def test_spectrum_in_a_frame_is_the_conjugated_generator(self, k):
+        # F^dag H F for a diagonal unitary F: v and w are the source's
+        # objects, and its propagator is F^dag e^{-i tau H} F, unitary
+        d = 40
+        h = _generator(d, (1.0, k))
+        source = spectrum(h)
+        rng = np.random.default_rng(4)
+        frame = np.exp(1j * rng.uniform(-np.pi, np.pi, d))
+        framed = source.in_frame(frame)
+        assert framed.v is source.v and framed.w is source.w
+        assert not framed.frame.flags.writeable
+        conjugated = Operator(d, frame.conj()[:, None] * h.mat * frame, hermitian=True)
+        block = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+        for tau in (0.7, -3.1):
+            reference = propagator(conjugated, tau)
+            assert np.abs(propagator(framed, tau) @ block - reference @ block).max() <= 1e-12
+            assert np.abs(propagator(framed, tau).mat - reference.mat).max() <= 1e-12
+
+    def test_frames_compose_and_keep_through_reweighting(self):
+        source = spectrum(build_quadrature(24, "X"))
+        first, second = np.exp(0.3j * np.arange(24)), np.exp(-1.1j * np.arange(24) ** 2)
+        twice = source.in_frame(first).in_frame(second)
+        assert np.abs(twice.frame - first * second).max() <= 1e-15
+        reweighted = twice.reweighted(2.0 * source.w)
+        assert reweighted.frame is twice.frame and reweighted.v is source.v
+
+    def test_in_frame_skips_the_orthonormality_check(self, monkeypatch):
+        source = spectrum(build_quadrature(16, "P"))
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: pytest.fail("V^dag V checked"))
+        source.in_frame(np.exp(0.5j * np.arange(16)))
+
+    @pytest.mark.parametrize("phases", [np.full(8, 1.0 + 1e-9), np.zeros(8), np.full(8, np.nan),
+                                        np.ones(7), np.ones((8, 1))],
+                             ids=["not unimodular", "zero", "nan", "short", "column"])
+    def test_in_frame_rejects_bad_phases(self, phases):
+        source = spectrum(build_quadrature(8, "X"))
+        with pytest.raises(ContractViolationError):
+            source.in_frame(phases)
+
     def test_spectrum_is_read_only(self):
         spec = spectrum(build_quadrature(8, "X"))
         assert not spec.w.flags.writeable and not spec.v.flags.writeable
@@ -297,12 +337,12 @@ class TestSpectrum:
                                          (((1.0, 1),), 128)],
                              ids=["real V", "complex V", "complex V d128"])
     def test_propagator_applies_v_dagger_in_the_product_and_keeps_no_copy(self, terms, d):
-        # v^dag is formed inside `@`, so a cached spectrum keeps only w and v;
-        # the product is bitwise the one of a conjugate copy of v, also at
-        # the oracles' d = 128
+        # v^dag is formed inside `@`, so a cached spectrum keeps only w, v
+        # and its O(d) frame; the product is bitwise the one of a conjugate
+        # copy of v, also at the oracles' d = 128
         spec = spectrum(_generator(d, *terms))
         u = propagator(spec, 0.7)
-        assert [f.name for f in dataclasses.fields(Spectrum)] == ["dim", "w", "v"]
+        assert [f.name for f in dataclasses.fields(Spectrum)] == ["dim", "w", "v", "frame"]
         rng = np.random.default_rng(5)
         for x in (rng.normal(size=d) + 1j * rng.normal(size=d),
                   rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))):

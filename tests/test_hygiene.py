@@ -641,23 +641,27 @@ def test_only_the_plus_branch_generator_is_decomposed():
 
 def borrowed_basis_spectra(source: str) -> list:
     """(function, line) of every `Spectrum(...)` call whose basis, the third
-    argument or `v=`, is another spectrum's `.v` unchanged: read inline or
-    through a local name bound to it."""
+    argument or `v=`, is an expression of another spectrum's `.v`: that `.v`
+    itself or any product, rotation or slice of it, read inline or through a
+    local name bound to such an expression."""
     found = []
+
+    def reads_a_basis(expr, bound) -> bool:
+        return any(isinstance(part, ast.Attribute) and part.attr == "v"
+                   or isinstance(part, ast.Name) and part.id in bound
+                   for part in ast.walk(expr))
 
     def visit(node, function, bound):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
                 visit(child, child.name, set())
                 continue
-            if (isinstance(child, ast.Assign) and isinstance(child.value, ast.Attribute)
-                    and child.value.attr == "v"):
+            if isinstance(child, ast.Assign) and reads_a_basis(child.value, bound):
                 bound.update(t.id for t in child.targets if isinstance(t, ast.Name))
             if (isinstance(child, ast.Call)
                     and getattr(child.func, "id", getattr(child.func, "attr", None)) == "Spectrum"):
                 basis = child.args[2:3] + [k.value for k in child.keywords if k.arg == "v"]
-                if basis and (isinstance(basis[0], ast.Attribute) and basis[0].attr == "v"
-                              or isinstance(basis[0], ast.Name) and basis[0].id in bound):
+                if basis and reads_a_basis(basis[0], bound):
                     found.append((function, child.lineno))
             visit(child, function, bound)
 
@@ -666,7 +670,8 @@ def borrowed_basis_spectra(source: str) -> list:
 
 
 # _phase_spectrum and the C_n factors of verify_factorization as they
-# re-checked P's verified basis, beside spectra on bases of their own
+# re-checked P's verified basis, and the m = 1 branch spectrum as it copied
+# and re-checked X's rotated basis, beside spectra on bases of their own
 BORROWED_BASES = '''
 def _phase_spectrum(cfg, dim, variant):
     p = _quadrature_spectrum("P", 1, dim)
@@ -680,21 +685,31 @@ def _bound(dim, p):
     basis = p.v
     return Spectrum(dim, p.w, basis)
 
-def _own_bases(dim, x, w, v):
-    rotated = Spectrum(dim, x.w, rotation[:, None] * x.v)
+def _branch_spectrum(cfg, dim):
+    rotation = np.exp(1j * cmath.phase(z) * np.arange(dim.d))
+    return Spectrum(dim, abs(z) * x.w, rotation[:, None] * x.v)
+
+def _rotated(dim, x, rotation):
+    basis = rotation[:, None] * x.v
+    return Spectrum(dim, x.w, v=basis.copy())
+
+def _own_bases(dim, x, w, v, rotation):
+    framed = x.reweighted(abs(z) * x.w).in_frame(rotation)
     return Spectrum(dim, w, v), Spectrum(dim, np.zeros(dim.d), np.eye(dim.d)), x.reweighted(w)
 '''
 
 
 def test_checker_flags_a_spectrum_on_a_borrowed_basis():
     assert borrowed_basis_spectra(BORROWED_BASES) == [
-        ("_phase_spectrum", 4), ("verify_factorization", 8), ("_bound", 12)]
+        ("_phase_spectrum", 4), ("verify_factorization", 8), ("_bound", 12),
+        ("_branch_spectrum", 16), ("_rotated", 20)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_derived_spectra_reuse_the_verified_basis(path):
     """V^dag V is checked once per eigenbasis: new eigenvalues on a basis
-    that a Spectrum already verified go through `Spectrum.reweighted`, which
-    shares its `v`; a basis of its own (a rotation, the identity, a new
-    eigh) is checked at construction."""
+    that a Spectrum already verified go through `Spectrum.reweighted`, and
+    a diagonal rotation of it (a phase-space rotation of X) through
+    `Spectrum.in_frame`, both sharing its `v` with no copy; only a basis of
+    its own (the identity, a new eigh) is checked at construction."""
     assert borrowed_basis_spectra(path.read_text(encoding="utf-8")) == []

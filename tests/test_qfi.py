@@ -176,13 +176,17 @@ class TestExactFock:
 
     def test_switch_row_decomposes_nothing_beyond_the_mode_spectra(self, monkeypatch,
                                                                    cold_spectra):
+        # X and P once per d: P^m is P's spectrum reweighted, no eigh of its own
         calls = []
         monkeypatch.setattr(strategies, "spectrum",
-                            lambda gen: calls.append(gen.d) or cvspace.spectrum(gen))
+                            lambda gen: calls.append(gen.mat) or cvspace.spectrum(gen))
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=2, strategy=SWITCH)
         est = qfi_converged(cfg, THETA1)
         dims = [d for d, _ in est.diagnostics["dim_history"]]
-        assert calls == [d for d in dims for _ in range(2)]  # X and P^m, once per d
+        assert len(calls) == 2 * len(dims)
+        for d, x, p in zip(dims, calls[::2], calls[1::2]):
+            assert np.array_equal(x, build_quadrature(d, "X").mat)
+            assert np.array_equal(p, build_quadrature(d, "P").mat)
         calls.clear()
         assert qfi_converged(cfg, THETA2).converged
         assert calls == []
@@ -547,6 +551,102 @@ class TestNodeRoute:
         assert builds == []
 
 
+INVARIANCE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.fock(1), ProbeSpec.fock(5),
+                     ProbeSpec.fock(8), ProbeSpec.coherent(-1.1 + 0.7j)]
+
+
+def invariance_grid(seed: int, rows: int, strategies_=(SWITCH, COHERENT_SUPERPOSITION),
+                    m_top: int = 5, n_top: int = 400, theta_top: float = 2.0):
+    """Seeded rows whose probes all admit the rational theta2 oracle; the
+    Fock route takes the rows with small m, N and thetas."""
+    rng = np.random.default_rng(seed)
+    return [StrategyConfig(theta1=float(rng.uniform(0.05, theta_top)),
+                           theta2=float(rng.uniform(0.01, min(theta_top, 1.0))),
+                           n_queries=int(rng.integers(1, n_top + 1)),
+                           m=int(rng.integers(1, m_top + 1)),
+                           strategy=strategies_[rng.integers(len(strategies_))],
+                           probe=INVARIANCE_PROBES[rng.integers(len(INVARIANCE_PROBES))])
+            for _ in range(rows)]
+
+
+class TestInvariances:
+    """ROADMAP item 8's invariances, each checked on the rational oracle
+    first, then on the momentum-node route over a seeded grid, and on the
+    Fock route where a basis holds the row."""
+
+    def test_theta2_information_does_not_depend_on_theta2(self, exact_theta2_qfi):
+        """Branch b is the probe times e^{-i theta2 Phi_b(P)}, Phi_b free of
+        theta2 (`node_phases`), so d psi_b / d theta2 = -i Phi_b psi_b and
+        |psi_b|^2 is the probe's density at every theta2: F = 4 Var Phi over
+        the even mixture of the branches does not depend on theta2.  The
+        rational oracle reads theta1, N, m and the probe's moments only; the
+        node route agrees with it at theta2, 0, -theta2 and 1e6 theta2.  On
+        the Fock route the same statement tests truncation: a converged row
+        whose F moves with theta2 has not converged."""
+        for cfg in invariance_grid(8, 40):
+            exact = float(exact_theta2_qfi(cfg))
+            for theta2 in (cfg.theta2, 0.0, -cfg.theta2, 1e6 * cfg.theta2):
+                value = qfi_module.qfi_nodes(replace(cfg, theta2=theta2), THETA2).value
+                assert value == pytest.approx(exact, rel=1e-12), (cfg, theta2)
+        for cfg in invariance_grid(9, 6, m_top=2, n_top=6, theta_top=0.1):
+            exact = float(exact_theta2_qfi(cfg))
+            for theta2 in (cfg.theta2, -2 * cfg.theta2):
+                est = qfi_converged(replace(cfg, theta2=theta2), THETA2)
+                assert est.method == "exact_fock" and est.converged, cfg
+                assert est.value == pytest.approx(exact, rel=1e-10), (cfg, theta2)
+
+    def test_theta2_sign_leaves_the_coherent_superposition_unchanged(self, exact_theta2_qfi):
+        """theta2 -> -theta2 turns H+- = theta1 X +- theta2 P^m into H-+, so
+        the state (|0> U+^{2N} phi + |1> U-^{2N} phi)/sqrt(2) becomes
+        (sigma_x (x) I) psi(theta2): a unitary on the control alone, free of
+        both parameters.  Then d psi / d theta1 at -theta2 is sigma_x times
+        that at theta2, and d psi / d theta2 at -theta2 is -sigma_x times
+        it; F, quadratic in the derivative and unitarily invariant, is
+        unchanged for both parameters.  The node route meets the rational
+        theta2 value at both signs; on the Fock route the two states are
+        each other's branch swap and F_theta1, F_theta2 agree."""
+        cs = (COHERENT_SUPERPOSITION,)
+        for cfg in invariance_grid(10, 30, strategies_=cs):
+            exact = float(exact_theta2_qfi(cfg))
+            for theta2 in (cfg.theta2, -cfg.theta2):
+                value = qfi_module.qfi_nodes(replace(cfg, theta2=theta2), THETA2).value
+                assert value == pytest.approx(exact, rel=1e-12), (cfg, theta2)
+        for cfg in invariance_grid(11, 6, strategies_=cs, m_top=2, n_top=6, theta_top=0.1):
+            flipped = replace(cfg, theta2=-cfg.theta2)
+            state, mirror = cs_output(cfg, 128), cs_output(flipped, 128)
+            assert np.abs(state.branch(0) - mirror.branch(1)).max() <= 1e-12, cfg
+            assert np.abs(state.branch(1) - mirror.branch(0)).max() <= 1e-12, cfg
+            for which in (THETA1, THETA2):
+                est, flip = qfi_converged(cfg, which), qfi_converged(flipped, which)
+                assert est.converged and flip.converged, (cfg, which)
+                assert flip.value == pytest.approx(est.value, rel=1e-10), (cfg, which)
+            assert est.value == pytest.approx(float(exact_theta2_qfi(cfg)), rel=1e-10), cfg
+
+    def test_a_global_phase_leaves_the_information_unchanged(self, monkeypatch,
+                                                             exact_theta2_qfi):
+        """A phase e^{i gamma(theta)} on the whole state adds i gamma' psi to
+        d psi; with <psi|d psi> = i a (the norm is constant),
+        <d psi|d psi> gains 2 a gamma' + gamma'^2 and |<psi|d psi>|^2 =
+        (a + gamma')^2 gains the same, so F = 4 (<d psi|d psi> -
+        |<psi|d psi>|^2) is unchanged.  On the nodes a constant c added to
+        both Phi_b is the phase e^{-i theta2 c}: the rational oracle is
+        unchanged exactly, and so is the node route's F up to the rounding
+        of Phi_b + c, with c ten times the largest |Phi_b| on the grid."""
+        rng = np.random.default_rng(12)
+        phases_of = strategies.node_phases
+        for cfg in invariance_grid(12, 30):
+            q, _, _ = cvspace.probe_amplitudes(cfg.probe, cfg.m + 1, 0.0)
+            shift = float(rng.choice([-10.0, 10.0])) * max(
+                np.abs(phase).max() for phase in phases_of(cfg, q))
+            exact = exact_theta2_qfi(cfg)  # a Fraction, or 80-digit Decimals for a coherent probe
+            moved = float(abs(exact_theta2_qfi(cfg, shift) - exact) / exact)
+            assert moved <= (0.0 if isinstance(exact, Fraction) else 1e-60), cfg
+            monkeypatch.setattr(qfi_module, "node_phases",
+                                lambda c, q: tuple(p + shift for p in phases_of(c, q)))
+            value = qfi_module.qfi_nodes(cfg, THETA2).value
+            assert value == pytest.approx(float(exact), rel=1e-12), (cfg, shift)
+
+
 class TestAsymptotics:
     def test_switch_linear_example(self):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1, strategy=SWITCH)
@@ -567,6 +667,22 @@ class TestAsymptotics:
         exact = qfi_generator(cfg, THETA2).value
         asym = asymptotic_qfi(cfg, THETA2).value
         assert exact / asym == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
+    @pytest.mark.parametrize("m,which", [(1, THETA1), (1, THETA2), (2, THETA2), (5, THETA2)])
+    @pytest.mark.parametrize("theta,n", [(1e-50, 10 ** 60), (1e-78, 10 ** 80), (0.1, 4)])
+    def test_asymptote_matches_exact_fractions(self, theta, n, m, which, strategy):
+        # N^(2(m+1)) or N^4 passes the float range on the way, F does not
+        cfg = StrategyConfig(theta1=theta, theta2=theta, n_queries=n, m=m, strategy=strategy)
+        t, var = Fraction(theta), Fraction(1, 2)  # vacuum: Var X = Var P = 1/2
+        if m == 1:
+            lead, low = (t ** 2 * n ** 4, 4 * n ** 2 * var)
+            exact = lead + low if strategy == SWITCH else 16 * (lead + low / 4)
+        elif strategy == SWITCH:
+            exact = t ** (2 * m) * n ** (2 * (m + 1))
+        else:
+            exact = Fraction(2 ** (2 * (m + 2)), (m + 1) ** 2) * t ** (2 * m) * n ** (2 * (m + 1))
+        assert asymptotic_qfi(cfg, which).value == pytest.approx(float(exact), rel=1e-12)
 
     def test_nonlinear_theta1_asymptote_unsupported(self):
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=2, strategy=SWITCH)
