@@ -42,6 +42,7 @@ from .cvspace import (
     _product,
     as_dim,
     propagator,
+    spectrum,
 )
 from .errors import ContractViolationError, EnvelopeError
 
@@ -277,8 +278,7 @@ def exp_antihermitian(mat: np.ndarray, dim: FockDim) -> SpectralUnitary:
         raise ContractViolationError("factorization exponent is not anti-Hermitian")
     if not mat.any():
         return SpectralUnitary.identity(dim)
-    herm = Operator(dim, 1j * mat, hermitian=True)
-    return propagator(herm, 1.0)
+    return propagator(spectrum(Operator(dim, 1j * mat, hermitian=True)), 1.0)
 
 
 def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
@@ -291,20 +291,20 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     explodes on a truncated basis; the identity is a formal power-series
     statement, so imaginary lambda tests the same coefficients).
 
-    The left-hand side e^{lambda(X + P^m)}, the oracle, is the "X+P" entry
-    of the quadrature spectrum cache (`strategies._quadrature_spectrum`),
-    one per (m, d) and shared by both variants at every lambda: an eigh of
-    its own at m >= 2, sqrt(2) times X rotated by pi/4 at m = 1.  Its dense
-    matrix is checked unitary as an `Operator`.  The X factor is a
-    propagator on the cached X spectrum.  Every other factor is diagonal in
-    the cached spectrum of P: e^{lambda P^m} on P's basis reweighted to
-    w^m, and each e^{lambda^n C_n} = e^{-i lambda_im^n h_n(P)},
-    h_n = i^{n+1} C_n, checked real once per table in exact arithmetic.  A
-    run of consecutive such factors is one cumulative phase vector Phi on
-    that basis: the partial products are v diag(Phi_k) v^dag times what
-    stands to their right, and only the top FACTORIZATION_GUARD rows of
-    each are formed, for its boundary mass; the run's last is formed in
-    full, one d^3 product in place of two per factor.
+    Every factor is a propagator on `strategies.generator_spectrum`, the
+    one rule for a X + b P^m.  The left-hand side e^{lambda(X + P^m)}, the
+    oracle, is its (1, 1) entry, one per (m, d) and shared by both variants
+    at every lambda: an eigh of its own at m >= 2, sqrt(2) times X rotated
+    by pi/4 at m = 1.  Its dense matrix is checked unitary as an
+    `Operator`.  The X factor is X's spectrum, and every other factor is
+    diagonal in P's: e^{lambda P^m} is the (0, 1) entry, and each
+    e^{lambda^n C_n} = e^{-i lambda_im^n h_n(P)}, h_n = i^{n+1} C_n = r P^k
+    checked real once per table in exact arithmetic, is the (0, r) entry at
+    power k.  A run of consecutive such factors is one cumulative phase
+    vector Phi on P's basis: the partial products are v diag(Phi_k) v^dag
+    times what stands to their right, and only the top FACTORIZATION_GUARD
+    rows of each are formed, for its boundary mass; the run's last is
+    formed in full, one d^3 product in place of two per factor.
 
     The truncated basis cannot represent columns whose image reaches the
     boundary, so the residual is taken over the columns for which every
@@ -314,7 +314,7 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     is violated and the EnvelopeError message carries the smallest
     offending mass.
     """
-    from . import strategies  # strategies imports bch
+    from .strategies import generator_spectrum  # strategies imports bch
 
     weights = _factor_weights(m, variant)  # checks the variant before any eigh
     dim = as_dim(dim)
@@ -322,15 +322,13 @@ def verify_factorization(m: int, lambda_im: float, dim: FockDim | int,
     top = max(d - FACTORIZATION_GUARD, 0)  # first level of the guarded boundary band
     tau = -float(lambda_im)  # e^{lambda H} = e^{-i tau H}
 
-    summed = strategies._quadrature_spectrum("X+P", m, dim)
-    lhs = propagator(summed, tau).mat  # e^{lam (X + P^m)}
-
-    x, pm = strategies._mode_spectra(m, dim)
-    x_u, pm_u = propagator(x, tau), propagator(pm, tau)
+    lhs = propagator(generator_spectrum(m, dim, 1.0, 1.0), tau).mat  # e^{lam (X + P^m)}
+    x_u = propagator(generator_spectrum(m, dim, 1.0, 0.0), tau)
+    pm_u = propagator(generator_spectrum(m, dim, 0.0, 1.0), tau)
     factors = [x_u, pm_u] if variant == "AB" else [pm_u, x_u]
-    p = strategies._quadrature_spectrum("P", 1, dim)
     for n, power, r in weights:
-        factors.append(propagator(p.reweighted(r * p.w ** power), float(lambda_im) ** n))
+        factors.append(propagator(generator_spectrum(power, dim, 0.0, r), float(lambda_im) ** n))
+    p = generator_spectrum(1, dim, 0.0, 1.0)  # P: the basis of every factor diagonal in it
 
     guard = []  # rows from `top` on of every partial product, then of the left-hand side
     part = None  # the identity

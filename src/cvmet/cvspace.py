@@ -557,20 +557,18 @@ class SpectralUnitary:
         return Operator(dim, self @ np.eye(dim.d), unitary=True).mat
 
 
-def propagator(generator: Operator | Spectrum, tau: float) -> SpectralUnitary:
-    """Unitary e^{-i tau H} through the eigendecomposition of Hermitian H.
+def propagator(spec: Spectrum, tau: float) -> SpectralUnitary:
+    """Unitary e^{-i tau H} on the verified spectrum of Hermitian H, the
+    exact identity at tau = 0.
 
     Eigendecomposition rather than a series: every generator in scope is
     Hermitian, and V f(w) V^dag is unitary by construction and independent of
     eigenvector phase conventions, keeping builder outputs smooth in tau.
-    Pass a `Spectrum` to reuse one decomposition across many tau; the result
-    is bitwise the same as passing its generator.
+    The spectrum comes from `spectrum`, or from `Spectrum.reweighted` or
+    `Spectrum.in_frame` on one, and serves every tau.
     """
-    if isinstance(generator, Operator) and not generator.hermitian:
-        raise ContractViolationError("evolution generator must carry a verified hermitian flag")
     if tau == 0:
-        return SpectralUnitary.identity(generator.dim)
-    spec = generator if isinstance(generator, Spectrum) else spectrum(generator)
+        return SpectralUnitary.identity(spec.dim)
     return SpectralUnitary(spec, tau)
 
 

