@@ -34,7 +34,7 @@ from .applications import (
     fit_scaling,
     homodyne_g_variance,
 )
-from .bch import VARIANTS, verify_factorization, zassenhaus_term
+from .bch import FACTORIZATION_GUARD, VARIANTS, verify_factorization, zassenhaus_term
 from .cvspace import FockDim, ProbeSpec
 from .errors import (
     ContractViolationError,
@@ -309,7 +309,8 @@ def cmd_bch_table(config: dict) -> CommandOutput:
 
 def cmd_factorization_check(config: dict) -> CommandOutput:
     with _config_values():
-        cases = [(_integer(m), _real(lam), FockDim(_integer(dim, low=2)),
+        # at d <= FACTORIZATION_GUARD every level is in the guarded band
+        cases = [(_integer(m), _real(lam), FockDim(_integer(dim, low=FACTORIZATION_GUARD + 1)),
                   _one_of(variant, VARIANTS))
                  for m, lam, dim, variant in _list(config["factorization"]["cases"])]
     rows = []

@@ -40,6 +40,7 @@ HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-10
 LEAKAGE_TOL = 1e-10
+ROW_BLOCK = 64  # rows per block of a d x d pass: the Hermiticity check, the Daleckii-Krein M
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,10 @@ class Operator:
     """Dense complex operator on the truncated mode, with verified flags.
 
     `hermitian` / `unitary` are claims checked at construction time; code
-    downstream relies on the flags, never on re-inspection.
+    downstream relies on the flags, never on re-inspection.  The hermitian
+    flag holds when max |A - A^dag| <= HERMITICITY_TOL, a max taken over the
+    upper triangle in blocks of ROW_BLOCK rows (`_hermiticity_defect`), which
+    is the max over every entry, with no d x d temporary; a NaN entry fails.
     """
 
     dim: FockDim
@@ -83,7 +87,7 @@ class Operator:
         if mat.shape != (d, d):
             raise ContractViolationError(f"operator shape {mat.shape} does not match dim {d}")
         # `not defect <= TOL` rather than `defect > TOL`: a NaN defect fails
-        if self.hermitian and not np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL:
+        if self.hermitian and not _hermiticity_defect(mat) <= HERMITICITY_TOL:
             raise ContractViolationError("hermitian flag claimed but max |A - A^dag| exceeds 1e-12")
         if self.unitary:
             defect = np.abs(mat.conj().T @ mat - np.eye(d)).max()
@@ -94,6 +98,24 @@ class Operator:
     @property
     def d(self) -> int:
         return self.dim.d
+
+
+def _hermiticity_defect(mat: np.ndarray) -> float:
+    """max |A - A^dag| over every entry of the square `mat`, from the upper
+    triangle in blocks of ROW_BLOCK rows.
+
+    D = A - A^dag has |D_ji| = |D_ij| exactly: Re D_ji and Re D_ij are one
+    float difference with its operands swapped, hence negatives, and
+    Im D_ji and Im D_ij one float sum, so the triangle (j >= i) holds the max.
+    Each block is rows lo:lo+ROW_BLOCK against columns lo:, so no d x d
+    temporary is made.  NaN propagates through `np.maximum`, as through the
+    full `np.max`."""
+    defect = 0.0
+    for lo in range(0, mat.shape[0], ROW_BLOCK):
+        hi = lo + ROW_BLOCK
+        block = mat[lo:hi, lo:] - mat[lo:, lo:hi].T.conj()
+        defect = np.maximum(defect, np.abs(block).max())
+    return float(defect)
 
 
 @dataclass(frozen=True)
@@ -150,24 +172,26 @@ class ProbeSpec:
         return cls("squeezed_vacuum", r=float(r))
 
 
-def lowering(dim: FockDim | int) -> np.ndarray:
-    """Annihilation operator a with a|n> = sqrt(n)|n-1>."""
-    d = as_dim(dim).d
-    return np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
-
-
 def build_quadrature(dim: FockDim | int, which: str) -> Operator:
-    """X = (a + a^dag)/sqrt(2) or P = i(a^dag - a)/sqrt(2), flagged hermitian."""
+    """X = (a + a^dag)/sqrt(2) or P = i(a^dag - a)/sqrt(2), flagged hermitian.
+
+    a|n> = sqrt(n)|n-1>, so each is two ladder diagonals sqrt(n)/sqrt(2),
+    written into a zeroed matrix: X real on both, P imaginary, -i above the
+    diagonal and +i below it.  Every other entry, and every imaginary part of
+    X and real part of P, is +0.  The ladder is sqrt(n) times 1/sqrt(2), the
+    reciprocal numpy's complex division by sqrt(2) multiplies by, so the
+    matrix is bit for bit (a + a^dag)/sqrt(2) or i(a^dag - a)/sqrt(2) formed
+    densely."""
     dim = as_dim(dim)
     if dim.d < 2:
         raise InvalidDimensionError("quadrature operators need d >= 2")
-    a = lowering(dim)
-    if which == "X":
-        mat = (a + a.conj().T) / math.sqrt(2)
-    elif which == "P":
-        mat = 1j * (a.conj().T - a) / math.sqrt(2)
-    else:
+    if which not in ("X", "P"):
         raise ContractViolationError(f"quadrature must be 'X' or 'P', got {which!r}")
+    ladder = np.sqrt(np.arange(1.0, dim.d)) * (1.0 / math.sqrt(2))
+    mat = np.zeros((dim.d, dim.d), dtype=complex)
+    part = mat.real if which == "X" else mat.imag
+    np.fill_diagonal(part[1:], ladder)
+    np.fill_diagonal(part[:, 1:], ladder if which == "X" else -ladder)
     return Operator(dim, mat, hermitian=True)
 
 
@@ -383,11 +407,12 @@ class Spectrum:
     UNITARITY_TOL for W = v D v^dag, D = diag(e^{-i tau w}), at every tau:
     with E = v^dag v - I, W^dag W - I = (v v^dag - I) + v D* E D v^dag, so
     ||W^dag W - I||_2 <= eta = ||E||_2 (2 + ||E||_2) <= UNITARITY_TOL, as
-    ||E||_2 <= ||E||_F.  That one d^3 product is the unitarity check of every
-    propagator built from this spectrum and from every spectrum
-    `reweighted` or put `in_frame` from it: it is checked once per
-    eigenbasis.  A frame is checked in O(d), delta = max_j ||f_j|^2 - 1| <=
-    FRAME_TOL = UNITARITY_TOL / 9.  For U = F^dag W F, U^dag U - I =
+    ||E||_2 <= ||E||_F.  That one d^3 product (v^T v for a real v, with no
+    conjugate copy) is the unitarity check of every propagator built from
+    this spectrum and from every spectrum `reweighted` or put `in_frame`
+    from it: it is checked once per eigenbasis.  A frame is checked in
+    O(d), delta = max_j ||f_j|^2 - 1| <= FRAME_TOL = UNITARITY_TOL / 9.
+    For U = F^dag W F, U^dag U - I =
     F^dag (W^dag W - I) F + (F^dag F - I) + F^dag W^dag (F F^dag - I) W F,
     so ||U^dag U - I||_2 <= (1 + delta) eta + delta (1 + (1 + delta)(1 + eta))
     ~ (2/3 + 2/9) UNITARITY_TOL, as the Gram check gives
@@ -407,7 +432,7 @@ class Spectrum:
         if v.shape != (d, d):
             raise ContractViolationError(f"eigenvector shape {v.shape} does not match dim {d}")
         w = _eigenvalues(self.w, d)
-        gram = v.conj().T @ v
+        gram = v.conj().T @ v if np.iscomplexobj(v) else v.T @ v
         gram.flat[::d + 1] -= 1.0
         defect = np.linalg.norm(gram)
         if not defect <= UNITARITY_TOL / 3:

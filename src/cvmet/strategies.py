@@ -52,6 +52,7 @@ import numpy as np
 from . import bch
 from .cvspace import (
     NORM_TOL,
+    ROW_BLOCK,
     FockDim,
     Operator,
     ProbeSpec,
@@ -186,9 +187,10 @@ class CompositeParams:
 
 def band_diagonals(op: Operator, width: int) -> dict:
     """{k: read-only copy of diagonal k} for |k| <= width (those inside the
-    matrix); a nonzero entry outside that band is a ContractViolationError."""
+    matrix), real when its imaginary part is all zero, as on X and on P^m at
+    even m; a nonzero entry outside that band is a ContractViolationError."""
     width = min(width, op.d - 1)
-    diagonals = {k: np.diagonal(op.mat, k).copy() for k in range(-width, width + 1)}
+    diagonals = {k: _real_if_exact(np.diagonal(op.mat, k)) for k in range(-width, width + 1)}
     outside = np.count_nonzero(op.mat) - sum(map(np.count_nonzero, diagonals.values()))
     if outside:
         raise ContractViolationError(
@@ -198,12 +200,20 @@ def band_diagonals(op: Operator, width: int) -> dict:
     return diagonals
 
 
+def _real_if_exact(diag: np.ndarray) -> np.ndarray:
+    """A copy of the complex `diag`, real when every imaginary part is zero,
+    so products with it and a real eigenbasis stay real."""
+    return diag.copy() if diag.imag.any() else diag.real.copy()
+
+
 @functools.lru_cache(maxsize=8)
 def _generator_bands(m: int, dim: FockDim) -> tuple:
     """(k, X_k, (P^m)_k) for every diagonal k of the band |k| <= m, taken from
     the verified X and dense P^m once per (m, dim): every builder that evolves
     under X, P^m or a combination of the two writes its generator from these,
-    O(d m) numbers in place of the two d x d matrices."""
+    O(d m) numbers in place of the two d x d matrices.  X_k is real at every
+    m and (P^m)_k at even m (`band_diagonals`); at odd m the odd diagonals
+    of P^m are imaginary and stay complex."""
     x = band_diagonals(build_quadrature(dim, "X"), m)
     pm = band_diagonals(operator_power(build_quadrature(dim, "P"), m), m)
     return tuple((k, x[k], pm[k]) for k in pm)
@@ -370,9 +380,6 @@ def switch_output_factorized(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     return QState.from_branches([b0, b1], dim)
 
 
-_DERIVATIVE_ROWS = 64  # row block of the Daleckii-Krein product
-
-
 def _exp_derivative(spec: Spectrum, gen, tau: float, phi: np.ndarray) -> np.ndarray:
     """d/ds e^{-i tau (H + s B)} phi at s = 0, H = v w v^dag the spectrum and
     B the Hermitian band matrix `gen`; phi a vector or a block of columns,
@@ -381,7 +388,7 @@ def _exp_derivative(spec: Spectrum, gen, tau: float, phi: np.ndarray) -> np.ndar
     Daleckii-Krein: the derivative is v[(Gamma o M)(v^dag phi)] with
     M = v^dag B v and Gamma_jk = -i tau e^{-i tau (w_j + w_k)/2}
     sinc(tau (w_j - w_k)/2), which stays finite and exact at degenerate
-    eigenvalues.  M is formed in blocks of _DERIVATIVE_ROWS rows,
+    eigenvalues.  M is formed in blocks of ROW_BLOCK rows,
     M_J = (B v_J)^dag v, so no d x d matrix besides v is held, and each
     block serves every column of phi; v^dag phi is `_adjoint_product`'s,
     with no conjugate copy of v.  In a frame F, H = F^dag H_0 F and
@@ -397,8 +404,8 @@ def _exp_derivative(spec: Spectrum, gen, tau: float, phi: np.ndarray) -> np.ndar
         columns = frame[:, None] * columns
     weighted = half * _adjoint_product(v, columns)
     y = np.empty(columns.shape, dtype=complex)
-    for lo in range(0, w.size, _DERIVATIVE_ROWS):
-        rows = slice(lo, lo + _DERIVATIVE_ROWS)
+    for lo in range(0, w.size, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
         bv = _band_product(gen, v[:, rows])
         m_t = v.T @ bv if not np.iscomplexobj(bv) else _product(v.T, bv.conj())  # M_J^T
         gap = (w[:, None] - w[None, rows]) / (2 * math.pi)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cvmet import cli, cvspace, qfi, strategies
+from cvmet import bch, cli, cvspace, qfi, strategies
 from cvmet.cvspace import ProbeSpec, as_dim
 from cvmet.qfi import fock_start
 from cvmet.strategies import StrategyConfig
@@ -192,6 +192,18 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "cvmet: outside the numerical envelope: no column of d=32 stays inside")
+
+    def test_factorization_basis_inside_the_guard_band_exits_1(self, capsys):
+        # at d <= FACTORIZATION_GUARD every level lies in the guarded boundary
+        # band, so no column can qualify at any lambda, lambda = 0 included
+        bound = bch.FACTORIZATION_GUARD + 1
+        assert cli.main(["factorization-check", "--set",
+                         'factorization={"cases": [[1, 0.0, 16, "AB"]]}']) == 1
+        assert capsys.readouterr().err == (
+            f"cvmet: validation error: invalid config value: expected an integer >= {bound}, "
+            "got 16\n")
+        assert cli.main(["factorization-check", "--set",
+                         'factorization={"cases": [[1, 0.0, 17, "AB"]]}']) == 0
 
     def test_node_cap_refusal_exits_2_as_a_refusal(self, capsys):
         # nothing here failed to converge: the probe needs more nodes than the cap

@@ -81,6 +81,67 @@ class TestQuadratures:
         assert np.abs(comm - expected).max() < 1e-12
 
 
+    @pytest.mark.parametrize("d", [2, 3, 64, 65, 1024])
+    def test_quadratures_are_bitwise_the_dense_ladder_sums(self, d):
+        # reference: a formed densely, then (a + a^dag)/sqrt(2) and
+        # i(a^dag - a)/sqrt(2); tobytes() compares signed zeros too
+        a = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
+        x = (a + a.conj().T) / math.sqrt(2)
+        p = 1j * (a.conj().T - a) / math.sqrt(2)
+        assert build_quadrature(d, "X").mat.tobytes() == x.tobytes()
+        assert build_quadrature(d, "P").mat.tobytes() == p.tobytes()
+
+
+class TestHermiticityCheck:
+    """`Operator`'s check takes max |A - A^dag| from the upper triangle in
+    row blocks; its defect and verdict must be those of the full matrix."""
+
+    @staticmethod
+    def hermitian(d):
+        # a + a^dag is exactly Hermitian in floats: its defect is 0
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return a + a.conj().T
+
+    @staticmethod
+    def assert_matches_the_full_max(mat):
+        full = np.abs(mat - mat.conj().T).max()
+        defect = cvspace._hermiticity_defect(mat)
+        assert defect == full or (np.isnan(full) and np.isnan(defect))
+        if full <= cvspace.HERMITICITY_TOL:
+            assert Operator(mat.shape[0], mat, hermitian=True).hermitian
+        else:
+            with pytest.raises(ContractViolationError, match="hermitian flag claimed"):
+                Operator(mat.shape[0], mat, hermitian=True)
+
+    @pytest.mark.parametrize("size", [1e-9, 4e-13])
+    @pytest.mark.parametrize("d, row, col", [
+        (40, 39, 0), (130, 100, 3),          # lower triangle only
+        (65, 64, 64), (65, 64, 10), (65, 2, 64),   # last, partial row block
+        (130, 129, 128), (130, 129, 129), (130, 5, 129),
+    ])
+    def test_defect_anywhere_is_the_full_max(self, d, row, col, size):
+        mat = self.hermitian(d)
+        mat[row, col] += size * (1 - 0.5j)
+        self.assert_matches_the_full_max(mat)
+
+    @pytest.mark.parametrize("d, row, col", [(8, 1, 6), (8, 6, 1), (65, 64, 64),
+                                             (130, 129, 0)])
+    def test_nan_entry_fails(self, d, row, col):
+        mat = self.hermitian(d)
+        mat[row, col] = complex(np.nan, 0.0)
+        assert np.isnan(cvspace._hermiticity_defect(mat))
+        self.assert_matches_the_full_max(mat)
+
+    @pytest.mark.parametrize("entry", [2.0, 1 + 4e-13j, 1 + 1e-9j, complex(np.nan, 0.0)])
+    def test_one_level(self, entry):
+        self.assert_matches_the_full_max(np.array([[entry]]))
+
+    def test_hermitian_matrix_has_zero_defect(self):
+        for d in (1, 64, 65, 130):
+            assert cvspace._hermiticity_defect(self.hermitian(d)) == 0.0
+
+
 class TestOperatorPower:
     def test_p_squared_vacuum_energy(self):
         p2 = operator_power(build_quadrature(6, "P"), 2)

@@ -294,6 +294,23 @@ class TestGeneratorBands:
         assert len(visited) >= 2
         assert powers == [(2, d) for d in visited]
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_bands_are_real_where_the_generator_is(self, m):
+        # X's diagonals are real at every m and P^m's at even m; at odd m the
+        # odd diagonals of P^m are imaginary and kept complex, the even ones
+        # all zero and real; each equals the diagonal of the dense matrix
+        dim = FockDim(32)
+        x = build_quadrature(dim, "X").mat
+        pm = operator_power(build_quadrature(dim, "P"), m).mat
+        bands = strategies._generator_bands(m, dim)
+        assert [k for k, _, _ in bands] == list(range(-m, m + 1))
+        for k, x_k, pm_k in bands:
+            assert x_k.dtype == np.float64
+            assert pm_k.dtype == (np.complex128 if m % 2 and k % 2 else np.float64)
+            assert np.array_equal(x_k, np.diagonal(x, k))
+            assert np.array_equal(pm_k, np.diagonal(pm, k))
+            assert not x_k.flags.writeable and not pm_k.flags.writeable
+
     def test_entry_outside_the_band_is_rejected(self):
         off = np.full(3, 0.5)
         mat = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag(off, 1) + np.diag(off, -1)
