@@ -80,7 +80,6 @@ class TestQuadratures:
         expected[d - 1, d - 1] = 1j * (1 - d)
         assert np.abs(comm - expected).max() < 1e-12
 
-
     @pytest.mark.parametrize("d", [2, 3, 64, 65, 1024])
     def test_quadratures_are_bitwise_the_dense_ladder_sums(self, d):
         # reference: a formed densely, then (a + a^dag)/sqrt(2) and
