@@ -407,12 +407,11 @@ class Spectrum:
     UNITARITY_TOL for W = v D v^dag, D = diag(e^{-i tau w}), at every tau:
     with E = v^dag v - I, W^dag W - I = (v v^dag - I) + v D* E D v^dag, so
     ||W^dag W - I||_2 <= eta = ||E||_2 (2 + ||E||_2) <= UNITARITY_TOL, as
-    ||E||_2 <= ||E||_F.  That one d^3 product (v^T v for a real v, with no
-    conjugate copy) is the unitarity check of every propagator built from
-    this spectrum and from every spectrum `reweighted` or put `in_frame`
-    from it: it is checked once per eigenbasis.  A frame is checked in
-    O(d), delta = max_j ||f_j|^2 - 1| <= FRAME_TOL = UNITARITY_TOL / 9.
-    For U = F^dag W F, U^dag U - I =
+    ||E||_2 <= ||E||_F.  That one d^3 product is the unitarity check of every
+    propagator built from this spectrum and from every spectrum
+    `reweighted` or put `in_frame` from it: it is checked once per
+    eigenbasis.  A frame is checked in O(d), delta = max_j ||f_j|^2 - 1| <=
+    FRAME_TOL = UNITARITY_TOL / 9.  For U = F^dag W F, U^dag U - I =
     F^dag (W^dag W - I) F + (F^dag F - I) + F^dag W^dag (F F^dag - I) W F,
     so ||U^dag U - I||_2 <= (1 + delta) eta + delta (1 + (1 + delta)(1 + eta))
     ~ (2/3 + 2/9) UNITARITY_TOL, as the Gram check gives
@@ -432,7 +431,7 @@ class Spectrum:
         if v.shape != (d, d):
             raise ContractViolationError(f"eigenvector shape {v.shape} does not match dim {d}")
         w = _eigenvalues(self.w, d)
-        gram = v.conj().T @ v if np.iscomplexobj(v) else v.T @ v
+        gram = v.conj().T @ v
         gram.flat[::d + 1] -= 1.0
         defect = np.linalg.norm(gram)
         if not defect <= UNITARITY_TOL / 3:
