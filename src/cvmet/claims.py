@@ -144,7 +144,7 @@ def claim_3_precision_ratios() -> ClaimResult:
                                                   n_queries=n, m=m,
                                                   strategy=COHERENT_SUPERPOSITION))]
         n_star = max(gate_ns)
-        measured = precision_ratio(m, RATIO_THETA1, n_star)
+        measured, = precision_ratio(m, RATIO_THETA1, [n_star])
         target = ratio_formula(m)
         err = abs(measured / target - 1.0)
         passed = passed and err <= tol

@@ -2,9 +2,10 @@
 
 Exit-code mapping used by the CLI: ValidationError -> 1, an input outside
 the numerical envelope (EnvelopeError with its subclass
-TruncationLeakageError), outside the declared large-N regime
-(LargeNGateError) or at an operating point where the parameter cannot be
-estimated (UnidentifiableParameterError) -> 2, any other CvmetError -> 3.
+TruncationLeakageError) or at an operating point where the parameter cannot
+be estimated (UnidentifiableParameterError) -> 2, any other CvmetError -> 3.
+A ratio below the declared large-N regime is not raised: its row is flagged
+and skipped.
 A dimension loop or Richardson ladder that does not settle is reported as a
 status on its result, never raised.
 """
@@ -41,10 +42,6 @@ class UnsupportedConfigurationError(CvmetError):
 
 class UnidentifiableParameterError(CvmetError):
     """Fisher information or signal derivative vanished at this point."""
-
-
-class LargeNGateError(CvmetError):
-    """Asymptotic comparison requested outside its declared large-N regime."""
 
 
 class DomainError(CvmetError):

@@ -10,7 +10,8 @@ F = 4(<d psi|d psi> - |<d psi|psi>|^2), estimated by
                    nodes as the phase e^{-i theta2 Phi_b}, so d psi =
                    -i Phi_b psi exactly, on one grid sized from its degree
   generator_exact  per-branch derivative generators, polynomials in one
-                   quadrature, as exact probe moments on Gauss-Hermite nodes
+                   quadrature, as exact probe moments on Gauss-Hermite nodes,
+                   one N grid per call, no N's value depending on the grid
   asymptotic       the closed leading-order laws, for cross-checks
 
 None takes a step: `qfi_fd`, the central difference with a mandatory
@@ -44,7 +45,6 @@ from .cvspace import (
 )
 from .errors import (
     EnvelopeError,
-    LargeNGateError,
     TruncationLeakageError,
     UnidentifiableParameterError,
     UnsupportedConfigurationError,
@@ -136,15 +136,14 @@ def _within_float_range(estimator):
 
 # --- exact generator route ---------------------------------------------------
 
-def _branch_generators(cfg: StrategyConfig, which_param: str):
-    """Per-branch derivative data: (coefficients by power, quadrature symbol, sigma).
+def _branch_generators(cfg: StrategyConfig, which_param: str, n: int):
+    """(coefficients by power, quadrature symbol, sigma) of each branch at N = n.
 
     The branch derivative is -i sigma_b g_b acting inside the branch, with
     g_b a real polynomial in one quadrature whose moments are taken on the
     bare probe (every surrounding factor commutes with g_b or is unitary in
     the conjugate variable and drops out).
     """
-    n = cfg.n_queries
     strategy = encoding(cfg.strategy)
     if which_param == THETA2:
         if strategy == COHERENT_SUPERPOSITION:
@@ -172,30 +171,62 @@ def _branch_generators(cfg: StrategyConfig, which_param: str):
     raise UnsupportedConfigurationError(f"unknown parameter {which_param!r}")
 
 
-@_within_float_range
-def qfi_generator(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
-    """Exact QFI from symbolic branch generators and probe moments.
+def _generator_grid(cfg: StrategyConfig, which_param: str, n_values) -> list:
+    """F of `qfi_generator_grid`, unchecked for the float range.
 
     F = 4 (1/2) sum_b <(g_b - sigma_b mu)^2>, mu = (1/2) sum_b sigma_b <g_b>
     the mixture mean, taken out before squaring (sigma_b = +-1).  g_b acts on
     P (on X for the linear theta1 case), so each moment is a weighted sum over
     the probe's nodes (`probe_on_nodes` at degree 2 deg g_b): exact, no basis.
+    Each branch's rows, one per N, are built as one (len(N) x nodes) array,
+    elementwise, and `np.vecdot` takes each row's moment by the 1-D dot w . row
+    of a lone N (a matrix-vector product G @ w sums in another order).
     """
+    if not n_values:
+        return []
     tables = []
-    for coeffs, symbol, sigma in _branch_generators(cfg, which_param):
-        q, w = probe_on_nodes(cfg.probe, symbol, 2 * (len(coeffs) - 1))
-        g = np.zeros_like(q)
-        for c in reversed(coeffs):  # Horner
-            g = g * q + c
-        tables.append((w, g, sigma, float(w @ g), float(w @ (g * g))))
+    for branch in zip(*(_branch_generators(cfg, which_param, n) for n in n_values)):
+        coeffs = np.array([c for c, _, _ in branch])
+        _, symbol, sigma = branch[0]
+        q, w = probe_on_nodes(cfg.probe, symbol, 2 * (coeffs.shape[1] - 1))
+        g = np.zeros((len(branch), q.size))
+        for c in coeffs.T[::-1]:  # Horner
+            g = g * q + c[:, None]
+        tables.append((w, g, sigma, np.vecdot(g, w), np.vecdot(g * g, w)))
     _, _, sigmas, means, sq_means = zip(*tables)
     mu = sum(s * m for s, m in zip(sigmas, means)) / len(tables)
-    value = 4.0 * sum(float(w @ (g - s * mu) ** 2) for w, g, s, _, _ in tables) / len(tables)
-    diagnostics = {"branch_means": means, "branch_square_means": sq_means}
-    if encoding(cfg.strategy) == COHERENT_SUPERPOSITION and which_param == THETA2:
-        # leading-order squared-expectation form, reported for regression only
-        diagnostics["expectation_squared_form"] = 4.0 * means[0] ** 2
-    return QfiEstimate(value, "generator_exact", converged=True, diagnostics=diagnostics)
+    values = 4.0 * sum(np.vecdot((g - s * mu[:, None]) ** 2, w)
+                       for w, g, s, _, _ in tables) / len(tables)
+    leading = encoding(cfg.strategy) == COHERENT_SUPERPOSITION and which_param == THETA2
+    estimates = []
+    for value, mean, sq_mean in zip(values.tolist(), zip(*(a.tolist() for a in means)),
+                                    zip(*(a.tolist() for a in sq_means))):
+        diagnostics = {"branch_means": mean, "branch_square_means": sq_mean}
+        if leading:  # leading-order squared-expectation form, for regression only
+            diagnostics["expectation_squared_form"] = 4.0 * mean[0] ** 2
+        estimates.append(QfiEstimate(value, "generator_exact", converged=True,
+                                     diagnostics=diagnostics))
+    return estimates
+
+
+def qfi_generator_grid(cfg: StrategyConfig, which_param: str, n_values) -> list:
+    """Exact QFI from symbolic branch generators and probe moments
+    (`_generator_grid`) at every N of `n_values`, in one call; cfg.n_queries
+    is not read.  Each N's value is bitwise the one `qfi_generator` gives it
+    alone: it does not depend on the grid around it.  Where some F passes the
+    float range, the grid is run again point by point, so the EnvelopeError
+    names the first such N in grid order."""
+    with np.errstate(over="raise"), contextlib.suppress(OverflowError, FloatingPointError):
+        estimates = _generator_grid(cfg, which_param, n_values)
+        if not any(math.isinf(est.value) for est in estimates):
+            return estimates
+    return [qfi_generator(replace(cfg, n_queries=n), which_param) for n in n_values]
+
+
+@_within_float_range
+def qfi_generator(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
+    """`qfi_generator_grid` at the one point N = cfg.n_queries."""
+    return _generator_grid(cfg, which_param, [cfg.n_queries])[0]
 
 
 # --- asymptotic closed forms --------------------------------------------------
@@ -347,11 +378,15 @@ def crb_precision(f: QfiEstimate, nu: int = 1) -> PrecisionResult:
 LARGE_N_FACTOR = 10.0
 
 
+def _gate_floor(probe: ProbeSpec) -> float:
+    """10 (|<P>_probe| + 1), the least N |theta1| of the large-N regime."""
+    q, w = probe_on_nodes(probe, "P", 1)
+    return LARGE_N_FACTOR * (abs(float(w @ q)) + 1.0)
+
+
 def large_n_gate(cfg: StrategyConfig) -> bool:
     """Declared large-N regime: N |theta1| >= 10 (|<P>_probe| + 1)."""
-    q, w = probe_on_nodes(cfg.probe, "P", 1)
-    p_mean = abs(float(w @ q))
-    return cfg.n_queries * abs(cfg.theta1) >= LARGE_N_FACTOR * (p_mean + 1.0)
+    return cfg.n_queries * abs(cfg.theta1) >= _gate_floor(cfg.probe)
 
 
 def ratio_formula(m: int) -> float:
@@ -365,22 +400,31 @@ RATIO_THETA1 = 0.75
 RATIO_N_SWEEP = tuple(range(4, 25, 2))
 
 
-def precision_ratio(m: int, theta1: float, n_queries: int,
-                    probe: ProbeSpec = ProbeSpec.vacuum()) -> float:
-    """delta theta2 (coherent superposition) / delta theta2 (switch), exact route.
+def precision_ratio(m: int, theta1: float, n_values,
+                    probe: ProbeSpec = ProbeSpec.vacuum()) -> list:
+    """delta theta2 (coherent superposition) / delta theta2 (switch) at each N
+    of `n_values`, exact route.
 
-    Both generator-route estimates are evaluated at theta2 = 0.05 and equal N
-    with the same probe; outside the declared large-N regime the comparison
-    is refused (LargeNGateError) so sweep drivers can flag-and-skip rather
-    than report an off-regime number.
+    Both generator-route estimates are evaluated at theta2 = 0.05 with the
+    same probe, over the whole grid in one call each (`qfi_generator_grid`);
+    each N's ratio does not depend on the grid around it.  An N outside the
+    declared large-N regime gets None, so sweep drivers flag and skip it
+    rather than report an off-regime number.
     """
-    cs_cfg = StrategyConfig(theta1=theta1, theta2=0.05, n_queries=n_queries,
+    if not n_values:
+        return []
+    # at the least N, StrategyConfig refuses an N < 1 as it would that N alone
+    cs_cfg = StrategyConfig(theta1=theta1, theta2=0.05, n_queries=min(n_values),
                             m=m, strategy=COHERENT_SUPERPOSITION, probe=probe)
     qs_cfg = replace(cs_cfg, strategy=SWITCH)
-    if not large_n_gate(cs_cfg):
-        raise LargeNGateError(
-            f"N|theta1| = {n_queries * abs(theta1):g} is below the declared "
-            f"large-N gate for this probe")
-    f_cs = qfi_generator(cs_cfg, THETA2)
-    f_qs = qfi_generator(qs_cfg, THETA2)
-    return crb_precision(f_cs).delta_theta / crb_precision(f_qs).delta_theta
+    floor = _gate_floor(probe)
+    gated = [n for n in n_values if n * abs(theta1) >= floor]
+    try:
+        pairs = zip(qfi_generator_grid(cs_cfg, THETA2, gated),
+                    qfi_generator_grid(qs_cfg, THETA2, gated))
+    except EnvelopeError:  # point by point: the error of the first N in grid order
+        pairs = ((qfi_generator(replace(cs_cfg, n_queries=n), THETA2),
+                  qfi_generator(replace(qs_cfg, n_queries=n), THETA2)) for n in gated)
+    ratios = {n: crb_precision(f_cs).delta_theta / crb_precision(f_qs).delta_theta
+              for n, (f_cs, f_qs) in zip(gated, pairs)}
+    return [ratios.get(n) for n in n_values]

@@ -294,7 +294,9 @@ def _rotated_x(x: Spectrum, z: complex) -> Spectrum:
 
 def _band_product(bands, y: np.ndarray) -> np.ndarray:
     """B @ y for the band matrix B given as (k, diagonal k) pairs, y a vector
-    or a block of columns: O(d m) per column, B never formed."""
+    or a block of columns: O(d m) per column, B never formed.  An all-zero
+    diagonal may be left out: `out` starts at +0 and a cancelling sum rounds
+    to +0, so no entry is -0, and x + (+-0) = x: no bit moves (y finite)."""
     d = y.shape[0]
     out = np.zeros(y.shape, dtype=np.result_type(y, *(diag for _, diag in bands)))
     for k, diag in bands:
@@ -307,12 +309,13 @@ def _band_product(bands, y: np.ndarray) -> np.ndarray:
 
 
 def _quadrature_bands(m: int, dim: FockDim, which: str) -> list:
-    """The bands of the generator that `which` couples: X for theta1, P^m for
-    theta2."""
+    """The nonzero bands of the generator that `which` couples: X (k = +-1)
+    for theta1, P^m (k of the parity of m) for theta2; the other diagonals of
+    `_generator_bands` are zero, and `_band_product` needs none of them."""
     bands = _generator_bands(m, dim)
     if which == THETA1:
-        return [(k, x_k) for k, x_k, _ in bands]
-    return [(k, pm_k) for k, _, pm_k in bands]
+        return [(k, x_k) for k, x_k, _ in bands if abs(k) == 1]
+    return [(k, pm_k) for k, _, pm_k in bands if (k - m) % 2 == 0]
 
 
 def _switch_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None):

@@ -132,6 +132,20 @@ class TestCommands:
         assert float(by_n[24][2]) == pytest.approx(0.25, rel=0.02)
         assert by_n[24][3] == pytest.approx(0.25)
 
+    def test_ratio_grid_refusals(self, tmp_path, capsys):
+        # m = 2 F passes the float range at N = 1e60; the rest of the grid
+        # is then not printed, and without it N = 4 stays skipped, N = 24 not
+        argv = ["ratio", "--set", "ratio.n_values=[4, 24, 1e60]"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            "overflows the float range at m=2, N=1e+60\n")
+        out_path, json_path = tmp_path / "ratio.csv", tmp_path / "ratio.json"
+        assert cli.main(["ratio", "--set", "ratio.n_values=[4, 24]",
+                         "--out", str(out_path), "--json", str(json_path)]) == 0
+        rows = rows_of(out_path.read_text())[1:]
+        assert [(row[1], row[2] == "") for row in rows] == [("4", True), ("24", False)] * 3
+        assert json.loads(json_path.read_text())["skipped_below_gate"] == [[1, 4], [2, 4], [3, 4]]
+
     def test_bch_table_exact_coefficients(self, tmp_path):
         out_path = tmp_path / "bch.csv"
         code = cli.main(["bch-table", "--set", 'bch={"m_values": [2], "variants": ["AB"]}',

@@ -17,8 +17,8 @@ from cvmet.cvspace import (
     spectrum,
 )
 from cvmet.errors import (
+    ContractViolationError,
     EnvelopeError,
-    LargeNGateError,
     UnidentifiableParameterError,
     UnsupportedConfigurationError,
 )
@@ -35,6 +35,7 @@ from cvmet.qfi import (
     qfi_fd,
     qfi_from_derivative,
     qfi_generator,
+    qfi_generator_grid,
     ratio_formula,
 )
 from cvmet.strategies import (
@@ -802,12 +803,13 @@ class TestRatios:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_linear_ratio_measured(self):
-        measured = precision_ratio(1, 0.75, 24)
+        measured, = precision_ratio(1, 0.75, [24])
         assert measured == pytest.approx(0.25, rel=0.02)
 
     def test_gate_enforced(self):
-        with pytest.raises(LargeNGateError):
-            precision_ratio(1, 0.05, 4)
+        assert precision_ratio(1, 0.05, [4]) == [None]
+        with pytest.raises(ContractViolationError):  # refused, not skipped
+            precision_ratio(1, 0.05, [4, 0])
 
     def test_gate_predicate(self):
         hot = StrategyConfig(theta1=1.0, theta2=0.05, n_queries=12, m=1,
@@ -815,6 +817,103 @@ class TestRatios:
         cold = replace(hot, n_queries=4)
         assert large_n_gate(hot)
         assert not large_n_gate(cold)
+
+
+GRID_PROBES = [ProbeSpec.vacuum(), ProbeSpec.coherent(-1.1 + 0.7j),
+               ProbeSpec.squeezed_vacuum(0.3), ProbeSpec.fock(40)]
+
+
+def gated_grid(rng, cfg):
+    """Seeded N in 1..400, sorted: up to six below the large-N gate of cfg,
+    six at or above it."""
+    gate = next(n for n in range(1, 401) if large_n_gate(replace(cfg, n_queries=n)))
+    assert gate > 1, cfg
+    below = rng.choice(np.arange(1, gate), size=min(6, gate - 1), replace=False)
+    above = rng.choice(np.arange(gate, 401), size=6, replace=False)
+    return sorted(int(n) for n in np.concatenate([below, above]))
+
+
+def one_point_route(cfg, which):
+    """F of the generator route at N = cfg.n_queries taken one point at a
+    time: Horner with each Python-float coefficient on the 1-D node table,
+    each moment the 1-D dot w @ g."""
+    tables = []
+    for coeffs, symbol, sigma in qfi_module._branch_generators(cfg, which, cfg.n_queries):
+        q, w = cvspace.probe_on_nodes(cfg.probe, symbol, 2 * (len(coeffs) - 1))
+        g = np.zeros_like(q)
+        for c in reversed(coeffs):
+            g = g * q + c
+        tables.append((w, g, sigma, float(w @ g)))
+    mu = sum(s * mean for _, _, s, mean in tables) / len(tables)
+    return 4.0 * sum(float(w @ (g - s * mu) ** 2) for w, g, s, _ in tables) / len(tables)
+
+
+class TestGeneratorGrid:
+    """One `qfi_generator_grid` call per N grid: each N's estimate is bitwise
+    the one `qfi_generator` gives it alone and the one-point form of
+    `one_point_route`, and the rows agree with the exact rationals of
+    `exact_theta2_qfi` / `exact_theta1_qfi` where the probe has them (not for
+    the squeezed probe, nor for theta1 on a coherent one)."""
+
+    @pytest.mark.parametrize("probe", GRID_PROBES, ids=lambda p: p.kind)
+    def test_each_n_is_its_value_alone(self, probe, exact_theta2_qfi, exact_theta1_qfi):
+        rng = np.random.default_rng(28)
+        for m in range(1, 6):
+            for strategy in (SWITCH, COHERENT_SUPERPOSITION):
+                for which in (THETA2, THETA1) if m == 1 else (THETA2,):
+                    cfg = StrategyConfig(theta1=float(rng.uniform(0.3, 2.0)),
+                                         theta2=float(rng.uniform(0.01, 0.1)), n_queries=1,
+                                         m=m, strategy=strategy, probe=probe)
+                    ns = gated_grid(rng, cfg)
+                    oracle = {THETA2: exact_theta2_qfi, THETA1: exact_theta1_qfi}[which]
+                    rel = 1e-10 if probe.kind == "coherent" else 1e-12
+                    for n, est in zip(ns, qfi_generator_grid(cfg, which, ns)):
+                        alone = qfi_generator(replace(cfg, n_queries=n), which)
+                        assert est == alone and est.value.hex() == alone.value.hex(), (cfg, n)
+                        lone = one_point_route(replace(cfg, n_queries=n), which)
+                        assert est.value.hex() == lone.hex(), (cfg, n)
+                        if probe.kind == "squeezed_vacuum" or (
+                                which == THETA1 and probe.kind == "coherent"):
+                            continue
+                        exact = float(oracle(replace(cfg, n_queries=n)))
+                        assert est.value == pytest.approx(exact, rel=rel), (cfg, n)
+
+    @pytest.mark.parametrize("probe", GRID_PROBES, ids=lambda p: p.kind)
+    def test_ratio_grid_is_its_points_and_skips_below_the_gate(self, probe):
+        rng = np.random.default_rng(29)
+        for m in range(1, 6):
+            theta1 = float(rng.uniform(0.3, 2.0))
+            cfg = StrategyConfig(theta1=theta1, theta2=0.05, n_queries=1, m=m, probe=probe)
+            ns = gated_grid(rng, cfg)
+            ratios = precision_ratio(m, theta1, ns, probe)
+            assert [r is None for r in ratios] == [
+                not large_n_gate(replace(cfg, n_queries=n)) for n in ns]
+            assert ratios == [precision_ratio(m, theta1, [n], probe)[0] for n in ns]
+
+    def test_empty_grid_evaluates_nothing(self):
+        # not even the gate: Fock(600)'s <P> needs 601 nodes, past NODE_CAP
+        cfg = StrategyConfig(theta1=0.75, theta2=0.05, n_queries=1, m=2)
+        assert qfi_generator_grid(cfg, THETA2, []) == []
+        assert precision_ratio(2, 0.75, [], ProbeSpec.fock(600)) == []
+        with pytest.raises(EnvelopeError, match="601 Gauss-Hermite nodes"):
+            precision_ratio(2, 0.75, [4], ProbeSpec.fock(600))
+
+    def test_ratio_error_path_is_the_point_by_point_grid(self, monkeypatch):
+        # an EnvelopeError from either grid call re-runs the grid point by
+        # point, cs then switch at each N, which names the first failing N
+        expected = precision_ratio(3, 0.75, [4, 14, 24, 30])
+
+        def refused(*args):
+            raise EnvelopeError("grid refused")
+        monkeypatch.setattr(qfi_module, "qfi_generator_grid", refused)
+        assert precision_ratio(3, 0.75, [4, 14, 24, 30]) == expected
+
+    def test_overflow_names_the_first_overflowing_n_in_grid_order(self):
+        cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=1, m=5)
+        with pytest.raises(EnvelopeError, match=r"m=5, N=1e\+80$"):
+            qfi_generator_grid(cfg, THETA2, [4, 10 ** 80, 10 ** 60, 24])
+        with pytest.raises(EnvelopeError, match=r"m=5, N=1e\+60$"):
+            precision_ratio(5, 1.2, [4, 24, 10 ** 60, 10 ** 80])
 
 
 class TestProperties:

@@ -311,6 +311,26 @@ class TestGeneratorBands:
             assert np.array_equal(pm_k, np.diagonal(pm, k))
             assert not x_k.flags.writeable and not pm_k.flags.writeable
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_quadrature_bands_drop_only_zero_diagonals(self, m):
+        # X keeps k = +-1 and P^m the k of m's parity; every dropped diagonal
+        # is all zero, and the band product is bitwise that of the full band,
+        # signed zeros included, on real and complex vectors and blocks
+        dim = FockDim(32)
+        rng = np.random.default_rng(m)
+        full = strategies._generator_bands(m, dim)
+        for which, column in ((THETA1, 0), (THETA2, 1)):
+            kept = strategies._quadrature_bands(m, dim, which)
+            every = [(k, bands[column]) for k, *bands in full]
+            assert [k for k, _ in kept] == ([-1, 1] if which == THETA1
+                                            else list(range(-m, m + 1, 2)))
+            dropped = [diag for k, diag in every if k not in dict(kept)]
+            assert all(not diag.any() for diag in dropped)
+            block = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+            for y in (rng.normal(size=32), block, np.zeros(32), -np.zeros((32, 2))):
+                assert (strategies._band_product(kept, y).tobytes()
+                        == strategies._band_product(every, y).tobytes())
+
     def test_entry_outside_the_band_is_rejected(self):
         off = np.full(3, 0.5)
         mat = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag(off, 1) + np.diag(off, -1)
