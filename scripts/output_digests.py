@@ -5,11 +5,13 @@
 Runs, each in a fresh Python process on CHECKOUT's `src` (default: the
 checkout holding this script), the default run of every CSV command (every
 command but `claims`) and every op of the four benchmark workloads at each
-seed: the ops of pass 0, generated by CHECKOUT's `perfbench/workloads.py`.
-Each prints one line: a label, the exit code and the md5 of stdout plus
-stderr.  A CLI op is `cvmet.cli.main(argv)`; a claim op prints the repr of
-its `ClaimResult`.  Two checkouts print the same bytes where `diff` of their
-digest lists is empty.  Nothing is written to CHECKOUT.
+seed: the ops of pass 0, generated by CHECKOUT's `perfbench/workloads.py`;
+then the `qfi` rows of ROUTE_CASES, one per outcome of `qfi.route`, which
+neither of the others reaches.  Each prints one line: a label, the exit
+code and the md5 of stdout plus stderr.  A CLI op is `cvmet.cli.main(argv)`;
+a claim op prints the repr of its `ClaimResult`.  Two checkouts print the
+same bytes where `diff` of their digest lists is empty.  Nothing is written
+to CHECKOUT.
 """
 
 import argparse
@@ -20,6 +22,24 @@ import sys
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ("qfi", "sweep", "ratio", "bch-table", "factorization-check", "optomech")
+CS_M3_N24 = ("--set", "m=3", "--set", "n_queries=24", "--set", "theta1=1.2",
+             "--set", "theta2=0.05", "--set", "strategy=coherent_superposition")
+SQUEEZED_25 = ("--set", 'probe={"kind": "squeezed_vacuum", "r": 2.5}')  # leaks at d = 1024
+THETA1 = ("--set", "estimate=theta1")
+ROUTE_CASES = (  # (name, argv after "qfi")
+    ("start64-fock63", ("--set", 'probe={"kind": "fock", "n": 63}')),
+    ("start64-coherent3", ("--set", 'probe={"kind": "coherent", "alpha_re": 3}')),
+    ("start128-fock70", ("--set", 'probe={"kind": "fock", "n": 70}')),
+    ("start128-coherent6", ("--set", 'probe={"kind": "coherent", "alpha_re": 6}')),
+    ("nodes-unholdable", SQUEEZED_25),
+    ("nodes-beyond-reach", CS_M3_N24),
+    ("theta1-refused-unholdable", SQUEEZED_25 + THETA1),
+    ("theta1-refused-beyond-reach", CS_M3_N24 + THETA1),
+    ("node-cap-fock509-m3", CS_M3_N24 + ("--set", 'probe={"kind": "fock", "n": 509}')),
+    ("node-cap-fock1024", ("--set", 'probe={"kind": "fock", "n": 1024}')),
+    ("float-range", ("--set", "m=5", "--set", "n_queries=1e60", "--set", "theta1=1.2")),
+    ("theta1-m2-f-gen-nan", ("--set", "m=2") + THETA1),
+)
 CHILD = """
 import sys
 root, kind, args = sys.argv[1], sys.argv[2], sys.argv[3:]
@@ -57,6 +77,8 @@ def main(argv=None) -> int:
                 kind, op_args = ("claim", [op.claim]) if op.claim else ("cli", list(op.argv))
                 print(f"{workload} seed={seed} {op.id}\t{digest(root, kind, op_args)}",
                       flush=True)
+    for name, argv in ROUTE_CASES:
+        print(f"route {name}\t{digest(root, 'cli', ['qfi', *argv])}", flush=True)
     return 0
 
 

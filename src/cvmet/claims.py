@@ -28,7 +28,6 @@ from .qfi import (
     THETA1,
     THETA2,
     crb_precision,
-    large_n_gate,
     precision_ratio,
     qfi_converged,
     qfi_fd,
@@ -139,12 +138,8 @@ def claim_3_precision_ratios() -> ClaimResult:
     parts = []
     passed = True
     for m, tol in tolerances.items():
-        gate_ns = [n for n in RATIO_N_SWEEP
-                   if large_n_gate(StrategyConfig(theta1=RATIO_THETA1, theta2=0.05,
-                                                  n_queries=n, m=m,
-                                                  strategy=COHERENT_SUPERPOSITION))]
-        n_star = max(gate_ns)
-        measured, = precision_ratio(m, RATIO_THETA1, [n_star])
+        ratios = precision_ratio(m, RATIO_THETA1, RATIO_N_SWEEP)
+        n_star, measured = max((n, r) for n, r in zip(RATIO_N_SWEEP, ratios) if r is not None)
         target = ratio_formula(m)
         err = abs(measured / target - 1.0)
         passed = passed and err <= tol

@@ -42,6 +42,7 @@ from .errors import (
     EnvelopeError,
     InvalidDimensionError,
     UnidentifiableParameterError,
+    UnsupportedConfigurationError,
     ValidationError,
 )
 from .qfi import (
@@ -223,11 +224,11 @@ def _estimate_row(cfg: StrategyConfig, which: str, nu: int):
     fd = qfi_converged(cfg, which)
     try:
         f_gen = qfi_generator(cfg, which).value
-    except CvmetError:
+    except (EnvelopeError, UnsupportedConfigurationError):
         f_gen = float("nan")
     try:
         f_asym = asymptotic_qfi(cfg, which).value
-    except CvmetError:
+    except (EnvelopeError, UnsupportedConfigurationError):
         f_asym = float("nan")
     if "reason" in fd.diagnostics:
         print(f"cvmet: not converged: {fd.diagnostics['reason']}", file=sys.stderr)

@@ -631,20 +631,6 @@ def converge_dimension(evaluate: Callable[[int], float],
     return DimensionScan(prev, d, False, tuple(history))
 
 
-def holding_dimension(spec: ProbeSpec) -> int:
-    """The smallest d = DIM_START * 2^k <= DIM_CAP at which `prepare_probe`
-    holds the probe; the TruncationLeakageError of DIM_CAP when none does."""
-    d = DIM_START
-    while True:
-        try:
-            prepare_probe(spec, d)
-            return d
-        except TruncationLeakageError:
-            if 2 * d > DIM_CAP:
-                raise
-        d *= 2
-
-
 FD_REL_TOL = 1e-4
 FD_MAX_REDUCTIONS = 3
 

@@ -5,7 +5,7 @@ F = 4(<d psi|d psi> - |<d psi|psi>|^2), estimated by
 
   exact_fock       the exact derivative of the truncated Fock-basis state
                    (`output_derivative`) in the doubling loop of
-                   `qfi_converged`, where `fock_start` finds a basis
+                   `qfi_converged`, where `route` finds a basis
   exact_nodes      every other row: theta2 enters each branch on momentum
                    nodes as the phase e^{-i theta2 Phi_b}, so d psi =
                    -i Phi_b psi exactly, on one grid sized from its degree
@@ -19,7 +19,12 @@ Richardson check, is the generic estimator for any one-parameter builder
 (claims 2 and 9).  Both node routes take expectation-of-square <g^2>, which
 satisfies the pure-state formula exactly, each generator centred on the
 state's mean first; the leading-order |<g>|^2 is reported in the
-diagnostics.  A value past the float range is an EnvelopeError.
+diagnostics.
+
+Each refusal is an EnvelopeError, decided in one place: a theta1 row that
+neither exact_fock nor exact_nodes takes in `route`, from the config alone;
+a node grid past NODE_CAP where the node table is built (`cvspace`); and a
+value past the float range at run time, as it is computed.
 """
 
 from __future__ import annotations
@@ -36,14 +41,16 @@ from . import bch
 from .cvspace import (
     DIM_CAP,
     DIM_REL_TOL,
+    DIM_START,
     ProbeSpec,
     converge_dimension,
-    holding_dimension,
+    prepare_probe,
     probe_amplitudes,
     probe_on_nodes,
     richardson,
 )
 from .errors import (
+    ContractViolationError,
     EnvelopeError,
     TruncationLeakageError,
     UnidentifiableParameterError,
@@ -277,36 +284,45 @@ def asymptotic_qfi(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
 
 # --- orchestration ------------------------------------------------------------
 
-def fock_start(cfg: StrategyConfig) -> int | None:
-    """The reach rule: the first dimension of the Fock doubling loop, or None
-    when no basis up to DIM_CAP can hold the row.
+def route(cfg: StrategyConfig, which_param: str) -> int | None:
+    """The estimator of a row, decided from its config alone: the first
+    dimension of the Fock doubling loop, or None for `qfi_nodes`.
 
-    None when no such basis holds the probe (`holding_dimension`), or when
-    the branches carry the probe's momentum bulk past the basis at DIM_CAP.
-    Every eigenvalue of the truncated P at d is a zero of the Hermite
-    polynomial H_d, scaled, and lies inside sqrt(2d + 1), the classical
-    turning point of level d (energy (X^2 + P^2)/2 = d + 1/2).  The probe's
-    momentum bulk is centred at c
-    (sqrt(2) Im alpha for a coherent probe, else 0) with half-width
-    s sqrt(2n + 1): the turning point of Fock(n) (n = 0 for every other
-    kind), stretched by s = e^r for a squeezed probe, whose momentum width
-    is e^r times the vacuum's (s = 1 otherwise).  The exact Heisenberg
-    motion P(t) = P - theta1 t moves that bulk rigidly down by
-    `momentum_shift`, so when |c - shift| + s sqrt(2n + 1) passes
+    The Fock route starts at the first d = DIM_START 2^k <= DIM_CAP at which
+    `prepare_probe` holds the probe.  The reach rule then sends the row to
+    the nodes when the branches carry the probe's momentum bulk past the
+    basis at DIM_CAP.  Every eigenvalue of the truncated P at d is a zero of
+    the Hermite polynomial H_d, scaled, and lies inside sqrt(2d + 1), the
+    classical turning point of level d (energy (X^2 + P^2)/2 = d + 1/2).  The
+    probe's momentum bulk is centred at c (sqrt(2) Im alpha for a coherent
+    probe, else 0) with half-width s sqrt(2n + 1): the turning point of
+    Fock(n) (n = 0 for every other kind), stretched by s = e^r for a squeezed
+    probe, whose momentum width is e^r times the vacuum's (s = 1 otherwise).
+    The exact Heisenberg motion P(t) = P - theta1 t moves that bulk rigidly
+    down by `momentum_shift`, so when |c - shift| + s sqrt(2n + 1) passes
     sqrt(2 DIM_CAP + 1), the final state has weight where no basis up to
-    DIM_CAP has support.  `qfi_nodes` takes every None row or refuses it.
+    DIM_CAP has support.  A node row of theta1, which moves the node grid,
+    is taken by neither route: an EnvelopeError.
     """
-    try:
-        start = holding_dimension(cfg.probe)
-    except TruncationLeakageError:
-        return None
     probe = cfg.probe
-    centre = math.sqrt(2.0) * probe.alpha.imag if probe.kind == "coherent" else 0.0
-    stretch = math.exp(probe.r) if probe.kind == "squeezed_vacuum" else 1.0
-    extent = abs(centre - momentum_shift(cfg)) + stretch * math.sqrt(2 * probe.n + 1)
-    if extent > math.sqrt(2 * DIM_CAP + 1):
-        return None
-    return start
+    start = DIM_START
+    while start <= DIM_CAP:
+        try:
+            prepare_probe(probe, start)
+            break
+        except TruncationLeakageError:
+            start *= 2
+    if start <= DIM_CAP:
+        centre = math.sqrt(2.0) * probe.alpha.imag if probe.kind == "coherent" else 0.0
+        stretch = math.exp(probe.r) if probe.kind == "squeezed_vacuum" else 1.0
+        extent = abs(centre - momentum_shift(cfg)) + stretch * math.sqrt(2 * probe.n + 1)
+        if not extent > math.sqrt(2 * DIM_CAP + 1):
+            return start
+    if which_param != THETA2:
+        raise EnvelopeError(
+            f"no Fock basis up to d={DIM_CAP} holds this row, and the momentum-node "
+            f"route covers theta2 only ({which_param} moves the node grid)")
+    return None
 
 
 @_within_float_range
@@ -319,14 +335,14 @@ def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     constant adds only a global phase), and F = 4 sum_b sum_j |phi_j|^2 / 2
     (Phi_b - mu)^2.  Each term is e^{-t^2} times a polynomial of degree
     2m + 2n in the base node t, so one grid of G = m + 1 + n nodes (n for
-    Fock(n); past NODE_CAP an EnvelopeError) sums it exactly: converged by
-    construction, with G as `dim_used`.  theta1 moves the grid and is
-    refused before any table is built.
+    Fock(n)) sums it exactly: converged by construction, with G as
+    `dim_used`.  A grid past NODE_CAP is refused where the node table is
+    built, an F past the float range as it is computed.  theta1 moves the
+    grid: `route` refuses a theta1 row before it gets here.
     """
     if which_param != THETA2:
-        raise EnvelopeError(
-            f"no Fock basis up to d={DIM_CAP} holds this row, and the momentum-node "
-            f"route covers theta2 only ({which_param} moves the node grid)")
+        raise ContractViolationError(
+            f"qfi_nodes covers theta2 only, got {which_param!r}; qfi.route refuses the rest")
     q, phi, _ = probe_amplitudes(cfg.probe, cfg.m + 1, 0.0)
     density = np.abs(phi) ** 2 / 2
     phases = node_phases(cfg, q)
@@ -339,16 +355,17 @@ def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     """Exact QFI of the Fock-basis state with the dimension-doubling loop
     wrapped around it.
 
-    The reach rule `fock_start` runs first: a row no basis up to DIM_CAP can
-    hold goes to `qfi_nodes` and never builds a Fock state.  Otherwise the
-    loop starts at the smallest doubling of DIM_START whose basis holds the
-    probe (`holding_dimension`), and at each d builds the state once with
+    `route` runs first and decides the row from its config: a row no basis
+    up to DIM_CAP can hold goes to `qfi_nodes` and never builds a Fock
+    state, and a theta1 row no route takes is refused there.  Otherwise the
+    loop starts at the d `route` returns, the smallest doubling of DIM_START
+    whose basis holds the probe, and at each d builds the state once with
     its exact derivative (`output_derivative`): no step, no Richardson.
     Converged means the value stopped moving under doubling; an unconverged
     estimate names the d it reached in `diagnostics["reason"]`.  The
     generator route needs no loop: see `qfi_generator`.
     """
-    start = fock_start(cfg)
+    start = route(cfg, which_param)
     if start is None:
         return qfi_nodes(cfg, which_param)
 

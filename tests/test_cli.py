@@ -11,7 +11,7 @@ import pytest
 
 from cvmet import bch, cli, cvspace, qfi, strategies
 from cvmet.cvspace import ProbeSpec, as_dim
-from cvmet.qfi import fock_start
+from cvmet.qfi import THETA2, route
 from cvmet.strategies import StrategyConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -373,6 +373,17 @@ class TestExitCodes:
         assert cli.main(["qfi"]) == 3
         assert "contract" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cross_check", ["qfi_generator", "asymptotic_qfi"])
+    def test_contract_violation_in_a_cross_check_exits_3(self, cross_check, monkeypatch,
+                                                          capsys):
+        # only a refusal for the config prints nan in its column; a bug does not
+        def broken(cfg, which):
+            raise cli.ContractViolationError("norm drift")
+
+        monkeypatch.setattr(cli, cross_check, broken)
+        assert cli.main(["qfi"]) == 3
+        assert "internal contract violation: norm drift" in capsys.readouterr().err
+
 
 CS_M3_N24 = ["qfi", "--set", "m=3", "--set", "n_queries=24", "--set", "theta1=1.2",
              "--set", "theta2=0.05", "--set", "strategy=coherent_superposition"]
@@ -537,7 +548,7 @@ class TestNodeRoute:
             for jitter in (1 - workloads.JITTER, 1.0, 1 + workloads.JITTER):
                 cfg = StrategyConfig(theta1=theta1 * jitter, theta2=theta2, n_queries=n,
                                      m=m, strategy=strategy, probe=ProbeSpec.vacuum())
-                assert (fock_start(cfg) is not None) == (key != "m=3,N=24"), (key, n, jitter)
+                assert (route(cfg, THETA2) is not None) == (key != "m=3,N=24"), (key, n, jitter)
             checked.add(key)
         assert recorded <= checked
 

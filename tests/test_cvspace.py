@@ -16,7 +16,6 @@ from cvmet.cvspace import (
     Spectrum,
     build_quadrature,
     converge_dimension,
-    holding_dimension,
     operator_power,
     prepare_probe,
     probe_amplitudes,
@@ -607,18 +606,6 @@ class TestDimensionLoop:
         scan = converge_dimension(lambda d: float(d), start=64)
         assert not scan.converged
         assert scan.dim_used == 1024
-
-
-    @pytest.mark.parametrize("probe, d", [
-        (ProbeSpec.vacuum(), 64), (ProbeSpec.fock(63), 64), (ProbeSpec.fock(64), 128),
-        (ProbeSpec.fock(70), 128), (ProbeSpec.coherent(6.0), 128),
-        (ProbeSpec.fock(1023), 1024)])
-    def test_loop_starts_at_the_first_dimension_holding_the_probe(self, probe, d):
-        assert holding_dimension(probe) == d
-
-    def test_probe_no_dimension_holds_raises_leakage(self):
-        with pytest.raises(TruncationLeakageError, match="dimension 1024"):
-            holding_dimension(ProbeSpec.fock(1024))
 
 
 class TestRichardson:

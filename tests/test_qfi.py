@@ -396,6 +396,61 @@ class TestGeneratorOnNodes:
         assert math.isnan(qfi_module.qfi_nodes(cfg, THETA2).value)
 
 
+ROUTE_ROW = StrategyConfig(theta1=0.0, theta2=0.05, n_queries=24, m=3,
+                           strategy=COHERENT_SUPERPOSITION)
+# <P> - theta1 2N = -57.6 lies past sqrt(2 * 1024 + 1) = 45.3
+BEYOND_REACH = replace(ROUTE_ROW, theta1=1.2)
+UNHOLDABLE = replace(ROUTE_ROW, probe=ProbeSpec.squeezed_vacuum(2.5))  # leaks at d = 1024
+
+
+class TestRoute:
+    """`route` decides each row from its config, one case per outcome: the
+    Fock start d (at theta1 = 0 the reach rule leaves the probe to decide it,
+    Fock(1023)'s half-width sqrt(2047) being inside sqrt(2049)), the node
+    route for either cause, the theta1 refusal of each cause, and the
+    NODE_CAP refusal the node table raises afterwards."""
+
+    @pytest.mark.parametrize("cfg, which, outcome", [
+        (replace(ROUTE_ROW, probe=ProbeSpec.vacuum()), THETA2, 64),
+        (replace(ROUTE_ROW, probe=ProbeSpec.fock(63)), THETA2, 64),
+        (replace(ROUTE_ROW, probe=ProbeSpec.fock(64)), THETA2, 128),
+        (replace(ROUTE_ROW, probe=ProbeSpec.fock(70)), THETA2, 128),
+        (replace(ROUTE_ROW, probe=ProbeSpec.coherent(6.0)), THETA2, 128),
+        (replace(ROUTE_ROW, probe=ProbeSpec.fock(1023)), THETA1, 1024),  # theta1 held too
+        (UNHOLDABLE, THETA2, "exact_nodes"),
+        (BEYOND_REACH, THETA2, "exact_nodes"),
+        (UNHOLDABLE, THETA1, "covers theta2 only"),
+        (BEYOND_REACH, THETA1, "covers theta2 only"),
+        (replace(BEYOND_REACH, probe=ProbeSpec.fock(509)), THETA2,
+         "needs 513 Gauss-Hermite nodes"),
+        (replace(ROUTE_ROW, probe=ProbeSpec.fock(1024)), THETA2,
+         "needs 1028 Gauss-Hermite nodes"),
+    ], ids=["vacuum-64", "fock63-64", "fock64-128", "fock70-128", "coherent6-128",
+            "fock1023-1024", "unholdable-nodes", "beyond-reach-nodes",
+            "unholdable-theta1-refused", "beyond-reach-theta1-refused",
+            "fock509-node-cap", "fock1024-node-cap"])
+    def test_route_decides_each_outcome(self, cfg, which, outcome):
+        if isinstance(outcome, int):
+            assert qfi_module.route(cfg, which) == outcome
+        elif outcome == "exact_nodes":
+            assert qfi_module.route(cfg, which) is None
+            est = qfi_converged(cfg, which)
+            assert (est.method, est.converged) == ("exact_nodes", True)
+        else:  # theta1 is refused by route itself, NODE_CAP as the node table is built
+            if which == THETA1:
+                with pytest.raises(EnvelopeError, match=outcome):
+                    qfi_module.route(cfg, which)
+            else:
+                assert qfi_module.route(cfg, which) is None
+            with pytest.raises(EnvelopeError, match=outcome):
+                qfi_converged(cfg, which)
+
+    def test_direct_theta1_node_call_is_a_contract_violation(self):
+        # route refuses a theta1 node row, so a direct call is a caller bug
+        with pytest.raises(ContractViolationError, match="covers theta2 only"):
+            qfi_module.qfi_nodes(BEYOND_REACH, THETA1)
+
+
 TRIANGLE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.coherent(0.3 + 0.2j), ProbeSpec.fock(2)]
 
 
@@ -410,7 +465,7 @@ class TestNodeRoute:
     def test_exact_nodes_fock_fd_and_generator_agree(self, m, strategy, probe):
         cfg = StrategyConfig(theta1=0.2, theta2=0.05, n_queries=2, m=m,
                              strategy=strategy, probe=probe)
-        assert qfi_module.fock_start(cfg) is not None
+        assert qfi_module.route(cfg, THETA2) is not None
         fock = qfi_converged(cfg, THETA2)
         nodes = qfi_module.qfi_nodes(cfg, THETA2)
         exact = qfi_generator(cfg, THETA2).value
@@ -424,26 +479,26 @@ class TestNodeRoute:
         # <P> - theta1 2N = -57.6 lies past sqrt(2 * 1024 + 1) = 45.3
         cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
                              strategy=COHERENT_SUPERPOSITION)
-        assert qfi_module.fock_start(cfg) is None
-        assert qfi_module.fock_start(replace(cfg, theta1=0.9)) == 64   # 43.2
+        assert qfi_module.route(cfg, THETA2) is None
+        assert qfi_module.route(replace(cfg, theta1=0.9), THETA2) == 64   # 43.2
         # Fock(600) fits d = 1024, but its momentum half-width sqrt(1201) =
         # 34.7 carries the row past the reach (43.2 + 34.7), and its node
         # grid m + 1 + n = 604 passes NODE_CAP, so the row is refused
         fock600 = replace(cfg, theta1=0.9, probe=ProbeSpec.fock(600))
-        assert qfi_module.fock_start(fock600) is None
+        assert qfi_module.route(fock600, THETA2) is None
         with pytest.raises(EnvelopeError, match="needs 604 Gauss-Hermite nodes"):
             qfi_converged(fock600, THETA2)
         # beyond the reach no basis holds the row, whatever its node grid:
         # m + 1 + n is 512 for Fock(508) at m = 3 and 513, past NODE_CAP,
         # for Fock(509), which qfi_nodes then refuses
-        assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.fock(508))) is None
-        assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.fock(509))) is None
+        assert qfi_module.route(replace(cfg, probe=ProbeSpec.fock(508)), THETA2) is None
+        assert qfi_module.route(replace(cfg, probe=ProbeSpec.fock(509)), THETA2) is None
         with pytest.raises(EnvelopeError, match="needs 513 Gauss-Hermite nodes"):
             qfi_converged(replace(cfg, probe=ProbeSpec.fock(509)), THETA2)
         # a coherent probe's momentum centre sqrt(2) Im alpha moves the reach
         shifted = replace(cfg, probe=ProbeSpec.coherent(10j))   # <P> = 14.1
-        assert qfi_module.fock_start(shifted) == 256
-        assert qfi_module.fock_start(replace(shifted, probe=ProbeSpec.coherent(-10j))) is None
+        assert qfi_module.route(shifted, THETA2) == 256
+        assert qfi_module.route(replace(shifted, probe=ProbeSpec.coherent(-10j)), THETA2) is None
         est = qfi_converged(cfg, THETA2)
         assert est.method == "exact_nodes" and est.converged
         assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
@@ -462,7 +517,7 @@ class TestNodeRoute:
         # 45.3, though the shift 36 alone does not
         cfg = StrategyConfig(theta1=1.2, theta2=0.1, n_queries=n, m=m, strategy=strategy,
                              probe=probe)
-        assert qfi_module.fock_start(cfg) is None
+        assert qfi_module.route(cfg, THETA2) is None
         est = qfi_converged(cfg, THETA2)
         assert est.method == "exact_nodes" and est.converged
         assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
@@ -476,8 +531,8 @@ class TestNodeRoute:
         # 45.3, 43.2 + e^-1 does not
         cfg = StrategyConfig(theta1=0.9, theta2=0.05, n_queries=24, m=3,
                              strategy=COHERENT_SUPERPOSITION)
-        assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.squeezed_vacuum(1.0))) is None
-        assert qfi_module.fock_start(replace(cfg, probe=ProbeSpec.squeezed_vacuum(-1.0))) == 128
+        assert qfi_module.route(replace(cfg, probe=ProbeSpec.squeezed_vacuum(1.0)), THETA2) is None
+        assert qfi_module.route(replace(cfg, probe=ProbeSpec.squeezed_vacuum(-1.0)), THETA2) == 128
 
     def test_seeded_grid_matches_the_generator_route(self):
         """m 1..5, N 1..400, theta1 in [0.05, 2]: every row converges and
