@@ -6,8 +6,9 @@ Runs, each in a fresh Python process on CHECKOUT's `src` (default: the
 checkout holding this script), the default run of every CSV command (every
 command but `claims`) and every op of the four benchmark workloads at each
 seed: the ops of pass 0, generated by CHECKOUT's `perfbench/workloads.py`;
-then the `qfi` rows of ROUTE_CASES, one per outcome of `qfi.route`, which
-neither of the others reaches.  Each prints one line: a label, the exit
+then the `qfi` rows of ROUTE_CASES, one per outcome of `qfi.route`, and of
+CENTRE_CASES, rows at a probe centre of 1e12, which neither of the others
+reaches.  Each prints one line: a label, the exit
 code and the md5 of stdout plus stderr.  A CLI op is `cvmet.cli.main(argv)`;
 a claim op prints the repr of its `ClaimResult`.  Two checkouts print the
 same bytes where `diff` of their digest lists is empty.  Nothing is written
@@ -39,6 +40,14 @@ ROUTE_CASES = (  # (name, argv after "qfi")
     ("node-cap-fock1024", ("--set", 'probe={"kind": "fock", "n": 1024}')),
     ("float-range", ("--set", "m=5", "--set", "n_queries=1e60", "--set", "theta1=1.2")),
     ("theta1-m2-f-gen-nan", ("--set", "m=2") + THETA1),
+)
+FAR_P = ("--set", 'probe={"kind": "coherent", "alpha_re": 0.3, "alpha_im": 1e12}')
+CENTRE_CASES = (  # (name, argv after "qfi"); exact: F = F_gen = F_asym = 34.56 at m = 1
+    ("switch-m1-im1e12", FAR_P),
+    ("switch-m3-im1e12", FAR_P + ("--set", "m=3")),
+    ("cs-m2-im1e12", FAR_P + ("--set", "m=2", "--set", "strategy=coherent_superposition")),
+    # no Fock basis holds the probe, so `qfi.route` refuses this theta1 row
+    ("theta1-m1-re1e12", ("--set", 'probe={"kind": "coherent", "alpha_re": 1e12}') + THETA1),
 )
 CHILD = """
 import sys
@@ -77,8 +86,9 @@ def main(argv=None) -> int:
                 kind, op_args = ("claim", [op.claim]) if op.claim else ("cli", list(op.argv))
                 print(f"{workload} seed={seed} {op.id}\t{digest(root, kind, op_args)}",
                       flush=True)
-    for name, argv in ROUTE_CASES:
-        print(f"route {name}\t{digest(root, 'cli', ['qfi', *argv])}", flush=True)
+    for label, cases in (("route", ROUTE_CASES), ("centre", CENTRE_CASES)):
+        for name, argv in cases:
+            print(f"{label} {name}\t{digest(root, 'cli', ['qfi', *argv])}", flush=True)
     return 0
 
 

@@ -343,19 +343,21 @@ def probe_on_nodes(spec: ProbeSpec, quadrature: str, degree: int) -> tuple:
         raise ContractViolationError(f"quadrature must be 'X' or 'P', got {quadrature!r}")
     if not isinstance(degree, (int, np.integer)) or degree < 0:
         raise ContractViolationError(f"polynomial degree must be an integer >= 0, got {degree!r}")
-    return _node_table(spec, quadrature, int(degree) // 2 + 1)
+    _, w, _, _, q = _node_table(spec, quadrature, int(degree) // 2 + 1)
+    return q, w
 
 
 @functools.lru_cache(maxsize=64)
 def _node_table(spec: ProbeSpec, quadrature: str, base: int) -> tuple:
-    """(q, w) of `probe_on_nodes` on the rule of `base` (+ n) nodes, read-only
-    and built once per key; an EnvelopeError is raised, never cached."""
+    """(t, w, c, s, q) on the rule of `base` (+ n) nodes: the centred nodes t
+    of `_rule`, and the weights w and nodes q = c + s t of `probe_on_nodes`,
+    read-only and built once per key; an EnvelopeError is never cached."""
     t, n, centre, width = _rule(spec, quadrature, base)
     amps = _root_weights(t.size) * _hermite_functions(t, n)[1]
     q, w = centre + width * t, amps * amps
     q.setflags(write=False)
     w.setflags(write=False)
-    return q, w
+    return t, w, centre, width, q
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,10 +16,12 @@ F = 4(<d psi|d psi> - |<d psi|psi>|^2), estimated by
 
 None takes a step: `qfi_fd`, the central difference with a mandatory
 Richardson check, is the generic estimator for any one-parameter builder
-(claims 2 and 9).  Both node routes take expectation-of-square <g^2>, which
-satisfies the pure-state formula exactly, each generator centred on the
-state's mean first; the leading-order |<g>|^2 is reported in the
-diagnostics.
+(claims 2 and 9).  Both node routes, and the probe variances of the closed
+forms, are 4 Var over an even two-branch mixture of polynomials in one
+quadrature, summed by one evaluator, `_mixture_qfi`, in the probe's centred
+node t (Q = c + s t), so they keep their digits at any probe centre c.  The
+routes derive their polynomials independently (`node_phases`,
+`bch.phase_derivative_generator`): F against F_gen checks that algebra.
 
 Each refusal is an EnvelopeError, decided in one place: a theta1 row that
 neither exact_fock nor exact_nodes takes in `route`, from the config alone;
@@ -43,10 +45,9 @@ from .cvspace import (
     DIM_REL_TOL,
     DIM_START,
     ProbeSpec,
+    _node_table,
     converge_dimension,
     prepare_probe,
-    probe_amplitudes,
-    probe_on_nodes,
     richardson,
 )
 from .errors import (
@@ -141,24 +142,55 @@ def _within_float_range(estimator):
     return checked
 
 
-# --- exact generator route ---------------------------------------------------
+# --- the two-branch evaluator and the exact generator route -----------------
 
-def _branch_generators(cfg: StrategyConfig, which_param: str, n: int):
-    """(coefficients by power, quadrature symbol, sigma) of each branch at N = n.
+def _mixture_qfi(branches, table) -> tuple:
+    """(F, gap) per row: F = 4 Var Phi over the even mixture of two real
+    polynomials Phi_0, Phi_1 in one probe quadrature Q, and <Phi_0 - Phi_1>.
 
-    The branch derivative is -i sigma_b g_b acting inside the branch, with
-    g_b a real polynomial in one quadrature whose moments are taken on the
-    bare probe (every surrounding factor commutes with g_b or is unitary in
-    the conjugate variable and drops out).
+    `branches` holds each branch's coefficients by ascending power of Q, one
+    row per N; `table` is the probe's centred node table (t, w, c, s),
+    Q = c + s t, exact to the degree of Phi^2.  Each polynomial, and the
+    difference of the two coefficient lists, is re-expanded about c (a
+    Taylor shift: coefficient k is Phi^(k)(c) s^k / k!), and F =
+    2 sum_b Var_t(Phi_b) + <Phi_0 - Phi_1>^2, each variance from the terms
+    k >= 1 alone: no step subtracts two values of size |c|^m.  Every step is
+    elementwise and each moment the 1-D dot of one row with w, so no row
+    depends on another.  An infinite coefficient is an OverflowError.
+    """
+    t, w, c, s = table
+    a = np.array(branches, dtype=float)  # (branch, row, power)
+    if np.isinf(a).any():
+        raise OverflowError("branch coefficients pass the float range")
+    a = np.concatenate([a, a[:1] - a[1:]])
+    for low in range(a.shape[2] - 1):
+        for k in range(a.shape[2] - 2, low - 1, -1):
+            a[..., k] += c * a[..., k + 1]
+    u, tail = s * t, np.zeros(a.shape[:2] + t.shape)
+    for k in range(a.shape[2] - 1, 0, -1):  # Horner, the terms k >= 1 on the nodes
+        tail = (tail + a[..., k, None]) * u
+    mean = np.vecdot(tail, w)
+    spread = np.vecdot((tail[:2] - mean[:2, :, None]) ** 2, w)
+    gap = a[2, :, 0] + mean[2]
+    return 2.0 * (spread[0] + spread[1]) + gap * gap, gap
+
+
+def _branch_generators(cfg: StrategyConfig, which_param: str, n: int) -> tuple:
+    """(g_0, g_1), the coefficients by power of P (of X for theta1) of each
+    branch's derivative generator at N = n.
+
+    The branch derivative is -i g_b acting inside the branch, with g_b a real
+    polynomial in one quadrature whose moments are taken on the bare probe
+    (every surrounding factor commutes with g_b or is unitary in the
+    conjugate variable and drops out).
     """
     strategy = encoding(cfg.strategy)
     if which_param == THETA2:
         if strategy == COHERENT_SUPERPOSITION:
             g = bch.phase_derivative_generator(cfg.m, cfg.theta1, n, "cs_branch")
-            return [(g, "P", +1.0), (g, "P", -1.0)]
-        g0 = (0.0,) * cfg.m + (float(n),)
-        g1 = bch.phase_derivative_generator(cfg.m, cfg.theta1, n, "switch_branch")
-        return [(g0, "P", +1.0), (g1, "P", +1.0)]
+            return g, tuple(-c for c in g)
+        return ((0.0,) * cfg.m + (float(n),),
+                bch.phase_derivative_generator(cfg.m, cfg.theta1, n, "switch_branch"))
     if which_param == THETA1:
         if cfg.m != 1:
             raise UnsupportedConfigurationError(
@@ -168,52 +200,27 @@ def _branch_generators(cfg: StrategyConfig, which_param: str, n: int):
             # probe-frame generators 2N X +- 2N^2 theta2: the 2N X query term
             # picks up the +-2N theta2 momentum-displacement shift of X plus
             # the -+2N^2 theta2 derivative of the reordering phase
-            g_plus = (2 * n * n * cfg.theta2, 2.0 * n)
-            g_minus = (-2 * n * n * cfg.theta2, 2.0 * n)
-            return [(g_plus, "X", +1.0), (g_minus, "X", +1.0)]
+            return (2 * n * n * cfg.theta2, 2.0 * n), (-2 * n * n * cfg.theta2, 2.0 * n)
         # switch: X-moments of branch 0 see X shifted by +N theta2 through U2^N
-        g0 = (n * n * cfg.theta2, float(n))
-        g1 = (0.0, float(n))
-        return [(g0, "X", +1.0), (g1, "X", +1.0)]
+        return (n * n * cfg.theta2, float(n)), (0.0, float(n))
     raise UnsupportedConfigurationError(f"unknown parameter {which_param!r}")
 
 
 def _generator_grid(cfg: StrategyConfig, which_param: str, n_values) -> list:
-    """F of `qfi_generator_grid`, unchecked for the float range.
-
-    F = 4 (1/2) sum_b <(g_b - sigma_b mu)^2>, mu = (1/2) sum_b sigma_b <g_b>
-    the mixture mean, taken out before squaring (sigma_b = +-1).  g_b acts on
-    P (on X for the linear theta1 case), so each moment is a weighted sum over
-    the probe's nodes (`probe_on_nodes` at degree 2 deg g_b): exact, no basis.
-    Each branch's rows, one per N, are built as one (len(N) x nodes) array,
-    elementwise, and `np.vecdot` takes each row's moment by the 1-D dot w . row
-    of a lone N (a matrix-vector product G @ w sums in another order).
-    """
+    """F of `qfi_generator_grid`, unchecked for the float range: the branch
+    generators of every N, one row each, through `_mixture_qfi` on the
+    probe's P nodes (X for theta1) of degree 2 deg g_b: exact, no basis."""
     if not n_values:
         return []
-    tables = []
-    for branch in zip(*(_branch_generators(cfg, which_param, n) for n in n_values)):
-        coeffs = np.array([c for c, _, _ in branch])
-        _, symbol, sigma = branch[0]
-        q, w = probe_on_nodes(cfg.probe, symbol, 2 * (coeffs.shape[1] - 1))
-        g = np.zeros((len(branch), q.size))
-        for c in coeffs.T[::-1]:  # Horner
-            g = g * q + c[:, None]
-        tables.append((w, g, sigma, np.vecdot(g, w), np.vecdot(g * g, w)))
-    _, _, sigmas, means, sq_means = zip(*tables)
-    mu = sum(s * m for s, m in zip(sigmas, means)) / len(tables)
-    values = 4.0 * sum(np.vecdot((g - s * mu[:, None]) ** 2, w)
-                       for w, g, s, _, _ in tables) / len(tables)
+    branches = [np.array(b) for b in
+                zip(*(_branch_generators(cfg, which_param, n) for n in n_values))]
+    symbol = "P" if which_param == THETA2 else "X"
+    values, gaps = _mixture_qfi(branches, _node_table(cfg.probe, symbol, branches[0].shape[1])[:4])
     leading = encoding(cfg.strategy) == COHERENT_SUPERPOSITION and which_param == THETA2
-    estimates = []
-    for value, mean, sq_mean in zip(values.tolist(), zip(*(a.tolist() for a in means)),
-                                    zip(*(a.tolist() for a in sq_means))):
-        diagnostics = {"branch_means": mean, "branch_square_means": sq_mean}
-        if leading:  # leading-order squared-expectation form, for regression only
-            diagnostics["expectation_squared_form"] = 4.0 * mean[0] ** 2
-        estimates.append(QfiEstimate(value, "generator_exact", converged=True,
-                                     diagnostics=diagnostics))
-    return estimates
+    # the leading-order squared-expectation form 4 <g>^2, for regression only
+    return [QfiEstimate(value, "generator_exact", converged=True,
+                        diagnostics={"expectation_squared_form": gap * gap} if leading else {})
+            for value, gap in zip(values.tolist(), gaps.tolist())]
 
 
 def qfi_generator_grid(cfg: StrategyConfig, which_param: str, n_values) -> list:
@@ -239,9 +246,10 @@ def qfi_generator(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
 # --- asymptotic closed forms --------------------------------------------------
 
 def _probe_variance(probe: ProbeSpec, which: str) -> float:
-    """Var(X) or Var(P) of the probe, exact on its quadrature nodes."""
-    q, w = probe_on_nodes(probe, which, 2)
-    return float(w @ (q * q)) - float(w @ q) ** 2
+    """Var(X) or Var(P) of the probe, s^2 Var(t) on its centred nodes: a
+    quarter of `_mixture_qfi` of the branches Q, Q."""
+    linear = [(0.0, 1.0)]
+    return float(_mixture_qfi([linear, linear], _node_table(probe, which, 2)[:4])[0][0]) / 4
 
 
 @_within_float_range
@@ -257,19 +265,10 @@ def asymptotic_qfi(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     """
     n, m = float(cfg.n_queries), cfg.m
     strategy = encoding(cfg.strategy)
-    if m == 1:
-        var_x = _probe_variance(cfg.probe, "X")
-        var_p = _probe_variance(cfg.probe, "P")
-        if strategy == SWITCH:
-            if which_param == THETA1:
-                value = (cfg.theta2 * n * n) ** 2 + 4 * var_x * n * n
-            else:
-                value = (cfg.theta1 * n * n) ** 2 + 4 * var_p * n * n
-        else:
-            if which_param == THETA1:
-                value = (4 * cfg.theta2 * n * n) ** 2 + 16 * var_x * n * n
-            else:
-                value = (4 * cfg.theta1 * n * n) ** 2 + 16 * var_p * n * n
+    if m == 1:  # the other coupling, and the variance of the conjugate quadrature
+        other, which = (cfg.theta2, "X") if which_param == THETA1 else (cfg.theta1, "P")
+        span = n if strategy == SWITCH else 2 * n  # each branch's query time
+        value = (other * span * span) ** 2 + 4 * _probe_variance(cfg.probe, which) * span * span
         return QfiEstimate(value, "asymptotic")
     if which_param != THETA2:
         raise UnsupportedConfigurationError(
@@ -329,26 +328,22 @@ def route(cfg: StrategyConfig, which_param: str) -> int | None:
 def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     """Exact QFI of theta2 on momentum nodes.
 
-    Branch b is the probe's node amplitudes phi over sqrt(2) times
-    e^{-i theta2 Phi_b(q)} (`node_phases`), Phi_b free of theta2, so
-    d psi = -i (Phi - mu) psi exactly, centred on the state's mean mu (a
-    constant adds only a global phase), and F = 4 sum_b sum_j |phi_j|^2 / 2
-    (Phi_b - mu)^2.  Each term is e^{-t^2} times a polynomial of degree
-    2m + 2n in the base node t, so one grid of G = m + 1 + n nodes (n for
-    Fock(n)) sums it exactly: converged by construction, with G as
-    `dim_used`.  A grid past NODE_CAP is refused where the node table is
-    built, an F past the float range as it is computed.  theta1 moves the
-    grid: `route` refuses a theta1 row before it gets here.
+    Branch b is the probe times e^{-i theta2 Phi_b(P)}, Phi_b free of theta2
+    (`node_phases`), so d psi = -i (Phi - mu) psi exactly, mu the state's
+    mean (a constant adds only a global phase), and F = 4 Var Phi over the
+    even mixture of the branches (`_mixture_qfi`).  Each term is e^{-t^2}
+    times a polynomial of degree 2m + 2n in the base node t, so one grid of
+    G = m + 1 + n nodes (n for Fock(n)) sums it exactly: converged by
+    construction, with G as `dim_used`.  A grid past NODE_CAP is refused
+    where the node table is built, an F past the float range as it is
+    computed.  theta1 moves the grid: `route` refuses a theta1 row first.
     """
     if which_param != THETA2:
         raise ContractViolationError(
             f"qfi_nodes covers theta2 only, got {which_param!r}; qfi.route refuses the rest")
-    q, phi, _ = probe_amplitudes(cfg.probe, cfg.m + 1, 0.0)
-    density = np.abs(phi) ** 2 / 2
-    phases = node_phases(cfg, q)
-    mu = sum(density @ phase for phase in phases)
-    value = 4.0 * sum(density @ (phase - mu) ** 2 for phase in phases)
-    return QfiEstimate(float(value), "exact_nodes", diagnostics={"dim_used": q.size})
+    table = _node_table(cfg.probe, "P", cfg.m + 1)[:4]
+    value, _ = _mixture_qfi([[phi] for phi in node_phases(cfg)], table)
+    return QfiEstimate(float(value[0]), "exact_nodes", diagnostics={"dim_used": table[0].size})
 
 
 def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
@@ -396,9 +391,9 @@ LARGE_N_FACTOR = 10.0
 
 
 def _gate_floor(probe: ProbeSpec) -> float:
-    """10 (|<P>_probe| + 1), the least N |theta1| of the large-N regime."""
-    q, w = probe_on_nodes(probe, "P", 1)
-    return LARGE_N_FACTOR * (abs(float(w @ q)) + 1.0)
+    """10 (|<P>_probe| + 1), the least N |theta1| of the large-N regime,
+    <P> read as the centre c of the probe's P node table."""
+    return LARGE_N_FACTOR * (abs(_node_table(probe, "P", 1)[2]) + 1.0)
 
 
 def large_n_gate(cfg: StrategyConfig) -> bool:

@@ -547,13 +547,13 @@ def momentum_shift(cfg: StrategyConfig) -> float:
     return cfg.theta1 * span
 
 
-def node_phases(cfg: StrategyConfig, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi_0, Phi_1) on momentum nodes q: branch b of the strategy state is
-    the probe's node amplitudes times e^{-i theta2 Phi_b(q)}, Phi_b free of
-    theta2, carried to the grid p_j = q_j - `momentum_shift` (with X = i d/dp,
-    e^{-i a X} moves psi(p) to psi(p + a), and e^{-i b P^m} is the phase
-    b p^m).  Both branches end on the same grid, so the state's moments are
-    the quadrature of the probe's; theta1 moves the grid.
+def node_phases(cfg: StrategyConfig) -> tuple[tuple, tuple]:
+    """(Phi_0, Phi_1) by their coefficients in ascending powers of q: branch
+    b of the strategy state is the probe's momentum amplitudes at q times
+    e^{-i theta2 Phi_b(q)}, Phi_b free of theta2, carried to the grid
+    p = q - `momentum_shift` (with X = i d/dp, e^{-i a X} moves psi(p) to
+    psi(p + a), and e^{-i b P^m} is the phase b p^m).  Both branches end on
+    the same grid, so the state's moments are the probe's; theta1 moves it.
 
     A coherent-superposition branch e^{-i2N(theta1 X +- theta2 P^m)} has
     Phi = +-int_0^{2N} (q - theta1 s)^m ds
@@ -565,9 +565,10 @@ def node_phases(cfg: StrategyConfig, q: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     m, n = cfg.m, cfg.n_queries
     if encoding(cfg.strategy) == SWITCH:
-        return n * q ** m, n * (q - n * cfg.theta1) ** m
+        shift = -n * cfg.theta1
+        return ((0.0,) * m + (float(n),),
+                tuple(n * math.comb(m, k) * shift ** (m - k) for k in range(m + 1)))
     a, tau = cfg.theta1, 2 * n
-    phase = sum(math.comb(m, k) * (-a) ** k * tau ** (k + 1) / (k + 1) * q ** (m - k)
-                for k in range(m + 1))
-    return phase, -phase
-
+    phase = tuple(math.comb(m, k) * (-a) ** k * tau ** (k + 1) / (k + 1)
+                  for k in range(m + 1))[::-1]
+    return phase, tuple(-c for c in phase)

@@ -1,9 +1,11 @@
 import csv
+import decimal
 import io
 import json
 import math
 import pathlib
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -479,8 +481,25 @@ class TestNodeRoute:
         exact = exact_theta2_qfi(row_config(argv))
         assert float(exact) == pytest.approx(2.7647992179969e14, rel=1e-13)
         assert (record["method"], record["converged"]) == ("exact_nodes", "true")
-        assert float(record["F"]) == pytest.approx(float(exact), rel=1e-9)
-        assert float(record["F_gen"]) == pytest.approx(float(exact), rel=1e-9)
+        assert float(record["F"]) == pytest.approx(float(exact), rel=1e-12)
+        assert float(record["F_gen"]) == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("m, value", [(1, 34.56), (3, 1.24415999999929e51)])
+    def test_large_centre_rows_are_exact(self, m, value, tmp_path, exact_theta2_qfi):
+        # <P> = sqrt(2) 1e12: summed on the uncentred nodes, the m = 1 row
+        # printed F 34.551929, F_gen 34.551948 and F_asym 85899345922.56,
+        # the m = 3 row F 1.24408e51, every one of them converged
+        argv = ["qfi", "--set", f"m={m}",
+                "--set", 'probe={"kind": "coherent", "alpha_re": 0.3, "alpha_im": 1e12}']
+        record = qfi_record(argv, tmp_path)
+        exact = float(exact_theta2_qfi(row_config(argv)))
+        assert exact == pytest.approx(value, rel=1e-14)
+        assert (record["method"], record["converged"]) == ("exact_nodes", "true")
+        assert float(record["F"]) == pytest.approx(exact, rel=1e-12)
+        assert float(record["F_gen"]) == pytest.approx(exact, rel=1e-12)
+        if m == 1:  # the closed form theta1^2 N^4 + 4 N^2 Var P, Var P = 1/2
+            assert float(record["F_asym"]) == pytest.approx(0.1 ** 2 * 4 ** 4 + 2 * 4 ** 2,
+                                                            rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
@@ -556,6 +575,39 @@ class TestNodeRoute:
         for command, body in bodies.items():
             text = cli.COMMAND_TABLE[command](cli.load_config(command, None, [])).csv_text()
             assert text.split("\n", 1)[1] == body, command
+
+    def test_recorded_bodies_hold_the_exact_values(self, exact_theta2_qfi):
+        """Every F_gen and ratio_measured value of the recorded default
+        bodies lies within 1e-15 relative of its exact rational, so a
+        regenerated body cannot absorb a real error.  The ratio is
+        delta theta2 (coherent superposition) / delta theta2 (switch) =
+        sqrt(F_switch / F_cs), at theta2 = 0.05 on the vacuum."""
+        bodies = json.loads((ROOT / "tests" / "data" / "default_csv_bodies.json").read_text())
+        assert cli.DEFAULT_CONFIG["estimate"] == THETA2
+        assert cli.DEFAULT_CONFIG["probe"] == {"kind": "vacuum"}
+        checked = 0
+        for command in ("qfi", "sweep"):
+            for record in csv.DictReader(io.StringIO(bodies[command])):
+                cfg = StrategyConfig(theta1=float(record["theta1"]),
+                                     theta2=float(record["theta2"]),
+                                     n_queries=int(record["N"]), m=int(record["m"]),
+                                     strategy=record["strategy"])
+                exact = float(exact_theta2_qfi(cfg))
+                assert float(record["F_gen"]) == pytest.approx(exact, rel=1e-15), record
+                checked += 1
+        theta1 = cli.DEFAULT_CONFIG["ratio"]["theta1"]
+        for record in csv.DictReader(io.StringIO(bodies["ratio"])):
+            if not record["ratio_measured"]:
+                continue  # below the large-N gate
+            cfg = StrategyConfig(theta1=theta1, theta2=0.05, n_queries=int(record["N"]),
+                                 m=int(record["m"]), strategy=strategies.SWITCH)
+            square = exact_theta2_qfi(cfg) / exact_theta2_qfi(
+                replace(cfg, strategy=strategies.COHERENT_SUPERPOSITION))
+            with decimal.localcontext(prec=40):
+                exact = float((decimal.Decimal(square.numerator) / square.denominator).sqrt())
+            assert float(record["ratio_measured"]) == pytest.approx(exact, rel=1e-15), record
+            checked += 1
+        assert checked == 1 + 4 + 18
 
 
 class TestNSweep:

@@ -370,11 +370,11 @@ class TestGeneratorOnNodes:
 
     def test_far_centred_probe_keeps_its_digits(self, exact_theta2_qfi):
         # <P> = 1.4e6: the mixture's <g^2> and <g>^2 agree to 11 digits, so
-        # each sigma_b g_b is centred on the mixture mean before squaring
+        # each g_b is re-expanded about the probe's centre before squaring
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=2, strategy=SWITCH,
                              probe=ProbeSpec.coherent(1e6 + 1e6j))
         exact = float(exact_theta2_qfi(cfg))
-        assert qfi_generator(cfg, THETA2).value == pytest.approx(exact, rel=1e-9)
+        assert qfi_generator(cfg, THETA2).value == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("estimator", [qfi_generator, asymptotic_qfi,
                                            qfi_module.qfi_nodes])
@@ -388,9 +388,10 @@ class TestGeneratorOnNodes:
             estimator(cfg, THETA2)
 
     def test_nan_is_no_overflow(self, monkeypatch):
-        # a nan from anything but an overflow is not hidden as one
+        # a nan from anything but an overflow is not hidden as one: nan
+        # coefficients give a nan F, where an infinite one is an overflow
         monkeypatch.setattr(qfi_module, "node_phases",
-                            lambda cfg, q: (np.full(q.size, np.nan),) * 2)
+                            lambda cfg: ((math.nan,) * (cfg.m + 1),) * 2)
         cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
                              strategy=COHERENT_SUPERPOSITION)
         assert math.isnan(qfi_module.qfi_nodes(cfg, THETA2).value)
@@ -538,8 +539,8 @@ class TestNodeRoute:
         """m 1..5, N 1..400, theta1 in [0.05, 2]: every row converges and
         agrees with F_gen to 1e-12.  The node rows take Phi_b from the
         binomial sums of `node_phases`; F_gen takes its generators from the
-        bch tables.  Both read the one node table of the probe, as
-        amplitudes and as their densities (`probe_on_nodes`)."""
+        bch tables.  Only the summation, `_mixture_qfi` on the probe's one
+        centred node table, is shared."""
         rng = np.random.default_rng(0)
         for _ in range(60):
             cfg = StrategyConfig(theta1=rng.uniform(0.05, 2.0), theta2=rng.uniform(0.01, 1.0),
@@ -571,14 +572,14 @@ class TestNodeRoute:
         assert est.method == "exact_nodes" and est.converged
 
     def test_one_table_is_built_on_m_plus_1_plus_n_nodes(self, monkeypatch):
-        # one probe table and one set of phases on it: every table reads its
-        # grid from `_rule`; m + 1 base nodes integrate the degree-2m moments
-        # of Phi_b exactly
+        # one probe table and one pair of coefficient lists for it: every
+        # table reads its grid from `_rule`; m + 1 base nodes integrate the
+        # degree-2m moments of Phi_b exactly
         builds, tables = [], []
 
-        def counted(cfg, q):
-            builds.append(q.size)
-            return strategies.node_phases(cfg, q)
+        def counted(cfg):
+            builds.append(tuple(map(len, strategies.node_phases(cfg))))
+            return strategies.node_phases(cfg)
 
         def tabled(spec, quadrature, base, rule=cvspace._rule):
             tables.append(base + spec.n)
@@ -586,17 +587,19 @@ class TestNodeRoute:
 
         monkeypatch.setattr(qfi_module, "node_phases", counted)
         monkeypatch.setattr(cvspace, "_rule", tabled)
+        cvspace._node_table.cache_clear()
         cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
                              strategy=COHERENT_SUPERPOSITION, probe=ProbeSpec.fock(5))
         est = qfi_module.qfi_nodes(cfg, THETA2)
-        assert builds == tables == [3 + 1 + 5]
+        assert builds == [(3 + 1, 3 + 1)] and tables == [3 + 1 + 5]
         assert est.converged and est.diagnostics == {"dim_used": 9}
 
-    def test_single_grid_matches_a_centred_64_base_grid(self):
+    def test_single_grid_matches_a_centred_64_base_grid(self, exact_theta2_qfi):
         """The G-vs-2G comparison the route no longer makes on every row:
-        the m + 1 (+ n) node grid against the variance of the centred
-        phases on a 64 (+ n) node grid, which is exact as well, on seeded
-        rows up to m = 8, N = 400 and a coherent probe centred at 1.4e6."""
+        the m + 1 (+ n) node grid against the same centred evaluator on a
+        64 (+ n) node grid, which is exact as well, and both against the
+        exact oracle, on seeded rows up to m = 8, N = 400 and a coherent
+        probe centred at 1.4e6."""
         probes = [ProbeSpec.vacuum(), ProbeSpec.fock(3), ProbeSpec.fock(300),
                   ProbeSpec.coherent(-1.1 + 0.7j), ProbeSpec.coherent(1e3 - 2e3j),
                   ProbeSpec.coherent(1e6 + 1e6j), ProbeSpec.squeezed_vacuum(0.8),
@@ -607,13 +610,13 @@ class TestNodeRoute:
                                  n_queries=int(rng.integers(1, 401)), m=int(rng.integers(1, 9)),
                                  strategy=(SWITCH, COHERENT_SUPERPOSITION)[rng.integers(2)],
                                  probe=probes[rng.integers(len(probes))])
-            q, phi, _ = cvspace.probe_amplitudes(cfg.probe, 64, 0.0)
-            phases = np.concatenate(strategies.node_phases(cfg, q))
-            density = np.abs(np.concatenate([phi, phi])) ** 2 / 2
-            fine = 4 * density @ (phases - density @ phases) ** 2
+            fine, _ = qfi_module._mixture_qfi([[phi] for phi in strategies.node_phases(cfg)],
+                                              cvspace._node_table(cfg.probe, "P", 64)[:4])
+            exact = float(exact_theta2_qfi(cfg))
             est = qfi_module.qfi_nodes(cfg, THETA2)
             assert est.converged, cfg
-            assert est.value == pytest.approx(fine, rel=1e-11), cfg
+            assert est.value == pytest.approx(fine[0], rel=1e-12), cfg
+            assert est.value == pytest.approx(exact, rel=1e-12), cfg
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
@@ -634,12 +637,58 @@ class TestNodeRoute:
 
     def test_uncovered_rows_fail_before_any_build(self, monkeypatch):
         builds = []
-        monkeypatch.setattr(qfi_module, "probe_amplitudes", lambda *a: builds.append(a))
+        monkeypatch.setattr(qfi_module, "_node_table", lambda *a: builds.append(a))
         cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
                              strategy=COHERENT_SUPERPOSITION)
         with pytest.raises(EnvelopeError, match="covers theta2 only"):
             qfi_converged(cfg, THETA1)
         assert builds == []
+
+
+def centred_grid_probes():
+    """The probes of the centred-evaluator grid: the vacuum, Fock(n <= 500),
+    squeezed r = +-0.8, and coherent probes with Im alpha or Re alpha at
+    +-1e12 and four seeded centres 10^[2, 12) of either sign."""
+    rng = np.random.default_rng(14)
+    seeded = [complex(*(float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(2, 12)
+                        for _ in range(2))) for _ in range(4)]
+    centres = [0.3 + 1e12j, 0.3 - 1e12j, 1e12 + 0.7j, -1e12 + 1e12j] + seeded
+    return ([ProbeSpec.vacuum(), ProbeSpec.fock(1), ProbeSpec.fock(8), ProbeSpec.fock(500),
+             ProbeSpec.squeezed_vacuum(0.8), ProbeSpec.squeezed_vacuum(-0.8)]
+            + [ProbeSpec.coherent(alpha) for alpha in centres])
+
+
+class TestCentredEvaluator:
+    """ROADMAP item 14: both exact routes sum F through the one centred
+    evaluator `_mixture_qfi`, so at a probe centre c of 1e12 neither
+    subtracts two values of size |c|^m and both stay within 1e-12 of the
+    exact oracles, where the uncentred sums missed by up to 2.4e-4."""
+
+    @pytest.mark.parametrize("probe", centred_grid_probes(),
+                             ids=lambda p: f"{p.kind}-{p.n}-{p.alpha}-{p.r}")
+    def test_both_routes_match_the_oracles(self, probe, exact_theta2_qfi, exact_theta1_qfi):
+        for strategy in (SWITCH, COHERENT_SUPERPOSITION):
+            for m in range(1, 6):
+                for n in (4, 40, 400):
+                    for theta1 in (0.1, 1.2):
+                        cfg = StrategyConfig(theta1=theta1, theta2=0.05, n_queries=n, m=m,
+                                             strategy=strategy, probe=probe)
+                        exact = float(exact_theta2_qfi(cfg))
+                        assert qfi_module.qfi_nodes(cfg, THETA2).value == pytest.approx(
+                            exact, rel=1e-12), cfg
+                        assert qfi_generator(cfg, THETA2).value == pytest.approx(
+                            exact, rel=1e-12), cfg
+                        if m == 1:  # the X-node generators, centred at sqrt(2) Re alpha
+                            assert qfi_generator(cfg, THETA1).value == pytest.approx(
+                                float(exact_theta1_qfi(cfg)), rel=1e-12), cfg
+
+    @pytest.mark.parametrize("alpha", [0.3 + 1e8j, 0.3 + 1e12j, -1e12 - 1e12j])
+    def test_linear_asymptote_reads_the_centred_variance(self, alpha):
+        # m = 1: theta1^2 N^4 + 4 N^2 Var P, and Var P = 1/2 at any centre
+        cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1, strategy=SWITCH,
+                             probe=ProbeSpec.coherent(alpha))
+        assert qfi_module._probe_variance(cfg.probe, "P") == pytest.approx(0.5, rel=1e-15)
+        assert asymptotic_qfi(cfg, THETA2).value == pytest.approx(34.56, rel=1e-15)
 
 
 INVARIANCE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.fock(1), ProbeSpec.fock(5),
@@ -766,18 +815,20 @@ class TestInvariances:
         |<psi|d psi>|^2) is unchanged.  On the nodes a constant c added to
         both Phi_b is the phase e^{-i theta2 c}: the rational oracle is
         unchanged exactly, and so is the node route's F up to the rounding
-        of Phi_b + c, with c ten times the largest |Phi_b| on the grid."""
+        of Phi_b + c, with c, added to the constant coefficient of both,
+        ten times the largest |Phi_b| on the grid."""
         rng = np.random.default_rng(12)
         phases_of = strategies.node_phases
         for cfg in invariance_grid(12, 30):
-            q, _, _ = cvspace.probe_amplitudes(cfg.probe, cfg.m + 1, 0.0)
+            q, _ = cvspace.probe_on_nodes(cfg.probe, "P", 2 * cfg.m)
             shift = float(rng.choice([-10.0, 10.0])) * max(
-                np.abs(phase).max() for phase in phases_of(cfg, q))
+                np.abs(np.polynomial.polynomial.polyval(q, phase)).max()
+                for phase in phases_of(cfg))
             exact = exact_theta2_qfi(cfg)  # a Fraction, or 80-digit Decimals for a coherent probe
             moved = float(abs(exact_theta2_qfi(cfg, shift) - exact) / exact)
             assert moved <= (0.0 if isinstance(exact, Fraction) else 1e-60), cfg
             monkeypatch.setattr(qfi_module, "node_phases",
-                                lambda c, q: tuple(p + shift for p in phases_of(c, q)))
+                                lambda c: tuple((p[0] + shift,) + p[1:] for p in phases_of(c)))
             value = qfi_module.qfi_nodes(cfg, THETA2).value
             assert value == pytest.approx(float(exact), rel=1e-12), (cfg, shift)
 
@@ -890,25 +941,41 @@ def gated_grid(rng, cfg):
 
 def one_point_route(cfg, which):
     """F of the generator route at N = cfg.n_queries taken one point at a
-    time: Horner with each Python-float coefficient on the 1-D node table,
-    each moment the 1-D dot w @ g."""
-    tables = []
-    for coeffs, symbol, sigma in qfi_module._branch_generators(cfg, which, cfg.n_queries):
-        q, w = cvspace.probe_on_nodes(cfg.probe, symbol, 2 * (len(coeffs) - 1))
-        g = np.zeros_like(q)
-        for c in reversed(coeffs):
-            g = g * q + c
-        tables.append((w, g, sigma, float(w @ g)))
-    mu = sum(s * mean for _, _, s, mean in tables) / len(tables)
-    return 4.0 * sum(float(w @ (g - s * mu) ** 2) for w, g, s, _ in tables) / len(tables)
+    time, the centred evaluator in Python floats: each branch's
+    coefficients Taylor-shifted to the probe's centre c one by one, its
+    terms k >= 1 by Horner on the 1-D nodes s t, each moment the 1-D dot
+    w @ g; F = 2 sum_b Var_t + gap^2, the gap from the coefficient
+    difference."""
+    branches = qfi_module._branch_generators(cfg, which, cfg.n_queries)
+    symbol = "P" if which == THETA2 else "X"
+    t, w, c, s = cvspace._node_table(cfg.probe, symbol, len(branches[0]))[:4]
+    u = s * t
+
+    def centred(coeffs):
+        a = [float(x) for x in coeffs]
+        for low in range(len(a) - 1):
+            for k in range(len(a) - 2, low - 1, -1):
+                a[k] = a[k] + c * a[k + 1]
+        tail = np.zeros_like(u)
+        for coeff in reversed(a[1:]):
+            tail = (tail + coeff) * u
+        return a[0], tail
+
+    def variance(coeffs):
+        tail = centred(coeffs)[1]
+        return float(w @ (tail - float(w @ tail)) ** 2)
+
+    spread = variance(branches[0]) + variance(branches[1])
+    low, tail = centred([a - b for a, b in zip(*branches)])
+    gap = low + float(w @ tail)
+    return 2.0 * spread + gap * gap
 
 
 class TestGeneratorGrid:
     """One `qfi_generator_grid` call per N grid: each N's estimate is bitwise
     the one `qfi_generator` gives it alone and the one-point form of
-    `one_point_route`, and the rows agree with the exact rationals of
-    `exact_theta2_qfi` / `exact_theta1_qfi` where the probe has them (not for
-    the squeezed probe, nor for theta1 on a coherent one)."""
+    `one_point_route`, and the rows agree with the exact oracles
+    `exact_theta2_qfi` / `exact_theta1_qfi`."""
 
     @pytest.mark.parametrize("probe", GRID_PROBES, ids=lambda p: p.kind)
     def test_each_n_is_its_value_alone(self, probe, exact_theta2_qfi, exact_theta1_qfi):
@@ -921,17 +988,13 @@ class TestGeneratorGrid:
                                          m=m, strategy=strategy, probe=probe)
                     ns = gated_grid(rng, cfg)
                     oracle = {THETA2: exact_theta2_qfi, THETA1: exact_theta1_qfi}[which]
-                    rel = 1e-10 if probe.kind == "coherent" else 1e-12
                     for n, est in zip(ns, qfi_generator_grid(cfg, which, ns)):
                         alone = qfi_generator(replace(cfg, n_queries=n), which)
                         assert est == alone and est.value.hex() == alone.value.hex(), (cfg, n)
                         lone = one_point_route(replace(cfg, n_queries=n), which)
                         assert est.value.hex() == lone.hex(), (cfg, n)
-                        if probe.kind == "squeezed_vacuum" or (
-                                which == THETA1 and probe.kind == "coherent"):
-                            continue
                         exact = float(oracle(replace(cfg, n_queries=n)))
-                        assert est.value == pytest.approx(exact, rel=rel), (cfg, n)
+                        assert est.value == pytest.approx(exact, rel=1e-12), (cfg, n)
 
     @pytest.mark.parametrize("probe", GRID_PROBES, ids=lambda p: p.kind)
     def test_ratio_grid_is_its_points_and_skips_below_the_gate(self, probe):
