@@ -34,8 +34,10 @@ ROUTE_CASES = (  # (name, argv after "qfi")
     ("start128-coherent6", ("--set", 'probe={"kind": "coherent", "alpha_re": 6}')),
     ("nodes-unholdable", SQUEEZED_25),
     ("nodes-beyond-reach", CS_M3_N24),
-    ("theta1-refused-unholdable", SQUEEZED_25 + THETA1),
-    ("theta1-refused-beyond-reach", CS_M3_N24 + THETA1),
+    ("theta1-nodes-unholdable", SQUEEZED_25 + THETA1),
+    ("theta1-nodes-beyond-reach", CS_M3_N24 + THETA1),
+    ("theta1-nodes-fock300", ("--set", "n_queries=30", "--set", "theta1=1.2",
+                              "--set", 'probe={"kind": "fock", "n": 300}') + THETA1),
     ("node-cap-fock509-m3", CS_M3_N24 + ("--set", 'probe={"kind": "fock", "n": 509}')),
     ("node-cap-fock1024", ("--set", 'probe={"kind": "fock", "n": 1024}')),
     ("float-range", ("--set", "m=5", "--set", "n_queries=1e60", "--set", "theta1=1.2")),
@@ -46,7 +48,7 @@ CENTRE_CASES = (  # (name, argv after "qfi"); exact: F = F_gen = F_asym = 34.56 
     ("switch-m1-im1e12", FAR_P),
     ("switch-m3-im1e12", FAR_P + ("--set", "m=3")),
     ("cs-m2-im1e12", FAR_P + ("--set", "m=2", "--set", "strategy=coherent_superposition")),
-    # no Fock basis holds the probe, so `qfi.route` refuses this theta1 row
+    # theta1 at an X centre of 1e12, exact on the nodes: 4 N^2 Var X + theta2^2 N^4
     ("theta1-m1-re1e12", ("--set", 'probe={"kind": "coherent", "alpha_re": 1e12}') + THETA1),
 )
 CHILD = """

@@ -35,8 +35,8 @@ from .cvspace import (
     NORM_TOL,
     FockDim,
     ProbeSpec,
+    _node_table,
     probe_amplitudes,
-    probe_on_nodes,
 )
 from .errors import (
     ContractViolationError,
@@ -156,14 +156,16 @@ def mirror_overlap(p: OptomechParams) -> tuple:
     the probe's characteristic function, exp(-i(s<X> + k<P>) - (s^2 Var X +
     k^2 Var P)/2) on the Gaussian probes (none has X-P covariance) and
     e^{-u/2} L_n(u), u = (s^2 + k^2)/2, on fock(n).  The moments come from
-    `probe_on_nodes` at degree 2, which keeps its node cap; the derivative is
-    the product rule.  Overflowing inputs give NaN, never a numpy warning."""
+    the probe's degree-2 node table (its node cap kept), on the centred t of
+    Q = c + w t, so no step subtracts two values of size |c|; the derivative
+    is the product rule.  Overflowing inputs give NaN, never a numpy warning."""
     t_total = p.n_steps * p.tau
     ds, dk = t_total, t_total * t_total / (2 * p.mass)  # s = g ds, k = g dk
     s, k = p.g * ds, p.g * dk
     spec = p.mirror_probe
-    moments = [probe_on_nodes(spec, axis, 2) for axis in "XP"]
-    (mean_x, var_x), (mean_p, var_p) = ((w @ q, w @ (q - w @ q) ** 2) for q, w in moments)
+    (mean_x, var_x), (mean_p, var_p) = (
+        (centre + width * (w @ t), width * width * (w @ (t - w @ t) ** 2))
+        for t, w, centre, width in (_node_table(spec, axis, 2)[:4] for axis in "XP"))
     with np.errstate(all="ignore"):
         if spec.kind == "fock":
             chi, chi_u = _laguerre(spec.n, (s * s + k * k) / 2)

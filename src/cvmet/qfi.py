@@ -3,12 +3,12 @@
 For a pure family |psi(theta)> the figure of merit is
 F = 4(<d psi|d psi> - |<d psi|psi>|^2), estimated by
 
-  exact_fock       the exact derivative of the truncated Fock-basis state
-                   (`output_derivative`) in the doubling loop of
+  exact_fock       the exact theta2 derivative of the truncated Fock-basis
+                   state (`output_derivative`) in the doubling loop of
                    `qfi_converged`, where `route` finds a basis
-  exact_nodes      every other row: theta2 enters each branch on momentum
-                   nodes as the phase e^{-i theta2 Phi_b}, so d psi =
-                   -i Phi_b psi exactly, on one grid sized from its degree
+  exact_nodes      every other row: each branch's derivative generator, a
+                   polynomial in P (plus s X for theta1), on one exact grid
+                   of momentum nodes sized from its degree
   generator_exact  per-branch derivative generators, polynomials in one
                    quadrature, as exact probe moments on Gauss-Hermite nodes,
                    one N grid per call, no N's value depending on the grid
@@ -16,17 +16,17 @@ F = 4(<d psi|d psi> - |<d psi|psi>|^2), estimated by
 
 None takes a step: `qfi_fd`, the central difference with a mandatory
 Richardson check, is the generic estimator for any one-parameter builder
-(claims 2 and 9).  Both node routes, and the probe variances of the closed
-forms, are 4 Var over an even two-branch mixture of polynomials in one
-quadrature, summed by one evaluator, `_mixture_qfi`, in the probe's centred
-node t (Q = c + s t), so they keep their digits at any probe centre c.  The
-routes derive their polynomials independently (`node_phases`,
-`bch.phase_derivative_generator`): F against F_gen checks that algebra.
+(claims 1, 2 and 9).  Both node routes, and the probe variances of the
+closed forms, are 4 Var over an even two-branch mixture of polynomials in
+one quadrature, summed by one evaluator, `_mixture_qfi`, in the probe's
+centred node t (Q = c + s t), so they keep their digits at any probe centre
+c.  The routes derive their polynomials independently (`node_phases` and
+`theta1_generators`, `bch.phase_derivative_generator`): F against F_gen
+checks that algebra where F_gen covers the row.
 
-Each refusal is an EnvelopeError, decided in one place: a theta1 row that
-neither exact_fock nor exact_nodes takes in `route`, from the config alone;
-a node grid past NODE_CAP where the node table is built (`cvspace`); and a
-value past the float range at run time, as it is computed.
+Each refusal is an EnvelopeError, decided in one place: a node grid past
+NODE_CAP where the node table is built (`cvspace`), and a value past the
+float range at run time, as it is computed.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .strategies import (
     momentum_shift,
     node_phases,
     output_derivative,
+    theta1_generators,
 )
 
 
@@ -194,8 +195,7 @@ def _branch_generators(cfg: StrategyConfig, which_param: str, n: int) -> tuple:
     if which_param == THETA1:
         if cfg.m != 1:
             raise UnsupportedConfigurationError(
-                "the exact generator route covers theta1 only in the linear case; "
-                "use qfi_converged for theta1 with m > 1")
+                "the exact generator route covers theta1 at m = 1 only; use qfi_converged")
         if strategy == COHERENT_SUPERPOSITION:
             # probe-frame generators 2N X +- 2N^2 theta2: the 2N X query term
             # picks up the +-2N theta2 momentum-displacement shift of X plus
@@ -287,22 +287,19 @@ def route(cfg: StrategyConfig, which_param: str) -> int | None:
     """The estimator of a row, decided from its config alone: the first
     dimension of the Fock doubling loop, or None for `qfi_nodes`.
 
-    The Fock route starts at the first d = DIM_START 2^k <= DIM_CAP at which
-    `prepare_probe` holds the probe.  The reach rule then sends the row to
-    the nodes when the branches carry the probe's momentum bulk past the
-    basis at DIM_CAP.  Every eigenvalue of the truncated P at d is a zero of
-    the Hermite polynomial H_d, scaled, and lies inside sqrt(2d + 1), the
-    classical turning point of level d (energy (X^2 + P^2)/2 = d + 1/2).  The
-    probe's momentum bulk is centred at c (sqrt(2) Im alpha for a coherent
-    probe, else 0) with half-width s sqrt(2n + 1): the turning point of
-    Fock(n) (n = 0 for every other kind), stretched by s = e^r for a squeezed
-    probe, whose momentum width is e^r times the vacuum's (s = 1 otherwise).
-    The exact Heisenberg motion P(t) = P - theta1 t moves that bulk rigidly
-    down by `momentum_shift`, so when |c - shift| + s sqrt(2n + 1) passes
-    sqrt(2 DIM_CAP + 1), the final state has weight where no basis up to
-    DIM_CAP has support.  A node row of theta1, which moves the node grid,
-    is taken by neither route: an EnvelopeError.
+    Every theta1 row goes to the nodes.  A theta2 row starts the Fock route
+    at the first d = DIM_START 2^k <= DIM_CAP whose basis holds the probe
+    (`prepare_probe`; none: the nodes), unless the reach rule sends it to
+    the nodes: each eigenvalue of the truncated P at d lies inside
+    sqrt(2d + 1), and the exact motion P(t) = P - theta1 t moves the probe's
+    momentum bulk rigidly down by `momentum_shift`.  That bulk is centred at
+    c (sqrt(2) Im alpha for a coherent probe, else 0) with half-width
+    s sqrt(2n + 1) (n = 0 but for Fock(n), s = e^r for a squeezed probe,
+    else 1), so past |c - shift| + s sqrt(2n + 1) > sqrt(2 DIM_CAP + 1) the
+    final state has weight where no basis up to DIM_CAP has support.
     """
+    if which_param != THETA2:
+        return None
     probe = cfg.probe
     start = DIM_START
     while start <= DIM_CAP:
@@ -317,55 +314,53 @@ def route(cfg: StrategyConfig, which_param: str) -> int | None:
         extent = abs(centre - momentum_shift(cfg)) + stretch * math.sqrt(2 * probe.n + 1)
         if not extent > math.sqrt(2 * DIM_CAP + 1):
             return start
-    if which_param != THETA2:
-        raise EnvelopeError(
-            f"no Fock basis up to d={DIM_CAP} holds this row, and the momentum-node "
-            f"route covers theta2 only ({which_param} moves the node grid)")
     return None
 
 
 @_within_float_range
 def qfi_nodes(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
-    """Exact QFI of theta2 on momentum nodes.
+    """Exact QFI of theta1 or theta2 on momentum nodes.
 
-    Branch b is the probe times e^{-i theta2 Phi_b(P)}, Phi_b free of theta2
-    (`node_phases`), so d psi = -i (Phi - mu) psi exactly, mu the state's
-    mean (a constant adds only a global phase), and F = 4 Var Phi over the
-    even mixture of the branches (`_mixture_qfi`).  Each term is e^{-t^2}
-    times a polynomial of degree 2m + 2n in the base node t, so one grid of
-    G = m + 1 + n nodes (n for Fock(n)) sums it exactly: converged by
-    construction, with G as `dim_used`.  A grid past NODE_CAP is refused
-    where the node table is built, an F past the float range as it is
-    computed.  theta1 moves the grid: `route` refuses a theta1 row first.
+    theta2: branch b is the probe times e^{-i theta2 Phi_b(P)}, Phi_b free
+    of theta2 (`node_phases`), so d psi = -i (Phi - mu) psi exactly, mu the
+    state's mean, and F = 4 Var Phi over the even mixture of the branches
+    (`_mixture_qfi`).  theta1: d psi_b = -i U_b (s X + f_b(P)) phi
+    (`theta1_generators`); every shipped probe is a real function of p
+    times e^{-i x0 p}, so <{X, f(P)}> = 2 x0 <f(P)>, the cross terms cancel
+    and F = 4 s^2 Var X + 4 Var f.  Each term is e^{-t^2} times a
+    polynomial of degree 2 deg + 2n in the base node t, so one grid of
+    G = deg + 1 + n nodes (n for Fock(n)) sums it exactly, built before any
+    coefficient: converged by construction, with G as `dim_used`.
     """
-    if which_param != THETA2:
-        raise ContractViolationError(
-            f"qfi_nodes covers theta2 only, got {which_param!r}; qfi.route refuses the rest")
-    table = _node_table(cfg.probe, "P", cfg.m + 1)[:4]
-    value, _ = _mixture_qfi([[phi] for phi in node_phases(cfg)], table)
-    return QfiEstimate(float(value[0]), "exact_nodes", diagnostics={"dim_used": table[0].size})
+    if which_param not in (THETA1, THETA2):
+        raise ContractViolationError(f"unknown parameter {which_param!r}")
+    theta2 = which_param == THETA2
+    table = _node_table(cfg.probe, "P", cfg.m + theta2)[:4]  # deg Phi_b = m, deg f_b = m - 1
+    span, polys = (0.0, node_phases(cfg)) if theta2 else theta1_generators(cfg)
+    value = float(_mixture_qfi([[poly] for poly in polys], table)[0][0])
+    if span:
+        value += 4 * span * span * _probe_variance(cfg.probe, "X")
+    return QfiEstimate(value, "exact_nodes", diagnostics={"dim_used": table[0].size})
 
 
 def qfi_converged(cfg: StrategyConfig, which_param: str) -> QfiEstimate:
     """Exact QFI of the Fock-basis state with the dimension-doubling loop
     wrapped around it.
 
-    `route` runs first and decides the row from its config: a row no basis
-    up to DIM_CAP can hold goes to `qfi_nodes` and never builds a Fock
-    state, and a theta1 row no route takes is refused there.  Otherwise the
-    loop starts at the d `route` returns, the smallest doubling of DIM_START
-    whose basis holds the probe, and at each d builds the state once with
-    its exact derivative (`output_derivative`): no step, no Richardson.
-    Converged means the value stopped moving under doubling; an unconverged
-    estimate names the d it reached in `diagnostics["reason"]`.  The
-    generator route needs no loop: see `qfi_generator`.
+    `route` decides the row from its config: a theta1 row, and a theta2 row
+    no basis up to DIM_CAP can hold, go to `qfi_nodes` and build no Fock
+    state.  Otherwise the loop starts at the d `route` returns and at each
+    d builds the state once with its exact theta2 derivative
+    (`output_derivative`): no step, no Richardson.  Converged means the
+    value stopped moving under doubling; an unconverged estimate names the
+    d it reached in `diagnostics["reason"]`.
     """
     start = route(cfg, which_param)
     if start is None:
         return qfi_nodes(cfg, which_param)
 
     def at_dim(d: int) -> float:
-        psi, dpsi = output_derivative(cfg, d, which_param)
+        psi, dpsi = output_derivative(cfg, d)
         return qfi_from_derivative(psi.amplitudes, dpsi)
 
     scan = converge_dimension(at_dim, start=start)

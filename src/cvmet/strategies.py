@@ -14,12 +14,8 @@ it is the angle between the two branches of `switch_output`); a convention
 that conjugates the commutator moves it to the |1> branch, a global phase
 apart.  Fidelity checks therefore quotient the global phase.
 
-`output_derivative` returns a state together with its exact derivative in
-theta1 or theta2, from the spectra that build the state: the switch applies
--iN X or -iN P^m at its place in each order through the cached X and P^m
-spectra, and the coherent superposition takes the Daleckii-Krein form of
-the derivative of e^{-i2N H_+} on the one spectrum of H_+, for both
-branches in one pass.
+`output_derivative` returns a state with its exact theta2 derivative from
+the spectra that build it (`_switch_branches`, `_cs_branches`).
 
 Which generators are decomposed: every generator the package
 exponentiates is a X + b P^m (the switch's query blocks X and P^m, the
@@ -308,33 +304,27 @@ def _band_product(bands, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadrature_bands(m: int, dim: FockDim, which: str) -> list:
-    """The nonzero bands of the generator that `which` couples: X (k = +-1)
-    for theta1, P^m (k of the parity of m) for theta2; the other diagonals of
-    `_generator_bands` are zero, and `_band_product` needs none of them."""
-    bands = _generator_bands(m, dim)
-    if which == THETA1:
-        return [(k, x_k) for k, x_k, _ in bands if abs(k) == 1]
-    return [(k, pm_k) for k, _, pm_k in bands if (k - m) % 2 == 0]
+def _pm_bands(m: int, dim: FockDim) -> list:
+    """The nonzero bands of P^m, the generator theta2 couples: k of the
+    parity of m; the other diagonals of `_generator_bands` are zero, and
+    `_band_product` needs none of them."""
+    return [(k, pm_k) for k, _, pm_k in _generator_bands(m, dim) if (k - m) % 2 == 0]
 
 
-def _switch_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None):
-    """(U1^N U2^N phi, U2^N U1^N phi) and, for `which`, their derivatives:
-    d U1^N = -iN X U1^N and d U2^N = -iN P^m U2^N, so the generator is
-    applied where its block acts in each order; None without `which`."""
+def _switch_branches(cfg: StrategyConfig, dim: FockDim, differentiate: bool = False):
+    """(U1^N U2^N phi, U2^N U1^N phi) and, if `differentiate`, their theta2
+    derivatives: d U2^N = -iN P^m U2^N, so P^m is applied where its block
+    acts in each order; None otherwise."""
     n = cfg.n_queries
     u1 = propagator(generator_spectrum(cfg.m, dim, 1.0, 0.0), n * cfg.theta1)
     u2 = propagator(generator_spectrum(cfg.m, dim, 0.0, 1.0), n * cfg.theta2)
     phi = prepare_probe(cfg.probe, dim).vec
-    mid0, mid1 = u2 @ phi, u1 @ phi
-    branches = (u1 @ mid0, u2 @ mid1)
-    if which is None:
+    mid0 = u2 @ phi
+    branches = (u1 @ mid0, u2 @ (u1 @ phi))
+    if not differentiate:
         return branches, None
-    gen = _quadrature_bands(cfg.m, dim, which)
-    if which == THETA1:
-        derivatives = (_band_product(gen, branches[0]), u2 @ _band_product(gen, mid1))
-    else:
-        derivatives = (u1 @ _band_product(gen, mid0), _band_product(gen, branches[1]))
+    gen = _pm_bands(cfg.m, dim)
+    derivatives = (u1 @ _band_product(gen, mid0), _band_product(gen, branches[1]))
     return branches, tuple(-1j * n * dpsi for dpsi in derivatives)
 
 
@@ -435,18 +425,18 @@ def _mirror(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cs_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None):
+def _cs_branches(cfg: StrategyConfig, dim: FockDim, differentiate: bool = False):
     """((U+^{2N} phi, U-^{2N} phi), derivatives) on the one spectrum of the
-    + generator theta1 X + theta2 P^m (`generator_spectrum`); the
-    derivatives in `which`, None without `which`.
+    + generator theta1 X + theta2 P^m (`generator_spectrum`); the theta2
+    derivatives if `differentiate`, None otherwise.
 
     On the truncated basis H- = -Pi conj(H+) Pi exactly (`_mirror`): X is
     real and odd, and P^m has parity (-1)^m and entries all real (m even)
     or all imaginary (m odd).  So U- = Pi conj(U+) Pi, and the - branch is
     the mirror of U+ applied to the mirrored probe.  That map is real-linear
-    and takes the derivative X or P^m of H+ to X or -P^m, that of H-, so
-    the - derivative is likewise the mirror of the + one on the mirrored
-    probe: one `_exp_derivative` pass on the block [phi, mirror(phi)].
+    and takes the derivative P^m of H+ to -P^m, that of H-, so the -
+    derivative is likewise the mirror of the + one on the mirrored probe:
+    one `_exp_derivative` pass on the block [phi, mirror(phi)].
     """
     phi = prepare_probe(cfg.probe, dim).vec
     tau = 2 * cfg.n_queries
@@ -454,10 +444,9 @@ def _cs_branches(cfg: StrategyConfig, dim: FockDim, which: str | None = None):
     inputs = (phi, _mirror(phi))
     plus, minus = (propagator(spec, tau) @ y for y in inputs)  # one propagator per branch
     states = (plus, _mirror(minus))
-    if which is None:
+    if not differentiate:
         return states, None
-    block = _exp_derivative(spec, _quadrature_bands(cfg.m, dim, which), tau,
-                            np.column_stack(inputs))
+    block = _exp_derivative(spec, _pm_bands(cfg.m, dim), tau, np.column_stack(inputs))
     return states, (block[:, 0], _mirror(block[:, 1]))
 
 
@@ -517,20 +506,12 @@ def build_output(cfg: StrategyConfig, dim: FockDim | int) -> QState:
     return cs_output(cfg, dim)
 
 
-def output_derivative(cfg: StrategyConfig, dim: FockDim | int,
-                      which: str) -> tuple[QState, np.ndarray]:
-    """(build_output(cfg, dim), the exact derivative of its amplitudes in
-    `which`), both from the one set of spectra: no step and no second build.
-
-    The state is bitwise `build_output`'s.
-    """
-    if which not in (THETA1, THETA2):
-        raise ContractViolationError(f"unknown parameter {which!r}")
+def output_derivative(cfg: StrategyConfig, dim: FockDim | int) -> tuple[QState, np.ndarray]:
+    """(build_output(cfg, dim) bitwise, the exact theta2 derivative of its
+    amplitudes), both from the one set of spectra: no step, no second build."""
     dim = as_dim(dim)
-    if encoding(cfg.strategy) == SWITCH:
-        branches, derivatives = _switch_branches(cfg, dim, which)
-    else:
-        branches, derivatives = _cs_branches(cfg, dim, which)
+    branches_of = _switch_branches if encoding(cfg.strategy) == SWITCH else _cs_branches
+    branches, derivatives = branches_of(cfg, dim, differentiate=True)
     return (QState.from_branches(branches, dim),
             np.concatenate(derivatives) / math.sqrt(len(derivatives)))
 
@@ -572,3 +553,21 @@ def node_phases(cfg: StrategyConfig) -> tuple[tuple, tuple]:
     phase = tuple(math.comb(m, k) * (-a) ** k * tau ** (k + 1) / (k + 1)
                   for k in range(m + 1))[::-1]
     return phase, tuple(-c for c in phase)
+
+
+def theta1_generators(cfg: StrategyConfig) -> tuple[float, tuple]:
+    """(s, (f_0, f_1)) with d psi_b / d theta1 = -i U_b (s X + f_b(P)) phi,
+    s = N (switch) or 2N, f_b by ascending powers of P.  In U1^N U2^N the
+    phase N theta2 P^m shifts the later N X by theta2 m N^2 P^(m-1), in
+    U2^N U1^N by nothing.  A coherent-superposition branch integrates the
+    Heisenberg motion X(u) = X +- theta2 m int_0^u (P - theta1 v)^(m-1) dv:
+    f_+- = +-theta2 m int_0^{2N} (2N - u)(P - theta1 u)^(m-1) du, summed
+    term by term as one polynomial, int_0^T (T - u) u^k du = T^(k+2) /
+    ((k+1)(k+2))."""
+    m, n = cfg.m, cfg.n_queries
+    if encoding(cfg.strategy) == SWITCH:
+        return float(n), ((0.0,) * (m - 1) + (cfg.theta2 * m * n * n,), (0.0,) * m)
+    a, tau = cfg.theta1, 2 * n
+    f = tuple(cfg.theta2 * m * math.comb(m - 1, j) * (-a) ** (m - 1 - j)
+              * tau ** (m + 1 - j) / ((m - j) * (m + 1 - j)) for j in range(m))
+    return float(tau), (f, tuple(-c for c in f))

@@ -166,6 +166,15 @@ class TestMirrorOverlap:
         b0, b1, _ = applications._mirror_branches(p)
         assert abs(np.vdot(b0, b1)) > 1e-6 > abs(exact)
 
+    @pytest.mark.parametrize("alpha", [0.3 + 1e12j, 1e12 + 0.7j, 1e12 + 1e12j, -1e12 - 1e12j])
+    def test_far_centred_mirror_keeps_the_vacuum_spread(self, alpha):
+        # |<b0|b1>| = exp(-(s^2 Var X + k^2 Var P) / 2) and a coherent mirror
+        # has Var X = Var P = 1/2 at any centre, so its modulus is the
+        # vacuum's; on the uncentred nodes Var X read 0.49989 at 1e12 + 1e12i
+        p = replace(DEFAULT_OPTOMECH, mirror_probe=ProbeSpec.coherent(alpha))
+        vacuum = abs(mirror_overlap(DEFAULT_OPTOMECH)[0])
+        assert abs(mirror_overlap(p)[0]) == pytest.approx(vacuum, rel=1e-14)
+
     @pytest.mark.parametrize("n", [0, 1, 3, 40, 300])
     def test_laguerre_matches_numpy_and_its_limit_at_zero(self, n):
         from numpy.polynomial import laguerre

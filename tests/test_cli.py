@@ -195,6 +195,25 @@ class TestCommands:
         assert payload["columns"] == list(cli.SWEEP_COLUMNS)
         assert payload["methods"] == ["exact_fock", "exact_nodes"]
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("strategy", ["switch", "coherent_superposition"])
+    def test_theta1_sweep_rows_are_all_node_rows(self, strategy, m, tmp_path,
+                                                 exact_theta1_qfi):
+        # the rows the Fock basis would hold (N = 4) and those it would not
+        # (N = 24) alike: every theta1 row is exact on the nodes
+        json_path, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--set", f"m={m}", "--set", "theta1=1.2",
+                         "--set", "theta2=0.05", "--set", f"strategy={strategy}",
+                         "--set", "estimate=theta1", "--set", "sweep.values=[4, 24]",
+                         "--out", str(csv_path), "--json", str(json_path)]) == 0
+        assert json.loads(json_path.read_text())["methods"] == ["exact_nodes"] * 2
+        header, *rows = rows_of(csv_path.read_text())
+        for row in (dict(zip(header, values)) for values in rows):
+            cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=int(row["N"]), m=m,
+                                 strategy=strategy)
+            assert row["converged"] == "true" and row["dim_used"] == str(m)
+            assert float(row["F_fd"]) == pytest.approx(float(exact_theta1_qfi(cfg)), rel=1e-12)
+
     def test_version_line_precedes_csv(self, capsys):
         assert cli.main(["bch-table", "--set", 'bch={"m_values": [1], "variants": ["AB"]}']) == 0
         out = capsys.readouterr().out
@@ -445,9 +464,31 @@ class TestNodeRoute:
         assert (record["method"], record["converged"]) == ("exact_nodes", "true")
         assert float(record["F"]) == pytest.approx(float(record["F_gen"]), rel=1e-6)
 
-    def test_theta1_beyond_reach_exits_2_with_its_reason(self, capsys):
-        assert cli.main(CS_M3_N24 + ["--set", "estimate=theta1"]) == 2
-        assert "covers theta2 only" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, dim_used", [
+        (CS_M3_N24, "3"),
+        (["qfi", "--set", "m=2", "--set", "n_queries=40", "--set", "theta1=1.2"], "2"),
+        (["qfi", "--set", "m=3"], "3"),
+    ], ids=["cs-m3-n24", "m2-n40", "m3"])
+    def test_theta1_rows_print_the_exact_value(self, argv, dim_used, tmp_path,
+                                               exact_theta1_qfi):
+        # every theta1 row, beyond the Fock reach or not, is exact on the
+        # nodes: m (+ n) nodes integrate the degree 2(m - 1) moments of f_b
+        argv = argv + ["--set", "estimate=theta1"]
+        record = qfi_record(argv, tmp_path)
+        exact = float(exact_theta1_qfi(row_config(argv)))
+        assert (record["parameter"], record["method"], record["converged"]) == (
+            "theta1", "exact_nodes", "true")
+        assert record["dim_used"] == dim_used and record["step_used"] == ""
+        assert float(record["F"]) == pytest.approx(exact, rel=1e-12)
+
+    def test_theta1_fock300_row_is_the_closed_form(self, tmp_path):
+        # m = 1: 4 N^2 Var X + theta2^2 N^4 = 4 * 900 * 300.5 + 8100 = 1089900
+        record = qfi_record(["qfi", "--set", "n_queries=30", "--set", "theta1=1.2",
+                             "--set", "estimate=theta1",
+                             "--set", 'probe={"kind": "fock", "n": 300}'], tmp_path)
+        assert (record["method"], record["dim_used"]) == ("exact_nodes", "301")
+        assert abs(float(record["F"]) - 1089900) <= 1e-12 * 1089900
+        assert float(record["F_gen"]) == pytest.approx(1089900, rel=1e-12)
 
     def test_fock_450_row_fits_its_node_grid(self, tmp_path, exact_theta2_qfi):
         # m + 1 + 450 = 453 nodes, within NODE_CAP = 512
@@ -644,10 +685,10 @@ class TestNSweep:
             decomposed.append(gen.d)
             return spectrum(gen)
 
-        def recorded(cfg, dim, which):
+        def recorded(cfg, dim):
             generators.add((as_dim(dim).d, cfg.theta1, cfg.theta2))
             builds.append(cfg.n_queries)
-            return output_derivative(cfg, dim, which)
+            return output_derivative(cfg, dim)
 
         monkeypatch.setattr(cvspace, "spectrum", counted)
         monkeypatch.setattr(strategies, "spectrum", counted)

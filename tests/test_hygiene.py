@@ -502,7 +502,7 @@ def test_checker_flags_the_richardson_fock_loop():
         "qfi_fd", "richardson"}
     exact = RICHARDSON_FOCK_LOOP.replace(
         "est = qfi_fd(builder_for(cfg, which_param, d), theta0, rung)",
-        "est = exact(*output_derivative(cfg, d, which_param))")
+        "est = exact(*output_derivative(cfg, d))")
     assert reached_calls({"qfi.py": exact}, "qfi_converged") & DIFFERENCES == set()
 
 

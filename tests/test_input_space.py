@@ -11,13 +11,15 @@ A seeded grid of `qfi`, `sweep`, `ratio`, `factorization-check` and
   `converged=false`.
 
 The dense P^m of the generator bands fails its Hermiticity check at m = 3
-from d = 512, at m = 4 from d = 128 (ROADMAP item 3).  The ROADMAP's three
+from d = 512, at m = 4 from d = 128 (ROADMAP item 3).  The ROADMAP's
 smallest such inputs stay in the grid as strict xfails, which a fix turns
-into passes that must then be unmarked; the seeded rows keep to the
-inputs the dense P^m holds (Fock-route rows at m <= 2, factorization
-checks at d <= 64), and to small N and theta1 on the Fock route, where a
-row that climbs to d = 1024 costs about a second, so the guard runs in
-about 2 s.
+into passes that must then be unmarked: two theta2 inputs remain, and
+`qfi --set m=3 --set estimate=theta1`, which exited 3 there until every
+theta1 row went to the momentum nodes, is a plain case.  The seeded rows
+keep to the inputs the dense P^m holds (Fock-route rows at m <= 2,
+factorization checks at d <= 64), and to small N and theta1 on the Fock
+route, where a row that climbs to d = 1024 costs about a second, so the
+guard runs in about 2 s.
 """
 
 import contextlib
@@ -55,8 +57,8 @@ def _grid() -> list:
                     theta2=round(rng.uniform(0.02, 0.3), 4), probe=rng.choice(PROBES))
 
     cases = []
-    # Fock-route rows; and rows shifted past the reach at every m up to 5,
-    # which the momentum nodes take (theta2) or refuse (theta1)
+    # Fock-route rows (theta2) and node rows (theta1); and rows shifted past
+    # the reach at every m up to 5, which the momentum nodes take
     cases += [_argv("qfi", **estimate(2, (1, 6), (0.02, 0.3))) for _ in range(14)]
     cases += [_argv("qfi", **estimate(5, (40, 80), (1.2, 2.0))) for _ in range(8)]
     for _ in range(3):
@@ -78,12 +80,14 @@ def _grid() -> list:
         cases.append(_argv("optomech", optomech={"tau": round(rng.uniform(0.1, 2.5), 3),
                                                  "g": round(rng.uniform(0.01, 0.1), 3),
                                                  "probe": rng.choice(PROBES)}))
-    exit_3 = (_argv("qfi", m=4), _argv("qfi", m=3, estimate="theta1"),
-              _argv("sweep", strategy="coherent_superposition", m=3, theta1=0.05,
-                    theta2=0.05, sweep={"param": "n_queries", "values": list(range(2, 13))}))
+    exit_3 = ((0, _argv("qfi", m=4)),
+              (2, _argv("sweep", strategy="coherent_superposition", m=3, theta1=0.05,
+                        theta2=0.05, sweep={"param": "n_queries",
+                                            "values": list(range(2, 13))})))
     return ([pytest.param(argv, id=f"{argv[0]}-{i}") for i, argv in enumerate(cases)]
+            + [pytest.param(_argv("qfi", m=3, estimate="theta1"), id="qfi-theta1-m3")]
             + [pytest.param(argv, marks=ITEM_3, id=f"{argv[0]}-exit3-{i}")
-               for i, argv in enumerate(exit_3)])
+               for i, argv in exit_3])
 
 
 def _run(argv) -> tuple:

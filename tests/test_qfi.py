@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -118,35 +119,33 @@ def fixed_dim_fd(cfg, which, d):
     return qfi_fd(lambda t: build_output(replace(cfg, **{which: t}), d), getattr(cfg, which))
 
 
-def exact_at_dim(cfg, which, d):
-    psi, dpsi = output_derivative(cfg, d, which)
+def exact_at_dim(cfg, d):
+    psi, dpsi = output_derivative(cfg, d)
     return qfi_from_derivative(psi.amplitudes, dpsi)
 
 
 class TestExactFock:
-    """The Fock route differentiates each state exactly, from the spectra that
-    build it: no step, one build per dimension."""
+    """The Fock route differentiates each state exactly in theta2, from the
+    spectra that build it: no step, one build per dimension."""
 
     @pytest.mark.parametrize("d", [64, 128])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("which", [THETA1, THETA2])
     @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
-    def test_agrees_with_richardson_fd_of_the_same_builder(self, strategy, which, m, d):
+    def test_agrees_with_richardson_fd_of_the_same_builder(self, strategy, m, d):
         cfg = StrategyConfig(theta1=0.2, theta2=0.05, n_queries=2, m=m, strategy=strategy)
-        fd = fixed_dim_fd(cfg, which, d)
+        fd = fixed_dim_fd(cfg, THETA2, d)
         assert fd.converged
-        assert exact_at_dim(cfg, which, d) == pytest.approx(fd.value, rel=1e-7)
+        assert exact_at_dim(cfg, d) == pytest.approx(fd.value, rel=1e-7)
 
-    @pytest.mark.parametrize("which", [THETA1, THETA2])
     @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
-    def test_state_is_bitwise_build_output(self, strategy, which, cold_spectra):
+    def test_state_is_bitwise_build_output(self, strategy, cold_spectra):
         # cold, then on the spectra the first build cached
         cfgs = [StrategyConfig(theta1=0.2, theta2=0.05, n_queries=n, m=2, strategy=strategy,
                                probe=ProbeSpec.coherent(0.3 + 0.2j)) for n in (2, 3)]
         for cfg in cfgs:
-            psi, dpsi = output_derivative(cfg, 64, which)
+            psi, dpsi = output_derivative(cfg, 64)
             assert np.array_equal(psi.amplitudes, build_output(cfg, 64).amplitudes)
-            assert np.array_equal(dpsi, output_derivative(cfg, 64, which)[1])
+            assert np.array_equal(dpsi, output_derivative(cfg, 64)[1])
 
     @pytest.mark.parametrize("c", [0.0, 0.7, -2.5])
     def test_degenerate_generator_gives_the_closed_form(self, c):
@@ -183,14 +182,14 @@ class TestExactFock:
         monkeypatch.setattr(strategies, "spectrum",
                             lambda gen: calls.append(gen.mat) or cvspace.spectrum(gen))
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=2, strategy=SWITCH)
-        est = qfi_converged(cfg, THETA1)
+        est = qfi_converged(cfg, THETA2)
         dims = [d for d, _ in est.diagnostics["dim_history"]]
         assert len(calls) == 2 * len(dims)
         for d, x, p in zip(dims, calls[::2], calls[1::2]):
             assert np.array_equal(x, build_quadrature(d, "X").mat)
             assert np.array_equal(p, build_quadrature(d, "P").mat)
         calls.clear()
-        assert qfi_converged(cfg, THETA2).converged
+        assert qfi_converged(replace(cfg, theta2=0.05), THETA2).converged
         assert calls == []
 
     def test_linear_cs_row_decomposes_nothing_beyond_the_mode_spectra(self, monkeypatch,
@@ -201,12 +200,12 @@ class TestExactFock:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape[0]) or eigh(a))
         cfg = StrategyConfig(theta1=0.1, theta2=0.1, n_queries=4, m=1,
                              strategy=COHERENT_SUPERPOSITION)
-        est = qfi_converged(cfg, THETA1)
+        est = qfi_converged(cfg, THETA2)
         assert est.method == "exact_fock" and est.converged
         dims = [d for d, _ in est.diagnostics["dim_history"]]
         assert calls == [d for d in dims for _ in range(2)]  # X and P, once per d
         calls.clear()
-        assert qfi_converged(cfg, THETA2).converged
+        assert qfi_converged(replace(cfg, theta2=0.05), THETA2).converged
         assert calls == []
 
     def test_fock_rows_take_no_difference(self, monkeypatch):
@@ -226,14 +225,14 @@ class TestExactFock:
                              strategy=COHERENT_SUPERPOSITION)
         est = qfi_converged(cfg, THETA2)
         history = est.diagnostics["dim_history"]
-        assert history == tuple((d, exact_at_dim(cfg, THETA2, d)) for d, _ in history)
+        assert history == tuple((d, exact_at_dim(cfg, d)) for d, _ in history)
         assert est.diagnostics["dim_used"] == history[-1][0] == 256
         assert est.value == history[-1][1]
         assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
 
     def test_unsettled_doubling_names_its_last_dimension(self, monkeypatch):
-        def drifting(cfg, d, which):  # a value that moves by 1e-3 at every doubling
-            psi, dpsi = output_derivative(cfg, 64, which)
+        def drifting(cfg, d):  # a value that moves by 1e-3 at every doubling
+            psi, dpsi = output_derivative(cfg, 64)
             return psi, dpsi * (1 + 1e-3 * math.log2(d))
 
         monkeypatch.setattr(qfi_module, "output_derivative", drifting)
@@ -387,6 +386,14 @@ class TestGeneratorOnNodes:
         with pytest.raises(EnvelopeError, match="overflows the float range"):
             estimator(cfg, THETA2)
 
+    @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
+    def test_theta1_overflow_is_an_envelope_error(self, strategy):
+        # s^2 Var X and the coefficients of f_b pass the float range alike
+        cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=int(1e200), m=5,
+                             strategy=strategy)
+        with pytest.raises(EnvelopeError, match="F of qfi_nodes overflows the float range"):
+            qfi_converged(cfg, THETA1)
+
     def test_nan_is_no_overflow(self, monkeypatch):
         # a nan from anything but an overflow is not hidden as one: nan
         # coefficients give a nan F, where an infinite one is an overflow
@@ -406,10 +413,10 @@ UNHOLDABLE = replace(ROUTE_ROW, probe=ProbeSpec.squeezed_vacuum(2.5))  # leaks a
 
 class TestRoute:
     """`route` decides each row from its config, one case per outcome: the
-    Fock start d (at theta1 = 0 the reach rule leaves the probe to decide it,
-    Fock(1023)'s half-width sqrt(2047) being inside sqrt(2049)), the node
-    route for either cause, the theta1 refusal of each cause, and the
-    NODE_CAP refusal the node table raises afterwards."""
+    Fock start d of a theta2 row (at theta1 = 0 the reach rule leaves the
+    probe to decide it, Fock(1023)'s half-width sqrt(2047) being inside
+    sqrt(2049)), the node route for either cause and for every theta1 row,
+    and the NODE_CAP refusal the node table raises afterwards."""
 
     @pytest.mark.parametrize("cfg, which, outcome", [
         (replace(ROUTE_ROW, probe=ProbeSpec.vacuum()), THETA2, 64),
@@ -417,39 +424,44 @@ class TestRoute:
         (replace(ROUTE_ROW, probe=ProbeSpec.fock(64)), THETA2, 128),
         (replace(ROUTE_ROW, probe=ProbeSpec.fock(70)), THETA2, 128),
         (replace(ROUTE_ROW, probe=ProbeSpec.coherent(6.0)), THETA2, 128),
-        (replace(ROUTE_ROW, probe=ProbeSpec.fock(1023)), THETA1, 1024),  # theta1 held too
+        (replace(ROUTE_ROW, probe=ProbeSpec.fock(1023)), THETA2, 1024),
+        (replace(ROUTE_ROW, probe=ProbeSpec.fock(509)), THETA1, "exact_nodes"),  # 512 nodes
         (UNHOLDABLE, THETA2, "exact_nodes"),
         (BEYOND_REACH, THETA2, "exact_nodes"),
-        (UNHOLDABLE, THETA1, "covers theta2 only"),
-        (BEYOND_REACH, THETA1, "covers theta2 only"),
+        (UNHOLDABLE, THETA1, "exact_nodes"),
+        (BEYOND_REACH, THETA1, "exact_nodes"),
         (replace(BEYOND_REACH, probe=ProbeSpec.fock(509)), THETA2,
          "needs 513 Gauss-Hermite nodes"),
         (replace(ROUTE_ROW, probe=ProbeSpec.fock(1024)), THETA2,
          "needs 1028 Gauss-Hermite nodes"),
+        (replace(ROUTE_ROW, probe=ProbeSpec.fock(1023)), THETA1,
+         "needs 1026 Gauss-Hermite nodes"),
     ], ids=["vacuum-64", "fock63-64", "fock64-128", "fock70-128", "coherent6-128",
-            "fock1023-1024", "unholdable-nodes", "beyond-reach-nodes",
-            "unholdable-theta1-refused", "beyond-reach-theta1-refused",
-            "fock509-node-cap", "fock1024-node-cap"])
-    def test_route_decides_each_outcome(self, cfg, which, outcome):
+            "fock1023-1024", "fock509-theta1-nodes", "unholdable-nodes", "beyond-reach-nodes",
+            "unholdable-theta1-nodes", "beyond-reach-theta1-nodes",
+            "fock509-node-cap", "fock1024-node-cap", "fock1023-theta1-node-cap"])
+    def test_route_decides_each_outcome(self, cfg, which, outcome, exact_theta1_qfi):
         if isinstance(outcome, int):
             assert qfi_module.route(cfg, which) == outcome
-        elif outcome == "exact_nodes":
-            assert qfi_module.route(cfg, which) is None
+            return
+        assert qfi_module.route(cfg, which) is None
+        if outcome == "exact_nodes":
             est = qfi_converged(cfg, which)
             assert (est.method, est.converged) == ("exact_nodes", True)
-        else:  # theta1 is refused by route itself, NODE_CAP as the node table is built
             if which == THETA1:
-                with pytest.raises(EnvelopeError, match=outcome):
-                    qfi_module.route(cfg, which)
-            else:
-                assert qfi_module.route(cfg, which) is None
+                assert est.value == pytest.approx(float(exact_theta1_qfi(cfg)), rel=1e-12)
+        else:  # NODE_CAP, refused as the node table is built
             with pytest.raises(EnvelopeError, match=outcome):
                 qfi_converged(cfg, which)
 
-    def test_direct_theta1_node_call_is_a_contract_violation(self):
-        # route refuses a theta1 node row, so a direct call is a caller bug
-        with pytest.raises(ContractViolationError, match="covers theta2 only"):
-            qfi_module.qfi_nodes(BEYOND_REACH, THETA1)
+    def test_direct_theta1_node_call_is_the_exact_row(self, exact_theta1_qfi):
+        # qfi_nodes takes theta1 itself; only an unknown parameter is a caller bug
+        est = qfi_module.qfi_nodes(BEYOND_REACH, THETA1)
+        assert est == qfi_converged(BEYOND_REACH, THETA1)
+        assert est.diagnostics == {"dim_used": 3}
+        assert est.value == pytest.approx(float(exact_theta1_qfi(BEYOND_REACH)), rel=1e-12)
+        with pytest.raises(ContractViolationError, match="unknown parameter 'theta3'"):
+            qfi_module.qfi_nodes(BEYOND_REACH, "theta3")
 
 
 TRIANGLE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.coherent(0.3 + 0.2j), ProbeSpec.fock(2)]
@@ -511,7 +523,8 @@ class TestNodeRoute:
         (COHERENT_SUPERPOSITION, 1, 15, ProbeSpec.fock(300), 2248200),
         (SWITCH, 2, 30, ProbeSpec.fock(100), None),
     ], ids=["switch-fock300", "cs-fock300", "switch-m2-fock100"])
-    def test_reach_counts_the_probes_momentum_extent(self, strategy, m, n, probe, exact):
+    def test_reach_counts_the_probes_momentum_extent(self, strategy, m, n, probe, exact,
+                                                     exact_theta1_qfi):
         # the branches carry the probe's momentum bulk, centre <P> and
         # half-width sqrt(2n + 1), down by theta1 N (theta1 2N): 36 + 24.5
         # (Fock(300)) and 36 + 14.2 (Fock(100)) pass sqrt(2 * 1024 + 1) =
@@ -524,8 +537,14 @@ class TestNodeRoute:
         assert est.value == pytest.approx(qfi_generator(cfg, THETA2).value, rel=1e-12)
         if exact is not None:
             assert est.value == pytest.approx(exact, rel=1e-12)
-        with pytest.raises(EnvelopeError, match="covers theta2 only"):
-            qfi_converged(cfg, THETA1)
+        # the theta1 row of the same config is exact on the nodes too; at
+        # m = 1 either strategy gives 4 s^2 Var X + theta2^2 s^4, s = N
+        # (switch) or 2N, so 1089900 on Fock(300) at s = 30
+        theta1 = qfi_converged(cfg, THETA1)
+        assert theta1.method == "exact_nodes" and theta1.converged
+        assert theta1.value == pytest.approx(float(exact_theta1_qfi(cfg)), rel=1e-12)
+        if m == 1:
+            assert theta1.value == pytest.approx(1089900, rel=1e-12)
 
     def test_reach_counts_the_squeezed_momentum_width(self):
         # a squeezed probe's momentum half-width is e^r: 43.2 + e^1 passes
@@ -635,14 +654,20 @@ class TestNodeRoute:
                     exact, rel=1e-12), cfg
                 assert qfi_generator(cfg, THETA2).value == pytest.approx(exact, rel=1e-12), cfg
 
-    def test_uncovered_rows_fail_before_any_build(self, monkeypatch):
-        builds = []
-        monkeypatch.setattr(qfi_module, "_node_table", lambda *a: builds.append(a))
+    def test_theta1_rows_build_no_fock_state(self, monkeypatch, exact_theta1_qfi):
+        # route sends every theta1 row to the nodes from its config alone,
+        # the rows no basis holds and those one would hold alike
+        def refuse(*args, **kwargs):
+            raise AssertionError("a theta1 row entered the Fock route")
+
+        monkeypatch.setattr(qfi_module, "prepare_probe", refuse)
+        monkeypatch.setattr(qfi_module, "output_derivative", refuse)
         cfg = StrategyConfig(theta1=1.2, theta2=0.05, n_queries=24, m=3,
                              strategy=COHERENT_SUPERPOSITION)
-        with pytest.raises(EnvelopeError, match="covers theta2 only"):
-            qfi_converged(cfg, THETA1)
-        assert builds == []
+        for row in (cfg, replace(cfg, theta1=0.1, n_queries=2)):
+            est = qfi_converged(row, THETA1)
+            assert (est.method, est.converged) == ("exact_nodes", True)
+            assert est.value == pytest.approx(float(exact_theta1_qfi(row)), rel=1e-12)
 
 
 def centred_grid_probes():
@@ -695,11 +720,21 @@ INVARIANCE_PROBES = [ProbeSpec.vacuum(), ProbeSpec.fock(1), ProbeSpec.fock(5),
                      ProbeSpec.fock(8), ProbeSpec.coherent(-1.1 + 0.7j)]
 
 
+def theta1_grid_probes():
+    """The probes of the theta1 node grid: the vacuum, Fock(n <= 8),
+    squeezed r = +-0.8, and coherent probes centred at +-1e12 in either
+    quadrature and at a small centre."""
+    return ([ProbeSpec.vacuum()] + [ProbeSpec.fock(level) for level in range(1, 9)]
+            + [ProbeSpec.squeezed_vacuum(0.8), ProbeSpec.squeezed_vacuum(-0.8)]
+            + [ProbeSpec.coherent(alpha) for alpha in
+               (0.3 + 1e12j, 0.3 - 1e12j, 1e12 + 0.7j, -1e12 - 1e12j, -1.1 + 0.7j)])
+
+
 class TestExactTheta1:
-    """ROADMAP item 8's theta1 rationals (`exact_theta1_qfi`) against the
-    exact Fock route, on the vacuum and Fock(n) probes whose moments are
-    exact.  At m = 3 the theta1 rows exit 3 in the dense P^3 (ROADMAP item
-    3), so the grid stops at m = 2."""
+    """ROADMAP item 8's theta1 oracle (`exact_theta1_qfi`, exact rationals or
+    80-digit Decimals) against the exact momentum-node route every theta1
+    row takes, and that route against a Richardson fd of the Fock-basis
+    builders, which share no code with it."""
 
     def test_vacuum_anchors_are_the_closed_forms(self, exact_theta1_qfi):
         # vacuum, N = 4, theta = 0.1: the switch gives 2N^2 + 4 theta2^2 N^4
@@ -715,7 +750,7 @@ class TestExactTheta1:
         assert float(exact_theta1_qfi(cs)) == pytest.approx(221.5708444444444, rel=1e-15)
         for cfg in (switch, cs):
             est = qfi_converged(cfg, THETA1)
-            assert est.method == "exact_fock" and est.converged
+            assert est.method == "exact_nodes" and est.converged
             assert est.value == pytest.approx(float(exact_theta1_qfi(cfg)), rel=1e-12)
 
     def test_linear_rationals_are_the_generator_route(self, exact_theta1_qfi):
@@ -725,18 +760,36 @@ class TestExactTheta1:
                 assert qfi_generator(cfg, THETA1).value == pytest.approx(
                     float(exact_theta1_qfi(cfg)), rel=1e-12), cfg
 
-    def test_fock_route_matches_the_rationals(self, exact_theta1_qfi):
-        probes = [ProbeSpec.vacuum(), ProbeSpec.fock(1), ProbeSpec.fock(3)]
+    @pytest.mark.parametrize("probe", theta1_grid_probes(),
+                             ids=lambda p: f"{p.kind}-{p.n}-{p.alpha}-{p.r}")
+    def test_node_route_matches_the_oracle_on_a_seeded_grid(self, probe, exact_theta1_qfi):
+        """m 1..5 and both strategies on each probe, at three seeded rows
+        with theta1 <= 1.2 and N <= 400: every row is exact_nodes and within
+        1e-12 of the oracle, on the node count its degree asks."""
         rng = np.random.default_rng(8)
-        for _ in range(40):
-            cfg = StrategyConfig(theta1=float(rng.uniform(0.01, 0.1)),
-                                 theta2=float(rng.uniform(0.01, 0.1)),
-                                 n_queries=int(rng.integers(1, 9)), m=int(rng.integers(1, 3)),
-                                 strategy=(SWITCH, COHERENT_SUPERPOSITION)[rng.integers(2)],
-                                 probe=probes[rng.integers(len(probes))])
+        for m, strategy, _ in itertools.product(range(1, 6), (SWITCH, COHERENT_SUPERPOSITION),
+                                                range(3)):
+            cfg = StrategyConfig(theta1=float(rng.uniform(0.0, 1.2)),
+                                 theta2=float(rng.uniform(0.01, 1.0)),
+                                 n_queries=int(rng.integers(1, 401)), m=m,
+                                 strategy=strategy, probe=probe)
             est = qfi_converged(cfg, THETA1)
-            assert est.method == "exact_fock" and est.converged, cfg
+            assert est.method == "exact_nodes" and est.converged, cfg
+            assert est.diagnostics == {"dim_used": cfg.m + cfg.probe.n}, cfg
             assert est.value == pytest.approx(float(exact_theta1_qfi(cfg)), rel=1e-12), cfg
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
+    @pytest.mark.parametrize("probe", TRIANGLE_PROBES, ids=lambda p: p.kind)
+    def test_node_route_matches_a_fock_basis_fd(self, m, strategy, probe):
+        # the Fock-basis state at d = 256 holds these small rows (at d = 128
+        # the m = 3 coherent superposition on Fock(2) is 2e-7 short); its
+        # Richardson fd in theta1 meets the node value
+        cfg = StrategyConfig(theta1=0.2, theta2=0.05, n_queries=2, m=m,
+                             strategy=strategy, probe=probe)
+        fd = fixed_dim_fd(cfg, THETA1, 256)
+        assert fd.converged
+        assert qfi_converged(cfg, THETA1).value == pytest.approx(fd.value, rel=1e-7)
 
 
 def invariance_grid(seed: int, rows: int, strategies_=(SWITCH, COHERENT_SUPERPOSITION),
@@ -787,8 +840,9 @@ class TestInvariances:
         that at theta2, and d psi / d theta2 at -theta2 is -sigma_x times
         it; F, quadratic in the derivative and unitarily invariant, is
         unchanged for both parameters.  The node route meets the rational
-        theta2 value at both signs; on the Fock route the two states are
-        each other's branch swap and F_theta1, F_theta2 agree."""
+        theta2 value at both signs; in the Fock basis the two states are
+        each other's branch swap, and the rows of F_theta1 (on the nodes)
+        and F_theta2 (on the Fock route) agree."""
         cs = (COHERENT_SUPERPOSITION,)
         for cfg in invariance_grid(10, 30, strategies_=cs):
             exact = float(exact_theta2_qfi(cfg))

@@ -21,8 +21,6 @@ from cvmet.strategies import (
     COHERENT_SUPERPOSITION,
     COMPOSITE,
     SWITCH,
-    THETA1,
-    THETA2,
     CompositeParams,
     QState,
     StrategyConfig,
@@ -103,6 +101,26 @@ class TestNodePhases:
         for coeffs, ref in zip(strategies.node_phases(cfg), reference):
             phase = np.polynomial.polynomial.polyval(q, coeffs)
             assert np.abs(phase - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("strategy", [SWITCH, COHERENT_SUPERPOSITION])
+    def test_theta1_generators_differentiate_the_phases_on_the_moving_grid(self, m, strategy):
+        # branch b is phi(q) e^{-i theta2 Phi_b(q)} at q = p + theta1 s, so at
+        # fixed p its theta1 derivative is s phi'(q) (the s X of G_b) less
+        # i theta2 (s Phi_b' + d Phi_b / d theta1) psi_b: f_b is theta2 times
+        # that bracket, here from `node_phases` by a central difference
+        poly = np.polynomial.polynomial
+        cfg = StrategyConfig(theta1=0.3, theta2=0.07, n_queries=5, m=m, strategy=strategy)
+        span, generators = strategies.theta1_generators(cfg)
+        assert span == strategies.momentum_shift(cfg) / cfg.theta1
+        h, q = 1e-6, np.linspace(-4.0, 4.0, 33)
+        up, down = (strategies.node_phases(replace(cfg, theta1=cfg.theta1 + e)) for e in (h, -h))
+        wants = [cfg.theta2 * (span * poly.polyval(q, poly.polyder(phase))
+                               + (poly.polyval(q, hi) - poly.polyval(q, lo)) / (2 * h))
+                 for phase, hi, lo in zip(strategies.node_phases(cfg), up, down)]
+        scale = max(np.abs(want).max() for want in wants)  # the switch's f_1 is 0
+        for f, want in zip(generators, wants):
+            assert np.abs(poly.polyval(q, f) - want).max() <= 1e-7 * scale
 
 
 class TestCsOutput:
@@ -277,11 +295,10 @@ class TestGeneratorBands:
         for tau in taus:
             assert np.abs(propagator(spec, tau) @ phi
                           - propagator(reference, tau) @ phi).max() <= 1e-12
-            for which in (THETA1, THETA2):
-                gen = strategies._quadrature_bands(1, dim, which)
-                got = strategies._exp_derivative(spec, gen, tau, phi)
-                want = strategies._exp_derivative(reference, gen, tau, phi)
-                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            gen = strategies._pm_bands(1, dim)
+            got = strategies._exp_derivative(spec, gen, tau, phi)
+            want = strategies._exp_derivative(reference, gen, tau, phi)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_fd_qfi_forms_p_power_once_per_dimension(self, monkeypatch):
         strategies._generator_bands.cache_clear()
@@ -313,24 +330,21 @@ class TestGeneratorBands:
             assert not x_k.flags.writeable and not pm_k.flags.writeable
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-    def test_quadrature_bands_drop_only_zero_diagonals(self, m):
-        # X keeps k = +-1 and P^m the k of m's parity; every dropped diagonal
-        # is all zero, and the band product is bitwise that of the full band,
-        # signed zeros included, on real and complex vectors and blocks
+    def test_pm_bands_drop_only_zero_diagonals(self, m):
+        # P^m keeps the k of m's parity; every dropped diagonal is all zero,
+        # and the band product is bitwise that of the full band, signed
+        # zeros included, on real and complex vectors and blocks
         dim = FockDim(32)
         rng = np.random.default_rng(m)
-        full = strategies._generator_bands(m, dim)
-        for which, column in ((THETA1, 0), (THETA2, 1)):
-            kept = strategies._quadrature_bands(m, dim, which)
-            every = [(k, bands[column]) for k, *bands in full]
-            assert [k for k, _ in kept] == ([-1, 1] if which == THETA1
-                                            else list(range(-m, m + 1, 2)))
-            dropped = [diag for k, diag in every if k not in dict(kept)]
-            assert all(not diag.any() for diag in dropped)
-            block = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
-            for y in (rng.normal(size=32), block, np.zeros(32), -np.zeros((32, 2))):
-                assert (strategies._band_product(kept, y).tobytes()
-                        == strategies._band_product(every, y).tobytes())
+        kept = strategies._pm_bands(m, dim)
+        every = [(k, pm_k) for k, _, pm_k in strategies._generator_bands(m, dim)]
+        assert [k for k, _ in kept] == list(range(-m, m + 1, 2))
+        dropped = [diag for k, diag in every if k not in dict(kept)]
+        assert all(not diag.any() for diag in dropped)
+        block = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+        for y in (rng.normal(size=32), block, np.zeros(32), -np.zeros((32, 2))):
+            assert (strategies._band_product(kept, y).tobytes()
+                    == strategies._band_product(every, y).tobytes())
 
     def test_entry_outside_the_band_is_rejected(self):
         off = np.full(3, 0.5)
@@ -371,10 +385,11 @@ class TestBranchSpectrumCache:
         cs_output(replace(self.CFG, theta2=0.06), 32)
         assert counts == {"eigh": 1, "propagator": 2, "Operator": 1}
 
-    def test_rows_that_differ_in_n_probe_or_parameter_share_one_spectrum(
+    def test_rows_that_differ_in_n_or_probe_share_one_spectrum(
             self, monkeypatch, cold_spectra):
-        # N only sets the evolution time; the probe and the parameter never
-        # enter the branch generator, and both branches run on its spectrum
+        # N only sets the evolution time; the probe never enters the branch
+        # generator, and both branches run on its spectrum, the state and its
+        # derivative alike
         seen = []
         monkeypatch.setattr(strategies, "propagator",
                             lambda spec, tau: seen.append(spec) or propagator(spec, tau))
@@ -382,11 +397,10 @@ class TestBranchSpectrumCache:
         rows = (self.CFG, replace(self.CFG, n_queries=7),
                 replace(self.CFG, probe=ProbeSpec.coherent(0.3 - 0.2j)))
         for row in rows:
-            for which in (THETA1, THETA2):
-                output_derivative(row, 32, which)
+            output_derivative(row, 32)
         cs_output(replace(self.CFG, n_queries=1), 32)
         assert counts["eigh"] == 1
-        assert len(seen) == 2 * (2 * len(rows) + 1)
+        assert len(seen) == 2 * (len(rows) + 1)
         assert all(spec is seen[0] for spec in seen)
 
     @pytest.mark.parametrize("change, d", [({"m": 3}, 32), ({"theta1": 0.11}, 32),
@@ -431,9 +445,8 @@ class TestBranchSymmetry:
         assert np.array_equal(-(parity[:, None] * plus.conj() * parity[None, :]), minus)
 
     @pytest.mark.parametrize("probe", SYMMETRY_PROBES, ids=SYMMETRY_PROBE_IDS)
-    @pytest.mark.parametrize("which", [THETA1, THETA2])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_minus_branch_matches_its_own_spectrum(self, m, which, probe):
+    def test_minus_branch_matches_its_own_spectrum(self, m, probe):
         # reference: the - generator decomposed in the test, and its state and
         # Daleckii-Krein derivative taken on that spectrum
         dim = FockDim(64)
@@ -444,23 +457,22 @@ class TestBranchSymmetry:
                                  strategy=COHERENT_SUPERPOSITION, probe=probe)
             tau = 2 * cfg.n_queries
             reference = spectrum(Operator(dim, theta1 * x - theta2 * pm, hermitian=True))
-            gen = band_diagonals(Operator(dim, x if which == THETA1 else -pm, hermitian=True), m)
+            gen = band_diagonals(Operator(dim, -pm, hermitian=True), m)
             want_state = propagator(reference, tau) @ phi
             want = strategies._exp_derivative(reference, list(gen.items()), tau, phi)
-            state, dpsi = output_derivative(cfg, dim, which)
+            state, dpsi = output_derivative(cfg, dim)
             got_state = state.branch(1) * math.sqrt(2)
             got = dpsi[dim.d:] * math.sqrt(2)
             assert np.linalg.norm(got_state - want_state) <= 1e-12
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("which", [THETA1, THETA2])
     @pytest.mark.parametrize("m", [1, 3])
-    def test_block_derivative_is_the_columnwise_one(self, m, which):
+    def test_block_derivative_is_the_columnwise_one(self, m):
         dim = FockDim(100)  # not a multiple of the row block
         cfg = StrategyConfig(theta1=0.2, theta2=-0.07, n_queries=2, m=m,
                              strategy=COHERENT_SUPERPOSITION)
         spec = strategies.generator_spectrum(m, dim, cfg.theta1, cfg.theta2)
-        bands = strategies._quadrature_bands(m, dim, which)
+        bands = strategies._pm_bands(m, dim)
         block = np.column_stack([prepare_probe(probe, dim).vec for probe in SYMMETRY_PROBES])
         together = strategies._exp_derivative(spec, bands, 4.0, block)
         for column, phi in zip(together.T, block.T):
